@@ -1,6 +1,7 @@
 # Developer entry points. CI runs the same commands (see
-# .github/workflows/ci.yml); the bench target records the micro-benchmark
-# numbers the evaluation-kernel work is measured by (EXPERIMENTS.md).
+# .github/workflows/ci.yml). End-to-end performance numbers come from the
+# repository benchmark, `bash qfebench/run.sh` (BENCHMARK.json); the bench
+# targets here print micro-benchmarks (EXPERIMENTS.md).
 
 GO ?= go
 # Restrict with e.g. `make bench BENCH=BenchmarkMicro` for a faster run.
@@ -28,13 +29,11 @@ race:
 # the same command the CI parallel-determinism job runs.
 test-parallel:
 	GOMAXPROCS=8 $(GO) test -race -count=2 \
-		-run 'Parallel|Concurrent|Steal|Block|Degenerate|GetBatch' ./...
+		-run 'Parallel|Concurrent|Steal|Block|Degenerate' ./...
 
-# Full benchmark sweep with allocation counts, teed into BENCH_batch.json —
-# the durable artifact of the columnar batch-engine PR (BENCH_kernel.json
-# remains the PR 3 hash-kernel record).
+# Full micro-benchmark sweep with allocation counts, printed to stdout.
 bench:
-	$(GO) test -bench $(BENCH) -benchmem -run '^$$' | tee BENCH_batch.json
+	$(GO) test -bench $(BENCH) -benchmem -run '^$$'
 
 # The smoke variant CI runs: every micro benchmark once, allocations shown.
 bench-micro:
@@ -137,8 +136,8 @@ cluster:
 # Observability gate (CI): boot a 2-worker cluster behind the router, run
 # real sessions, kill one worker, then scrape /metrics on the router and the
 # surviving worker — fail unless the round-phase histograms, WAL fsync
-# latency, evalcache counters and the failover counter are present and
-# non-zero (DESIGN.md §13).
+# latency and the failover counter are present and non-zero (DESIGN.md
+# §13).
 metrics-smoke:
 	$(GO) build $(LDFLAGS) -o /tmp/qfe-server ./cmd/qfe-server
 	$(GO) build $(LDFLAGS) -o /tmp/qfe-router ./cmd/qfe-router

@@ -149,7 +149,6 @@ func BenchmarkMicroSkylinePairs(b *testing.B) {
 	}
 	opts := dbgen.DefaultOptions()
 	opts.Budget = Budget{MaxPairs: 100000}
-	opts.Cache = nil // measure uncached evaluation; BenchmarkMicroEvalCache covers warm runs
 	gen, err := dbgen.New(d, j, qc, r, opts)
 	if err != nil {
 		b.Fatal(err)
@@ -171,7 +170,6 @@ func BenchmarkMicroFullSession(b *testing.B) {
 	}
 	cfg := DefaultSessionConfig()
 	cfg.Gen.Budget = Budget{MaxPairs: 100000}
-	cfg.Gen.Cache = nil // measure uncached sessions; BenchmarkMicroEvalCache covers warm runs
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, err := NewSession(d, r, qc, feedback.WorstCase{}, cfg)
@@ -185,10 +183,9 @@ func BenchmarkMicroFullSession(b *testing.B) {
 }
 
 // BenchmarkMicroSessionParallelism compares complete winnowing sessions on
-// the scientific scenario at Parallelism = 1 (the legacy serial path) and
+// the scientific scenario at Parallelism = 1 (every loop serial) and
 // Parallelism = GOMAXPROCS. Outcomes are identical (asserted by
-// internal/core's parallel tests); only wall-clock should move. Caches are
-// disabled so the comparison isolates the worker pools.
+// internal/core's parallel tests); only wall-clock should move.
 func BenchmarkMicroSessionParallelism(b *testing.B) {
 	b.ReportAllocs()
 	sc, err := experiments.ScientificScenario("Q1", 19)
@@ -208,7 +205,6 @@ func BenchmarkMicroSessionParallelism(b *testing.B) {
 				cfg := DefaultSessionConfig()
 				cfg.Gen.Budget = Budget{MaxPairs: 100000}
 				cfg.Parallelism = bc.parallelism
-				cfg.Gen.Cache = nil
 				s, err := NewSession(sc.DB, sc.R, sc.QC, feedback.WorstCase{}, cfg)
 				if err != nil {
 					b.Fatal(err)
@@ -245,7 +241,6 @@ func BenchmarkMicroAlg4Parallelism(b *testing.B) {
 			opts := dbgen.DefaultOptions()
 			opts.Budget = Budget{MaxPairs: 100000}
 			opts.Parallelism = bc.parallelism
-			opts.Cache = nil
 			opts.MaxFrontier = 512
 			opts.MaxSetsEvaluated = 200000
 			gen, err := dbgen.New(sc.DB, j, sc.QC, sc.R, opts)
@@ -262,50 +257,6 @@ func BenchmarkMicroAlg4Parallelism(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkMicroEvalCache measures candidate evaluation against a cold and
-// a warm result cache: the warm path is what every winnowing round after
-// the first — and every sweep re-run — pays.
-func BenchmarkMicroEvalCache(b *testing.B) {
-	b.ReportAllocs()
-	sc, err := experiments.ScientificScenario("Q1", 19)
-	if err != nil {
-		b.Fatal(err)
-	}
-	j, err := Join(sc.DB, sc.QC[0].Tables)
-	if err != nil {
-		b.Fatal(err)
-	}
-	newGen := func(b *testing.B, cache *EvalCache) {
-		opts := dbgen.DefaultOptions()
-		opts.Budget = Budget{MaxPairs: 100000}
-		opts.Cache = cache
-		if _, err := dbgen.New(sc.DB, j, sc.QC, sc.R, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("nocache", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			newGen(b, nil) // evaluation alone, no hashing or Put overhead
-		}
-	})
-	b.Run("cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			newGen(b, NewEvalCache(4096)) // fresh cache: all misses + Puts
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		b.ReportAllocs()
-		cache := NewEvalCache(4096)
-		newGen(b, cache) // populate
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			newGen(b, cache)
-		}
-	})
 }
 
 // BenchmarkMicroBatchEval compares one round's candidate evaluation done the
@@ -337,7 +288,7 @@ func BenchmarkMicroBatchEval(b *testing.B) {
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := algebra.BatchEvaluateOnJoined(sc.QC, col); err != nil {
+			if _, err := algebra.BatchEvaluateOnJoined(sc.QC, col, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -347,8 +298,7 @@ func BenchmarkMicroBatchEval(b *testing.B) {
 	b.Run("batch-parallel", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := algebra.BatchEvaluateOnJoinedParallel(sc.QC, col,
-				runtime.GOMAXPROCS(0)); err != nil {
+			if _, err := algebra.BatchEvaluateOnJoined(sc.QC, col, runtime.GOMAXPROCS(0)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -14,7 +14,7 @@
 //	                                index, -1 for "none of these"; seq makes
 //	                                the request idempotent under retries
 //	DELETE /sessions/{id}           abandon the session
-//	GET    /stats                   session/round counters + cache hit rate
+//	GET    /stats                   session/round counters
 //
 // Sessions are evicted after -ttl of inactivity and capped at -max-sessions
 // live sessions (further creates get 429).

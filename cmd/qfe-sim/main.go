@@ -16,8 +16,8 @@
 // (internal/simulate), in-process or against a qfe-server, with automated
 // feedback (target, worst, noisy, abandon), per-session invariant checks
 // and a metamorphic differential oracle on fresh databases. The JSON report
-// (convergence rate, rounds histogram, latency percentiles, cache hit rate,
-// peak sessions) is deterministic modulo its timing block. The exit status
+// (convergence rate, rounds histogram, latency percentiles, peak sessions)
+// is deterministic modulo its timing block. The exit status
 // is non-zero when invariants are violated or the convergence rate falls
 // below -require-converge — which is what makes `make sim-smoke` a CI gate.
 package main
@@ -270,10 +270,10 @@ func runRun(args []string) error {
 		rep.NotFound, rep.Abandoned, rep.Errors)
 	fmt.Printf("rounds %d total; invariant violations %d; divergent class members %d\n",
 		rep.TotalRounds, rep.InvariantViolations, rep.Divergent)
-	fmt.Printf("latency p50/p90/p99/max = %.2f/%.2f/%.2f/%.2f ms; peak sessions %d; cache %d hits / %d misses\n",
+	fmt.Printf("latency p50/p90/p99/max = %.2f/%.2f/%.2f/%.2f ms; peak sessions %d\n",
 		rep.Timing.RoundLatency.P50, rep.Timing.RoundLatency.P90,
 		rep.Timing.RoundLatency.P99, rep.Timing.RoundLatency.Max,
-		rep.Timing.PeakSessions, rep.Timing.Cache.Hits, rep.Timing.Cache.Misses)
+		rep.Timing.PeakSessions)
 	fmt.Printf("report written to %s\n", *reportPath)
 
 	if rep.InvariantViolations > 0 && !*allowViolations {

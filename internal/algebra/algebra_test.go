@@ -217,25 +217,24 @@ func TestQueryCloneAndFingerprint(t *testing.T) {
 			NewSetTerm("A.x", OpIn, []relation.Value{relation.Int(1), relation.Int(2)})}},
 	}
 	c := q.Clone()
-	if c.Fingerprint() != q.Fingerprint() {
-		t.Error("clone should share fingerprint")
+	if c.Key() != q.Key() {
+		t.Error("clone should share the canonical key")
 	}
-	// Queries are immutable once Key/Fingerprint has been called; variants
-	// must be made by mutating a fresh clone BEFORE its first use. The
-	// mutated clone's encodings must diverge (proving Clone deep-copies the
-	// term sets rather than aliasing them), while the original's memoised
-	// fingerprint is untouched.
+	// Queries are immutable once Key has been called; variants must be made
+	// by mutating a fresh clone BEFORE its first use. The mutated clone's
+	// encodings must diverge (proving Clone deep-copies the term sets rather
+	// than aliasing them), while the original's memoised key is untouched.
 	m := q.Clone()
 	m.Pred[0][0].Set[0] = relation.Int(99)
-	if m.Fingerprint() == q.Fingerprint() {
+	if m.Key() == q.Key() {
 		t.Error("clone must deep-copy term sets")
 	}
-	if q.Fingerprint() != c.Fingerprint() {
-		t.Error("original fingerprint must be stable")
+	if q.Key() != c.Key() {
+		t.Error("original key must be stable")
 	}
 	// Memoisation: repeated calls return the identical key material.
-	if q.Key() != q.Key() || q.Fingerprint() != q.Fingerprint() {
-		t.Error("Key/Fingerprint must be deterministic")
+	if q.Key() != q.Key() || q.JoinSchemaKey() != q.JoinSchemaKey() {
+		t.Error("Key/JoinSchemaKey must be deterministic")
 	}
 	// Join schema key is order-insensitive.
 	a := &Query{Tables: []string{"A", "B"}}

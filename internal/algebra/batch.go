@@ -22,7 +22,7 @@
 // counterpart — same tuples, same order, same errors — which the
 // differential tests in batch_test.go assert, including under forced hash
 // collisions. The scalar path stays the reference implementation and keeps
-// serving single-query callers.
+// serving single-query callers (qbo's verification, scenario targets).
 package algebra
 
 import (
@@ -251,31 +251,25 @@ func selectionVector(prog [][]int, termBits [][]uint64, full []uint64, tmp []uin
 
 // BatchEvaluateOnJoined evaluates a batch of candidate queries against one
 // joined relation in a single shared scan, returning one result per query in
-// input order. Results are byte-identical to calling EvaluateOnJoined per
-// query (same tuple order, schema and name); queries sharing a projection
-// and a selection vector share the materialised tuple storage, so callers
-// must treat results as immutable — exactly the contract evaluation results
-// already have everywhere (evalcache shares them too).
-func BatchEvaluateOnJoined(queries []*Query, col *relation.Columnar) ([]*relation.Relation, error) {
-	return batchEvaluate(queries, col, 1, batchBlockRows)
-}
-
-// BatchEvaluateOnJoinedParallel is BatchEvaluateOnJoined spread over a
-// worker pool: the row scan runs block-parallel (termBitmaps), the per-query
-// DNF combines run query-parallel with per-worker scratch, and
-// materialisation fills its arena block-parallel behind per-block popcount
-// offsets. Results are byte-identical to the workers = 1 path — and thus to
-// the scalar per-query path — at every worker count; batch_test.go pins this
-// differentially, including under forced hash collisions.
-func BatchEvaluateOnJoinedParallel(queries []*Query, col *relation.Columnar, workers int) ([]*relation.Relation, error) {
+// input order, on a pool of workers: the row scan runs block-parallel
+// (termBitmaps), the per-query DNF combines run query-parallel with
+// per-worker scratch, and materialisation fills its arena block-parallel
+// behind per-block popcount offsets. Results are byte-identical to calling
+// EvaluateOnJoined per query (same tuple order, schema and name) at every
+// worker count; batch_test.go pins this differentially, including under
+// forced hash collisions. Queries sharing a projection and a selection
+// vector share the materialised tuple storage, so callers must treat
+// results as immutable — the contract evaluation results already have
+// everywhere.
+func BatchEvaluateOnJoined(queries []*Query, col *relation.Columnar, workers int) ([]*relation.Relation, error) {
 	return batchEvaluate(queries, col, workers, batchBlockRows)
 }
 
-// batchEvaluate is the implementation behind the two public entry points,
-// with the block size injectable so tests can straddle row-count boundaries
-// (rows % blockRows ∈ {0, 1, blockRows−1}) at tiny sizes. blockRows is
-// rounded up to a multiple of 64: the disjoint-word-write argument above
-// needs block boundaries on word boundaries.
+// batchEvaluate is BatchEvaluateOnJoined with the block size injectable so
+// tests can straddle row-count boundaries (rows % blockRows ∈ {0, 1,
+// blockRows−1}) at tiny sizes. blockRows is rounded up to a multiple of 64:
+// the disjoint-word-write argument above needs block boundaries on word
+// boundaries.
 func batchEvaluate(queries []*Query, col *relation.Columnar, workers, blockRows int) ([]*relation.Relation, error) {
 	mBatchScans.Inc()
 	mBatchQueries.Add(uint64(len(queries)))
@@ -564,61 +558,4 @@ func BatchDeltaOnJoined(queries []*Query, joined *relation.Relation, modified ma
 		deltas[qi] = delta
 	}
 	return deltas, nil
-}
-
-// BatchApplyDelta applies each query's delta to its cached base result and
-// returns the updated relations together with their ResultFP fingerprints,
-// maintaining both incrementally — one combined pass over each base instead
-// of the separate ApplyDelta and DeltaFingerprint scans. materialize selects
-// which queries need the updated relation built (nil = all); fingerprints
-// are computed for every query either way, since partitioning needs them
-// all while only group representatives get materialised. Results and
-// fingerprints are byte-identical to ApplyDelta / DeltaFingerprint.
-func BatchApplyDelta(queries []*Query, bases []*relation.Relation, deltas []ResultDelta, materialize []bool) ([]*relation.Relation, []ResultFP) {
-	results := make([]*relation.Relation, len(queries))
-	fps := make([]ResultFP, len(queries))
-	for qi, q := range queries {
-		want := materialize == nil || materialize[qi]
-		results[qi], fps[qi] = ApplyDeltaFP(q, bases[qi], deltas[qi], want)
-	}
-	return results, fps
-}
-
-// ApplyDeltaFP applies one query's delta to its base result in a single
-// combined pass, returning the updated relation (nil unless materialize)
-// and its ResultFP fingerprint. It is the per-query kernel behind
-// BatchApplyDelta, exposed separately because the per-query work is
-// independent — callers holding a worker pool (dbgen's partitioner) spread
-// it across workers with indexed output slots, keeping results identical at
-// every worker count.
-func ApplyDeltaFP(q *Query, base *relation.Relation, delta ResultDelta, materialize bool) (*relation.Relation, ResultFP) {
-	counts := relation.NewBag(base.Len())
-	// The remove bag feeds only materialisation; fingerprints handle
-	// removals through count decrements below.
-	var remove *relation.Bag
-	var out *relation.Relation
-	if materialize {
-		remove = relation.NewBag(len(delta.Removed))
-		for _, t := range delta.Removed {
-			remove.Inc(t, 1)
-		}
-		out = relation.New(base.Name, base.Schema)
-	}
-	for _, t := range base.Tuples {
-		counts.Inc(t, 1)
-		if materialize && !remove.TakeOne(t) {
-			out.Tuples = append(out.Tuples, t)
-		}
-	}
-	for _, t := range delta.Removed {
-		counts.Inc(t, -1)
-	}
-	for _, t := range delta.Added {
-		counts.Inc(t, 1)
-		if materialize {
-			out.Tuples = append(out.Tuples, t)
-		}
-	}
-	lo, hi := counts.Fingerprint128(q.Distinct)
-	return out, ResultFP{Lo: lo, Hi: hi}
 }

@@ -10,7 +10,7 @@ import (
 
 // This file is the differential harness for the block-parallel batch
 // evaluator: batchEvaluate at every worker count and block size must be
-// byte-identical to the scalar reference path and to the serial batch path.
+// byte-identical to the scalar reference path and to the one-worker run.
 // Block sizes are driven through the unexported batchEvaluate entry so tests
 // can force tiny (64-row) blocks and row counts that straddle the block
 // boundary — rows % block ∈ {0, 1, block-1} — where a mis-merged bitmap
@@ -115,20 +115,20 @@ func TestBatchEvaluateBlockParallelForcedCollisions(t *testing.T) {
 	}
 }
 
-// TestBatchEvaluateParallelMatchesSerialBatch pins the public parallel entry
-// against the public serial one on a relation large enough for several
-// production-sized blocks per worker.
+// TestBatchEvaluateParallelMatchesSerialBatch pins the public entry at
+// several worker counts against its one-worker run on a relation large
+// enough for several production-sized blocks per worker.
 func TestBatchEvaluateParallelMatchesSerialBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5050))
 	rel := randBatchRelationN(rng, 10_000)
 	qs := randBatch(rng)
 	col := relation.NewColumnar(rel)
-	serial, err := BatchEvaluateOnJoined(qs, col)
+	serial, err := BatchEvaluateOnJoined(qs, col, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		par, err := BatchEvaluateOnJoinedParallel(qs, col, workers)
+		par, err := BatchEvaluateOnJoined(qs, col, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -90,7 +90,7 @@ func checkBatchEvaluate(t *testing.T, seed int64) {
 		rel := randBatchRelation(rng)
 		qs := randBatch(rng)
 		col := relation.NewColumnar(rel)
-		batch, err := BatchEvaluateOnJoined(qs, col)
+		batch, err := BatchEvaluateOnJoined(qs, col, 1)
 		if err != nil {
 			t.Logf("batch evaluate: %v", err)
 			return false
@@ -170,13 +170,6 @@ func checkBatchDelta(t *testing.T, seed int64) {
 			}
 			bases[qi] = base
 		}
-		// Materialise only every other query, exercising the selective flag.
-		want := make([]bool, len(qs))
-		for qi := range want {
-			want[qi] = qi%2 == 0
-		}
-		results, fps := BatchApplyDelta(qs, bases, batchDeltas, want)
-
 		for qi, q := range qs {
 			scalarDelta, err := q.DeltaOnJoined(rel, modified)
 			if err != nil {
@@ -187,20 +180,11 @@ func checkBatchDelta(t *testing.T, seed int64) {
 				t.Logf("query %s (%s): batch delta diverges: %v", q.Name, q.SQL(), err)
 				return false
 			}
-			if got, wantFP := fps[qi], q.DeltaFingerprint(bases[qi], scalarDelta); got != wantFP {
-				t.Logf("query %s: batch fingerprint %v, scalar %v", q.Name, got, wantFP)
-				return false
-			}
-			if !want[qi] {
-				if results[qi] != nil {
-					t.Logf("query %s: unrequested materialisation", q.Name)
-					return false
-				}
-				continue
-			}
-			scalarRes := ApplyDelta(bases[qi], scalarDelta)
-			if err := relIdentical(results[qi], scalarRes); err != nil {
-				t.Logf("query %s: batch ApplyDelta diverges: %v", q.Name, err)
+			// The incremental fingerprint of the batch delta must equal the
+			// fingerprint of the scalar result, materialised.
+			after := ApplyDelta(bases[qi], scalarDelta)
+			if got, want := q.DeltaFingerprint(bases[qi], batchDeltas[qi]), q.DeltaFingerprint(after, ResultDelta{}); got != want {
+				t.Logf("query %s: batch fingerprint %v, scalar %v", q.Name, got, want)
 				return false
 			}
 		}
@@ -230,7 +214,7 @@ func TestBatchEvaluateErrors(t *testing.T) {
 	col := relation.NewColumnar(rel)
 	good := &Query{Name: "G", Tables: []string{"T"}, Projection: []string{"T.a"}}
 	bad := &Query{Name: "B", Tables: []string{"T"}, Projection: []string{"T.missing"}}
-	if _, err := BatchEvaluateOnJoined([]*Query{good, bad}, col); err == nil {
+	if _, err := BatchEvaluateOnJoined([]*Query{good, bad}, col, 1); err == nil {
 		t.Error("missing projection column should error")
 	}
 	if _, err := BatchDeltaOnJoined([]*Query{good, bad}, rel,
@@ -255,7 +239,7 @@ func TestBatchEvaluateSharesStorage(t *testing.T) {
 	q1 := randQuery(rng, "A")
 	q2 := q1.Clone()
 	q2.Name = "B"
-	res, err := BatchEvaluateOnJoined([]*Query{q1, q2}, relation.NewColumnar(rel))
+	res, err := BatchEvaluateOnJoined([]*Query{q1, q2}, relation.NewColumnar(rel), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

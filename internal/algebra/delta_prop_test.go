@@ -104,6 +104,34 @@ func randEdits(rng *rand.Rand, rel *relation.Relation) map[int]relation.Tuple {
 	return modified
 }
 
+// slowDeltaFingerprint is the string-keyed canonical encoding of the
+// post-delta result (sorted tuple keys, ×count under bag semantics). It is
+// the reference implementation for DeltaFingerprint's differential tests:
+// two (base, delta) pairs get equal slow encodings iff they describe the
+// same result bag, which is exactly when DeltaFingerprint must agree.
+func (q *Query) slowDeltaFingerprint(base *relation.Relation, delta ResultDelta) string {
+	counts := base.Counts()
+	for _, t := range delta.Removed {
+		counts[t.Key()]--
+	}
+	for _, t := range delta.Added {
+		counts[t.Key()]++
+	}
+	keys := make([]string, 0, len(counts))
+	for k, c := range counts {
+		if c <= 0 {
+			continue
+		}
+		if q.Distinct {
+			keys = append(keys, k)
+		} else {
+			keys = append(keys, fmt.Sprintf("%s×%d", k, c))
+		}
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, "\n")
+}
+
 // deltaStyleFP re-encodes a fully re-evaluated result in DeltaFingerprint's
 // canonical form: sorted tuple keys, with ×multiplicity under bag semantics.
 func deltaStyleFP(q *Query, r *relation.Relation) string {

@@ -2,7 +2,6 @@ package algebra
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -16,9 +15,9 @@ import (
 // selects set semantics (SELECT DISTINCT); the default is bag semantics, the
 // paper's §5 assumption.
 //
-// A query is immutable once any of Key, JoinSchemaKey or Fingerprint has
-// been called: those canonical encodings are computed once and memoised on
-// the query (winnowing rounds call them per candidate per round, and the
+// A query is immutable once Key or JoinSchemaKey has been called: those
+// canonical encodings are computed once and memoised on the query
+// (winnowing rounds call them per candidate per round, and the
 // sort-and-join work added up). Callers that need a variant of an existing
 // query must Clone it and mutate the clone before its first Key use —
 // Clone deliberately does not copy the memoised encodings.
@@ -38,7 +37,6 @@ type Query struct {
 type queryMemo struct {
 	joinKey string
 	key     string
-	fp      uint64
 }
 
 func (q *Query) memoized() *queryMemo {
@@ -50,9 +48,7 @@ func (q *Query) memoized() *queryMemo {
 	jk := strings.Join(ts, "⋈")
 	key := jk + "\x03" + strings.Join(q.Projection, ",") +
 		"\x03" + q.Pred.Key() + "\x03" + fmt.Sprint(q.Distinct)
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	m := &queryMemo{joinKey: jk, key: key, fp: h.Sum64()}
+	m := &queryMemo{joinKey: jk, key: key}
 	q.memo.Store(m)
 	return m
 }
@@ -67,18 +63,10 @@ func (q *Query) JoinSchemaKey() string { return q.memoized().joinKey }
 // memoised (queries are immutable after construction; see the type doc).
 func (q *Query) Key() string { return q.memoized().key }
 
-// Fingerprint returns a 64-bit structural hash of the query — FNV-1a over
-// the canonical Key, covering the join schema, the projection list, the
-// normalised predicate and the bag/set semantics flag. It is the query half
-// of the evaluation-cache key (see internal/evalcache) and a compact
-// identity for equality checks; exact-dedup paths keep comparing Key.
-// Computed once, memoised.
-func (q *Query) Fingerprint() uint64 { return q.memoized().fp }
-
-// Clone deep-copies the query. The memoised Key/Fingerprint material is NOT
-// copied: a clone may be mutated before its first Key use (e.g. dbgen's
-// bag-semantics re-evaluation clones and clears Distinct), so it must
-// re-derive its own encodings.
+// Clone deep-copies the query. The memoised Key material is NOT copied: a
+// clone may be mutated before its first Key use (e.g. dbgen's bag-semantics
+// re-evaluation clones and clears Distinct), so it must re-derive its own
+// encodings.
 func (q *Query) Clone() *Query {
 	c := &Query{
 		Name:       q.Name,
@@ -255,8 +243,8 @@ type ResultFP struct{ Lo, Hi uint64 }
 // fingerprints agree produce the same result on D' — this is how QFE
 // partitions QC without materialising each result (§2, step 4). The counts
 // are exact (hash-keyed with equality verification); only the final 128-bit
-// encoding is probabilistic. slowDeltaFingerprint is the legacy
-// string-keyed encoding, kept as the differential-test reference.
+// encoding is probabilistic. The differential tests check it against a
+// string-keyed reference encoding.
 func (q *Query) DeltaFingerprint(base *relation.Relation, delta ResultDelta) ResultFP {
 	counts := relation.NewBag(base.Len())
 	for _, t := range base.Tuples {
@@ -270,32 +258,4 @@ func (q *Query) DeltaFingerprint(base *relation.Relation, delta ResultDelta) Res
 	}
 	lo, hi := counts.Fingerprint128(q.Distinct)
 	return ResultFP{Lo: lo, Hi: hi}
-}
-
-// slowDeltaFingerprint is the legacy canonical string encoding of the
-// post-delta result (sorted tuple keys, ×count under bag semantics). It is
-// the reference implementation for DeltaFingerprint's differential tests:
-// two (base, delta) pairs get equal slow encodings iff they describe the
-// same result bag, which is exactly when DeltaFingerprint must agree.
-func (q *Query) slowDeltaFingerprint(base *relation.Relation, delta ResultDelta) string {
-	counts := base.Counts()
-	for _, t := range delta.Removed {
-		counts[t.Key()]--
-	}
-	for _, t := range delta.Added {
-		counts[t.Key()]++
-	}
-	keys := make([]string, 0, len(counts))
-	for k, c := range counts {
-		if c <= 0 {
-			continue
-		}
-		if q.Distinct {
-			keys = append(keys, k)
-		} else {
-			keys = append(keys, fmt.Sprintf("%s×%d", k, c))
-		}
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "\n")
 }

@@ -9,11 +9,10 @@
 // keys and relation fingerprints are preserved). The DTO types are plain
 // structs with json tags so callers can embed them in larger messages.
 //
-// Snapshots never persist kernel hashes (relation.Relation.Hash64,
-// db.Joined.ContentHash, algebra.Query.Fingerprint): those involve
-// process-local string-interner ids and memoised state, and are recomputed
-// lazily after restore. Only the canonical string forms (keys, fingerprint
-// strings) are stable across processes.
+// Snapshots never persist kernel hashes (relation.Value.Hash64,
+// relation.Tuple.Hash64): those involve process-local string-interner ids.
+// Only the canonical string forms (keys, fingerprint strings) are stable
+// across processes.
 package codec
 
 import (

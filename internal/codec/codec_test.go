@@ -92,10 +92,12 @@ func TestRelationRoundTrip(t *testing.T) {
 		t.Errorf("schema/name changed: %v vs %v", got.Schema, r.Schema)
 	}
 	if got.Fingerprint() != r.Fingerprint() {
-		t.Errorf("fingerprint changed")
+		t.Fatalf("fingerprint changed")
 	}
-	if got.Hash64() != r.Hash64() {
-		t.Errorf("content hash changed (order must be preserved)")
+	for i := range r.Tuples {
+		if !got.Tuples[i].Equal(r.Tuples[i]) {
+			t.Errorf("tuple %d changed (order must be preserved): %v vs %v", i, got.Tuples[i], r.Tuples[i])
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"qfe/internal/dbgen"
-	"qfe/internal/evalcache"
 	"qfe/internal/feedback"
 	"qfe/internal/qbo"
 )
@@ -61,9 +60,6 @@ func TestSessionParallelMatchesSerial(t *testing.T) {
 	run := func(parallelism int, oracle feedback.Oracle) []any {
 		cfg := testConfig()
 		cfg.Parallelism = parallelism
-		// A private cache per run: hits must never change outcomes, but a
-		// fresh cache proves the parallel run computes everything itself.
-		cfg.Gen.Cache = evalcache.New(1024)
 		cfg.Gen.Budget = dbgen.Budget{MaxPairs: 100000}
 		s, err := NewSession(d, r, qc, oracle, cfg)
 		if err != nil {
@@ -89,41 +85,5 @@ func TestSessionParallelMatchesSerial(t *testing.T) {
 					oracle, p, serial, parallel)
 			}
 		}
-	}
-}
-
-// TestSessionWarmCacheMatchesCold re-runs the same session against a shared
-// warm cache and asserts the outcome is unchanged — memoisation must be
-// invisible to results, only to timing.
-func TestSessionWarmCacheMatchesCold(t *testing.T) {
-	d, r := employeeDB(t)
-	qc, err := qbo.Generate(d, r, qbo.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := evalcache.New(1024)
-	run := func() []any {
-		cfg := testConfig()
-		cfg.Gen.Cache = cache
-		s, err := NewSession(d, r, qc, feedback.WorstCase{}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return outcomeSignature(t, out)
-	}
-	cold := run()
-	if cache.Stats().Misses == 0 {
-		t.Fatal("cold run should populate the cache")
-	}
-	warm := run()
-	if cache.Stats().Hits == 0 {
-		t.Fatal("warm run should hit the cache")
-	}
-	if !equalSignatures(cold, warm) {
-		t.Errorf("warm-cache outcome differs\ncold: %v\nwarm: %v", cold, warm)
 	}
 }

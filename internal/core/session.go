@@ -47,8 +47,8 @@ type Config struct {
 	// the equivalence-class truth-table enumeration here and, unless
 	// Gen.Parallelism overrides it, the Database Generator's candidate
 	// evaluation, skyline enumeration and Algorithm 4 scoring. 0 selects
-	// GOMAXPROCS; 1 forces the legacy serial path, which parallel runs
-	// reproduce exactly whenever the δ budget does not truncate (see
+	// GOMAXPROCS; 1 runs every loop serially, which parallel runs reproduce
+	// exactly whenever the δ budget does not truncate (see
 	// dbgen.Options.Parallelism).
 	Parallelism int
 }
@@ -481,7 +481,7 @@ func (s *Session) beginGroup(qc []*algebra.Query) error {
 		// database and merge here instead of burning winnowing rounds that
 		// must end in ErrNoSplit.
 		space.Freeze(joined.KeyCols)
-		eq := space.IndistinguishableGroupsParallel(s.Config.MaxEquivClasses, s.Config.Parallelism)
+		eq := space.IndistinguishableGroups(s.Config.MaxEquivClasses, s.Config.Parallelism)
 		s.reps = s.reps[:0:0]
 		for _, grp := range eq {
 			rep := qc[grp[0]]
@@ -532,9 +532,9 @@ func (s *Session) complete() {
 
 // joinFor returns the (cached) foreign-key join for the query's schema.
 // Because the per-round generators all receive this shared *db.Joined, its
-// lazily-memoised ContentHash and Columnar views (the batch engine's
-// dictionary-encoded scan input, DESIGN.md §9) are computed once per
-// join-schema group and reused by every winnowing round of the group.
+// lazily-memoised Columnar view (the batch engine's dictionary-encoded scan
+// input, DESIGN.md §9) is computed once per join-schema group and reused by
+// every winnowing round of the group.
 func (s *Session) joinFor(q *algebra.Query) (*db.Joined, error) {
 	k := q.JoinSchemaKey()
 	if j, ok := s.joins[k]; ok {

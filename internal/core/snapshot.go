@@ -8,7 +8,6 @@ import (
 	"qfe/internal/algebra"
 	"qfe/internal/codec"
 	"qfe/internal/dbgen"
-	"qfe/internal/evalcache"
 	"qfe/internal/feedback"
 )
 
@@ -26,8 +25,7 @@ const SnapshotVersion = 1
 //
 // Queries are referenced by index into QC throughout; the join-schema
 // grouping is deterministic in QC and is rebuilt on restore rather than
-// stored. The evaluation cache is process state and is not captured:
-// restored sessions attach to the process-wide default cache.
+// stored.
 type Snapshot struct {
 	Version int            `json:"version"`
 	Config  ConfigSnapshot `json:"config"`
@@ -59,8 +57,7 @@ type Snapshot struct {
 	Pending *RoundSnapshot   `json:"pending,omitempty"`
 }
 
-// ConfigSnapshot is the serializable subset of Config (the evaluation cache
-// is process state, not session state).
+// ConfigSnapshot is the serializable form of Config.
 type ConfigSnapshot struct {
 	MaxIterations   int     `json:"maxIterations"`
 	MergeEquivalent bool    `json:"mergeEquivalent"`
@@ -77,8 +74,7 @@ type ConfigSnapshot struct {
 	GenParallelism  int     `json:"genParallelism"`
 }
 
-// SnapshotConfig captures cfg in the serializable form. The evaluation
-// cache is process state and is not captured.
+// SnapshotConfig captures cfg in the serializable form.
 func SnapshotConfig(cfg Config) ConfigSnapshot {
 	return ConfigSnapshot{
 		MaxIterations:   cfg.MaxIterations,
@@ -97,8 +93,7 @@ func SnapshotConfig(cfg Config) ConfigSnapshot {
 	}
 }
 
-// Config rebuilds the runtime configuration, attaching the process-wide
-// default evaluation cache (cache hits never change outcomes).
+// Config rebuilds the runtime configuration.
 func (cs ConfigSnapshot) Config() Config {
 	cfg := Config{
 		MaxIterations:   cs.MaxIterations,
@@ -116,7 +111,6 @@ func (cs ConfigSnapshot) Config() Config {
 			MaxSetsEvaluated: cs.MaxSetsEval,
 			MaxCandidateSets: cs.MaxCandSets,
 			Parallelism:      cs.GenParallelism,
-			Cache:            evalcache.Default(),
 		},
 	}
 	cfg.Gen.Cost.Beta = cs.Beta
@@ -285,8 +279,7 @@ func UnmarshalSnapshot(data []byte) (*Snapshot, error) {
 }
 
 // Restore rebuilds a session from a snapshot. The oracle may be nil for
-// step-API use. The restored session attaches to the process-wide default
-// evaluation cache (caches are process state; hits never change outcomes).
+// step-API use.
 func Restore(snap *Snapshot, oracle feedback.Oracle) (*Session, error) {
 	if snap.Version != SnapshotVersion {
 		return nil, fmt.Errorf("core: snapshot version %d, want %d", snap.Version, SnapshotVersion)

@@ -44,9 +44,6 @@ type Joined struct {
 	// row; rows joining nothing are absent.
 	fromBase map[string]map[int][]int
 
-	hashOnce sync.Once
-	hash     uint64
-
 	colOnce  sync.Once
 	columnar *relation.Columnar
 
@@ -60,9 +57,9 @@ type Joined struct {
 }
 
 // Columnar returns the dictionary-encoded columnar view of the joined
-// relation, computed lazily once — like ContentHash, a Joined is immutable
-// after Join returns and all winnowing rounds of a session group share it,
-// so one columnar build serves every batch evaluation of the group.
+// relation, computed lazily once — a Joined is immutable after Join returns
+// and all winnowing rounds of a session group share it, so one columnar
+// build serves every batch evaluation of the group.
 func (j *Joined) Columnar() *relation.Columnar {
 	j.colOnce.Do(func() { j.columnar = relation.NewColumnar(j.Rel) })
 	return j.columnar
@@ -114,15 +111,6 @@ func (j *Joined) recycleCurrent() {
 	}
 	foldPool(j.curDepth).Put(&foldBuffers{vals: j.curVals, ints: j.curProv})
 	j.curVals, j.curProv = nil, nil
-}
-
-// ContentHash returns the content hash of the joined relation, computed
-// lazily once — a Joined is immutable after Join returns, and all winnowing
-// rounds of a session share it, so the hash doubles as the "database
-// version" half of the evaluation-cache key.
-func (j *Joined) ContentHash() uint64 {
-	j.hashOnce.Do(func() { j.hash = j.Rel.Hash64() })
-	return j.hash
 }
 
 // tableIndex returns the position of a table in the join order, or -1.

@@ -89,17 +89,15 @@ func TestJoinArenaPoolingConcurrent(t *testing.T) {
 }
 
 // TestColumnarConcurrentSharedJoin races many goroutines into one Joined's
-// memoised Columnar() and Hash64() — the exact access pattern of concurrent
-// batch lookups, where every cache probe hashes the join and every miss
-// builds on the columnar view. All callers must observe the same fully-built
-// view (sync.Once publication), with pooled join arenas cycling underneath.
+// memoised Columnar() — the access pattern of concurrent batch evaluations
+// over one shared join. All callers must observe the same fully-built view
+// (sync.Once publication), with pooled join arenas cycling underneath.
 func TestColumnarConcurrentSharedJoin(t *testing.T) {
 	d := twoTableDB(t)
 	j, err := JoinAll(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantHash := j.ContentHash()
 	var wg sync.WaitGroup
 	cols := make([]any, 16)
 	for w := 0; w < len(cols); w++ {
@@ -116,9 +114,6 @@ func TestColumnarConcurrentSharedJoin(t *testing.T) {
 			if col.NumRows() != j.Rel.Len() {
 				t.Errorf("worker %d: columnar has %d rows, join has %d",
 					w, col.NumRows(), j.Rel.Len())
-			}
-			if h := j.ContentHash(); h != wantHash {
-				t.Errorf("worker %d: join hash diverged", w)
 			}
 			cols[w] = col
 		}(w)

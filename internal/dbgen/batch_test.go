@@ -38,17 +38,15 @@ func checkBaseResultsMatchScalar(t *testing.T, g *Generator) {
 	}
 }
 
-// TestEvaluateBaseBatchMatchesScalar asserts the batched, cache-subtracted
-// base evaluation is byte-identical to the scalar reference, with and
-// without forced hash collisions (which stress the columnar dictionary and
-// the selection-vector dedup verification).
+// TestEvaluateBaseBatchMatchesScalar asserts the batched base evaluation is
+// byte-identical to the scalar reference, with and without forced hash
+// collisions (which stress the columnar dictionary and the selection-vector
+// dedup verification).
 func TestEvaluateBaseBatchMatchesScalar(t *testing.T) {
 	for _, bits := range []int{0, 2} {
 		relation.ForceHashCollisionsForTesting(bits)
 		d, j, qc, r := example11(t)
-		opts := testOptions()
-		opts.Cache = nil
-		g, err := New(d, j, qc, r, opts)
+		g, err := New(d, j, qc, r, testOptions())
 		if err != nil {
 			relation.ForceHashCollisionsForTesting(0)
 			t.Fatal(err)
@@ -59,12 +57,12 @@ func TestEvaluateBaseBatchMatchesScalar(t *testing.T) {
 }
 
 // TestPartitionConcreteBatchMatchesScalar drives one concrete partitioning
-// through the batch delta path and cross-checks every query's delta and
-// fingerprint against the scalar DeltaOnJoined / DeltaFingerprint pair.
+// through the batch delta path and cross-checks every query's delta against
+// the scalar DeltaOnJoined, and the partition against grouping the queries
+// by their scalar DeltaFingerprint in query order.
 func TestPartitionConcreteBatchMatchesScalar(t *testing.T) {
 	d, j, qc, r := example11(t)
-	opts := testOptions()
-	g, err := New(d, j, qc, r, opts)
+	g, err := New(d, j, qc, r, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +78,8 @@ func TestPartitionConcreteBatchMatchesScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, fps := algebra.BatchApplyDelta(g.Queries, g.baseResults, batchDeltas, make([]bool, len(g.Queries)))
+	var want [][]int
+	block := map[algebra.ResultFP]int{}
 	for qi, q := range g.Queries {
 		scalar, err := q.DeltaOnJoined(g.Joined.Rel, modified)
 		if err != nil {
@@ -89,9 +88,21 @@ func TestPartitionConcreteBatchMatchesScalar(t *testing.T) {
 		if !reflect.DeepEqual(batchDeltas[qi], scalar) {
 			t.Errorf("query %s: batch delta %+v, scalar %+v", q.Name, batchDeltas[qi], scalar)
 		}
-		if want := q.DeltaFingerprint(g.baseResults[qi], scalar); fps[qi] != want {
-			t.Errorf("query %s: batch fingerprint %v, scalar %v", q.Name, fps[qi], want)
+		fp := q.DeltaFingerprint(g.baseResults[qi], scalar)
+		bi, ok := block[fp]
+		if !ok {
+			bi = len(want)
+			block[fp] = bi
+			want = append(want, nil)
 		}
+		want[bi] = append(want[bi], qi)
+	}
+	parts, _, _, err := g.partitionConcrete(res.Edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(parts, want) {
+		t.Errorf("partition %v, scalar grouping %v", parts, want)
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"qfe/internal/cost"
 	"qfe/internal/db"
 	"qfe/internal/editdist"
-	"qfe/internal/evalcache"
 	"qfe/internal/par"
 	"qfe/internal/relation"
 	"qfe/internal/tupleclass"
@@ -78,16 +77,12 @@ type Options struct {
 	MaxCandidateSets int
 	// Parallelism sets the worker count for the generator's parallel loops:
 	// candidate evaluation, skyline (STC, DTC) enumeration, Algorithm 4 set
-	// scoring and the concrete partitioning. 0 selects GOMAXPROCS; 1 forces
-	// the legacy serial path, whose results every parallel path reproduces
-	// exactly whenever the δ budget does not truncate enumeration (time-based
-	// budgets are inherently machine-dependent either way; see Budget).
+	// scoring and the concrete partitioning. 0 selects GOMAXPROCS; 1 runs
+	// every loop serially in index order, and every worker count reproduces
+	// that result exactly whenever the δ budget does not truncate
+	// enumeration (time-based budgets are inherently machine-dependent
+	// either way; see Budget).
 	Parallelism int
-	// Cache, when non-nil, memoises candidate evaluations keyed by
-	// (query fingerprint, joined-relation content hash), so repeated rounds
-	// of one session — and repeated sessions over the same data, as in the
-	// β/δ sweeps — skip re-executing unchanged candidates.
-	Cache *evalcache.Cache
 }
 
 // DefaultOptions mirrors the paper's defaults: β = 1, δ = 1s scaled to our
@@ -99,7 +94,6 @@ func DefaultOptions() Options {
 		MaxFrontier:      64,
 		MaxSetsEvaluated: 50000,
 		MaxCandidateSets: 8,
-		Cache:            evalcache.Default(),
 	}
 }
 
@@ -152,8 +146,7 @@ func New(d *db.Database, joined *db.Joined, queries []*algebra.Query,
 	space.Freeze(joined.KeyCols)
 	mCandidates.Observe(int64(len(queries)))
 	g := &Generator{DB: d, Joined: joined, Space: space, Queries: queries, R: r, Opts: opts}
-	g.baseResults = make([]*relation.Relation, len(queries))
-	if err := g.evaluateBase(); err != nil {
+	if g.baseResults, err = g.evaluateBase(); err != nil {
 		return nil, err
 	}
 	g.srcClasses, err = space.SourceClasses()
@@ -167,24 +160,18 @@ func New(d *db.Database, joined *db.Joined, queries []*algebra.Query,
 	return g, nil
 }
 
-// evaluateBase computes Q(D) for every candidate on the shared join — the
-// per-round evaluation the winnowing loop repeats with a shrinking QC, so
-// nearly every round after the first is answered entirely from the cache.
-// Cache hits are subtracted up front through one batched lookup; the
-// remaining misses are evaluated together in one shared columnar scan
-// (algebra.BatchEvaluateOnJoined over the join's memoised Columnar). A lone
-// miss takes the scalar path instead — the batch engine's differential
-// reference — since a single query gains nothing from a shared scan.
+// evaluateBase computes Q(D) for every candidate on the shared join in one
+// shared columnar scan (algebra.BatchEvaluateOnJoined over the join's
+// memoised Columnar) — the per-round evaluation the winnowing loop repeats
+// with a shrinking QC.
 //
 // DISTINCT candidates are evaluated under bag semantics here: the stored
 // base feeds the incremental delta path, where set membership after a
 // modification depends on how many joined rows still produce a tuple — a
 // collapsed base would drop a tuple as soon as any one of its duplicate
 // producers is edited away. The collapse happens at materialisation
-// (partitionConcrete) and inside DeltaFingerprint's set branch. The cache
-// key is the bag form's fingerprint, which coincides — correctly, the
-// results are identical — with a structurally equal non-DISTINCT candidate.
-func (g *Generator) evaluateBase() error {
+// (partitionConcrete) and inside DeltaFingerprint's set branch.
+func (g *Generator) evaluateBase() ([]*relation.Relation, error) {
 	defer func(start time.Time) { mBatchEval.ObserveDuration(time.Since(start)) }(time.Now())
 	// Bag-semantics view of the candidate set (clones only for DISTINCT).
 	qs := make([]*algebra.Query, len(g.Queries))
@@ -196,66 +183,7 @@ func (g *Generator) evaluateBase() error {
 		}
 		qs[i] = q
 	}
-
-	missing := make([]int, 0, len(qs))
-	var keys []evalcache.Key
-	if g.Opts.Cache != nil {
-		dbHash := g.Joined.ContentHash()
-		keys = make([]evalcache.Key, len(qs))
-		for i, q := range qs {
-			keys[i] = evalcache.Key{Query: q.Fingerprint(), DB: dbHash}
-		}
-		cached, _ := g.Opts.Cache.GetBatch(keys)
-		for i, res := range cached {
-			if res == nil {
-				missing = append(missing, i)
-				continue
-			}
-			if res.Name != qs[i].Name {
-				// Fingerprints are structural: the same query cached from
-				// another session may carry a different label.
-				res = &relation.Relation{Name: qs[i].Name, Schema: res.Schema, Tuples: res.Tuples}
-			}
-			g.baseResults[i] = res
-		}
-	} else {
-		for i := range qs {
-			missing = append(missing, i)
-		}
-	}
-
-	switch {
-	case len(missing) == 0:
-		return nil
-	case len(missing) == 1:
-		i := missing[0]
-		res, err := qs[i].EvaluateOnJoined(g.Joined.Rel)
-		if err != nil {
-			return err
-		}
-		g.baseResults[i] = res
-		if g.Opts.Cache != nil {
-			g.Opts.Cache.Put(keys[i], res)
-		}
-		return nil
-	default:
-		missQs := make([]*algebra.Query, len(missing))
-		for k, i := range missing {
-			missQs[k] = qs[i]
-		}
-		results, err := algebra.BatchEvaluateOnJoinedParallel(missQs, g.Joined.Columnar(),
-			par.Workers(g.Opts.Parallelism))
-		if err != nil {
-			return err
-		}
-		for k, i := range missing {
-			g.baseResults[i] = results[k]
-			if g.Opts.Cache != nil {
-				g.Opts.Cache.Put(keys[i], results[k])
-			}
-		}
-		return nil
-	}
+	return algebra.BatchEvaluateOnJoined(qs, g.Joined.Columnar(), par.Workers(g.Opts.Parallelism))
 }
 
 // Result is the outcome of one Database-Generator invocation, carrying both
@@ -303,7 +231,7 @@ func (g *Generator) Generate() (*Result, error) {
 	if len(sp) == 0 {
 		// Budgeted enumeration found nothing; do an unbudgeted scan for any
 		// splitting pair before declaring equivalence.
-		sp = g.anySplittingPairs(64)
+		sp = g.EnumerateScoredPairs(64)
 		scanned = true
 		if len(sp) == 0 {
 			mNoSplit.Inc()
@@ -355,7 +283,7 @@ func (g *Generator) Generate() (*Result, error) {
 		fallback = fallback[:128]
 	}
 	if !scanned {
-		fallback = append(fallback, g.anySplittingPairs(64)...)
+		fallback = append(fallback, g.EnumerateScoredPairs(64)...)
 	}
 	tried := make(map[string]bool, len(fallback))
 	for _, p := range fallback {
@@ -402,44 +330,26 @@ func (g *Generator) observeResult(res *Result, start time.Time) {
 // and groups them by result fingerprint. The Lemma 5.1 deltas for the whole
 // candidate set come from one shared pass over the modified rows
 // (algebra.BatchDeltaOnJoined: unique terms evaluated once per row, not once
-// per query), and the fingerprints from one incremental maintenance pass
-// (algebra.BatchApplyDelta) — re-scanning nothing. A lone candidate keeps
-// the scalar path as the differential reference. The per-block result
-// materialisation + edit-distance costing still run on the configured
-// worker pool; grouping stays serial in query order, so the partition (and
-// everything downstream) is byte-identical to the Parallelism = 1 path.
+// per query), and the fingerprints from incremental maintenance of each
+// base result (Query.DeltaFingerprint) — re-scanning nothing. Fingerprints
+// and the per-block result materialisation + edit-distance costing run on
+// the configured worker pool with indexed output slots; grouping stays
+// serial in query order, so the partition (and everything downstream) is
+// byte-identical at every worker count.
 func (g *Generator) partitionConcrete(edits []db.CellEdit) ([][]int, []*relation.Relation, []int, error) {
 	modified, err := g.modifiedJoinedRows(edits)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	workers := par.Workers(g.Opts.Parallelism)
-
-	var (
-		deltas []algebra.ResultDelta
-		fps    []algebra.ResultFP
-	)
-	if len(g.Queries) == 1 {
-		q := g.Queries[0]
-		delta, err := q.DeltaOnJoined(g.Joined.Rel, modified)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		deltas = []algebra.ResultDelta{delta}
-		fps = []algebra.ResultFP{q.DeltaFingerprint(g.baseResults[0], delta)}
-	} else {
-		deltas, err = algebra.BatchDeltaOnJoined(g.Queries, g.Joined.Rel, modified)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		// Fingerprint maintenance is independent per query: spread it across
-		// the worker pool with indexed output slots (byte-identical at every
-		// worker count).
-		fps = make([]algebra.ResultFP, len(g.Queries))
-		par.Do(len(g.Queries), workers, func(qi int) {
-			_, fps[qi] = algebra.ApplyDeltaFP(g.Queries[qi], g.baseResults[qi], deltas[qi], false)
-		})
+	deltas, err := algebra.BatchDeltaOnJoined(g.Queries, g.Joined.Rel, modified)
+	if err != nil {
+		return nil, nil, nil, err
 	}
+	fps := make([]algebra.ResultFP, len(g.Queries))
+	par.Do(len(g.Queries), workers, func(qi int) {
+		fps[qi] = g.Queries[qi].DeltaFingerprint(g.baseResults[qi], deltas[qi])
+	})
 
 	groups := map[algebra.ResultFP][]int{}
 	order := []algebra.ResultFP{}

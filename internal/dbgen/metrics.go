@@ -30,5 +30,5 @@ var (
 	mConcretize = obs.NewLatency("qfe_engine_concretize_seconds",
 		"Concretization of chosen pair sets into cell edits per round.")
 	mBatchEval = obs.NewLatency("qfe_engine_batch_eval_seconds",
-		"Per-round candidate evaluation (cache probe + shared batch scan).")
+		"Per-round candidate evaluation (one shared batch scan).")
 )

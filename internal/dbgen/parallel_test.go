@@ -4,24 +4,20 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-
-	"qfe/internal/evalcache"
 )
 
 // withParallelism returns deterministic (pair-budgeted) options at the given
-// worker count, each run with a private cache so hits from one run cannot
-// mask evaluation differences in the other.
+// worker count.
 func withParallelism(p int) Options {
 	o := testOptions()
 	o.Parallelism = p
-	o.Cache = evalcache.New(1024)
 	return o
 }
 
-// TestSkylinePairsParallelMatchesSerial asserts that the parallel skyline
-// enumeration reproduces the serial one exactly — same pairs in the same
-// order, same statistics — when the budget does not truncate. Run under
-// -race this also exercises the worker pool for data races.
+// TestSkylinePairsParallelMatchesSerial asserts that skyline enumeration on
+// several workers reproduces the Parallelism 1 run exactly — same pairs in
+// the same order, same statistics — when the budget does not truncate. Run
+// under -race this also exercises the worker pool for data races.
 func TestSkylinePairsParallelMatchesSerial(t *testing.T) {
 	d, j, qc, r := example11(t)
 	serial, err := New(d, j, qc, r, withParallelism(1))
@@ -122,39 +118,6 @@ func TestGenerateParallelMatchesSerial(t *testing.T) {
 		if resS.DBCost != resP.DBCost || resS.ResultCost != resP.ResultCost {
 			t.Errorf("parallelism %d: costs differ: (%d,%d) vs (%d,%d)",
 				p, resS.DBCost, resS.ResultCost, resP.DBCost, resP.ResultCost)
-		}
-	}
-}
-
-// TestEvaluateBaseUsesCache verifies that a second generator over the same
-// join and queries answers its base evaluations from the cache.
-func TestEvaluateBaseUsesCache(t *testing.T) {
-	d, j, qc, r := example11(t)
-	opts := testOptions()
-	opts.Cache = evalcache.New(256)
-	if _, err := New(d, j, qc, r, opts); err != nil {
-		t.Fatal(err)
-	}
-	before := opts.Cache.Stats()
-	if before.Hits != 0 {
-		t.Fatalf("unexpected hits on first build: %+v", before)
-	}
-	g2, err := New(d, j, qc, r, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := opts.Cache.Stats()
-	if after.Hits < uint64(len(qc)) {
-		t.Errorf("second build hit %d times, want >= %d", after.Hits, len(qc))
-	}
-	// Cached results must still be correct.
-	for i, q := range qc {
-		direct, err := q.EvaluateOnJoined(j.Rel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g2.baseResults[i].Fingerprint() != direct.Fingerprint() {
-			t.Errorf("cached base result for %s differs from direct evaluation", q.Name)
 		}
 	}
 }

@@ -36,26 +36,61 @@ type SkylineStats struct {
 // The most balanced *binary* partitioning observed supplies x (Lemma 3.1)
 // for the iteration-count estimate used by Algorithm 4's cost evaluations.
 //
-// With Parallelism != 1 the source classes of each level are enumerated
-// concurrently and their per-class skylines merged in class order, which
-// yields exactly the serial skyline (same pairs, same order, same stats)
-// whenever the budget does not truncate enumeration. Under a truncating
-// budget the cut-off point depends on scheduling, just as a time-based
-// budget already depends on the machine; Parallelism = 1 remains the
-// deterministic reference.
+// The source classes of each level are enumerated on the worker pool, each
+// into its own accumulator, and the per-class skylines merged in class
+// order, so every worker count yields the same pairs, order and stats
+// whenever the budget does not truncate enumeration. At Parallelism 1
+// par.Do runs the classes serially in order and the budget sees the same
+// cumulative pair count pair by pair. Under a truncating budget with more
+// workers the cut-off point depends on scheduling, just as a time-based
+// budget already depends on the machine.
 func (g *Generator) SkylinePairs() ([]ScoredPair, SkylineStats) {
 	workers := par.Workers(g.Opts.Parallelism)
-	if workers <= 1 || len(g.srcClasses) <= 1 {
-		return g.skylineSerial()
+	start := time.Now()
+	var (
+		sp         []ScoredPair
+		stats      SkylineStats
+		acc        = newSkylineAcc()
+		enumerated atomic.Int64
+		exhausted  atomic.Bool
+	)
+	n := g.Space.NumPredicateAttrs()
+	for i := 1; i <= n; i++ {
+		locals := make([]skylineAcc, len(g.srcClasses))
+		par.Do(len(g.srcClasses), workers, func(ci int) {
+			local := &locals[ci]
+			*local = newSkylineAcc()
+			if exhausted.Load() {
+				return
+			}
+			g.Space.EnumerateClassesAt(g.srcClasses[ci].Class, i, func(dst tupleclass.Class) bool {
+				total := enumerated.Add(1)
+				local.observe(g.score(g.srcClasses[ci].Class, dst))
+				if g.Opts.Budget.exceeded(start, int(total)) {
+					exhausted.Store(true)
+					return false
+				}
+				return !exhausted.Load()
+			})
+		})
+		for ci := range locals {
+			acc.merge(&locals[ci])
+		}
+		sp = append(sp, acc.drain()...)
+		if exhausted.Load() {
+			stats.Truncated = true
+			break
+		}
 	}
-	return g.skylineParallel(workers)
+	stats.Enumerated = acc.enumerated
+	stats.X = acc.x
+	return sp, stats
 }
 
-// skylineAcc accumulates Algorithm 3's running-minimum state. The serial
-// sweep keeps one accumulator for the whole enumeration; the parallel path
-// keeps one per (level, source class) and folds them into a level
-// accumulator in class order. Both paths score pairs through the same
-// observe method, so the selection rule cannot diverge between them.
+// skylineAcc accumulates Algorithm 3's running-minimum state. SkylinePairs
+// keeps one per (level, source class), fed pair by pair through observe,
+// and folds them into a running accumulator in class order through merge,
+// which applies the same selection rule to a whole class at once.
 type skylineAcc struct {
 	pairs      []ScoredPair // pairs at minBalance, in enumeration order
 	minBalance float64
@@ -126,123 +161,18 @@ func (g *Generator) score(src, dst tupleclass.Class) (tupleclass.Pair, []int, fl
 	return p, sizes, cost.Balance(sizes)
 }
 
-func (g *Generator) skylineSerial() ([]ScoredPair, SkylineStats) {
-	start := time.Now()
-	var (
-		sp    []ScoredPair
-		stats SkylineStats
-		acc   = newSkylineAcc()
-	)
-	n := g.Space.NumPredicateAttrs()
-	for i := 1; i <= n; i++ {
-		done := false
-		for _, sc := range g.srcClasses {
-			g.Space.EnumerateClassesAt(sc.Class, i, func(dst tupleclass.Class) bool {
-				p, sizes, b := g.score(sc.Class, dst)
-				acc.observe(p, sizes, b)
-				if g.Opts.Budget.exceeded(start, acc.enumerated) {
-					done = true
-					return false
-				}
-				return true
-			})
-			if done {
-				break
-			}
-		}
-		sp = append(sp, acc.drain()...)
-		if done {
-			stats.Truncated = true
-			break
-		}
-	}
-	stats.Enumerated = acc.enumerated
-	stats.X = acc.x
-	return sp, stats
-}
-
-func (g *Generator) skylineParallel(workers int) ([]ScoredPair, SkylineStats) {
-	start := time.Now()
-	var (
-		sp         []ScoredPair
-		stats      SkylineStats
-		acc        = newSkylineAcc()
-		enumerated atomic.Int64
-		exhausted  atomic.Bool
-	)
-	n := g.Space.NumPredicateAttrs()
-	for i := 1; i <= n; i++ {
-		locals := make([]skylineAcc, len(g.srcClasses))
-		par.Do(len(g.srcClasses), workers, func(ci int) {
-			local := &locals[ci]
-			*local = newSkylineAcc()
-			if exhausted.Load() {
-				return
-			}
-			g.Space.EnumerateClassesAt(g.srcClasses[ci].Class, i, func(dst tupleclass.Class) bool {
-				total := enumerated.Add(1)
-				p, sizes, b := g.score(g.srcClasses[ci].Class, dst)
-				local.observe(p, sizes, b)
-				if g.Opts.Budget.exceeded(start, int(total)) {
-					exhausted.Store(true)
-					return false
-				}
-				return !exhausted.Load()
-			})
-		})
-		for ci := range locals {
-			acc.merge(&locals[ci])
-		}
-		sp = append(sp, acc.drain()...)
-		if exhausted.Load() {
-			stats.Truncated = true
-			break
-		}
-	}
-	stats.Enumerated = acc.enumerated
-	stats.X = acc.x
-	return sp, stats
-}
-
-// anySplittingPairs scans the pair space without a budget and returns up to
-// max pairs with a finite balance (i.e. that split QC at all). It is the
-// fallback when the budgeted skyline comes back empty.
-func (g *Generator) anySplittingPairs(max int) []ScoredPair {
-	var out []ScoredPair
-	n := g.Space.NumPredicateAttrs()
-	for i := 1; i <= n && len(out) < max; i++ {
-		for _, sc := range g.srcClasses {
-			if len(out) >= max {
-				break
-			}
-			g.Space.EnumerateClassesAt(sc.Class, i, func(dst tupleclass.Class) bool {
-				p := tupleclass.NewPair(sc.Class, dst)
-				sizes := g.Space.PartitionSizes1(p)
-				b := cost.Balance(sizes)
-				if !math.IsInf(b, 1) {
-					out = append(out, ScoredPair{Pair: p, Balance: b, Sizes: sizes})
-				}
-				return len(out) < max
-			})
-		}
-	}
-	return out
-}
-
-// EnumerateScoredPairs collects up to maxPairs splitting pairs regardless of
-// skyline membership, in deterministic order. It exists for the |SP|
-// scalability experiment (paper Table 5), which feeds Algorithm 4 with
-// artificially enlarged skyline sets.
+// EnumerateScoredPairs collects up to maxPairs splitting pairs (finite
+// balance) regardless of skyline membership, in deterministic order, with
+// no budget. Generate falls back to it when the budgeted skyline comes back
+// empty or unrealizable, and the |SP| scalability experiment (paper Table
+// 5) uses it to feed Algorithm 4 artificially enlarged skyline sets.
 func (g *Generator) EnumerateScoredPairs(maxPairs int) []ScoredPair {
 	var out []ScoredPair
 	n := g.Space.NumPredicateAttrs()
 	for i := 1; i <= n; i++ {
 		for _, sc := range g.srcClasses {
 			g.Space.EnumerateClassesAt(sc.Class, i, func(dst tupleclass.Class) bool {
-				p := tupleclass.NewPair(sc.Class, dst)
-				sizes := g.Space.PartitionSizes1(p)
-				b := cost.Balance(sizes)
-				if !math.IsInf(b, 1) {
+				if p, sizes, b := g.score(sc.Class, dst); !math.IsInf(b, 1) {
 					out = append(out, ScoredPair{Pair: p, Balance: b, Sizes: sizes})
 				}
 				return maxPairs <= 0 || len(out) < maxPairs

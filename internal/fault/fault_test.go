@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -276,8 +277,11 @@ func TestListenerPartition(t *testing.T) {
 	ln := NewListener(raw, &Schedule{Network: []NetworkFault{
 		{After: Duration(10 * time.Second), Duration: Duration(time.Second),
 			Kind: KindPartition, Side: SideInbound}}}, t.Logf)
-	clock := ln.start
-	ln.now = func() time.Time { return clock }
+	// The server's connection goroutines read the clock, so it is atomic.
+	var clock atomic.Pointer[time.Time]
+	setClock := func(t time.Time) { clock.Store(&t) }
+	setClock(ln.start)
+	ln.now = func() time.Time { return *clock.Load() }
 
 	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
@@ -294,13 +298,13 @@ func TestListenerPartition(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	clock = ln.start.Add(10*time.Second + 200*time.Millisecond)
+	setClock(ln.start.Add(10*time.Second + 200*time.Millisecond))
 	if resp, err := c1.Get(url); err == nil {
 		resp.Body.Close()
 		t.Fatal("request during partition should fail (even on a pooled connection)")
 	}
 
-	clock = ln.start.Add(time.Minute)
+	setClock(ln.start.Add(time.Minute))
 	resp, err = c1.Get(url)
 	if err != nil {
 		t.Fatalf("request after partition: %v", err)

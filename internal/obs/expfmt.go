@@ -89,8 +89,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			fmt.Fprintf(w, "%s %d\n", m.name, m.counter.Value())
 		case kindGauge:
 			fmt.Fprintf(w, "%s %d\n", m.name, m.gauge.Value())
-		case kindCounterFunc:
-			fmt.Fprintf(w, "%s %d\n", m.name, m.cfunc())
 		case kindGaugeFunc:
 			fmt.Fprintf(w, "%s %s\n", m.name, fmtFloat(m.gfunc()))
 		case kindHistogram:

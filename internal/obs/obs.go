@@ -67,7 +67,6 @@ const (
 	kindCounter kind = iota
 	kindGauge
 	kindHistogram
-	kindCounterFunc
 	kindGaugeFunc
 	kindCounterVec
 	kindGaugeVec
@@ -76,7 +75,7 @@ const (
 
 func (k kind) String() string {
 	switch k {
-	case kindCounter, kindCounterFunc, kindCounterVec:
+	case kindCounter, kindCounterVec:
 		return "counter"
 	case kindGauge, kindGaugeFunc, kindGaugeVec:
 		return "gauge"
@@ -94,7 +93,6 @@ type metric struct {
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram
-	cfunc   func() uint64
 	gfunc   func() float64
 	vec     *vec
 }
@@ -152,15 +150,9 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return m.gauge
 }
 
-// CounterFunc registers a counter whose value is read from fn at scrape
-// time — for subsystems that already keep their own atomic totals (the
-// evaluation cache) so the hot path is not touched at all. Re-registering a
-// name keeps the first function.
-func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
-	r.lookup(name, help, kindCounterFunc, func(m *metric) { m.cfunc = fn })
-}
-
-// GaugeFunc registers a gauge read from fn at scrape time.
+// GaugeFunc registers a gauge read from fn at scrape time — for state a
+// subsystem already holds, so no hot path is touched. Re-registering a name
+// keeps the first function.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.lookup(name, help, kindGaugeFunc, func(m *metric) { m.gfunc = fn })
 }
@@ -307,9 +299,6 @@ func NewCounter(name, help string) *Counter { return Default().Counter(name, hel
 
 // NewGauge registers a gauge on the Default registry.
 func NewGauge(name, help string) *Gauge { return Default().Gauge(name, help) }
-
-// NewCounterFunc registers a scrape-time counter on the Default registry.
-func NewCounterFunc(name, help string, fn func() uint64) { Default().CounterFunc(name, help, fn) }
 
 // NewGaugeFunc registers a scrape-time gauge on the Default registry.
 func NewGaugeFunc(name, help string, fn func() float64) { Default().GaugeFunc(name, help, fn) }

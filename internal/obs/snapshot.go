@@ -82,9 +82,6 @@ func (r *Registry) Snapshot() []MetricJSON {
 		case kindGauge:
 			base.Value = floatPtr(float64(m.gauge.Value()))
 			out = append(out, base)
-		case kindCounterFunc:
-			base.Value = floatPtr(float64(m.cfunc()))
-			out = append(out, base)
 		case kindGaugeFunc:
 			base.Value = floatPtr(m.gfunc())
 			out = append(out, base)

@@ -68,7 +68,7 @@ func PerturbConstants(d *db.Database, r *relation.Relation, base []*algebra.Quer
 		}
 		var results []*relation.Relation
 		if len(variants) > 1 {
-			results, err = algebra.BatchEvaluateOnJoined(variants, j.Columnar())
+			results, err = algebra.BatchEvaluateOnJoined(variants, j.Columnar(), 1)
 			if err != nil {
 				results = nil // fall back to per-variant scalar evaluation
 			}

@@ -20,7 +20,6 @@ import (
 
 	"qfe/internal/algebra"
 	"qfe/internal/db"
-	"qfe/internal/evalcache"
 	"qfe/internal/relation"
 )
 
@@ -48,11 +47,6 @@ type Config struct {
 	// MaxGrowNodes budgets the conjunction-combination search per
 	// (join, projection) pair (0 = 100000).
 	MaxGrowNodes int
-	// Cache, when non-nil, memoises full candidate evaluations keyed by
-	// (query fingerprint, joined-relation content hash). Repeated Generate
-	// calls over the same (D, R) — e.g. the β/δ sweeps re-deriving the same
-	// scenario — then verify recurring candidates without re-executing them.
-	Cache *evalcache.Cache
 }
 
 // DefaultConfig returns a budget that yields candidate sets of the paper's
@@ -66,7 +60,6 @@ func DefaultConfig() Config {
 		MaxCandidates:         64,
 		MaxTermsPerAttrPool:   4,
 		MaxProjectionMappings: 3,
-		Cache:                 evalcache.Default(),
 	}
 }
 
@@ -129,8 +122,6 @@ func (g *generator) full() bool {
 }
 
 // emit verifies Q(D) = R by full evaluation and appends the query if new.
-// Evaluations route through the configured cache, so candidates recurring
-// across Generate calls on the same data verify without re-execution.
 func (g *generator) emit(j *db.Joined, tables []string, proj []string, pred algebra.Predicate) {
 	if g.full() {
 		return
@@ -140,25 +131,8 @@ func (g *generator) emit(j *db.Joined, tables []string, proj []string, pred alge
 	if g.seen[fp] {
 		return
 	}
-	var key evalcache.Key
-	if g.cfg.Cache != nil {
-		key = evalcache.Key{Query: q.Fingerprint(), DB: j.ContentHash()}
-	}
-	res, cached := (*relation.Relation)(nil), false
-	if g.cfg.Cache != nil {
-		res, cached = g.cfg.Cache.Get(key)
-	}
-	if !cached {
-		var err error
-		res, err = q.EvaluateOnJoined(j.Rel)
-		if err != nil {
-			return
-		}
-		if g.cfg.Cache != nil {
-			g.cfg.Cache.Put(key, res)
-		}
-	}
-	if !res.BagEqual(g.r) {
+	res, err := q.EvaluateOnJoined(j.Rel)
+	if err != nil || !res.BagEqual(g.r) {
 		return
 	}
 	g.seen[fp] = true

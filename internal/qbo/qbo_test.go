@@ -285,7 +285,7 @@ func TestPerturbConstants(t *testing.T) {
 		if err != nil || !res.BagEqual(r) {
 			t.Errorf("perturbed %s changed the result", q)
 		}
-		if q.Fingerprint() == base[0].Fingerprint() {
+		if q.Key() == base[0].Key() {
 			t.Errorf("perturbed query identical to base")
 		}
 		if q.Name == "" {

@@ -1,7 +1,7 @@
 // Hash-based evaluation kernel (DESIGN.md §7).
 //
 // Every hot path of the engine — bag/set dedup, hash joins, tuple-class
-// partitioning, evaluation-cache fingerprints — used to funnel through
+// partitioning, result fingerprints — used to funnel through
 // Value.appendKey/Tuple.Key, building a fresh strings.Builder string per
 // value per tuple per winnowing round. This file replaces that string
 // material with fixed-width word hashing:
@@ -149,13 +149,12 @@ func (in *Interner) Len() int {
 }
 
 // defaultInterner backs Value hashing. Process-wide by design: sessions
-// share datasets, and a shared id space is what lets the evaluation cache
-// match relation hashes across sessions. Growth is bounded by the number of
-// distinct strings ever hashed — for the built-in datasets a few thousand;
-// a long-lived server ingesting many novel user CSVs accumulates their
-// distinct strings for the process lifetime (monitor with
+// share datasets, so one id space serves them all. Growth is bounded by the
+// number of distinct strings ever hashed — for the built-in datasets a few
+// thousand; a long-lived server ingesting many novel user CSVs accumulates
+// their distinct strings for the process lifetime (monitor with
 // DefaultInterner().Len(); per-tenant interners are the escape hatch if
-// that ever dominates, at the cost of cross-session cache hits).
+// that ever dominates).
 var defaultInterner = NewInterner()
 
 // DefaultInterner returns the process-wide interner used by Value hashing.

@@ -298,23 +298,56 @@ func TestDifferentialBagFingerprint(t *testing.T) {
 	}
 }
 
-// TestRelationHash64Deterministic pins Hash64's contract: content-equal
-// relations (same tuples, same order, same schema) hash equal; permuted
-// ones (order-sensitive by design) do not, except with negligible
-// probability.
-func TestRelationHash64Deterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 500; trial++ {
-		a := randomRelation(rng)
-		if a.Hash64() != a.Clone().Hash64() {
-			t.Fatal("clone must hash equal")
-		}
-		if a.Len() >= 2 {
-			perm := a.Clone()
-			perm.Tuples[0], perm.Tuples[1] = perm.Tuples[1], perm.Tuples[0]
-			if !perm.Tuples[0].KeyEqual(perm.Tuples[1]) && perm.Hash64() == a.Hash64() {
-				t.Fatal("swapping unequal tuples should change the order-sensitive hash")
-			}
+// slowDistinct is the string-keyed Distinct, the reference implementation
+// for the kernel's differential tests.
+func (r *Relation) slowDistinct() *Relation {
+	out := New(r.Name, r.Schema)
+	seen := make(map[string]bool, len(r.Tuples))
+	for _, t := range r.Tuples {
+		k := t.Key()
+		if !seen[k] {
+			seen[k] = true
+			out.Tuples = append(out.Tuples, t)
 		}
 	}
+	return out
+}
+
+// slowBagEqual is the string-keyed BagEqual (differential reference).
+func (r *Relation) slowBagEqual(s *Relation) bool {
+	if r.Arity() != s.Arity() || r.Len() != s.Len() {
+		return false
+	}
+	counts := r.Counts()
+	for _, t := range s.Tuples {
+		k := t.Key()
+		counts[k]--
+		if counts[k] < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// slowSetEqual is the string-keyed SetEqual (differential reference).
+func (r *Relation) slowSetEqual(s *Relation) bool {
+	if r.Arity() != s.Arity() {
+		return false
+	}
+	rs, ss := make(map[string]bool), make(map[string]bool)
+	for _, t := range r.Tuples {
+		rs[t.Key()] = true
+	}
+	for _, t := range s.Tuples {
+		ss[t.Key()] = true
+		if !rs[t.Key()] {
+			return false
+		}
+	}
+	for k := range rs {
+		if !ss[k] {
+			return false
+		}
+	}
+	return true
 }

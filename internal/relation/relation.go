@@ -82,27 +82,12 @@ func (r *Relation) Select(keep func(Tuple) bool) *Relation {
 // Distinct returns a new relation with duplicate tuples removed, keeping the
 // first occurrence of each (set semantics). Duplicates are detected through
 // the hash kernel with equality verification on collision (see hash.go);
-// slowDistinct is the string-keyed reference implementation.
+// the differential tests check it against a string-keyed reference.
 func (r *Relation) Distinct() *Relation {
 	out := New(r.Name, r.Schema)
 	seen := NewBag(len(r.Tuples))
 	for _, t := range r.Tuples {
 		if seen.Inc(t, 1) == 1 {
-			out.Tuples = append(out.Tuples, t)
-		}
-	}
-	return out
-}
-
-// slowDistinct is the legacy string-keyed Distinct, kept as the reference
-// implementation for the kernel's differential tests.
-func (r *Relation) slowDistinct() *Relation {
-	out := New(r.Name, r.Schema)
-	seen := make(map[string]bool, len(r.Tuples))
-	for _, t := range r.Tuples {
-		k := t.Key()
-		if !seen[k] {
-			seen[k] = true
 			out.Tuples = append(out.Tuples, t)
 		}
 	}
@@ -135,22 +120,6 @@ func (r *Relation) BagEqual(s *Relation) bool {
 	return true
 }
 
-// slowBagEqual is the legacy string-keyed BagEqual (differential reference).
-func (r *Relation) slowBagEqual(s *Relation) bool {
-	if r.Arity() != s.Arity() || r.Len() != s.Len() {
-		return false
-	}
-	counts := r.Counts()
-	for _, t := range s.Tuples {
-		k := t.Key()
-		counts[k]--
-		if counts[k] < 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // SetEqual reports equality of the distinct tuple sets.
 func (r *Relation) SetEqual(s *Relation) bool {
 	if r.Arity() != s.Arity() {
@@ -173,29 +142,6 @@ func (r *Relation) SetEqual(s *Relation) bool {
 	return !missing
 }
 
-// slowSetEqual is the legacy string-keyed SetEqual (differential reference).
-func (r *Relation) slowSetEqual(s *Relation) bool {
-	if r.Arity() != s.Arity() {
-		return false
-	}
-	rs, ss := make(map[string]bool), make(map[string]bool)
-	for _, t := range r.Tuples {
-		rs[t.Key()] = true
-	}
-	for _, t := range s.Tuples {
-		ss[t.Key()] = true
-		if !rs[t.Key()] {
-			return false
-		}
-	}
-	for k := range rs {
-		if !ss[k] {
-			return false
-		}
-	}
-	return true
-}
-
 // Fingerprint returns a canonical string identifying the relation's bag of
 // tuples (sorted tuple keys with multiplicity). Two relations have the same
 // fingerprint iff BagEqual. It is how QFE partitions candidate queries by
@@ -207,30 +153,6 @@ func (r *Relation) Fingerprint() string {
 	}
 	sort.Strings(keys)
 	return strings.Join(keys, "\n")
-}
-
-// Hash64 returns a 64-bit content hash over the schema and the tuples in
-// stored order. It serves as the relation's version for the evaluation
-// cache: two relations with equal hashes hold the same tuples in the same
-// order under the same schema (modulo hash collisions, which at 64 bits are
-// negligible for the relation counts QFE handles). Unlike Fingerprint it is
-// order-sensitive and cheap to compare.
-//
-// The hash folds Tuple.Hash64 words (no per-tuple key strings, zero
-// allocations) and therefore involves interner ids: it is process-local and
-// must never be persisted. Codec snapshots do not store it; caches keyed by
-// it (evalcache, db.Joined.ContentHash) recompute lazily after restore.
-func (r *Relation) Hash64() uint64 {
-	h := uint64(hashOffset64)
-	for _, c := range r.Schema {
-		h = hashString(h, c.Name)
-		h = hashWord(h, uint64(c.Type))
-	}
-	h = hashWord(h, 0xff)
-	for _, t := range r.Tuples {
-		h = hashWord(h, t.Hash64())
-	}
-	return avalanche(h)
 }
 
 // SetFingerprint is Fingerprint under set semantics (duplicates collapsed).

@@ -49,7 +49,7 @@ type HandlerOptions struct {
 //	GET    /sessions/{id}           current round or outcome
 //	POST   /sessions/{id}/feedback  {"choice": i} (0-based; -1 = none)
 //	DELETE /sessions/{id}           abandon
-//	GET    /stats                   manager + cache counters
+//	GET    /stats                   manager counters
 //	GET    /healthz                 WAL writability + session headroom
 //	POST   /admin/adopt             ingest a dead node's snapshot+WAL
 //	                                (only with EnableAdmin)

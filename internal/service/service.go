@@ -28,7 +28,6 @@ import (
 	"qfe/internal/algebra"
 	"qfe/internal/core"
 	"qfe/internal/db"
-	"qfe/internal/evalcache"
 	"qfe/internal/obs"
 	"qfe/internal/relation"
 	"qfe/internal/wal"
@@ -612,8 +611,7 @@ func (m *Manager) EvictExpired() int {
 	return len(m.sessions)
 }
 
-// Stats is a snapshot of the manager's counters plus the effectiveness of
-// the shared evaluation cache backing the sessions' generators.
+// Stats is a snapshot of the manager's counters.
 type Stats struct {
 	// Build identity and process uptime (PR 9): which binary is serving, and
 	// for how long — the same facts qfe_build_info / qfe_process_uptime_seconds
@@ -646,16 +644,6 @@ type Stats struct {
 	DegradedEntered   uint64 `json:"degradedEntered"`
 	DegradedRecovered uint64 `json:"degradedRecovered"`
 	LastDegradedNs    int64  `json:"lastDegradedNs"`
-
-	Cache evalcache.Stats `json:"cache"`
-}
-
-// cache returns the evaluation cache the manager's sessions use.
-func (m *Manager) cache() *evalcache.Cache {
-	if m.opts.Config.Gen.Cache != nil {
-		return m.opts.Config.Gen.Cache
-	}
-	return evalcache.Default()
 }
 
 // HealthStatus is the /healthz payload: whether this node can accept new
@@ -753,7 +741,6 @@ func (m *Manager) Stats() Stats {
 		DegradedEntered:    m.degradedEntered.Load(),
 		DegradedRecovered:  m.degradedRecovered.Load(),
 		LastDegradedNs:     m.lastDegradedNs.Load(),
-		Cache:              m.cache().Stats(),
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"qfe/internal/algebra"
 	"qfe/internal/codec"
 	"qfe/internal/core"
-	"qfe/internal/evalcache"
 	"qfe/internal/feedback"
 	"qfe/internal/relation"
 	"qfe/internal/retry"
@@ -201,21 +200,6 @@ func (r *Runner) call(client *http.Client, method, url string, body any, res *Se
 		return nil, fmt.Errorf("simulate: decoding %s response: %w", url, err)
 	}
 	return &st, nil
-}
-
-// serverCacheStats fetches /stats and extracts the evaluation-cache block.
-func (r *Runner) serverCacheStats() (evalcache.Stats, error) {
-	client := retry.HTTPClient(r.opts.HTTPTimeout)
-	resp, err := client.Get(r.opts.Server + "/stats")
-	if err != nil {
-		return evalcache.Stats{}, err
-	}
-	defer resp.Body.Close()
-	var st service.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return evalcache.Stats{}, err
-	}
-	return st.Cache, nil
 }
 
 func ptr[T any](v T) *T { return &v }

@@ -6,8 +6,6 @@ import (
 	"math"
 	"sort"
 	"time"
-
-	"qfe/internal/evalcache"
 )
 
 // SessionResult is the per-scenario outcome. Every field serialized to JSON
@@ -58,15 +56,14 @@ type RoundsBucket struct {
 	Count  int `json:"count"`
 }
 
-// Timing is the report's non-deterministic block: wall-clock quantities,
-// concurrency high-water marks and cache counters. Reproducibility of a run
-// is judged on the report with this block ignored.
+// Timing is the report's non-deterministic block: wall-clock quantities and
+// concurrency high-water marks. Reproducibility of a run is judged on the
+// report with this block ignored.
 type Timing struct {
-	WallMS       float64         `json:"wallMs"`
-	QGenMS       float64         `json:"qgenMs"` // summed over sessions
-	RoundLatency Percentiles     `json:"roundLatency"`
-	PeakSessions int             `json:"peakSessions"`
-	Cache        evalcache.Stats `json:"cache"`
+	WallMS       float64     `json:"wallMs"`
+	QGenMS       float64     `json:"qgenMs"` // summed over sessions
+	RoundLatency Percentiles `json:"roundLatency"`
+	PeakSessions int         `json:"peakSessions"`
 }
 
 // Report is the simulation run's full result (written as BENCH_sim.json by
@@ -106,7 +103,7 @@ func (r *Report) WriteJSON(w io.Writer) error {
 }
 
 // aggregate folds per-session results into the report's counters.
-func (r *Report) aggregate(results []SessionResult, wall time.Duration, peak int, cache evalcache.Stats) {
+func (r *Report) aggregate(results []SessionResult, wall time.Duration, peak int) {
 	r.Sessions = results
 	r.Scenarios = len(results)
 	hist := map[int]int{}
@@ -159,7 +156,6 @@ func (r *Report) aggregate(results []SessionResult, wall time.Duration, peak int
 			Max: ms(percentile(lats, 1.00)),
 		},
 		PeakSessions: peak,
-		Cache:        cache,
 	}
 }
 

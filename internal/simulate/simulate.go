@@ -37,7 +37,6 @@ import (
 	"qfe/internal/core"
 	"qfe/internal/db"
 	"qfe/internal/dbgen"
-	"qfe/internal/evalcache"
 	"qfe/internal/feedback"
 	"qfe/internal/par"
 	"qfe/internal/qbo"
@@ -136,14 +135,10 @@ func DefaultCoreConfig() core.Config {
 type Runner struct {
 	opts    Options
 	coreCfg core.Config
-	cache   *evalcache.Cache
 	clock   func() time.Time
 }
 
-// New validates options and prepares a runner with its own evaluation
-// cache, so cache hit rates in in-process reports reflect this run alone.
-// (HTTP reports instead carry the server's lifetime /stats counters — a
-// remote server's cache cannot be scoped to one client run.)
+// New validates options and prepares a runner.
 func New(opts Options) (*Runner, error) {
 	if opts.Policy == "" {
 		opts.Policy = PolicyTarget
@@ -171,12 +166,6 @@ func New(opts Options) (*Runner, error) {
 		r.coreCfg = *opts.Core
 	} else {
 		r.coreCfg = DefaultCoreConfig()
-	}
-	r.cache = evalcache.New(0)
-	if r.coreCfg.Gen.Cache == nil || opts.Core == nil {
-		r.coreCfg.Gen.Cache = r.cache
-	} else {
-		r.cache = r.coreCfg.Gen.Cache
 	}
 	return r, nil
 }
@@ -212,14 +201,7 @@ func (r *Runner) Run(corpus []*scenario.Scenario) (*Report, error) {
 		results[i] = r.runOne(corpus[i], i)
 		inFlight.Add(-1)
 	})
-	wall := r.clock().Sub(t0)
-	cache := r.cache.Stats()
-	if r.opts.Server != "" {
-		if st, err := r.serverCacheStats(); err == nil {
-			cache = st
-		}
-	}
-	rep.aggregate(results, wall, int(peak.Load()), cache)
+	rep.aggregate(results, r.clock().Sub(t0), int(peak.Load()))
 	return rep, nil
 }
 
@@ -239,7 +221,6 @@ func (r *Runner) runOne(sc *scenario.Scenario, idx int) SessionResult {
 func (r *Runner) candidates(sc *scenario.Scenario) ([]*algebra.Query, error) {
 	qcfg := qbo.DefaultConfig()
 	qcfg.MaxCandidates = r.opts.MaxCandidates
-	qcfg.Cache = r.cache
 	qc, err := qbo.Generate(sc.DB, sc.R, qcfg)
 	if err != nil {
 		return nil, err

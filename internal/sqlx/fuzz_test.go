@@ -41,7 +41,7 @@ func seedCorpus() []string {
 //     including pathological nesting and exponential DNF blow-ups);
 //  2. any accepted query round-trips: rendering it with Query.SQL and
 //     parsing again yields a query with an identical canonical Key — the
-//     encoding dedup, fingerprinting and the evaluation cache all key on.
+//     encoding candidate dedup keys on.
 //
 // Run long with: go test -fuzz=FuzzParse ./internal/sqlx
 func FuzzParse(f *testing.F) {

@@ -167,7 +167,7 @@ func TestRoundTripThroughSQL(t *testing.T) {
 	for _, src := range srcs {
 		q1 := mustParse(t, src)
 		q2 := mustParse(t, q1.SQL())
-		if q1.Fingerprint() != q2.Fingerprint() {
+		if q1.Key() != q2.Key() {
 			t.Errorf("round trip changed query:\n  src:  %s\n  sql1: %s\n  sql2: %s",
 				src, q1.SQL(), q2.SQL())
 		}

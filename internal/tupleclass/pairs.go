@@ -101,123 +101,14 @@ func (s *Space) ReplaceCost(p Pair, qi int) int {
 	return n
 }
 
-// PartitionOf symbolically partitions the candidate queries by their
-// predicted result on a database modified according to the given pairs: two
-// queries land in the same block exactly when every pair affects them the
-// same way. It returns the per-block query indexes, deterministically
-// ordered, plus the per-block case vectors.
-func (s *Space) PartitionOf(pairs []Pair) ([][]int, [][]uint8) {
-	if len(pairs) <= 32 {
-		return s.partitionPacked(pairs)
-	}
-	type block struct {
-		queries []int
-		cases   []uint8
-	}
-	byKey := make(map[string]*block)
-	order := make([]string, 0, 4)
-	for qi := range s.Queries {
-		cases := make([]uint8, len(pairs))
-		for pi, p := range pairs {
-			cases[pi] = s.CaseOf(p, qi)
-		}
-		k := string(cases)
-		b := byKey[k]
-		if b == nil {
-			b = &block{cases: cases}
-			byKey[k] = b
-			order = append(order, k)
-		}
-		b.queries = append(b.queries, qi)
-	}
-	sort.Strings(order)
-	groups := make([][]int, len(order))
-	caseVecs := make([][]uint8, len(order))
-	for i, k := range order {
-		groups[i] = byKey[k].queries
-		caseVecs[i] = byKey[k].cases
-	}
-	return groups, caseVecs
-}
-
-// partitionPacked is PartitionOf for up to 32 pairs: the case vector packs
-// into a uint64 (2 bits per pair, first pair in the highest-order bits so
-// numeric order equals the lexicographic order sort.Strings imposes on the
-// byte-string keys), grouping through a small linear-scanned slice instead
-// of a map of byte strings. Output is byte-identical to the generic path.
-func (s *Space) partitionPacked(pairs []Pair) ([][]int, [][]uint8) {
-	type block struct {
-		key     uint64
-		queries []int
-	}
-	blocks := make([]block, 0, 8)
-	// Linear scan while few blocks exist; an index map takes over past 32
-	// so diverse case vectors never make the grouping quadratic in |QC|.
-	var blockIdx map[uint64]int
-	for qi := range s.Queries {
-		var k uint64
-		for _, p := range pairs {
-			k = k<<2 | uint64(s.CaseOf(p, qi))
-		}
-		found := -1
-		if blockIdx != nil {
-			if bi, ok := blockIdx[k]; ok {
-				found = bi
-			}
-		} else {
-			for bi := range blocks {
-				if blocks[bi].key == k {
-					found = bi
-					break
-				}
-			}
-		}
-		if found < 0 {
-			found = len(blocks)
-			blocks = append(blocks, block{key: k})
-			if blockIdx != nil {
-				blockIdx[k] = found
-			} else if len(blocks) > 32 {
-				blockIdx = make(map[uint64]int, len(s.Queries))
-				for bi := range blocks {
-					blockIdx[blocks[bi].key] = bi
-				}
-			}
-		}
-		blocks[found].queries = append(blocks[found].queries, qi)
-	}
-	sort.Slice(blocks, func(a, b int) bool { return blocks[a].key < blocks[b].key })
-	groups := make([][]int, len(blocks))
-	caseVecs := make([][]uint8, len(blocks))
-	for i, b := range blocks {
-		groups[i] = b.queries
-		cases := make([]uint8, len(pairs))
-		k := b.key
-		for pi := len(pairs) - 1; pi >= 0; pi-- {
-			cases[pi] = uint8(k & 3)
-			k >>= 2
-		}
-		caseVecs[i] = cases
-	}
-	return groups, caseVecs
-}
-
-// PartitionSizes returns just the block sizes of PartitionOf (the input to
-// the balance score).
-func (s *Space) PartitionSizes(pairs []Pair) []int {
-	groups, _ := s.PartitionOf(pairs)
-	sizes := make([]int, len(groups))
-	for i, g := range groups {
-		sizes[i] = len(g)
-	}
-	return sizes
-}
-
-// PartitionSizes1 is PartitionSizes specialised to a single pair — the shape
+// PartitionSizes1 returns the block sizes of the symbolic partition of the
+// candidate queries by the single pair p — two queries share a block
+// exactly when p affects them the same way (Lemma 5.1). It is the shape
 // Algorithm 3 scores once per enumerated (STC, DTC) pair. A single pair
-// admits only the four Lemma 5.1 case codes, so the sizes are a 4-counter
-// tally with no map, no case-vector slices and no key strings; blocks come
-// out in ascending case order, exactly as the generic path sorts them.
+// admits only the four case codes, so the sizes are a 4-counter tally with
+// no map, no case-vector slices and no key strings; blocks come out in
+// ascending case order. Algorithm 4 groups multi-pair sets through
+// dbgen's evaluation context instead.
 func (s *Space) PartitionSizes1(p Pair) []int {
 	var counts [4]int
 	for qi := range s.Queries {
@@ -230,34 +121,6 @@ func (s *Space) PartitionSizes1(p Pair) []int {
 		}
 	}
 	return sizes
-}
-
-// SymbolicResultEdits predicts minEdit(R, Rᵢ) for each partition block: an
-// added or removed result tuple costs the arity of R (insert/delete); a
-// replaced tuple costs the number of modified projected attributes. The
-// projection is taken from the block's first query (all candidate queries
-// of a QFE session share ℓ, per §5).
-func (s *Space) SymbolicResultEdits(pairs []Pair, arityR int) ([]int, [][]int) {
-	groups, caseVecs := s.PartitionOf(pairs)
-	edits := make([]int, len(groups))
-	for bi, cases := range caseVecs {
-		qi := groups[bi][0]
-		total := 0
-		for pi, c := range cases {
-			switch c {
-			case caseAdd, caseRemove:
-				total += arityR
-			case caseReplace:
-				for _, a := range pairs[pi].ChangedAttrs() {
-					if s.projected[qi][a] {
-						total++
-					}
-				}
-			}
-		}
-		edits[bi] = total
-	}
-	return edits, groups
 }
 
 // IndistinguishableGroups clusters queries whose match bit agrees on every
@@ -274,21 +137,17 @@ func (s *Space) SymbolicResultEdits(pairs []Pair, arityR int) ([]int, [][]int) {
 // exceeds maxCombos are conservatively treated as distinguishable; if they
 // are in fact equivalent the database generator discovers it later via
 // ErrNoSplit, so correctness is unaffected.
-func (s *Space) IndistinguishableGroups(maxCombos int) [][]int {
-	return s.IndistinguishableGroupsParallel(maxCombos, 1)
-}
-
-// IndistinguishableGroupsParallel is IndistinguishableGroups with the
-// truth-table comparisons against the existing group representatives run on
-// a worker pool (parallelism 0 = GOMAXPROCS, 1 = serial). The serial sweep
-// places a query into the first (lowest-indexed) matching group, so the
-// parallel path evaluates all comparisons and then takes the minimum
-// matching index — byte-identical grouping, regardless of worker timing.
-// Workers may speculatively evaluate comparisons the serial sweep would
-// have skipped (those past the first match); the gi < best precheck prunes
-// checks started after a match lands, bounding the waste to roughly one
-// in-flight check per worker, paid on cores the serial path leaves idle.
-func (s *Space) IndistinguishableGroupsParallel(maxCombos, parallelism int) [][]int {
+//
+// Each query joins the first (lowest-indexed) group whose representative it
+// matches. The comparisons against the existing representatives run on a
+// worker pool (parallelism 0 = GOMAXPROCS, 1 = serial) that keeps the
+// minimum matching index, so the grouping is the same at every worker
+// count. At one worker par.Do visits the groups in order and the gi < best
+// precheck skips every group after the first match. With more workers,
+// comparisons past the first match may run speculatively; the precheck
+// prunes those started after a match lands, bounding the waste to roughly
+// one in-flight check per worker.
+func (s *Space) IndistinguishableGroups(maxCombos, parallelism int) [][]int {
 	if maxCombos <= 0 {
 		maxCombos = 100000
 	}
@@ -297,36 +156,23 @@ func (s *Space) IndistinguishableGroupsParallel(maxCombos, parallelism int) [][]
 	// comparing against one representative per group suffices.
 	var groups [][]int
 	for qi := range s.Queries {
-		placed := -1
-		if workers > 1 && len(groups) > 1 {
-			best := atomic.Int64{}
-			best.Store(int64(len(groups)))
-			par.Do(len(groups), workers, func(gi int) {
-				if int64(gi) < best.Load() && s.equivalentPair(groups[gi][0], qi, maxCombos) {
-					// Keep the lowest matching index (CAS loop: several groups
-					// can match when the rep-vs-rep check was truncated by
-					// maxCombos and conservatively treated as distinct).
-					for {
-						cur := best.Load()
-						if int64(gi) >= cur || best.CompareAndSwap(cur, int64(gi)) {
-							break
-						}
+		best := atomic.Int64{}
+		best.Store(int64(len(groups)))
+		par.Do(len(groups), workers, func(gi int) {
+			if int64(gi) < best.Load() && s.equivalentPair(groups[gi][0], qi, maxCombos) {
+				// Keep the lowest matching index (CAS loop: several groups
+				// can match when the rep-vs-rep check was truncated by
+				// maxCombos and conservatively treated as distinct).
+				for {
+					cur := best.Load()
+					if int64(gi) >= cur || best.CompareAndSwap(cur, int64(gi)) {
+						break
 					}
 				}
-			})
-			if int(best.Load()) < len(groups) {
-				placed = int(best.Load())
 			}
-		} else {
-			for gi := range groups {
-				if s.equivalentPair(groups[gi][0], qi, maxCombos) {
-					placed = gi
-					break
-				}
-			}
-		}
-		if placed >= 0 {
-			groups[placed] = append(groups[placed], qi)
+		})
+		if gi := int(best.Load()); gi < len(groups) {
+			groups[gi] = append(groups[gi], qi)
 		} else {
 			groups = append(groups, []int{qi})
 		}

@@ -233,17 +233,6 @@ func (s *Space) Matches(c Class, qi int) bool {
 	return false
 }
 
-// MatchVector returns the per-query match bits for a class; two queries are
-// indistinguishable by any single-tuple modification space exactly when all
-// classes give them equal bits.
-func (s *Space) MatchVector(c Class) []bool {
-	v := make([]bool, len(s.Queries))
-	for qi := range s.Queries {
-		v[qi] = s.Matches(c, qi)
-	}
-	return v
-}
-
 // SourceClass groups the joined tuples belonging to one tuple class — a
 // source-tuple class (STC) with its inhabitants.
 type SourceClass struct {
@@ -338,9 +327,6 @@ func (s *Space) Freeze(attrs []string) {
 	}
 }
 
-// Frozen reports whether Attrs[i] is frozen.
-func (s *Space) Frozen(i int) bool { return s.frozen[i] }
-
 // EnumerateClassesAt enumerates destination classes at exactly Hamming
 // distance dist from src, in deterministic order, invoking yield for each.
 // Enumeration stops early when yield returns false. This generates the DTC
@@ -386,15 +372,3 @@ func (s *Space) EnumerateClassesAt(src Class, dist int, yield func(Class) bool) 
 // NumPredicateAttrs returns n, the number of distinct selection-predicate
 // attributes (the upper bound of Algorithm 3's outer loop).
 func (s *Space) NumPredicateAttrs() int { return len(s.Attrs) }
-
-// MaxSubsets returns k, the largest |P_QC(A)| over the predicate attributes
-// (used in the paper's O(m·kⁿ) complexity discussion and by tests).
-func (s *Space) MaxSubsets() int {
-	k := 0
-	for _, p := range s.Parts {
-		if len(p.Subsets) > k {
-			k = len(p.Subsets)
-		}
-	}
-	return k
-}

@@ -2,6 +2,8 @@ package tupleclass
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"qfe/internal/algebra"
@@ -51,8 +53,8 @@ func TestExample51DomainPartitions(t *testing.T) {
 	if got := len(s.Parts[1].Subsets); got != 3 {
 		t.Errorf("|P_QC(B)| = %d, want 3: %v", got, s.Parts[1])
 	}
-	if s.MaxSubsets() != 4 || s.NumPredicateAttrs() != 2 {
-		t.Errorf("k=%d n=%d, want 4, 2", s.MaxSubsets(), s.NumPredicateAttrs())
+	if s.NumPredicateAttrs() != 2 {
+		t.Errorf("n=%d, want 2", s.NumPredicateAttrs())
 	}
 }
 
@@ -293,74 +295,172 @@ func TestPairCasesLemma51(t *testing.T) {
 	}
 }
 
+// casePartition groups the candidates by their Lemma 5.1 case vector over
+// pairs (one CaseOf code per pair): two queries share a block exactly when
+// every pair affects them the same way. Blocks come out in ascending key
+// order, so for one pair they follow PartitionSizes1's case order.
+func casePartition(s *Space, pairs []Pair) [][]int {
+	byKey := map[string][]int{}
+	key := make([]byte, len(pairs))
+	for qi := range s.Queries {
+		for i, p := range pairs {
+			key[i] = s.CaseOf(p, qi)
+		}
+		byKey[string(key)] = append(byKey[string(key)], qi)
+	}
+	keys := make([]string, 0, len(byKey))
+	for k := range byKey {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	blocks := make([][]int, len(keys))
+	for i, k := range keys {
+		blocks[i] = byKey[k]
+	}
+	return blocks
+}
+
+// withQueries rebuilds s's space over the same joined relation with extra
+// candidate queries on T appended to Example 5.1's Q1 and Q2.
+func withQueries(t *testing.T, s *Space, extra ...*algebra.Query) *Space {
+	t.Helper()
+	s2, err := NewSpace(s.Joined, append(append([]*algebra.Query{}, s.Queries...), extra...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s2
+}
+
 func TestPartitionOfGroupsQueries(t *testing.T) {
 	s := example51Space(t)
 	src, _ := s.ClassOf(relation.NewTuple(48, 3, 0))
 	dst, _ := s.ClassOf(relation.NewTuple(48, 70, 0))
-	groups, _ := s.PartitionOf([]Pair{NewPair(src, dst)})
-	// Q1 gains a tuple, Q2 loses one: they must separate.
-	if len(groups) != 2 {
-		t.Fatalf("groups = %v, want 2", groups)
+	p := NewPair(src, dst)
+	// Q1 gains a tuple, Q2 loses one: they must separate, add before remove.
+	if groups := casePartition(s, []Pair{p}); len(groups) != 2 || groups[0][0] != 0 || groups[1][0] != 1 {
+		t.Fatalf("groups = %v, want [[0] [1]]", groups)
 	}
-	sizes := s.PartitionSizes([]Pair{NewPair(src, dst)})
-	if len(sizes) != 2 || sizes[0]+sizes[1] != 2 {
-		t.Errorf("sizes = %v", sizes)
+	if sizes := s.PartitionSizes1(p); !slices.Equal(sizes, []int{1, 1}) {
+		t.Errorf("sizes = %v, want [1 1]", sizes)
 	}
-	// No modification: single group.
-	groups0, _ := s.PartitionOf(nil)
-	if len(groups0) != 1 || len(groups0[0]) != 2 {
-		t.Errorf("empty pair set should not split: %v", groups0)
+	// No modification — the tuple stays in its class: single group.
+	if sizes := s.PartitionSizes1(NewPair(src, src)); !slices.Equal(sizes, []int{2}) {
+		t.Errorf("identity pair should not split: %v", sizes)
 	}
 }
 
 func TestPartitionAtMost4PowNQuick(t *testing.T) {
 	// Lemma 5.1: n modified tuples partition QC into at most 4^n subsets.
-	s := example51Space(t)
-	scs, _ := s.SourceClasses()
-	rnd := rand.New(rand.NewSource(9))
+	// QC is widened past 4 queries with bag and DISTINCT variants, some
+	// projecting predicate attributes, so the bound can bind at n = 1.
+	mk := func(name string, distinct bool, proj []string, pred ...algebra.Conjunct) *algebra.Query {
+		return &algebra.Query{Name: name, Tables: []string{"T"}, Projection: proj,
+			Pred: pred, Distinct: distinct}
+	}
+	term := func(attr string, op algebra.Op, c int64) algebra.Term {
+		return algebra.NewTerm(attr, op, relation.Int(c))
+	}
+	a, c, ab := []string{"T.A"}, []string{"T.C"}, []string{"T.A", "T.B"}
+	s := withQueries(t, example51Space(t),
+		mk("Q3", false, a, algebra.Conjunct{term("T.A", algebra.OpGT, 40)}),
+		mk("Q4", true, c, algebra.Conjunct{term("T.A", algebra.OpLE, 50), term("T.B", algebra.OpGT, 60)}),
+		mk("Q5", true, a, algebra.Conjunct{term("T.B", algebra.OpGT, 20)}),
+		mk("Q6", false, ab, algebra.Conjunct{term("T.B", algebra.OpLE, 60)},
+			algebra.Conjunct{term("T.A", algebra.OpGT, 80)}),
+		mk("Q7", true, ab, algebra.Conjunct{term("T.A", algebra.OpGT, 40), term("T.B", algebra.OpLE, 60)}),
+	)
+	scs, err := s.SourceClasses()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var allPairs []Pair
 	for _, sc := range scs {
-		s.EnumerateClassesAt(sc.Class, 1, func(d Class) bool {
-			allPairs = append(allPairs, NewPair(sc.Class, d))
-			return true
-		})
+		for dist := 1; dist <= 2; dist++ {
+			s.EnumerateClassesAt(sc.Class, dist, func(d Class) bool {
+				allPairs = append(allPairs, NewPair(sc.Class, d))
+				return true
+			})
+		}
 	}
+	rnd := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 100; trial++ {
 		n := 1 + rnd.Intn(3)
 		pairs := make([]Pair, n)
 		for i := range pairs {
 			pairs[i] = allPairs[rnd.Intn(len(allPairs))]
 		}
-		sizes := s.PartitionSizes(pairs)
+		groups := casePartition(s, pairs)
 		bound := 1
 		for i := 0; i < n; i++ {
 			bound *= 4
 		}
-		if len(sizes) > bound {
-			t.Fatalf("partition into %d subsets exceeds 4^%d", len(sizes), n)
+		if len(groups) > bound {
+			t.Fatalf("partition into %d subsets exceeds 4^%d", len(groups), n)
 		}
+		sizes := make([]int, len(groups))
 		total := 0
-		for _, sz := range sizes {
-			total += sz
+		for i, g := range groups {
+			sizes[i] = len(g)
+			total += len(g)
 		}
 		if total != len(s.Queries) {
-			t.Fatalf("partition loses queries: %v", sizes)
+			t.Fatalf("partition loses queries: %v", groups)
+		}
+		if n == 1 {
+			if got := s.PartitionSizes1(pairs[0]); !slices.Equal(got, sizes) {
+				t.Fatalf("PartitionSizes1 = %v, case-vector partition %v", got, sizes)
+			}
 		}
 	}
 }
 
 func TestSymbolicResultEdits(t *testing.T) {
-	s := example51Space(t)
-	src, _ := s.ClassOf(relation.NewTuple(48, 3, 0))
-	dst, _ := s.ClassOf(relation.NewTuple(48, 70, 0))
-	edits, groups := s.SymbolicResultEdits([]Pair{NewPair(src, dst)}, 1)
-	if len(edits) != len(groups) {
-		t.Fatal("edits and groups must align")
+	// Q3 and Q4 match every tuple with A > 40, so moving one of their
+	// tuples within A > 40 replaces a result tuple in place when a changed
+	// attribute is projected: Q3 projects A and B, Q4 only A.
+	aGT40 := algebra.Predicate{algebra.Conjunct{algebra.NewTerm("T.A", algebra.OpGT, relation.Int(40))}}
+	s := withQueries(t, example51Space(t),
+		&algebra.Query{Name: "Q3", Tables: []string{"T"}, Projection: []string{"T.A", "T.B"}, Pred: aGT40},
+		&algebra.Query{Name: "Q4", Tables: []string{"T"}, Projection: []string{"T.A"}, Pred: aGT40})
+	// Predicted minEdit(R, Rᵢ) of one query under one pair: an added or
+	// removed result tuple costs arity(R), a replaced one the changed
+	// attributes the query projects.
+	const arityR = 1
+	edit := func(p Pair, qi int) int {
+		switch s.CaseOf(p, qi) {
+		case caseAdd, caseRemove:
+			return arityR
+		case caseReplace:
+			return s.ReplaceCost(p, qi)
+		}
+		return 0
 	}
-	for bi, g := range groups {
-		// Q1 (add) and Q2 (remove) each cost arity(R) = 1.
-		if edits[bi] != 1 {
-			t.Errorf("block %v edit = %d, want 1", g, edits[bi])
+	for _, tc := range []struct {
+		name     string
+		src, dst relation.Tuple
+		want     []int // Q1, Q2, Q3, Q4
+	}{
+		// Example 5.1: Q1 (add) and Q2 (remove) each cost arity(R) = 1;
+		// Q3 sees B, the one changed attribute, replaced; Q4 does not
+		// project B, so its result is unchanged.
+		{"B changes", relation.NewTuple(48, 3, 0), relation.NewTuple(48, 70, 0), []int{1, 1, 1, 0}},
+		// A and B both change: Q1 is untouched, Q2 loses the tuple, Q3
+		// sees both projected attributes replaced and Q4 only A.
+		{"A and B change", relation.NewTuple(48, 3, 0), relation.NewTuple(60, 30, 0), []int{0, 1, 2, 1}},
+	} {
+		src, err := s.ClassOf(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst, err := s.ClassOf(tc.dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := NewPair(src, dst)
+		for qi, want := range tc.want {
+			if got := edit(p, qi); got != want {
+				t.Errorf("%s: %s edit = %d, want %d", tc.name, s.Queries[qi].Name, got, want)
+			}
 		}
 	}
 }
@@ -383,7 +483,7 @@ func TestIndistinguishableGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := s.IndistinguishableGroups(10000)
+	groups := s.IndistinguishableGroups(10000, 1)
 	if len(groups) != 2 {
 		t.Fatalf("groups = %v, want {Qa,Qb} and {Qc}", groups)
 	}
@@ -396,12 +496,12 @@ func TestIndistinguishableGroups(t *testing.T) {
 	}
 }
 
+// TestMatchVector checks a class's per-query match bits.
 func TestMatchVector(t *testing.T) {
 	s := example51Space(t)
 	c, _ := s.ClassOf(relation.NewTuple(48, 3, 0))
-	v := s.MatchVector(c)
-	if v[0] || !v[1] {
-		t.Errorf("MatchVector = %v, want [false true]", v)
+	if v := []bool{s.Matches(c, 0), s.Matches(c, 1)}; v[0] || !v[1] {
+		t.Errorf("match vector = %v, want [false true]", v)
 	}
 }
 

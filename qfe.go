@@ -38,7 +38,6 @@ import (
 	"qfe/internal/db"
 	"qfe/internal/dbgen"
 	"qfe/internal/editdist"
-	"qfe/internal/evalcache"
 	"qfe/internal/feedback"
 	"qfe/internal/qbo"
 	"qfe/internal/relation"
@@ -219,10 +218,10 @@ const (
 	StrategyMaxPartitions = dbgen.StrategyMaxPartitions
 )
 
-// DefaultSessionConfig returns the paper's defaults (β = 1, scaled δ), with
-// the shared evaluation cache attached and Parallelism 0 (all cores). Set
-// Config.Parallelism (or Gen.Parallelism) to 1 for the legacy serial path,
-// and Gen.Cache to nil to disable result memoisation.
+// DefaultSessionConfig returns the paper's defaults (β = 1, scaled δ) with
+// Parallelism 0 (all cores). Set Config.Parallelism (or Gen.Parallelism) to
+// 1 to run every engine loop serially; results match at every worker count
+// unless the δ time budget truncates enumeration.
 var DefaultSessionConfig = core.DefaultConfig
 
 // NewSession validates inputs and prepares a session.
@@ -254,24 +253,6 @@ var RestoreSession = core.Restore
 
 // UnmarshalSessionSnapshot parses a JSON-encoded snapshot.
 var UnmarshalSessionSnapshot = core.UnmarshalSnapshot
-
-// Evaluation cache ------------------------------------------------------------
-
-// EvalCache memoises candidate evaluations across winnowing rounds and
-// across sessions, keyed by (query fingerprint, data content hash). See
-// internal/evalcache for the sharding and eviction details.
-type EvalCache = evalcache.Cache
-
-// EvalCacheStats is a snapshot of cache hit/miss/eviction counters.
-type EvalCacheStats = evalcache.Stats
-
-// NewEvalCache creates a size-bounded cache (maxEntries <= 0 selects the
-// default capacity); DefaultEvalCache returns the process-wide cache the
-// default configurations share.
-var (
-	NewEvalCache     = evalcache.New
-	DefaultEvalCache = evalcache.Default
-)
 
 // Utilities ---------------------------------------------------------------------------
 

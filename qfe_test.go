@@ -64,7 +64,7 @@ func TestFacadeSQLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Fingerprint() != q2.Fingerprint() {
+	if q.Key() != q2.Key() {
 		t.Error("round trip changed the query")
 	}
 }

@@ -8,7 +8,6 @@
 #   worker:  qfe_engine_round_seconds_count     > 0  (round-phase histogram)
 #            qfe_engine_dbgen_seconds_count     > 0  (+ alg4/skyline phases)
 #            qfe_wal_fsync_seconds_count        > 0  (durability latency)
-#            qfe_evalcache_{hits,misses}_total  present
 #            qfe_build_info / qfe_http_request_seconds present
 #   router:  qfe_router_failovers_total         > 0  (the kill was detected)
 #            qfe_router_proxied_total           > 0
@@ -139,8 +138,6 @@ require_nonzero "$WORKER_METRICS" qfe_engine_alg4_seconds_count worker
 require_nonzero "$WORKER_METRICS" qfe_engine_skyline_seconds_count worker
 require_nonzero "$WORKER_METRICS" qfe_wal_fsync_seconds_count worker
 require_nonzero "$WORKER_METRICS" qfe_wal_records_total worker
-require_series  "$WORKER_METRICS" qfe_evalcache_hits_total worker
-require_series  "$WORKER_METRICS" qfe_evalcache_misses_total worker
 require_series  "$WORKER_METRICS" qfe_build_info worker
 require_series  "$WORKER_METRICS" qfe_sessions_resident worker
 require_nonzero "$WORKER_METRICS" qfe_sessions_started_total worker
