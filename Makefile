@@ -46,10 +46,11 @@ bench-batch:
 		-benchmem -run '^$$' .
 
 # Benchmark gates (CI): fail when MicroFullSession allocs/op exceeds the
-# recorded BENCH_baseline.txt by more than 20%, or (on hosts with >= 8
-# cores) when the parallel session / Algorithm 4 benchmarks miss their
-# speedup ratios. Refresh the allocation baseline after an intentional
-# change with scripts/bench_guard.sh --record.
+# recorded BENCH_baseline.txt, or MicroCandidateGenerationQ4 allocs/op (QBO
+# on baseball/Q4) the recorded BENCH_baseline_qbo.txt, by more than 20%, or
+# (on hosts with >= 8 cores) when the parallel session / Algorithm 4
+# benchmarks miss their speedup ratios. Refresh both allocation baselines
+# after an intentional change with scripts/bench_guard.sh --record.
 bench-guard:
 	./scripts/bench_guard.sh
 

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"qfe/internal/algebra"
+	"qfe/internal/datasets"
 	"qfe/internal/dbgen"
 	"qfe/internal/experiments"
 	"qfe/internal/feedback"
@@ -130,6 +131,28 @@ func BenchmarkMicroCandidateGeneration(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := GenerateCandidates(d, r, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMicroCandidateGenerationQ4 measures QBO candidate generation on
+// baseball/Q4 at qfe-server's cap of 32 candidates: the costliest first
+// round of the paper's nine instances, where the cluster DNF's exclusion
+// tests dominate (DESIGN.md §15). scripts/bench_guard.sh gates its
+// allocations.
+func BenchmarkMicroCandidateGenerationQ4(b *testing.B) {
+	b.ReportAllocs()
+	bb := datasets.NewBaseball()
+	r, err := bb.Q4.Evaluate(bb.DB)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultGenerateConfig()
+	cfg.MaxCandidates = 32
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := GenerateCandidates(bb.DB, r, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

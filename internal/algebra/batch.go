@@ -127,6 +127,17 @@ func hashTerm(t *Term) uint64 {
 	return h
 }
 
+// MatchCodes evaluates t once per dictionary code of a column: out[code]
+// reports whether t matches dict[code], and out must hold len(dict)
+// entries. By relation.Columnar's invariant (outcomes are constant on
+// KeyEqual classes) out[code] is t's outcome on every row holding that code,
+// so looking it up per row is exact.
+func (t Term) MatchCodes(dict []relation.Value, out []bool) {
+	for code, v := range dict {
+		out[code] = t.Matches(v)
+	}
+}
+
 // termBitmaps evaluates every unique term once per dictionary code and
 // expands the outcomes into per-term row bit vectors. A term whose column is
 // missing from the schema gets a nil vector (constant false, mirroring the
@@ -171,14 +182,8 @@ func (bp *batchProgram) termBitmaps(col *relation.Columnar, words, workers, bloc
 	}
 	outcomes := make([]bool, offs[len(bp.terms)])
 	par.Do(len(bp.terms), workers, func(ti int) {
-		ci := bp.cols[ti]
-		if ci < 0 {
-			return
-		}
-		t := &bp.terms[ti]
-		oc := outcomes[offs[ti]:offs[ti+1]]
-		for code, v := range col.Col(ci).Dict {
-			oc[code] = t.Matches(v)
+		if ci := bp.cols[ti]; ci >= 0 {
+			bp.terms[ti].MatchCodes(col.Col(ci).Dict, outcomes[offs[ti]:offs[ti+1]])
 		}
 	})
 

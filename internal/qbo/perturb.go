@@ -24,33 +24,33 @@ func PerturbConstants(d *db.Database, r *relation.Relation, base []*algebra.Quer
 	}
 	var out []*algebra.Query
 
-	joins := map[string]*db.Joined{}
-	joinFor := func(q *algebra.Query) (*db.Joined, error) {
+	joins := map[string]*joinIndex{}
+	joinFor := func(q *algebra.Query) (*joinIndex, error) {
 		k := q.JoinSchemaKey()
-		if j, ok := joins[k]; ok {
-			return j, nil
+		if ix, ok := joins[k]; ok {
+			return ix, nil
 		}
 		j, err := db.Join(d, q.Tables)
 		if err != nil {
 			return nil, err
 		}
-		joins[k] = j
-		return j, nil
+		ix := newJoinIndex(j)
+		joins[k] = ix
+		return ix, nil
 	}
 
 	for _, q := range base {
 		if maxExtra > 0 && len(out) >= maxExtra {
 			break
 		}
-		j, err := joinFor(q)
+		ix, err := joinFor(q)
 		if err != nil {
 			return nil, err
 		}
 		// Collect the query's variants first, then verify them against D in
 		// one shared columnar scan — the variants differ from q (and from
 		// each other) in a single constant, so the batch's term table is
-		// nearly fully shared. A single variant keeps the scalar path (the
-		// batch engine's differential reference).
+		// nearly fully shared.
 		var variants []*algebra.Query
 		for ci := range q.Pred {
 			for ti := range q.Pred[ci] {
@@ -58,7 +58,7 @@ func PerturbConstants(d *db.Database, r *relation.Relation, base []*algebra.Quer
 				if term.Op == algebra.OpIn || term.Op == algebra.OpNotIn || !term.Const.Kind.Numeric() {
 					continue
 				}
-				for _, nc := range nearbyConstants(j.Rel, term.Attr, term.Const) {
+				for _, nc := range nearbyConstants(ix, term.Attr, term.Const) {
 					v := q.Clone()
 					v.Name = ""
 					v.Pred[ci][ti].Const = nc
@@ -66,32 +66,22 @@ func PerturbConstants(d *db.Database, r *relation.Relation, base []*algebra.Quer
 				}
 			}
 		}
-		var results []*relation.Relation
-		if len(variants) > 1 {
-			results, err = algebra.BatchEvaluateOnJoined(variants, j.Columnar(), 1)
-			if err != nil {
-				results = nil // fall back to per-variant scalar evaluation
-			}
+		if len(variants) == 0 {
+			continue
+		}
+		// Every variant shares q's projection, so a batch error (a
+		// projection column missing from the join) is one every variant's
+		// own evaluation would hit too: skip q's variants.
+		results, err := algebra.BatchEvaluateOnJoined(variants, ix.col, 1)
+		if err != nil {
+			continue
 		}
 		for vi, v := range variants {
 			if maxExtra > 0 && len(out) >= maxExtra {
 				break
 			}
 			fp := v.Key()
-			if seen[fp] {
-				continue
-			}
-			res := (*relation.Relation)(nil)
-			if results != nil {
-				res = results[vi]
-			} else {
-				var verr error
-				res, verr = v.EvaluateOnJoined(j.Rel)
-				if verr != nil {
-					continue
-				}
-			}
-			if !res.BagEqual(r) {
+			if seen[fp] || !results[vi].BagEqual(r) {
 				continue
 			}
 			seen[fp] = true
@@ -105,30 +95,18 @@ func PerturbConstants(d *db.Database, r *relation.Relation, base []*algebra.Quer
 }
 
 // nearbyConstants proposes replacement constants around c: the adjacent
-// active-domain values and the midpoints of the gaps on either side of c.
-func nearbyConstants(joined *relation.Relation, attr string, c relation.Value) []relation.Value {
-	col := joined.Schema.IndexOf(attr)
+// active-domain values of attr's column (its memoised numeric domain) and
+// the midpoints of the gaps on either side of c.
+func nearbyConstants(ix *joinIndex, attr string, c relation.Value) []relation.Value {
+	col := ix.j.Rel.Schema.IndexOf(attr)
 	if col < 0 {
 		return nil
 	}
-	kind := joined.Schema[col].Type
-	var vals []float64
-	seen := map[float64]bool{}
-	for _, t := range joined.Tuples {
-		v := t[col]
-		if !v.Kind.Numeric() {
-			continue
-		}
-		f := v.AsFloat()
-		if !seen[f] {
-			seen[f] = true
-			vals = append(vals, f)
-		}
-	}
+	kind := ix.j.Rel.Schema[col].Type
+	vals := ix.numericDomain(col)
 	if len(vals) == 0 {
 		return nil
 	}
-	sort.Float64s(vals)
 	cf := c.AsFloat()
 	// Locate neighbours of cf in the active domain.
 	lo := sort.SearchFloat64s(vals, cf)

@@ -3,6 +3,7 @@ package qbo
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"qfe/internal/algebra"
@@ -58,7 +59,8 @@ func classifyRows(j *db.Joined, proj []string, r *relation.Relation) rowClass {
 }
 
 // generateForJoin synthesizes predicates for one (join, projection) pair.
-func (g *generator) generateForJoin(j *db.Joined, tables []string, proj []string) {
+func (g *generator) generateForJoin(ix *joinIndex, tables []string, proj []string) {
+	j := ix.j
 	rc := classifyRows(j, proj, g.r)
 	if !rc.feasible {
 		return
@@ -79,37 +81,26 @@ func (g *generator) generateForJoin(j *db.Joined, tables []string, proj []string
 	}
 
 	vrf := g.newVerifier(j, tables, proj, rc)
-	pools := g.coveringTermPools(j, rc.required)
-	attrs := make([]string, 0, len(pools))
-	for a := range pools {
-		attrs = append(attrs, a)
-	}
-	sort.Strings(attrs)
+	pools := g.coveringTermPools(ix, rc.required)
 
 	// Single-attribute conjuncts (including two-term ranges).
 	// Precompute, per single term, the bitmap of excluded rows the term
-	// still admits; a conjunct separates exactly when the intersection of
-	// its units' bitmaps is empty. Range units (lo ∧ hi on one attribute)
-	// derive their masks by ANDing the single-term masks, avoiding any
-	// further row scans.
+	// still admits (one evaluation per dictionary code); a conjunct
+	// separates exactly when the intersection of its units' bitmaps is
+	// empty. Range units (lo ∧ hi on one attribute) derive their masks by
+	// ANDing the single-term masks, avoiding any further row scans.
 	words := (len(rc.excluded) + 63) / 64
 	var units [][]algebra.Term // each unit: 1..MaxTermsPerAttr terms on one attribute
-	unitAttr := []string{}
+	var unitCol []int          // the unit's attribute, as its column in the join
 	var unitMasks [][]uint64
-	for _, a := range attrs {
-		pool := pools[a]
+	for _, p := range pools {
+		pool := p.terms
 		masks := make([][]uint64, len(pool))
-		for pi, t := range pool {
-			mask := make([]uint64, words)
-			match := algebra.Predicate{algebra.Conjunct{t}}.Compile(j.Rel.Schema)
-			for ei, ri := range rc.excluded {
-				if match(j.Rel.Tuples[ri]) {
-					mask[ei/64] |= 1 << (ei % 64)
-				}
-			}
+		for pi := range pool {
+			mask := ix.termBits(&pool[pi], p.ci, rc.excluded, true)
 			masks[pi] = mask
-			units = append(units, []algebra.Term{t})
-			unitAttr = append(unitAttr, a)
+			units = append(units, pool[pi:pi+1:pi+1])
+			unitCol = append(unitCol, p.ci)
 			unitMasks = append(unitMasks, mask)
 		}
 		if g.cfg.MaxTermsPerAttr >= 2 {
@@ -127,7 +118,7 @@ func (g *generator) generateForJoin(j *db.Joined, tables []string, proj []string
 						mask[w] = masks[li][w] & masks[hi2][w]
 					}
 					units = append(units, []algebra.Term{lo, hi})
-					unitAttr = append(unitAttr, a)
+					unitCol = append(unitCol, p.ci)
 					unitMasks = append(unitMasks, mask)
 				}
 			}
@@ -153,14 +144,14 @@ func (g *generator) generateForJoin(j *db.Joined, tables []string, proj []string
 	}
 	sort.SliceStable(order, func(a, b int) bool { return popCache[order[a]] < popCache[order[b]] })
 	reorderedUnits := make([][]algebra.Term, len(units))
-	reorderedAttrs := make([]string, len(units))
+	reorderedCols := make([]int, len(units))
 	reorderedMasks := make([][]uint64, len(units))
 	for i, o := range order {
 		reorderedUnits[i] = units[o]
-		reorderedAttrs[i] = unitAttr[o]
+		reorderedCols[i] = unitCol[o]
 		reorderedMasks[i] = unitMasks[o]
 	}
-	units, unitAttr, unitMasks = reorderedUnits, reorderedAttrs, reorderedMasks
+	units, unitCol, unitMasks = reorderedUnits, reorderedCols, reorderedMasks
 	empty := func(mask []uint64) bool {
 		for _, w := range mask {
 			if w != 0 {
@@ -185,14 +176,16 @@ func (g *generator) generateForJoin(j *db.Joined, tables []string, proj []string
 	if maxNodes <= 0 {
 		maxNodes = 100000
 	}
-	// One scratch mask per recursion depth: the search explores one branch
-	// at a time, so depth-indexed buffers avoid per-node allocation.
+	// One scratch mask per recursion depth, and one conjunct buffer that
+	// every branch appends into: the search explores one branch at a time,
+	// so neither needs a per-node allocation.
 	scratch := make([][]uint64, g.cfg.MaxPredAttrs+1)
 	for i := range scratch {
 		scratch[i] = make([]uint64, words)
 	}
-	var grow func(start int, conj []algebra.Term, admit []uint64, used map[string]bool, depth int)
-	grow = func(start int, conj []algebra.Term, admit []uint64, used map[string]bool, depth int) {
+	used := make([]bool, j.Rel.Arity())
+	var grow func(start int, conj []algebra.Term, admit []uint64, depth int)
+	grow = func(start int, conj []algebra.Term, admit []uint64, depth int) {
 		if g.full() {
 			return
 		}
@@ -211,7 +204,7 @@ func (g *generator) generateForJoin(j *db.Joined, tables []string, proj []string
 		}
 		next := scratch[depth]
 		for u := start; u < len(units); u++ {
-			if used[unitAttr[u]] {
+			if used[unitCol[u]] {
 				continue
 			}
 			narrowed := false
@@ -224,16 +217,16 @@ func (g *generator) generateForJoin(j *db.Joined, tables []string, proj []string
 			if len(conj) > 0 && !narrowed {
 				continue // the unit adds nothing on the excluded rows
 			}
-			used[unitAttr[u]] = true
-			grow(u+1, append(conj, units[u]...), next, used, depth+1)
-			used[unitAttr[u]] = false
+			used[unitCol[u]] = true
+			grow(u+1, append(conj, units[u]...), next, depth+1)
+			used[unitCol[u]] = false
 		}
 	}
-	grow(0, nil, full, map[string]bool{}, 0)
+	grow(0, make([]algebra.Term, 0, g.cfg.MaxPredAttrs*g.cfg.MaxTermsPerAttr), full, 0)
 
 	// DNF by categorical clustering: split the required rows by the value
 	// of one categorical attribute and synthesize a conjunct per cluster.
-	g.generateClusterDNF(j, tables, proj, rc)
+	g.generateClusterDNF(ix, tables, proj, rc)
 }
 
 // greedyAnchors picks, from the optional rows, one row per needed result
@@ -256,40 +249,50 @@ func greedyAnchors(j *db.Joined, proj []string, r *relation.Relation, optional [
 	return anchors
 }
 
-// coveringTermPools builds, per attribute, terms satisfied by every required
-// row (candidates for conjunct membership).
-func (g *generator) coveringTermPools(j *db.Joined, required []int) map[string][]algebra.Term {
-	pools := make(map[string][]algebra.Term)
-	for ci, col := range j.Rel.Schema {
+// attrPool is one attribute's covering terms.
+type attrPool struct {
+	ci    int // the attribute's column in the join
+	terms []algebra.Term
+}
+
+// coveringTermPools builds, per attribute in name order, terms satisfied by
+// every row of rows (candidates for conjunct membership).
+func (g *generator) coveringTermPools(ix *joinIndex, rows []int) []attrPool {
+	var pools []attrPool
+	for _, ci := range ix.byName {
 		var pool []algebra.Term
-		switch {
-		case col.Type.Numeric():
-			pool = g.numericCoveringTerms(j, ci, col.Name, required)
-		case col.Type == relation.KindString || col.Type == relation.KindBool:
-			pool = g.categoricalCoveringTerms(j, ci, col.Name, required)
+		switch t := ix.j.Rel.Schema[ci].Type; {
+		case t.Numeric():
+			pool = numericCoveringTerms(ix, ci, rows)
+		case t == relation.KindString || t == relation.KindBool:
+			pool = categoricalCoveringTerms(ix, ci, rows)
 		}
 		if len(pool) > g.cfg.MaxTermsPerAttrPool {
 			pool = pool[:g.cfg.MaxTermsPerAttrPool]
 		}
 		if len(pool) > 0 {
-			pools[col.Name] = pool
+			pools = append(pools, attrPool{ci: ci, terms: pool})
 		}
 	}
 	return pools
 }
 
-// numericCoveringTerms proposes bounds that hold for all required rows,
-// anchored at data values: A ≥ min, A ≤ max, and strict versions at the
-// nearest outside values (which is where real queries put constants, cf.
-// the paper's Q3: year > 1982 AND year <= 1987).
-func (g *generator) numericCoveringTerms(j *db.Joined, ci int, attr string, required []int) []algebra.Term {
-	if len(required) == 0 {
+// numericCoveringTerms proposes bounds that hold for all rows, anchored at
+// data values: A ≥ min, A ≤ max, and strict versions at the nearest outside
+// values of the column (which is where real queries put constants, cf. the
+// paper's Q3: year > 1982 AND year <= 1987), found by binary search in the
+// column's memoised domain.
+func numericCoveringTerms(ix *joinIndex, ci int, rows []int) []algebra.Term {
+	if len(rows) == 0 {
 		return nil
 	}
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, ri := range required {
-		v := j.Rel.Tuples[ri][ci]
-		if !v.Kind.Numeric() {
+	for _, ri := range rows {
+		// A row holding NULL or NaN gets no bounds: NULL matches no
+		// comparison, and NaN compares equal to every number, so no strict
+		// bound covers it.
+		v := ix.j.Rel.Tuples[ri][ci]
+		if !v.Kind.Numeric() || math.IsNaN(v.AsFloat()) {
 			return nil
 		}
 		f := v.AsFloat()
@@ -300,30 +303,21 @@ func (g *generator) numericCoveringTerms(j *db.Joined, ci int, attr string, requ
 			hi = f
 		}
 	}
+	dom := ix.numericDomain(ci)
+	if len(dom) == 0 || (dom[0] >= lo && dom[len(dom)-1] <= hi) {
+		return nil // attribute cannot separate anything
+	}
 	// Nearest values outside [lo, hi] in the full column, to anchor strict
 	// bounds.
 	below, above := math.Inf(-1), math.Inf(1)
-	all := true
-	for _, t := range j.Rel.Tuples {
-		v := t[ci]
-		if !v.Kind.Numeric() {
-			continue
-		}
-		f := v.AsFloat()
-		if f < lo && f > below {
-			below = f
-		}
-		if f > hi && f < above {
-			above = f
-		}
-		if f < lo || f > hi {
-			all = false
-		}
+	if i := sort.SearchFloat64s(dom, lo); i > 0 {
+		below = dom[i-1]
 	}
-	if all {
-		return nil // attribute cannot separate anything
+	if i := sort.Search(len(dom), func(i int) bool { return dom[i] > hi }); i < len(dom) {
+		above = dom[i]
 	}
-	kind := j.Rel.Schema[ci].Type
+	attr := ix.j.Rel.Schema[ci].Name
+	kind := ix.j.Rel.Schema[ci].Type
 	mk := func(f float64) relation.Value {
 		if kind == relation.KindInt && f == math.Trunc(f) {
 			return relation.Int(int64(f))
@@ -342,50 +336,44 @@ func (g *generator) numericCoveringTerms(j *db.Joined, ci int, attr string, requ
 	return pool
 }
 
-// categoricalCoveringTerms proposes equality / IN terms over the required
-// rows' value set.
-func (g *generator) categoricalCoveringTerms(j *db.Joined, ci int, attr string, required []int) []algebra.Term {
-	vals := map[string]relation.Value{}
-	for _, ri := range required {
-		v := j.Rel.Tuples[ri][ci]
-		vals[v.Key()] = v
+// categoricalCoveringTerms proposes an equality / IN term over the rows'
+// value set. A row holding NULL gets none: NULL matches no comparison, so no
+// such term would cover it.
+func categoricalCoveringTerms(ix *joinIndex, ci int, rows []int) []algebra.Term {
+	cd := ix.col.Col(ci)
+	if len(ix.marks) < len(cd.Dict) {
+		ix.marks = make([]bool, len(cd.Dict))
 	}
-	if len(vals) == 0 {
-		return nil
-	}
-	// If the required set covers the whole active domain the attribute
-	// cannot separate.
-	dom := map[string]bool{}
-	for _, t := range j.Rel.Tuples {
-		dom[t[ci].Key()] = true
-	}
-	if len(vals) == len(dom) {
-		return nil
-	}
-	set := make([]relation.Value, 0, len(vals))
-	keys := make([]string, 0, len(vals))
-	for k := range vals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		set = append(set, vals[k])
-	}
-	if len(set) == 1 {
-		return []algebra.Term{algebra.NewTerm(attr, algebra.OpEQ, set[0])}
-	}
-	return []algebra.Term{algebra.NewSetTerm(attr, algebra.OpIn, set)}
-}
-
-// excludesAll reports whether the conjunct rejects every excluded row.
-func (g *generator) excludesAll(j *db.Joined, conj []algebra.Term, excluded []int) bool {
-	match := algebra.Predicate{algebra.Conjunct(conj)}.Compile(j.Rel.Schema)
-	for _, ri := range excluded {
-		if match(j.Rel.Tuples[ri]) {
-			return false
+	var codes []uint32
+	defer func() {
+		for _, c := range codes {
+			ix.marks[c] = false
+		}
+	}()
+	for _, ri := range rows {
+		c := cd.Codes[ri]
+		if cd.Dict[c].IsNull() {
+			return nil
+		}
+		if !ix.marks[c] {
+			ix.marks[c] = true
+			codes = append(codes, c)
 		}
 	}
-	return true
+	// If the rows cover the whole active domain the attribute cannot
+	// separate.
+	if len(codes) == 0 || len(codes) == len(cd.Dict) {
+		return nil
+	}
+	attr := ix.j.Rel.Schema[ci].Name
+	if len(codes) == 1 {
+		return []algebra.Term{algebra.NewTerm(attr, algebra.OpEQ, cd.Dict[codes[0]])}
+	}
+	set := make([]relation.Value, len(codes))
+	for i, c := range codes {
+		set[i] = cd.Dict[c]
+	}
+	return []algebra.Term{algebra.NewSetTerm(attr, algebra.OpIn, set)}
 }
 
 // generateClusterDNF builds disjunctive candidates: the result-producing
@@ -397,8 +385,13 @@ func (g *generator) excludesAll(j *db.Joined, conj []algebra.Term, excluded []in
 // loop adds clusters for the optional rows that supply the missing result
 // tuples. This produces queries like the paper's Q4 (a disjunction of
 // playerID equalities) and Q5/Q6 (an equality plus numeric bounds).
-func (g *generator) generateClusterDNF(j *db.Joined, tables, proj []string, rc rowClass) {
-	excl := make(map[int]bool, len(rc.excluded))
+//
+// Cluster values are dictionary codes of the attribute's column; each
+// cluster's rows, refinements and conjunct are memoised per code
+// (clusterSet), so repair rounds and the variant loop reuse them.
+func (g *generator) generateClusterDNF(ix *joinIndex, tables, proj []string, rc rowClass) {
+	j := ix.j
+	excl := make([]bool, j.Rel.Len())
 	for _, ri := range rc.excluded {
 		excl[ri] = true
 	}
@@ -415,44 +408,37 @@ func (g *generator) generateClusterDNF(j *db.Joined, tables, proj []string, rc r
 		if g.full() {
 			return
 		}
-		// Initial cluster values: the required rows' values.
-		var values []relation.Value
-		haveVal := map[string]bool{}
+		cd := ix.col.Col(ci)
+		// Initial cluster values: the required rows' values, in order of
+		// first appearance.
+		var values []uint32
 		for _, ri := range rc.required {
-			v := j.Rel.Tuples[ri][ci]
-			if !haveVal[v.Key()] {
-				haveVal[v.Key()] = true
-				values = append(values, v)
+			if c := cd.Codes[ri]; !slices.Contains(values, c) {
+				values = append(values, c)
+				if len(values) > g.cfg.MaxDisjuncts {
+					break
+				}
 			}
 		}
 		if len(values) == 0 || len(values) > g.cfg.MaxDisjuncts {
 			continue
 		}
-		// Row index by cluster value: every row a cluster predicate can
-		// select carries one of the cluster values, so scans below touch
-		// only these rows instead of the whole join.
-		rowsByVal := map[string][]int{}
-		for ri, t := range j.Rel.Tuples {
-			k := t[ci].Key()
-			rowsByVal[k] = append(rowsByVal[k], ri)
-		}
-		conjCache := map[string]algebra.Conjunct{}
+		cs := &clusterSet{ix: ix, ci: ci, excl: excl, byCode: make([]*cluster, len(cd.Dict))}
 
 		for round := 0; round < 4; round++ {
-			pred, ok := g.buildClusterPredicate(j, ci, values, excl, rowsByVal, conjCache)
+			pred, ok := g.buildClusterPredicate(cs, values)
 			if !ok {
 				break
 			}
 			// Project the selected rows and compare against R. Multiplicity
 			// counting goes through the hash kernel — no projected-key
-			// strings inside the per-round row scan.
+			// strings inside the per-round row scan. Every row a cluster
+			// predicate can select carries one of the cluster values, so the
+			// scan touches only those rows.
 			match := pred.Compile(j.Rel.Schema)
 			got := relation.NewBag(need.Distinct())
-			for _, v := range values {
-				for _, ri := range rowsByVal[v.Key()] {
-					if excl[ri] {
-						continue
-					}
+			for _, c := range values {
+				for _, ri := range cs.get(c).good {
 					if t := j.Rel.Tuples[ri]; match(t) {
 						got.IncProj(t, projIdx, 1)
 					}
@@ -484,18 +470,11 @@ func (g *generator) generateClusterDNF(j *db.Joined, tables, proj []string, rc r
 				// covering term: they select the same rows on D (covering
 				// terms hold on every selected row) but behave differently
 				// on modified databases, giving QFE something to winnow.
-				for vi, v := range values {
+				for vi, c := range values {
 					if g.full() {
 						break
 					}
-					var rows []int
-					for _, ri := range rowsByVal[v.Key()] {
-						if !excl[ri] {
-							rows = append(rows, ri)
-						}
-					}
-					refs := g.clusterRefinements(j, rows)
-					for k, extra := range refs {
+					for k, extra := range g.clusterRefinements(cs, cs.get(c)) {
 						if k >= 3 {
 							break
 						}
@@ -503,7 +482,7 @@ func (g *generator) generateClusterDNF(j *db.Joined, tables, proj []string, rc r
 						for pi, conj := range pred {
 							variant[pi] = append(algebra.Conjunct(nil), conj...)
 						}
-						variant[vi] = append(variant[vi], extra)
+						variant[vi] = append(variant[vi], extra.t)
 						g.emitTrusted(tables, proj, variant)
 					}
 				}
@@ -513,14 +492,13 @@ func (g *generator) generateClusterDNF(j *db.Joined, tables, proj []string, rc r
 			// missing result tuples. When several values can supply the
 			// same missing tuple (projected-value collisions), prefer the
 			// value whose cluster contains the fewest excluded rows —
-			// "clean" clusters cannot cause overshoot in later rounds.
-			badCount := map[string]int{}
-			for ri, t := range j.Rel.Tuples {
-				if excl[ri] {
-					badCount[t[ci].Key()]++
-				}
+			// "clean" clusters cannot cause overshoot in later rounds — and
+			// among those the smallest value key.
+			badCount := make([]int, len(cd.Dict))
+			for _, ri := range rc.excluded {
+				badCount[cd.Codes[ri]]++
 			}
-			bestFor := map[string]relation.Value{}
+			bestFor := map[string]uint32{}
 			for ri, t := range j.Rel.Tuples {
 				if excl[ri] {
 					continue
@@ -531,15 +509,15 @@ func (g *generator) generateClusterDNF(j *db.Joined, tables, proj []string, rc r
 				if missingSet.CountProj(t, projIdx) == 0 {
 					continue
 				}
-				k := t.Project(projIdx).Key()
-				v := t[ci]
-				if haveVal[v.Key()] {
+				c := cd.Codes[ri]
+				if slices.Contains(values, c) {
 					continue
 				}
+				k := t.Project(projIdx).Key()
 				cur, ok := bestFor[k]
-				if !ok || badCount[v.Key()] < badCount[cur.Key()] ||
-					(badCount[v.Key()] == badCount[cur.Key()] && v.Key() < cur.Key()) {
-					bestFor[k] = v
+				if !ok || badCount[c] < badCount[cur] ||
+					(badCount[c] == badCount[cur] && cd.Dict[c].Key() < cd.Dict[cur].Key()) {
+					bestFor[k] = c
 				}
 			}
 			keys := make([]string, 0, len(bestFor))
@@ -549,15 +527,14 @@ func (g *generator) generateClusterDNF(j *db.Joined, tables, proj []string, rc r
 			sort.Strings(keys)
 			added := false
 			for _, k := range keys {
-				v := bestFor[k]
-				if haveVal[v.Key()] {
+				c := bestFor[k]
+				if slices.Contains(values, c) {
 					continue
 				}
 				if len(values) >= g.cfg.MaxDisjuncts {
 					break
 				}
-				haveVal[v.Key()] = true
-				values = append(values, v)
+				values = append(values, c)
 				added = true
 			}
 			if !added {
@@ -567,54 +544,94 @@ func (g *generator) generateClusterDNF(j *db.Joined, tables, proj []string, rc r
 	}
 }
 
+// clusterSet memoises, per code of one cluster attribute's column, what the
+// cluster DNF computes about that value's cluster.
+type clusterSet struct {
+	ix     *joinIndex
+	ci     int
+	excl   []bool     // row-indexed: the row must not be selected
+	byCode []*cluster // nil until the code is first a cluster value
+}
+
+// cluster is one cluster value's memo.
+type cluster struct {
+	good, bad []int     // the value's non-excluded / excluded rows
+	refs      []colTerm // clusterRefinements(good), once refsDone
+	refsDone  bool
+	conj      algebra.Conjunct // the built conjunct, once one succeeded
+}
+
+// colTerm is a covering term with its column in the join.
+type colTerm struct {
+	t  algebra.Term
+	ci int
+}
+
+func (cs *clusterSet) get(c uint32) *cluster {
+	cl := cs.byCode[c]
+	if cl == nil {
+		cl = &cluster{}
+		for _, ri := range cs.ix.rowsOf(cs.ci, c) {
+			if cs.excl[ri] {
+				cl.bad = append(cl.bad, ri)
+			} else {
+				cl.good = append(cl.good, ri)
+			}
+		}
+		cs.byCode[c] = cl
+	}
+	return cl
+}
+
 // buildClusterPredicate assembles one DNF: per cluster value an equality
 // conjunct, refined with up to two covering terms (over the cluster's
 // non-excluded rows) until the conjunct rejects every excluded row of the
-// cluster.
-func (g *generator) buildClusterPredicate(j *db.Joined, ci int,
-	values []relation.Value, excl map[int]bool, rowsByVal map[string][]int,
-	conjCache map[string]algebra.Conjunct) (algebra.Predicate, bool) {
-	attr := j.Rel.Schema[ci].Name
+// cluster. The search keeps the first single term, else the first pair, in
+// clusterRefinements order whose reject sets with A = v's cover the bad
+// rows; a term's reject set is computed when the search first reaches it.
+func (g *generator) buildClusterPredicate(cs *clusterSet, values []uint32) (algebra.Predicate, bool) {
+	cd := cs.ix.col.Col(cs.ci)
+	attr := cs.ix.j.Rel.Schema[cs.ci].Name
 	var pred algebra.Predicate
-	for _, v := range values {
-		if cached, ok := conjCache[v.Key()]; ok {
-			pred = append(pred, cached)
+	for _, c := range values {
+		cl := cs.get(c)
+		if cl.conj != nil {
+			pred = append(pred, cl.conj)
 			continue
 		}
-		var good, bad []int
-		for _, ri := range rowsByVal[v.Key()] {
-			if excl[ri] {
-				bad = append(bad, ri)
-			} else {
-				good = append(good, ri)
-			}
-		}
-		if len(good) == 0 {
+		if len(cl.good) == 0 {
 			return nil, false
 		}
-		conj := algebra.Conjunct{algebra.NewTerm(attr, algebra.OpEQ, v)}
-		if len(bad) > 0 {
-			refs := g.clusterRefinements(j, good)
+		conj := algebra.Conjunct{algebra.NewTerm(attr, algebra.OpEQ, cd.Dict[c])}
+		if n := len(cl.bad); n > 0 {
+			// Every bad row holds code c, so A = v's reject set is empty
+			// or full depending on its one per-code outcome.
+			eqRejects := !conj[0].Matches(cd.Dict[c])
+			refs := g.clusterRefinements(cs, cl)
+			rej := make([][]uint64, len(refs))
+			rejects := func(i int) []uint64 {
+				if rej[i] == nil {
+					rej[i] = cs.ix.rejects(&refs[i].t, refs[i].ci, cl.bad)
+				}
+				return rej[i]
+			}
 			refined := false
-			for _, t1 := range refs {
-				cand := append(append(algebra.Conjunct{}, conj...), t1)
-				if g.excludesAll(j, cand, bad) {
-					conj, refined = cand, true
+			for i := range refs {
+				if eqRejects || covers(n, rejects(i), nil) {
+					conj, refined = append(conj, refs[i].t), true
 					break
 				}
 			}
 			if !refined {
 				// Pairs of covering terms from different attributes.
 			pairSearch:
-				for a := 0; a < len(refs) && !refined; a++ {
+				for a := range refs {
 					for b := a + 1; b < len(refs); b++ {
-						if refs[a].Attr == refs[b].Attr &&
-							refs[a].Op == refs[b].Op {
+						if refs[a].t.Attr == refs[b].t.Attr && refs[a].t.Op == refs[b].t.Op {
 							continue
 						}
-						cand := append(append(algebra.Conjunct{}, conj...), refs[a], refs[b])
-						if g.excludesAll(j, cand, bad) {
-							conj, refined = cand, true
+						if covers(n, rejects(a), rejects(b)) {
+							conj, refined = append(conj, refs[a].t, refs[b].t), true
 							break pairSearch
 						}
 					}
@@ -624,24 +641,23 @@ func (g *generator) buildClusterPredicate(j *db.Joined, ci int,
 				return nil, false
 			}
 		}
-		conjCache[v.Key()] = conj
+		cl.conj = conj
 		pred = append(pred, conj)
 	}
 	return pred, true
 }
 
-// clusterRefinements proposes single covering terms for a row cluster, in a
-// deterministic order.
-func (g *generator) clusterRefinements(j *db.Joined, rows []int) []algebra.Term {
-	pools := g.coveringTermPools(j, rows)
-	attrs := make([]string, 0, len(pools))
-	for a := range pools {
-		attrs = append(attrs, a)
+// clusterRefinements proposes single covering terms for a cluster's
+// non-excluded rows, in a deterministic order (attribute name, then pool
+// order), memoised per cluster.
+func (g *generator) clusterRefinements(cs *clusterSet, cl *cluster) []colTerm {
+	if !cl.refsDone {
+		for _, p := range g.coveringTermPools(cs.ix, cl.good) {
+			for _, t := range p.terms {
+				cl.refs = append(cl.refs, colTerm{t: t, ci: p.ci})
+			}
+		}
+		cl.refsDone = true
 	}
-	sort.Strings(attrs)
-	var out []algebra.Term
-	for _, a := range attrs {
-		out = append(out, pools[a]...)
-	}
-	return out
+	return cl.refs
 }

@@ -9,8 +9,10 @@
 // joined schema, and (c) selection predicates built from covering terms
 // (terms satisfied by every tuple that must appear in the result) combined
 // conjunctively across attributes and disjunctively across categorical
-// clusters. Every emitted query is verified by evaluation, so configuration
-// knobs only control the search budget, never correctness.
+// clusters. Every emitted query reproduces R — verified by evaluation
+// (emit, emitVerified) or by construction (the cluster DNF and its variants,
+// emitTrusted; DESIGN.md §15) — so configuration knobs only control the
+// search budget, never correctness.
 package qbo
 
 import (
@@ -96,11 +98,12 @@ func Generate(d *db.Database, r *relation.Relation, cfg Config) ([]*algebra.Quer
 		if j.Rel.Len() < r.Len() {
 			continue // join too small to produce R under bag semantics
 		}
+		ix := newJoinIndex(j)
 		for _, proj := range g.projectionMappings(j) {
 			if g.full() {
 				break
 			}
-			g.generateForJoin(j, tables, proj)
+			g.generateForJoin(ix, tables, proj)
 		}
 	}
 	for i, q := range g.out {
@@ -140,8 +143,10 @@ func (g *generator) emit(j *db.Joined, tables []string, proj []string, pred alge
 }
 
 // emitTrusted appends a query whose exactness the caller has already
-// established (used by the cluster builder, whose residual check is itself
-// a complete verification).
+// established: the cluster builder's DNF, whose conjuncts reject every
+// excluded row and whose residual check is itself a complete verification,
+// and its variants, which add one covering term — a term that holds on every
+// row the variant's cluster selects.
 func (g *generator) emitTrusted(tables, proj []string, pred algebra.Predicate) {
 	if g.full() {
 		return

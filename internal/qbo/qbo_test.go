@@ -1,6 +1,8 @@
 package qbo
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"qfe/internal/algebra"
@@ -280,6 +282,16 @@ func TestPerturbConstants(t *testing.T) {
 	if len(extra) == 0 {
 		t.Fatal("expected perturbed variants (e.g. salary > 3700..4200 gap)")
 	}
+	// The adjacent data value below 4000 and the midpoints of the gaps on
+	// either side of it, in that order.
+	var got []string
+	for _, q := range extra {
+		got = append(got, q.Name+": "+q.Pred.String())
+	}
+	want := []string{"P1: Employee.salary > 3700", "P2: Employee.salary > 3850", "P3: Employee.salary > 4100"}
+	if strings.Join(got, "; ") != strings.Join(want, "; ") {
+		t.Errorf("perturbed variants %q, want %q", got, want)
+	}
 	for _, q := range extra {
 		res, err := q.Evaluate(d)
 		if err != nil || !res.BagEqual(r) {
@@ -315,5 +327,53 @@ func TestGenerateCandidateMagnitude(t *testing.T) {
 		for _, q := range qs {
 			t.Logf("  %s", q)
 		}
+	}
+}
+
+// TestGenerateCoveringRowsWithNullOrNaN pins the contract on rows a covering
+// term cannot match: NULL matches no comparison, and NaN compares equal to
+// every number, so neither is covered by = / IN terms or strict bounds.
+// The cluster DNF's variants append covering terms without evaluating
+// them, so a term that skips such a row would emit a query that loses it.
+func TestGenerateCoveringRowsWithNullOrNaN(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		kind relation.Kind
+		tag  []any
+	}{
+		{"null", relation.KindString, []any{"x", nil, "y", "z"}},
+		{"nan", relation.KindFloat, []any{1.0, math.NaN(), 2.0, 3.0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := db.New()
+			rel := relation.New("T", relation.NewSchema(
+				"id", relation.KindInt, "name", relation.KindString,
+				"grp", relation.KindString, "atag", tc.kind))
+			rel.Append(
+				relation.NewTuple(1, "a", "g1", tc.tag[0]),
+				relation.NewTuple(2, "b", "g1", tc.tag[1]),
+				relation.NewTuple(3, "c", "g2", tc.tag[2]),
+				relation.NewTuple(4, "d", "g2", tc.tag[3]),
+			)
+			d.MustAddTable(rel)
+			r := relation.New("R", relation.NewSchema("name", relation.KindString)).
+				Append(relation.NewTuple("a"), relation.NewTuple("b"))
+			qs, err := Generate(d, r, DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(qs) == 0 {
+				t.Fatal("no candidates")
+			}
+			for _, q := range qs {
+				res, err := q.Evaluate(d)
+				if err != nil {
+					t.Fatalf("%s: %v", q, err)
+				}
+				if !res.BagEqual(r) {
+					t.Errorf("candidate %s does not produce R: %v", q, res.Tuples)
+				}
+			}
+		})
 	}
 }

@@ -1,10 +1,13 @@
 #!/bin/sh
 # Benchmark regression guard for the CI smoke step. Two gates:
 #
-#  1. Allocation gate — BenchmarkMicroFullSession allocs/op must not exceed
-#     the recorded baseline (BENCH_baseline.txt) by more than the allowed
-#     headroom. Wall-clock is machine-dependent and not gated; allocations
-#     are deterministic modulo pool warm-up, which the headroom absorbs.
+#  1. Allocation gates — allocs/op of BenchmarkMicroFullSession (a whole
+#     winnowing session) and of BenchmarkMicroCandidateGenerationQ4 (QBO
+#     candidate generation on baseball/Q4) must not exceed their recorded
+#     baselines (BENCH_baseline.txt and BENCH_baseline_qbo.txt) by more than
+#     the allowed headroom. Wall-clock is machine-dependent and not gated;
+#     allocations are deterministic modulo pool warm-up, which the headroom
+#     absorbs.
 #
 #  2. Speedup gate — the parallel variants of MicroSessionParallelism and
 #     MicroAlg4Parallelism must beat their serial twins by the required
@@ -17,12 +20,11 @@
 #     of reporting noise.
 #
 # Usage: scripts/bench_guard.sh [headroom_percent]
-# Refresh the allocation baseline after an intentional change with:
+# Refresh both allocation baselines after an intentional change with:
 #   scripts/bench_guard.sh --record
 set -e
 
 cd "$(dirname "$0")/.."
-BASELINE_FILE=BENCH_baseline.txt
 HEADROOM="${1:-20}"
 
 # Speedup-gate thresholds: parallel ns/op must be <= serial * MAX_RATIO.
@@ -46,35 +48,47 @@ echo "bench_guard: obs hot-path zero-alloc contract OK"
 
 # --- gate 1: allocations (instrumented build) --------------------------------
 
+# alloc_gate <benchmark> <benchtime> <baseline file>: run the benchmark alone
+# and compare its allocs/op with the baseline, or record it under --record.
 # -cpu 1 pins the measurement: allocs/op grows a few percent with
 # GOMAXPROCS (per-worker scratch, per-P pools), so recorded baselines and
 # CI runners must agree on the core count to be comparable.
-OUT=$(go test -run '^$' -bench 'BenchmarkMicroFullSession$' -benchmem -benchtime 3x -cpu 1 .)
-echo "$OUT"
-ALLOCS=$(echo "$OUT" | awk '$1 ~ /^BenchmarkMicroFullSession/ {
-    for (i = 1; i <= NF; i++) if ($i == "allocs/op") print $(i-1)
-}')
-if [ -z "$ALLOCS" ]; then
-    echo "bench_guard: could not parse allocs/op from benchmark output" >&2
-    exit 2
-fi
+alloc_gate() {
+    NAME=$1; BENCHTIME=$2; BASELINE_FILE=$3
+    OUT=$(go test -run '^$' -bench "^$NAME\$" -benchmem -benchtime "$BENCHTIME" -cpu 1 .)
+    echo "$OUT"
+    ALLOCS=$(echo "$OUT" | awk -v name="$NAME" '$1 == name {
+        for (i = 1; i <= NF; i++) if ($i == "allocs/op") print $(i-1)
+    }')
+    if [ -z "$ALLOCS" ]; then
+        echo "bench_guard: could not parse $NAME allocs/op from benchmark output" >&2
+        exit 2
+    fi
+    if [ "$HEADROOM" = "--record" ]; then
+        echo "$ALLOCS" > "$BASELINE_FILE"
+        echo "bench_guard: recorded $NAME baseline $ALLOCS allocs/op in $BASELINE_FILE"
+        return
+    fi
+    if [ ! -f "$BASELINE_FILE" ]; then
+        echo "bench_guard: no baseline file $BASELINE_FILE; run with --record first" >&2
+        exit 2
+    fi
+    BASELINE=$(cat "$BASELINE_FILE")
+    LIMIT=$((BASELINE + BASELINE * HEADROOM / 100))
+    echo "bench_guard: $NAME $ALLOCS allocs/op (baseline $BASELINE, limit $LIMIT = +$HEADROOM%)"
+    if [ "$ALLOCS" -gt "$LIMIT" ]; then
+        echo "bench_guard: FAIL — $NAME allocation regression over the recorded baseline" >&2
+        exit 1
+    fi
+}
 
+alloc_gate BenchmarkMicroFullSession 3x BENCH_baseline.txt
+# One iteration suffices: a Q4 generation makes about a million allocations,
+# and a return to per-conjunct predicate compiles would make fifteen times
+# as many.
+alloc_gate BenchmarkMicroCandidateGenerationQ4 1x BENCH_baseline_qbo.txt
 if [ "$HEADROOM" = "--record" ]; then
-    echo "$ALLOCS" > "$BASELINE_FILE"
-    echo "bench_guard: recorded baseline $ALLOCS allocs/op"
     exit 0
-fi
-
-if [ ! -f "$BASELINE_FILE" ]; then
-    echo "bench_guard: no baseline file $BASELINE_FILE; run with --record first" >&2
-    exit 2
-fi
-BASELINE=$(cat "$BASELINE_FILE")
-LIMIT=$((BASELINE + BASELINE * HEADROOM / 100))
-echo "bench_guard: MicroFullSession $ALLOCS allocs/op (baseline $BASELINE, limit $LIMIT = +$HEADROOM%)"
-if [ "$ALLOCS" -gt "$LIMIT" ]; then
-    echo "bench_guard: FAIL — allocation regression over the recorded baseline" >&2
-    exit 1
 fi
 echo "bench_guard: allocations OK"
 
