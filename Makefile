@@ -39,8 +39,8 @@ bench:
 bench-micro:
 	$(GO) test -bench BenchmarkMicro -benchmem -benchtime 1x -run '^$$' ./...
 
-# Focused batch-engine benchmarks: the shared-scan evaluator against the
-# scalar reference, plus the two acceptance gates.
+# Focused batch-engine benchmarks: the shared-scan evaluator, the
+# allocation-gated full session, and Algorithm 4 serial vs all-cores.
 bench-batch:
 	$(GO) test -bench 'BenchmarkMicroBatchEval|BenchmarkMicroFullSession|BenchmarkMicroAlg4Parallelism' \
 		-benchmem -run '^$$' .
@@ -48,9 +48,9 @@ bench-batch:
 # Benchmark gates (CI): fail when MicroFullSession allocs/op exceeds the
 # recorded BENCH_baseline.txt, or MicroCandidateGenerationQ4 allocs/op (QBO
 # on baseball/Q4) the recorded BENCH_baseline_qbo.txt, by more than 20%, or
-# (on hosts with >= 8 cores) when the parallel session / Algorithm 4
-# benchmarks miss their speedup ratios. Refresh both allocation baselines
-# after an intentional change with scripts/bench_guard.sh --record.
+# (on hosts with >= 8 cores) when the parallel session benchmark misses its
+# speedup ratio. Refresh both allocation baselines after an intentional
+# change with scripts/bench_guard.sh --record.
 bench-guard:
 	./scripts/bench_guard.sh
 

@@ -72,8 +72,8 @@ type refBlock struct {
 
 // refPartition is the string-keyed reference for evalCtx.evaluate: it
 // groups the candidates by their case-code vector over the pairs (one byte
-// per pair, straight from Space.CaseOf) and prices each block from its
-// first query, as Lemma 5.1 does: an added or removed result tuple costs
+// per pair, straight from Space.CaseOf), keeps blocks in order of their
+// first query, and prices each block from that query, as Lemma 5.1 does: an added or removed result tuple costs
 // arity(R), a replaced one the changed attributes the query projects.
 func refPartition(g *Generator, pairs []tupleclass.Pair) []refBlock {
 	byKey := map[string]int{}
@@ -111,26 +111,12 @@ func refEdit(g *Generator, pairs []tupleclass.Pair, cases []byte, qi int) int {
 	return edit
 }
 
-// blockMultiset sorts (size, edit) rows so block order does not matter.
-func blockMultiset(sizes, edits []int) [][2]int {
-	out := make([][2]int, len(sizes))
-	for i := range sizes {
-		out[i] = [2]int{sizes[i], edits[i]}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a][0] != out[b][0] {
-			return out[a][0] < out[b][0]
-		}
-		return out[a][1] < out[b][1]
-	})
-	return out
-}
-
 // TestEvaluateMatchesReferencePartition scores pair sets of every size from
-// 0 to 40 with Algorithm 4's evalCtx.evaluate — packed keys up to 32 pairs,
-// string keys beyond — and checks each against the string-keyed reference
-// partition: the same multiset of block sizes, the same result edits per
-// block, the same k, and Lemma 5.1's bound k ≤ 4^|S|.
+// 0 to 40 with Algorithm 4's evalCtx.evaluate, which refines query masks by
+// the pairs' interned signatures, and checks each against the string-keyed
+// reference partition: the same block sizes and result edits, block by
+// block in order of each block's lowest query, the same k, and Lemma 5.1's
+// bound k ≤ 4^|S|.
 func TestEvaluateMatchesReferencePartition(t *testing.T) {
 	g := example51Generator(t)
 	sp := g.EnumerateScoredPairs(0)
@@ -141,15 +127,19 @@ func TestEvaluateMatchesReferencePartition(t *testing.T) {
 	var scr evalScratch
 	check := func(indices []int) []refBlock {
 		t.Helper()
-		_, _, k := ctx.evaluate(indices, &scr)
+		sigs := make([]int32, len(indices))
+		for i, pi := range indices {
+			sigs[i] = ctx.sigOf[pi]
+		}
+		_, _, k := ctx.evaluate(sigs, &scr)
 		ref := refPartition(g, pairsAt(sp, indices))
 		refSizes, refEdits := make([]int, len(ref)), make([]int, len(ref))
 		for i, b := range ref {
 			refSizes[i], refEdits[i] = len(b.queries), b.edit
 		}
-		got, want := blockMultiset(scr.sizes, scr.resultEdits), blockMultiset(refSizes, refEdits)
-		if !slices.Equal(got, want) {
-			t.Fatalf("set %v: (size, edit) blocks %v, reference %v", indices, got, want)
+		if !slices.Equal(scr.sizes, refSizes) || !slices.Equal(scr.resultEdits, refEdits) {
+			t.Fatalf("set %v: block sizes %v edits %v, reference %v %v",
+				indices, scr.sizes, scr.resultEdits, refSizes, refEdits)
 		}
 		if k != len(ref) {
 			t.Fatalf("set %v: k = %d, reference %d", indices, k, len(ref))

@@ -76,8 +76,9 @@ type Options struct {
 	// concrete side effects destroy its predicted partition).
 	MaxCandidateSets int
 	// Parallelism sets the worker count for the generator's parallel loops:
-	// candidate evaluation, skyline (STC, DTC) enumeration, Algorithm 4 set
-	// scoring and the concrete partitioning. 0 selects GOMAXPROCS; 1 runs
+	// candidate evaluation, skyline (STC, DTC) enumeration, Algorithm 4's
+	// per-pair case masks and its per-level scoring pass, and the concrete
+	// partitioning. 0 selects GOMAXPROCS; 1 runs
 	// every loop serially in index order, and every worker count reproduces
 	// that result exactly whenever the δ budget does not truncate
 	// enumeration (time-based budgets are inherently machine-dependent
@@ -121,6 +122,9 @@ type Generator struct {
 	baseResults []*relation.Relation // Q(D) per query (= R for true candidates)
 	srcClasses  []tupleclass.SourceClass
 	srcRows     map[string][]int
+	// srcMatch[i] is srcClasses[i]'s query match mask, shared by every pair
+	// Algorithms 3 and 4 build from that source class.
+	srcMatch [][]uint64
 
 	// Algorithm 4 stage times of the latest PickSubsets call (observe-only;
 	// copied into Result by Generate).
@@ -154,8 +158,10 @@ func New(d *db.Database, joined *db.Joined, queries []*algebra.Query,
 		return nil, err
 	}
 	g.srcRows = make(map[string][]int, len(g.srcClasses))
-	for _, sc := range g.srcClasses {
+	g.srcMatch = make([][]uint64, len(g.srcClasses))
+	for i, sc := range g.srcClasses {
 		g.srcRows[sc.Key] = sc.Rows
+		g.srcMatch[i] = space.MatchMask(sc.Class)
 	}
 	return g, nil
 }
@@ -211,8 +217,9 @@ type Result struct {
 	X               int // Lemma 3.1's x
 	Alg3Time        time.Duration
 	Alg4Time        time.Duration
-	// Alg4Time split by pipeline stage (DESIGN.md §10): candidate-set
-	// enumeration, cost-model scoring, and the in-order prune/rank replay.
+	// Alg4Time split by pass (DESIGN.md §10): listing the candidate sets,
+	// scoring their distinct signature multisets, and the in-order
+	// prune/rank replay.
 	Alg4EnumTime   time.Duration
 	Alg4ScoreTime  time.Duration
 	Alg4TopKTime   time.Duration

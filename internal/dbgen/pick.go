@@ -2,9 +2,9 @@ package dbgen
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"qfe/internal/cost"
@@ -22,38 +22,73 @@ type CandidateSet struct {
 	Subsets int // predicted number of partition blocks
 }
 
-// evalCtx caches, per skyline pair, everything the cost model needs so that
-// evaluating a candidate set is pure byte arithmetic: the Lemma 5.1 case
-// code per query, the replace-cost per query, the pair's edit cost and the
-// base tables it touches. Algorithm 4 evaluates thousands of sets; without
-// this cache every evaluation would re-run predicate matching.
+// evalCtx holds what Algorithm 4's cost model reads of each skyline pair,
+// with pairs interned by signature. A pair's signature is everything
+// evaluate reads of it: its Lemma 5.1 case masks, its replace cost for each
+// query it replaces a result tuple of, its edit cost minEdit(s, d) and the
+// base tables it touches. Pairs with equal signatures are interchangeable
+// in the cost model, so a candidate set's score is a function of the
+// multiset of its pairs' signatures, and Algorithm 4 scores each distinct
+// multiset once. Feasibility is not part of the signature: it depends on
+// the source classes and is checked per set of pairs.
 type evalCtx struct {
 	g      *Generator
-	sp     []ScoredPair
 	x      int
-	codes  [][]uint8 // [pair][query] case code
-	codesT []uint8   // [query*np+pair] transposed case codes (scan-friendly)
-	repl   [][]int   // [pair][query] modify cost when code == replace
-	edit   []int     // [pair] minEdit(s,d)
-	tables [][]string
 	nq     int
-	np     int
+	words  int // query-mask words
 	arityR int
+	all    []uint64 // mask of every query
+
+	// sigs holds one row of sigLen words per distinct signature (layout
+	// below); sigOf[pair] is the pair's signature id.
+	sigs   []uint64
+	sigLen int
+	sigOf  []int32
+
 	// srcID[pair] resolves the pair's source class to its index in
 	// g.srcClasses (by class hash, Equal-verified), -1 when the class has no
 	// inhabitants; srcCap[class] is the inhabitant count. Feasibility checks
-	// then count duplicates over small index slices instead of building a
-	// map keyed by Class.Key strings per candidate set.
+	// count duplicates over small index slices instead of building a map
+	// keyed by Class.Key strings per candidate set.
 	srcID  []int
 	srcCap []int
 }
 
+// A signature row is, in words: the unchanged, add, remove and replace
+// query masks (words each, the four disjoint planes a block splits along),
+// then one replace cost per query (0 where the pair does not replace), the
+// edit cost, and the touched tables as a bit set.
+func (ctx *evalCtx) planes(row []uint64) []uint64 { return row[:4*ctx.words] }
+func (ctx *evalCtx) replCost(row []uint64, q int) int {
+	return int(row[4*ctx.words+q])
+}
+func (ctx *evalCtx) editCost(row []uint64) int    { return int(row[4*ctx.words+ctx.nq]) }
+func (ctx *evalCtx) tables(row []uint64) []uint64 { return row[4*ctx.words+ctx.nq+1:] }
+func (ctx *evalCtx) sig(id int32) []uint64 {
+	return ctx.sigs[int(id)*ctx.sigLen : (int(id)+1)*ctx.sigLen]
+}
+
 func (g *Generator) newEvalCtx(sp []ScoredPair, x, workers int) *evalCtx {
-	ctx := &evalCtx{g: g, sp: sp, x: x, nq: len(g.Queries), np: len(sp), arityR: g.R.Arity()}
-	ctx.codes = make([][]uint8, len(sp))
-	ctx.repl = make([][]int, len(sp))
-	ctx.edit = make([]int, len(sp))
-	ctx.tables = make([][]string, len(sp))
+	space := g.Space
+	ctx := &evalCtx{g: g, x: x, nq: len(g.Queries), words: space.Words(), arityR: g.R.Arity()}
+	ctx.all = make([]uint64, ctx.words)
+	for q := 0; q < ctx.nq; q++ {
+		ctx.all[q/64] |= 1 << (q % 64)
+	}
+	// Each predicate attribute's base table, numbered in attribute order.
+	tableOf := make([]int, len(space.Parts))
+	tableIDs := map[string]int{}
+	for a, p := range space.Parts {
+		t := g.Joined.Cols[p.Col].Table
+		id, ok := tableIDs[t]
+		if !ok {
+			id = len(tableIDs)
+			tableIDs[t] = id
+		}
+		tableOf[a] = id
+	}
+	ctx.sigLen = 4*ctx.words + ctx.nq + 1 + (len(tableIDs)+63)/64
+
 	byHash := make(map[uint64][]int, len(g.srcClasses))
 	for si := range g.srcClasses {
 		h := g.srcClasses[si].Class.Hash64()
@@ -73,183 +108,188 @@ func (g *Generator) newEvalCtx(sp []ScoredPair, x, workers int) *evalCtx {
 			}
 		}
 	}
-	// Per-pair slots are written by disjoint indexes, and CaseOf/ReplaceCost
-	// only read the space, so building the cache parallelises trivially.
-	par.Do(len(sp), workers, func(pi int) {
-		p := sp[pi]
-		ctx.edit[pi] = p.Pair.EditCost
-		codes := make([]uint8, ctx.nq)
-		repl := make([]int, ctx.nq)
-		for qi := 0; qi < ctx.nq; qi++ {
-			codes[qi] = g.Space.CaseOf(p.Pair, qi)
-			repl[qi] = g.Space.ReplaceCost(p.Pair, qi)
+
+	// Signature rows per pair. Rows are written by disjoint indexes and
+	// CaseMasks only reads the space, so this parallelises trivially.
+	rows := make([]uint64, len(sp)*ctx.sigLen)
+	cases := make([]*tupleclass.Cases, workers)
+	par.DoIndexed(len(sp), workers, func(w, pi int) {
+		if cases[w] == nil {
+			cases[w] = space.NewCases()
 		}
-		ctx.codes[pi] = codes
-		ctx.repl[pi] = repl
-		tset := map[string]bool{}
-		for _, a := range p.Pair.ChangedAttrs() {
-			tset[g.Joined.Cols[g.Space.Parts[a].Col].Table] = true
+		cs, p := cases[w], sp[pi].Pair
+		var src []uint64
+		if si := ctx.srcID[pi]; si >= 0 {
+			src = g.srcMatch[si]
+		} else {
+			src = space.MatchMask(p.Src)
 		}
-		for t := range tset {
-			ctx.tables[pi] = append(ctx.tables[pi], t)
+		space.CaseMasks(p, src, cs)
+		row := rows[pi*ctx.sigLen : (pi+1)*ctx.sigLen]
+		pl, W := ctx.planes(row), ctx.words
+		for w := 0; w < W; w++ {
+			pl[W+w], pl[2*W+w], pl[3*W+w] = cs.Add[w], cs.Remove[w], cs.Replace[w]
+			pl[w] = ctx.all[w] &^ (cs.Add[w] | cs.Remove[w] | cs.Replace[w])
+		}
+		for w, m := range cs.Replace {
+			for ; m != 0; m &= m - 1 {
+				q := 64*w + bits.TrailingZeros64(m)
+				row[4*W+q] = uint64(space.ReplaceCost(p, q))
+			}
+		}
+		row[4*W+ctx.nq] = uint64(p.EditCost)
+		tbl := ctx.tables(row)
+		for _, a := range p.ChangedAttrs() {
+			tbl[tableOf[a]/64] |= 1 << (tableOf[a] % 64)
 		}
 	})
-	// Transposed copy of the case codes: evaluate reads all of one query's
-	// codes across a set's pairs, which in [pair][query] layout touches one
-	// cache line per pair; [query][pair] makes the inner loop walk one row.
-	ctx.codesT = make([]uint8, ctx.nq*ctx.np)
+
+	// Intern serially, in pair order, so signature ids are deterministic.
+	ctx.sigOf = make([]int32, len(sp))
+	sigsByHash := make(map[uint64][]int32, len(sp))
 	for pi := range sp {
-		for qi := 0; qi < ctx.nq; qi++ {
-			ctx.codesT[qi*ctx.np+pi] = ctx.codes[pi][qi]
+		row := rows[pi*ctx.sigLen : (pi+1)*ctx.sigLen]
+		h := hashWords(row)
+		id := int32(-1)
+		for _, s := range sigsByHash[h] {
+			if slices.Equal(ctx.sig(s), row) {
+				id = s
+				break
+			}
 		}
+		if id < 0 {
+			id = int32(len(ctx.sigs) / ctx.sigLen)
+			ctx.sigs = append(ctx.sigs, row...)
+			sigsByHash[h] = append(sigsByHash[h], id)
+		}
+		ctx.sigOf[pi] = id
 	}
 	return ctx
 }
 
-// pblock is one result-partition block during set evaluation: the packed
-// case-vector key, the block size and a representative query.
-type pblock struct {
-	key  uint64
-	size int
-	rep  int
+// hashWords hashes a signature row: FNV-1a over its words, then mix64.
+func hashWords(row []uint64) uint64 {
+	h := uint64(14695981039346656037)
+	for _, w := range row {
+		h = (h ^ w) * 1099511628211
+	}
+	return mix64(h)
 }
 
-// evalScratch carries the per-evaluation working buffers. Algorithm 4
-// evaluates tens of thousands of sets per round; reusing one scratch per
-// worker (par.DoIndexed) removes every per-evaluation allocation from the
-// hot loop. Scratch contents never outlive an evaluate call — the cost
-// model consumes sizes and edits by value.
+// mix64 is the splitmix64 finalizer.
+func mix64(h uint64) uint64 {
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
+// elemHash spreads one pair index or signature id over 64 bits. A set's
+// hash is the sum of its elements' hashes, so adding or removing one
+// element updates it in O(1). Every table probed by these hashes verifies
+// equality on a match, so they route through the kernel's collision mask,
+// which lets tests force collisions.
+func elemHash(x int) uint64 {
+	return relation.CollisionTestMask(mix64(uint64(x) + 0x9e3779b97f4a7c15))
+}
+
+// evalScratch carries one worker's evaluation buffers, reused across sets,
+// so scoring allocates nothing per set. Scratch contents never outlive an
+// evaluate call — the cost model consumes sizes and edits by value.
 type evalScratch struct {
-	blocks      []pblock
-	sizes       []int
-	resultEdits []int
-	tbls        []string
-	keyBuf      []byte
+	blocks, next []uint64
+	order        []block
+	sizes        []int
+	resultEdits  []int
+	tables       []uint64
 }
 
-// evaluate scores the candidate set identified by ascending SP indices.
-// Sets of up to 32 pairs — every set Algorithm 4 reaches in practice — pack
-// the per-query case vector into a uint64 (2 bits per pair) and group
-// through a small linear-scanned slice, replacing the per-query key-string
-// allocations and the map of blocks the legacy path built per evaluation.
-// The cost model consumes sizes and edits through order-insensitive sums,
-// so block order does not matter (the legacy path iterated a map).
-func (ctx *evalCtx) evaluate(indices []int, scr *evalScratch) (costVal, balance float64, k int) {
+// block is one result-partition block after refinement: its lowest query
+// and its size.
+type block struct{ rep, size int }
+
+// evaluate scores the candidate set whose pairs have the given signatures.
+// The candidates start as one block, the mask of every query; each pair
+// splits every block along its four case planes (unchanged, add, remove,
+// replace), dropping empty parts, so two queries end in one block exactly
+// when every pair affects them the same way (Lemma 5.1). Blocks are then
+// ordered by their lowest query, the order cost.Balance's float sums see.
+// A block's predicted minEdit(R, Rᵢ) is priced from that lowest query: an
+// added or removed result tuple costs arity(R), a replaced one the changed
+// attributes the query projects.
+func (ctx *evalCtx) evaluate(sigs []int32, scr *evalScratch) (costVal, balance float64, k int) {
+	W := ctx.words
+	blocks := append(scr.blocks[:0], ctx.all...)
+	for _, s := range sigs {
+		pl := ctx.planes(ctx.sig(s))
+		next := scr.next[:0]
+		for off := 0; off < len(blocks); off += W {
+			b := blocks[off : off+W]
+			for c := 0; c < 4*W; c += W {
+				start, nonzero := len(next), uint64(0)
+				for w, m := range b {
+					v := m & pl[c+w]
+					next = append(next, v)
+					nonzero |= v
+				}
+				if nonzero == 0 {
+					next = next[:start]
+				}
+			}
+		}
+		blocks, scr.next = next, blocks
+	}
+	scr.blocks = blocks
+
+	order := scr.order[:0]
+	for off := 0; off < len(blocks); off += W {
+		rep := -1
+		size := 0
+		for w, m := range blocks[off : off+W] {
+			if rep < 0 && m != 0 {
+				rep = 64*w + bits.TrailingZeros64(m)
+			}
+			size += bits.OnesCount64(m)
+		}
+		order = append(order, block{rep: rep, size: size})
+	}
+	slices.SortFunc(order, func(a, b block) int { return a.rep - b.rep })
+	scr.order = order
+
 	sizes, resultEdits := scr.sizes[:0], scr.resultEdits[:0]
-	if len(indices) <= 32 {
-		blocks := scr.blocks[:0]
-		// Linear scan while the block count stays small (the common case:
-		// partitions have a handful of blocks); an index map takes over past
-		// that so diverse case vectors never go quadratic in |QC|.
-		var blockIdx map[uint64]int
-		for qi := 0; qi < ctx.nq; qi++ {
-			var key uint64
-			row := ctx.codesT[qi*ctx.np : (qi+1)*ctx.np]
-			for _, pi := range indices {
-				key = key<<2 | uint64(row[pi])
-			}
-			found := -1
-			if blockIdx != nil {
-				if bi, ok := blockIdx[key]; ok {
-					found = bi
-				}
-			} else {
-				for bi := range blocks {
-					if blocks[bi].key == key {
-						found = bi
-						break
-					}
-				}
-			}
-			if found < 0 {
-				blocks = append(blocks, pblock{key: key, size: 1, rep: qi})
-				if blockIdx != nil {
-					blockIdx[key] = len(blocks) - 1
-				} else if len(blocks) > 32 {
-					blockIdx = make(map[uint64]int, ctx.nq)
-					for bi := range blocks {
-						blockIdx[blocks[bi].key] = bi
-					}
-				}
-			} else {
-				blocks[found].size++
+	for _, b := range order {
+		sizes = append(sizes, b.size)
+		word, bit := b.rep/64, uint64(1)<<(b.rep%64)
+		edit := 0
+		for _, s := range sigs {
+			row := ctx.sig(s)
+			switch {
+			case (row[W+word]|row[2*W+word])&bit != 0: // add / remove
+				edit += ctx.arityR
+			case row[3*W+word]&bit != 0: // replace
+				edit += ctx.replCost(row, b.rep)
 			}
 		}
-		scr.blocks = blocks
-		for _, b := range blocks {
-			sizes = append(sizes, b.size)
-			edit := 0
-			key := b.key
-			for i := len(indices) - 1; i >= 0; i-- {
-				switch key & 3 {
-				case 1, 2: // add / remove
-					edit += ctx.arityR
-				case 3: // replace
-					edit += ctx.repl[indices[i]][b.rep]
-				}
-				key >>= 2
-			}
-			resultEdits = append(resultEdits, edit)
-		}
-	} else {
-		// Partition queries by their case-code vector across the set's pairs.
-		type block struct {
-			size int
-			rep  int
-		}
-		blocks := map[string]*block{}
-		if cap(scr.keyBuf) < len(indices) {
-			scr.keyBuf = make([]byte, len(indices))
-		}
-		keyBuf := scr.keyBuf[:len(indices)]
-		for qi := 0; qi < ctx.nq; qi++ {
-			for i, pi := range indices {
-				keyBuf[i] = ctx.codes[pi][qi]
-			}
-			k := string(keyBuf)
-			b := blocks[k]
-			if b == nil {
-				blocks[k] = &block{size: 1, rep: qi}
-			} else {
-				b.size++
-			}
-		}
-		for key, b := range blocks {
-			sizes = append(sizes, b.size)
-			edit := 0
-			for i, pi := range indices {
-				switch key[i] {
-				case 1, 2: // add / remove
-					edit += ctx.arityR
-				case 3: // replace
-					edit += ctx.repl[pi][b.rep]
-				}
-			}
-			resultEdits = append(resultEdits, edit)
-		}
+		resultEdits = append(resultEdits, edit)
 	}
 	dbEdit := 0
-	tbls := scr.tbls[:0]
-	for _, pi := range indices {
-		dbEdit += ctx.edit[pi]
-		for _, t := range ctx.tables[pi] {
-			dup := false
-			for _, u := range tbls {
-				if u == t {
-					dup = true
-					break
-				}
+	tbls := scr.tables[:0]
+	for _, s := range sigs {
+		row := ctx.sig(s)
+		dbEdit += ctx.editCost(row)
+		for w, m := range ctx.tables(row) {
+			if w == len(tbls) {
+				tbls = append(tbls, 0)
 			}
-			if !dup {
-				tbls = append(tbls, t)
-			}
+			tbls[w] |= m
 		}
 	}
-	scr.sizes, scr.resultEdits, scr.tbls = sizes, resultEdits, tbls
+	scr.sizes, scr.resultEdits, scr.tables = sizes, resultEdits, tbls
 	in := cost.Inputs{
 		DBEdit:            dbEdit,
-		ModifiedRelations: len(tbls),
-		ModifiedTuples:    len(indices),
+		ModifiedRelations: popcount(tbls),
+		ModifiedTuples:    len(sigs),
 		ResultEdits:       resultEdits,
 		SubsetSizes:       sizes,
 		X:                 ctx.x,
@@ -257,200 +297,29 @@ func (ctx *evalCtx) evaluate(indices []int, scr *evalScratch) (costVal, balance 
 	return ctx.g.Opts.Cost.Cost(in), cost.Balance(sizes), len(sizes)
 }
 
-// scoredChild is one enumerated candidate set flowing through the scoring
-// pipeline: the enumerator fills indices and parentBalance, a scorer fills
-// cost/balance/subsets, and the in-order consumer reads everything.
-type scoredChild struct {
-	indices       []int
-	parentBalance float64
-	cost          float64
-	balance       float64
-	subsets       int
+func popcount(m []uint64) int {
+	n := 0
+	for _, w := range m {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
-// childBatch is the pipeline's hand-off unit: a run of children in
-// enumeration order plus a completion signal. Batching amortises channel
-// operations — scoring one set costs microseconds, so per-set sends would
-// drown the win in synchronisation. Batches cycle through a freelist
-// (scorer.run), so the WaitGroup is reused: the consumer's Wait always
-// returns before the enumerator's next Add.
-type childBatch struct {
-	items  []scoredChild
-	scored sync.WaitGroup // 1 while a scorer owns the batch
-}
-
-// scoreBatchSize trades pipeline latency against channel traffic; 64 sets
-// per batch keeps hand-off costs under ~2% of scoring time while letting
-// scoring start long before a level's enumeration finishes.
-const scoreBatchSize = 64
-
-// scorer runs Algorithm 4's enumerate → score → consume sequence as
-// pipelined stages connected by bounded channels (DESIGN.md §10).
-//
-//   - enumerate lists candidate sets in the serial evaluation order — it
-//     owns the dedup table, the feasibility filter and the evaluation
-//     budget, exactly as the serial sweep does;
-//   - scoring spreads batches of listed sets across the worker pool, each
-//     worker with its own evalScratch (evaluate is a pure function of the
-//     precomputed evalCtx);
-//   - consume sees every child in enumeration order with its score filled
-//     in, and applies the order-sensitive rules: the pruning decision, the
-//     top-k insertion, the frontier append.
-//
-// Because the order-sensitive stage replays the exact serial order, output
-// is byte-identical to the workers = 1 path at every worker count and batch
-// size — the pipeline changes when sets are scored, never what any stage
-// observes. With workers <= 1 the stages collapse into one loop with no
-// goroutines or channels: the deterministic reference.
-type scorer struct {
-	ctx       *evalCtx
-	workers   int
-	scratches []evalScratch    // one per worker, reused across levels
-	free      chan *childBatch // recycled batches, shared across levels
-
-	// Stage-time attribution in nanoseconds, accumulated across levels and
-	// read once per PickSubsets call (observe-only; never affects control
-	// flow, so determinism is untouched). In the parallel path scoreNs sums
-	// busy time across workers and enumNs includes back-pressure waits —
-	// these are attribution metrics, not a wall-clock decomposition.
-	enumNs, scoreNs, consumeNs atomic.Int64
-}
-
-func newScorer(ctx *evalCtx, workers int) *scorer {
-	return &scorer{
-		ctx:       ctx,
-		workers:   workers,
-		scratches: make([]evalScratch, max(workers, 1)),
-		// Capacity exceeds the maximum number of distinct batches in flight
-		// (cur + ordered's buffer + the consumer's one), so returning a
-		// consumed batch never blocks and a session's levels cycle the same
-		// handful of batches.
-		free: make(chan *childBatch, 3*workers+2),
+// feasibleWith reports whether adding pair pi to the feasible set parent
+// keeps the multiset of source classes within the tuples each class has.
+// Only pi's class gains a demand, so one count over the parent suffices.
+func (ctx *evalCtx) feasibleWith(parent []int, pi int) bool {
+	id := ctx.srcID[pi]
+	if id < 0 {
+		return false
 	}
-}
-
-// run drives one level through the pipeline. enumerate must call emit once
-// per candidate set, in the serial evaluation order; consume is called once
-// per emitted set, in that same order, on the caller's goroutine. The
-// *scoredChild passed to consume is only valid for the duration of the call
-// — the serial path reuses one struct and the parallel path recycles batch
-// slots — so consume must copy out what it keeps.
-func (sc *scorer) run(enumerate func(emit func(indices []int, parentBalance float64)), consume func(ch *scoredChild)) {
-	if sc.workers <= 1 {
-		scr := &sc.scratches[0]
-		var ch scoredChild
-		runStart := time.Now()
-		var scoreNs, consumeNs int64
-		enumerate(func(indices []int, parentBalance float64) {
-			ch = scoredChild{indices: indices, parentBalance: parentBalance}
-			t0 := time.Now()
-			ch.cost, ch.balance, ch.subsets = sc.ctx.evaluate(indices, scr)
-			t1 := time.Now()
-			consume(&ch)
-			consumeNs += int64(time.Since(t1))
-			scoreNs += int64(t1.Sub(t0))
-		})
-		sc.scoreNs.Add(scoreNs)
-		sc.consumeNs.Add(consumeNs)
-		if rest := int64(time.Since(runStart)) - scoreNs - consumeNs; rest > 0 {
-			sc.enumNs.Add(rest)
-		}
-		return
-	}
-
-	// Bounded channels: work feeds the scorers, ordered preserves the
-	// enumeration sequence for the consumer. Every batch is sent to work
-	// BEFORE ordered, so a batch the consumer waits on is always visible to
-	// some scorer — the wait cannot deadlock. Capacities bound the number of
-	// in-flight batches (and so memory) without ever stalling the consumer:
-	// if enumeration runs ahead it blocks, while scoring and consumption
-	// drain freely. Consumed batches return through free for reuse, so a
-	// level's steady state allocates nothing per batch; free's capacity
-	// exceeds the maximum number in flight, so returns never block.
-	work := make(chan *childBatch, sc.workers)
-	ordered := make(chan *childBatch, 2*sc.workers)
-	free := sc.free
-	var wg sync.WaitGroup
-	for w := 0; w < sc.workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			scr := &sc.scratches[worker]
-			for b := range work {
-				t0 := time.Now()
-				for i := range b.items {
-					it := &b.items[i]
-					it.cost, it.balance, it.subsets = sc.ctx.evaluate(it.indices, scr)
-				}
-				sc.scoreNs.Add(int64(time.Since(t0)))
-				b.scored.Done()
-			}
-		}(w)
-	}
-	go func() {
-		next := func() *childBatch {
-			var b *childBatch
-			select {
-			case b = <-free:
-				b.items = b.items[:0]
-			default:
-				b = &childBatch{items: make([]scoredChild, 0, scoreBatchSize)}
-			}
-			b.scored.Add(1)
-			return b
-		}
-		cur := next()
-		enumStart := time.Now()
-		enumerate(func(indices []int, parentBalance float64) {
-			cur.items = append(cur.items, scoredChild{indices: indices, parentBalance: parentBalance})
-			if len(cur.items) >= scoreBatchSize {
-				work <- cur
-				ordered <- cur
-				cur = next()
-			}
-		})
-		sc.enumNs.Add(int64(time.Since(enumStart)))
-		if len(cur.items) > 0 {
-			work <- cur
-			ordered <- cur
-		} else {
-			cur.scored.Done() // never handed to a scorer
-		}
-		close(work)
-		close(ordered)
-	}()
-	for b := range ordered {
-		b.scored.Wait()
-		t0 := time.Now()
-		for i := range b.items {
-			consume(&b.items[i])
-		}
-		sc.consumeNs.Add(int64(time.Since(t0)))
-		free <- b
-	}
-	wg.Wait()
-}
-
-// feasible checks that the multiset of source classes demanded by the set
-// does not exceed the tuples available in each class. It counts duplicate
-// source-class ids over the (small) index slice — O(k²), zero allocations.
-func (ctx *evalCtx) feasible(indices []int) bool {
-	for _, a := range indices {
-		id := ctx.srcID[a]
-		if id < 0 {
-			return false
-		}
-		n := 0
-		for _, b := range indices {
-			if ctx.srcID[b] == id {
-				n++
-			}
-		}
-		if n > ctx.srcCap[id] {
-			return false
+	n := 1
+	for _, i := range parent {
+		if ctx.srcID[i] == id {
+			n++
 		}
 	}
-	return true
+	return n <= ctx.srcCap[id]
 }
 
 // PickSubsets implements Algorithm 4 (Pick-STC-DTC-Subset) and returns
@@ -465,225 +334,443 @@ func (ctx *evalCtx) feasible(indices []int) bool {
 // O(2^|SP|) worst case without changing behaviour on the small frontiers
 // observed in practice (paper §5.4, Table 4).
 //
-// Each level flows through a three-stage pipeline (see scorer): a serial
-// enumeration that lists the unique feasible candidate sets in the legacy
-// evaluation order (up to the remaining evaluation budget), concurrent
-// scoring of listed batches — evaluate is a pure function of the precomputed
-// evalCtx — and a serial in-order replay that applies the pruning rule and
-// ranking. Scoring of a level's early candidates overlaps enumeration of its
-// later ones; only the level boundary is a sequence point, because the
-// pruning rule (step 15) needs a child's own score before the child may
-// parent the next level. The output is byte-identical to the serial
-// algorithm at every Parallelism setting, including when MaxSetsEvaluated
-// truncates the search.
+// Each level runs as three passes (DESIGN.md §10), each timed once: list
+// the level's feasible children in evaluation order, up to the remaining
+// evaluation budget, resolving each to the slot of its signature multiset;
+// score every slot once on the worker pool; replay the children in order,
+// applying the pruning rule, the top-k ranking and the frontier cap. Only
+// the level boundary is a sequence point, because the pruning rule (step
+// 15) needs a child's own score before the child may parent the next level.
+// Scoring writes index-addressed slots and every order-sensitive step is
+// serial, so the output is the same at every Parallelism setting, including
+// when MaxSetsEvaluated truncates the search.
 func (g *Generator) PickSubsets(sp []ScoredPair, x int) []CandidateSet {
 	if len(sp) == 0 {
 		return nil
 	}
 	workers := par.Workers(g.Opts.Parallelism)
-	ctx := g.newEvalCtx(sp, x, workers)
+	s := newSearch(g.newEvalCtx(sp, x, workers), workers)
+	defer s.release()
 	best := newTopK(g.Opts.MaxCandidateSets, g.Opts.Strategy)
 	evaluated := 0
 	maxEval := g.Opts.MaxSetsEvaluated
 	if maxEval <= 0 {
 		maxEval = 50000
 	}
-	pipe := newScorer(ctx, workers)
-
-	// Steps 1–8: singletons.
-	type frontierEntry struct {
-		indices []int
-		balance float64
-	}
-	var frontier []frontierEntry
-	pipe.run(func(emit func([]int, float64)) {
-		for i := range sp {
-			if single := []int{i}; ctx.feasible(single) {
-				// Singletons have no parent; +Inf parent balance means the
-				// consumer's pruning rule keeps every one, as steps 1–8 do.
-				emit(single, math.Inf(1))
-			}
+	var listNs, scoreNs, replayNs time.Duration
+	// Level 1 grows the singletons from the empty set.
+	frontier := []frontierEntry{{balance: math.Inf(1)}}
+	for level := 1; level <= len(sp) && len(frontier) > 0 && evaluated < maxEval; level++ {
+		budget, limit := maxEval-evaluated, g.Opts.MaxFrontier
+		if level == 1 {
+			// Steps 1–8: every feasible singleton is scored, ranked and
+			// kept, whatever the budget and the frontier cap.
+			budget, limit = math.MaxInt, 0
 		}
-	}, func(ch *scoredChild) {
-		evaluated++
-		best.add(CandidateSet{Indices: ch.indices,
-			Balance: ch.balance, Cost: ch.cost, Subsets: ch.subsets})
-		frontier = append(frontier, frontierEntry{indices: ch.indices, balance: ch.balance})
-	})
-
-	// inSet stamps which pair indices the current parent holds; bumping the
-	// generation clears it in O(1) between parents.
-	inSet := make([]int, len(sp))
-	generation := 0
-
-	// Steps 9–21: grow sets while balance improves.
-	for level := 2; level <= len(sp) && len(frontier) > 0 && evaluated < maxEval; level++ {
-		// The enumeration stage lists this level's unique feasible children
-		// in evaluation order, recording the balance of the first parent
-		// reaching each (later parents are deduplicated away, as in the
-		// serial sweep). Deduplication is exact: children hash through the
-		// kernel fold and collisions are verified against the arena of
-		// already-seen sets, so no key strings are built. The dedup table,
-		// stamp array and child arena all stay on the enumerator stage —
-		// scoring and replay never touch them.
-		seen := newSeenSets(level, len(frontier)*len(sp))
-		childBuf := make([]int, level)
-		// Kept children are carved out of one arena per level instead of one
-		// allocation per child.
-		var childArena []int
-		budget := maxEval - evaluated
-		var next []frontierEntry
-		pipe.run(func(emit func([]int, float64)) {
-			emitted := 0
-		enumerate:
-			for _, op := range frontier {
-				generation++
-				for _, i := range op.indices {
-					inSet[i] = generation
-				}
-				for pi := range sp {
-					if inSet[pi] == generation {
-						continue
-					}
-					// Merge pi into the sorted parent without a general sort.
-					k := 0
-					for _, v := range op.indices {
-						if v < pi {
-							childBuf[k] = v
-							k++
-						}
-					}
-					childBuf[k] = pi
-					for _, v := range op.indices[k:] {
-						childBuf[k+1] = v
-						k++
-					}
-					if seen.insert(childBuf) {
-						continue // already recorded (feasible or not)
-					}
-					if !ctx.feasible(childBuf) {
-						continue
-					}
-					if len(childArena)+level > cap(childArena) {
-						childArena = make([]int, 0, 1024*level)
-					}
-					base := len(childArena)
-					childArena = append(childArena, childBuf...)
-					emit(childArena[base:base+level:base+level], op.balance)
-					emitted++
-					if emitted >= budget {
-						break enumerate
-					}
-				}
-			}
-		}, func(ch *scoredChild) {
-			// In-order replay: prune, rank, grow the next frontier.
-			evaluated++
-			if ch.balance < ch.parentBalance { // strict improvement required (step 15)
-				next = append(next, frontierEntry{indices: ch.indices, balance: ch.balance})
-				best.add(CandidateSet{Indices: ch.indices,
-					Balance: ch.balance, Cost: ch.cost, Subsets: ch.subsets})
-			}
-		})
-		if g.Opts.MaxFrontier > 0 && len(next) > g.Opts.MaxFrontier {
-			slices.SortStableFunc(next, func(a, b frontierEntry) int {
-				switch {
-				case a.balance < b.balance:
-					return -1
-				case a.balance > b.balance:
-					return 1
-				default:
-					return 0
-				}
-			})
-			next = next[:g.Opts.MaxFrontier]
-		}
-		frontier = next
+		t0 := time.Now()
+		s.list(frontier, level, budget)
+		t1 := time.Now()
+		s.score()
+		t2 := time.Now()
+		frontier = s.replay(frontier, level, limit, best)
+		evaluated += len(s.children)
+		t3 := time.Now()
+		listNs += t1.Sub(t0)
+		scoreNs += t2.Sub(t1)
+		replayNs += t3.Sub(t2)
 	}
-	g.alg4Enum = time.Duration(pipe.enumNs.Load())
-	g.alg4Score = time.Duration(pipe.scoreNs.Load())
-	g.alg4TopK = time.Duration(pipe.consumeNs.Load())
-	mAlg4Enumerate.ObserveDuration(g.alg4Enum)
-	mAlg4Score.ObserveDuration(g.alg4Score)
-	mAlg4TopK.ObserveDuration(g.alg4TopK)
+	g.alg4Enum, g.alg4Score, g.alg4TopK = listNs, scoreNs, replayNs
+	mAlg4Enumerate.ObserveDuration(listNs)
+	mAlg4Score.ObserveDuration(scoreNs)
+	mAlg4TopK.ObserveDuration(replayNs)
 	return best.ranked(sp)
 }
 
-// seenSets is an exact, open-addressed dedup set of fixed-length ascending
-// index tuples. Entries live flattened in one arena; the probe hashes
-// through the kernel fold (relation.HashInts) and verifies equality against
-// the arena on collision, so deduplication never depends on hash quality
-// and builds no key strings or per-bucket slices.
-type seenSets struct {
-	level int
-	arena []int32
-	table []int32 // arena offset + 1; 0 = empty slot
-	count int
+// frontierEntry is one set of the current frontier: its ascending pair
+// indices, its signature multiset (ascending), the two element-hash sums
+// its children extend, and its balance.
+type frontierEntry struct {
+	indices []int
+	sigs    []int32
+	idxHash uint64
+	sigHash uint64
+	balance float64
 }
 
-func newSeenSets(level, expect int) *seenSets {
-	size := 1024
-	for size < 2*expect && size < 1<<22 {
-		size <<= 1
+// child is one listed candidate set: a frontier parent plus one pair, and
+// the slot of its signature multiset.
+type child struct{ parent, pair, slot int32 }
+
+// search is Algorithm 4's per-call state, reused across levels. Its
+// buffers grow to a round's largest level, so calls draw them from
+// searchPool instead of regrowing them every round.
+type search struct {
+	ctx     *evalCtx
+	workers int
+	scratch []evalScratch // one per worker
+
+	// inSet stamps the current parent's pairs and sigSeen the signatures
+	// whose child slot the parent has resolved (into sigSlot); bumping gen
+	// clears both.
+	inSet   []int
+	sigSeen []int
+	sigSlot []int32
+	gen     int
+	// index is an open-addressed table of frontier positions + 1, keyed by
+	// idxHash, and firstPos[pair] the first frontier position holding the
+	// pair: the earliest-parent rule's lookups.
+	index    []int32
+	firstPos []int
+
+	children []child
+
+	// Slots of the current level: slotSigs holds each slot's ascending
+	// signature multiset (level ids each), slotHash its element-hash sum,
+	// slotTable an open-addressed table of slot ids + 1; the score arrays
+	// are indexed by slot.
+	level     int
+	slotSigs  []int32
+	slotHash  []uint64
+	slotTable []int32
+	cost      []float64
+	balance   []float64
+	subsets   []int
+	sigBuf    []int32
+
+	kept  frontierCut
+	arena []int // carved index slices, never reused
+}
+
+var searchPool = sync.Pool{New: func() any { return new(search) }}
+
+func newSearch(ctx *evalCtx, workers int) *search {
+	s := searchPool.Get().(*search)
+	s.ctx, s.workers = ctx, workers
+	for len(s.scratch) < workers {
+		s.scratch = append(s.scratch, evalScratch{})
 	}
-	return &seenSets{level: level, table: make([]int32, size)}
+	np, nsig := len(ctx.sigOf), len(ctx.sigs)/ctx.sigLen
+	s.inSet = slices.Grow(s.inSet[:0], np)[:np]
+	s.firstPos = slices.Grow(s.firstPos[:0], np)[:np]
+	s.sigSeen = slices.Grow(s.sigSeen[:0], nsig)[:nsig]
+	s.sigSlot = slices.Grow(s.sigSlot[:0], nsig)[:nsig]
+	clear(s.inSet)
+	clear(s.sigSeen)
+	s.gen = 0
+	return s
 }
 
-// insert records the set and reports whether it was already present.
-func (s *seenSets) insert(set []int) bool {
-	h := relation.HashInts(set)
-	mask := uint64(len(s.table) - 1)
-	slot := h & mask
-	for {
-		off := s.table[slot]
-		if off == 0 {
-			break
+// release returns the search's buffers to the pool. Index slices carved
+// from the arena stay with the sets that hold them.
+func (s *search) release() {
+	s.ctx, s.arena = nil, nil
+	searchPool.Put(s)
+}
+
+// list fills s.children with the level's feasible children, in the
+// evaluation order: frontier parents in order, each extended by every pair
+// it lacks in index order. A child reachable from several parents belongs
+// to the earliest frontier parent it contains, which is where a sweep that
+// deduplicates children by a table of seen sets first meets it, so no such
+// table is kept: listing (j, pi) probes the frontier index for the child's
+// other maximal subsets and skips the child when one sits before j.
+// Listing stops once budget children are listed.
+func (s *search) list(frontier []frontierEntry, level, budget int) {
+	s.children = s.children[:0]
+	s.resetSlots(level)
+	s.indexFrontier(frontier)
+	for j := range frontier {
+		op := &frontier[j]
+		s.gen++
+		for _, i := range op.indices {
+			s.inSet[i] = s.gen
 		}
-		cand := s.arena[off-1 : int(off-1)+s.level]
-		same := true
-		for i, v := range set {
-			if int(cand[i]) != v {
-				same = false
-				break
+		for pi := range s.inSet {
+			if s.inSet[pi] == s.gen || s.earlierParent(frontier, j, pi) || !s.ctx.feasibleWith(op.indices, pi) {
+				continue
+			}
+			// The child's slot depends only on the parent and the added
+			// pair's signature, so each parent resolves a signature once.
+			sig := s.ctx.sigOf[pi]
+			if s.sigSeen[sig] != s.gen {
+				s.sigSeen[sig], s.sigSlot[sig] = s.gen, s.slotOf(op, sig)
+			}
+			s.children = append(s.children, child{parent: int32(j), pair: int32(pi), slot: s.sigSlot[sig]})
+			if len(s.children) >= budget {
+				return
 			}
 		}
-		if same {
-			return true
+	}
+}
+
+// indexFrontier rebuilds the frontier index, at most half full, and
+// firstPos.
+func (s *search) indexFrontier(frontier []frontierEntry) {
+	for i := range s.firstPos {
+		s.firstPos[i] = len(frontier)
+	}
+	for j := len(frontier) - 1; j >= 0; j-- {
+		for _, i := range frontier[j].indices {
+			s.firstPos[i] = j
 		}
-		slot = (slot + 1) & mask
 	}
-	off := int32(len(s.arena)) + 1
-	for _, v := range set {
-		s.arena = append(s.arena, int32(v))
+	size := 16
+	for size < 2*len(frontier) {
+		size <<= 1
 	}
-	s.table[slot] = off
-	s.count++
-	if 4*s.count > 3*len(s.table) {
-		s.grow()
+	if cap(s.index) < size {
+		s.index = make([]int32, size)
+	}
+	s.index = s.index[:size]
+	clear(s.index)
+	mask := uint64(size - 1)
+	for j := range frontier {
+		slot := frontier[j].idxHash & mask
+		for s.index[slot] != 0 {
+			slot = (slot + 1) & mask
+		}
+		s.index[slot] = int32(j + 1)
+	}
+}
+
+// earlierParent reports whether the child frontier[j] ∪ {pi} contains a
+// frontier set listed before j. Its other maximal subsets are the parent
+// with one pair c swapped for pi, so an earlier parent holds pi: none
+// exists when pi first appears at or after j, and for single-pair parents
+// {pi} itself is one otherwise. Larger parents probe the index; inSet marks
+// the parent's pairs, so a candidate of the parent's size equals the subset
+// when each of its pairs is pi or a parent pair other than c.
+func (s *search) earlierParent(frontier []frontierEntry, j, pi int) bool {
+	op := &frontier[j]
+	if s.firstPos[pi] >= j || len(op.indices) == 1 {
+		return s.firstPos[pi] < j
+	}
+	mask := uint64(len(s.index) - 1)
+	hp := elemHash(pi)
+	for _, c := range op.indices {
+		h := op.idxHash - elemHash(c) + hp
+		for slot := h & mask; s.index[slot] != 0; slot = (slot + 1) & mask {
+			pos := int(s.index[slot] - 1)
+			if pos >= j || frontier[pos].idxHash != h {
+				continue
+			}
+			same := true
+			for _, e := range frontier[pos].indices {
+				if e != pi && (e == c || s.inSet[e] != s.gen) {
+					same = false
+					break
+				}
+			}
+			if same {
+				return true
+			}
+		}
 	}
 	return false
 }
 
-// grow doubles the table and reinserts every arena offset.
-func (s *seenSets) grow() {
-	old := s.table
-	s.table = make([]int32, 2*len(old))
-	mask := uint64(len(s.table) - 1)
-	buf := make([]int, s.level)
-	for _, off := range old {
-		if off == 0 {
-			continue
+// resetSlots empties the slot table for a new level.
+func (s *search) resetSlots(level int) {
+	s.level = level
+	s.slotSigs, s.slotHash = s.slotSigs[:0], s.slotHash[:0]
+	if s.slotTable == nil {
+		s.slotTable = make([]int32, 1024)
+	}
+	clear(s.slotTable)
+}
+
+// slotOf returns the slot of the signature multiset of parent op plus one
+// pair of signature sig, creating it when new.
+func (s *search) slotOf(op *frontierEntry, sig int32) int32 {
+	h := op.sigHash + elemHash(int(sig))
+	buf := s.sigBuf[:0]
+	at := 0
+	for at < len(op.sigs) && op.sigs[at] <= sig {
+		at++
+	}
+	buf = append(append(append(buf, op.sigs[:at]...), sig), op.sigs[at:]...)
+	s.sigBuf = buf
+	mask := uint64(len(s.slotTable) - 1)
+	slot := h & mask
+	for ; s.slotTable[slot] != 0; slot = (slot + 1) & mask {
+		id := s.slotTable[slot] - 1
+		if s.slotHash[id] == h && slices.Equal(s.sigsOf(id), buf) {
+			return id
 		}
-		ent := s.arena[off-1 : int(off-1)+s.level]
-		for i, v := range ent {
-			buf[i] = int(v)
-		}
-		slot := relation.HashInts(buf) & mask
-		for s.table[slot] != 0 {
+	}
+	id := int32(len(s.slotHash))
+	s.slotHash = append(s.slotHash, h)
+	s.slotSigs = append(s.slotSigs, buf...)
+	s.slotTable[slot] = id + 1
+	if 4*len(s.slotHash) > 3*len(s.slotTable) {
+		s.growSlots()
+	}
+	return id
+}
+
+func (s *search) sigsOf(id int32) []int32 {
+	return s.slotSigs[int(id)*s.level : (int(id)+1)*s.level]
+}
+
+// growSlots doubles the slot table and reinserts every slot.
+func (s *search) growSlots() {
+	s.slotTable = make([]int32, 2*len(s.slotTable))
+	mask := uint64(len(s.slotTable) - 1)
+	for id, h := range s.slotHash {
+		slot := h & mask
+		for s.slotTable[slot] != 0 {
 			slot = (slot + 1) & mask
 		}
-		s.table[slot] = off
+		s.slotTable[slot] = int32(id + 1)
 	}
+}
+
+// score evaluates every slot of the level once. evaluate is a pure function
+// of the slot's signatures, and each worker has its own scratch and writes
+// only its slots' scores.
+func (s *search) score() {
+	n := len(s.slotHash)
+	s.cost = slices.Grow(s.cost[:0], n)[:n]
+	s.balance = slices.Grow(s.balance[:0], n)[:n]
+	s.subsets = slices.Grow(s.subsets[:0], n)[:n]
+	par.DoIndexed(n, s.workers, func(w, id int) {
+		s.cost[id], s.balance[id], s.subsets[id] = s.ctx.evaluate(s.sigsOf(int32(id)), &s.scratch[w])
+	})
+}
+
+// replay visits the listed children in order, applies the pruning rule
+// (step 15: a child must strictly improve on its parent's balance; at level
+// 1 every singleton is kept), offers each kept child to the top-k, and
+// returns the next frontier: the kept children, cut to the limit lowest
+// balances when more than limit are kept (limit 0: no cut).
+func (s *search) replay(frontier []frontierEntry, level, limit int, best *topK) []frontierEntry {
+	s.kept.reset(limit)
+	for seq, ch := range s.children {
+		op := &frontier[ch.parent]
+		b := s.balance[ch.slot]
+		if level > 1 && !(b < op.balance) {
+			continue
+		}
+		c, k := s.cost[ch.slot], s.subsets[ch.slot]
+		if pos := best.admit(c, b, k, level); pos >= 0 {
+			best.insert(pos, CandidateSet{Indices: s.childIndices(op, int(ch.pair)),
+				Balance: b, Cost: c, Subsets: k})
+		}
+		s.kept.offer(keptChild{balance: b, seq: seq})
+	}
+	kept := s.kept.result()
+	next := make([]frontierEntry, len(kept))
+	sigs := make([]int32, len(kept)*level)
+	for i, kc := range kept {
+		ch := s.children[kc.seq]
+		op := &frontier[ch.parent]
+		next[i] = frontierEntry{
+			indices: s.childIndices(op, int(ch.pair)),
+			sigs:    sigs[i*level : (i+1)*level : (i+1)*level],
+			idxHash: op.idxHash + elemHash(int(ch.pair)),
+			sigHash: s.slotHash[ch.slot],
+			balance: kc.balance,
+		}
+		copy(next[i].sigs, s.sigsOf(ch.slot))
+	}
+	return next
+}
+
+// childIndices returns op's indices with pi merged in, carved from the
+// search's arena; carved slices are never reused, so the top-k and the
+// frontier may keep them.
+func (s *search) childIndices(op *frontierEntry, pi int) []int {
+	n := len(op.indices) + 1
+	if len(s.arena)+n > cap(s.arena) {
+		s.arena = make([]int, 0, max(1024, n))
+	}
+	base := len(s.arena)
+	at := 0
+	for at < len(op.indices) && op.indices[at] < pi {
+		at++
+	}
+	s.arena = append(append(append(s.arena, op.indices[:at]...), pi), op.indices[at:]...)
+	return s.arena[base : base+n : base+n]
+}
+
+// keptChild is a child that passed the pruning rule: its balance and its
+// position in the level's listing.
+type keptChild struct {
+	balance float64
+	seq     int
+}
+
+// frontierCut selects the next frontier from the kept children, offered in
+// listing order. Up to limit kept children (or all, when limit is 0) stay
+// in listing order. Past that it keeps the limit lowest balances, ties to
+// the earlier listed, and returns them ordered by (balance, listing): what
+// a stable sort by balance followed by truncation keeps, from a bounded
+// max-heap instead of every kept child.
+type frontierCut struct {
+	limit   int
+	offered int
+	items   []keptChild
+}
+
+func (f *frontierCut) reset(limit int) {
+	f.limit, f.offered, f.items = limit, 0, f.items[:0]
+}
+
+// worse orders the heap: higher balance, then later listing.
+func (f *frontierCut) worse(i, j int) bool {
+	a, b := &f.items[i], &f.items[j]
+	return a.balance > b.balance || a.balance == b.balance && a.seq > b.seq
+}
+
+func (f *frontierCut) offer(k keptChild) {
+	f.offered++
+	if f.limit <= 0 || len(f.items) < f.limit {
+		f.items = append(f.items, k)
+		return
+	}
+	if f.offered == f.limit+1 {
+		for i := len(f.items)/2 - 1; i >= 0; i-- {
+			f.down(i)
+		}
+	}
+	// Every held child was listed before k, so k displaces the worst only
+	// on a strictly lower balance.
+	if k.balance < f.items[0].balance {
+		f.items[0] = k
+		f.down(0)
+	}
+}
+
+func (f *frontierCut) down(i int) {
+	for {
+		w, l, r := i, 2*i+1, 2*i+2
+		if l < len(f.items) && f.worse(l, w) {
+			w = l
+		}
+		if r < len(f.items) && f.worse(r, w) {
+			w = r
+		}
+		if w == i {
+			return
+		}
+		f.items[i], f.items[w] = f.items[w], f.items[i]
+		i = w
+	}
+}
+
+func (f *frontierCut) result() []keptChild {
+	if f.limit > 0 && f.offered > f.limit {
+		slices.SortFunc(f.items, func(a, b keptChild) int {
+			switch {
+			case a.balance < b.balance:
+				return -1
+			case a.balance > b.balance:
+				return 1
+			}
+			return a.seq - b.seq
+		})
+	}
+	return f.items
 }
 
 func pairsAt(sp []ScoredPair, indices []int) []tupleclass.Pair {
@@ -699,8 +786,8 @@ func pairsAt(sp []ScoredPair, indices []int) []tupleclass.Pair {
 // Entries are kept sorted by ordered insertion — equivalent to the legacy
 // append-stable-sort-truncate, since a stable sort moves a new tail element
 // exactly to the first position whose occupant ranks strictly after it —
-// and the Pairs of the surviving sets are only materialised at the end,
-// not once per evaluated set.
+// and a set's indices are only carved when it enters, its Pairs only
+// materialised at the end.
 type topK struct {
 	k        int
 	strategy Strategy
@@ -714,33 +801,42 @@ func newTopK(k int, s Strategy) *topK {
 	return &topK{k: k, strategy: s}
 }
 
-// less reports whether x ranks strictly before y under the strategy.
-func (t *topK) less(x, y *CandidateSet) bool {
+// before reports whether a set scored (cost, balance, subsets) with n pairs
+// ranks strictly before y under the strategy.
+func (t *topK) before(cost, balance float64, subsets, n int, y *CandidateSet) bool {
 	if t.strategy == StrategyMaxPartitions {
-		if x.Subsets != y.Subsets {
-			return x.Subsets > y.Subsets
+		if subsets != y.Subsets {
+			return subsets > y.Subsets
 		}
 	}
-	if x.Cost != y.Cost {
-		return x.Cost < y.Cost
+	if cost != y.Cost {
+		return cost < y.Cost
 	}
-	if x.Balance != y.Balance {
-		return x.Balance < y.Balance
+	if balance != y.Balance {
+		return balance < y.Balance
 	}
-	return len(x.Indices) < len(y.Indices)
+	return n < len(y.Indices)
 }
 
-func (t *topK) add(c CandidateSet) {
-	if math.IsInf(c.Cost, 1) {
-		return // never consider non-splitting sets
+// admit returns the position a set so scored would take, or -1 when it
+// never splits or ranks at or below the current cut-off.
+func (t *topK) admit(cost, balance float64, subsets, n int) int {
+	if math.IsInf(cost, 1) {
+		return -1 // never consider non-splitting sets
 	}
-	if len(t.sets) == t.k && !t.less(&c, &t.sets[t.k-1]) {
-		return // ranks at or below the current cut-off
+	if len(t.sets) == t.k && !t.before(cost, balance, subsets, n, &t.sets[t.k-1]) {
+		return -1
 	}
 	pos := len(t.sets)
-	for pos > 0 && t.less(&c, &t.sets[pos-1]) {
+	for pos > 0 && t.before(cost, balance, subsets, n, &t.sets[pos-1]) {
 		pos--
 	}
+	return pos
+}
+
+// insert places c at the position admit returned, dropping the last set
+// when full.
+func (t *topK) insert(pos int, c CandidateSet) {
 	if len(t.sets) < t.k {
 		t.sets = append(t.sets, CandidateSet{})
 	}

@@ -2,6 +2,7 @@ package dbgen
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -54,10 +55,14 @@ func (g *Generator) SkylinePairs() ([]ScoredPair, SkylineStats) {
 		enumerated atomic.Int64
 		exhausted  atomic.Bool
 	)
+	cases := make([]*tupleclass.Cases, workers)
+	for w := range cases {
+		cases[w] = g.Space.NewCases()
+	}
 	n := g.Space.NumPredicateAttrs()
 	for i := 1; i <= n; i++ {
 		locals := make([]skylineAcc, len(g.srcClasses))
-		par.Do(len(g.srcClasses), workers, func(ci int) {
+		par.DoIndexed(len(g.srcClasses), workers, func(w, ci int) {
 			local := &locals[ci]
 			*local = newSkylineAcc()
 			if exhausted.Load() {
@@ -65,7 +70,7 @@ func (g *Generator) SkylinePairs() ([]ScoredPair, SkylineStats) {
 			}
 			g.Space.EnumerateClassesAt(g.srcClasses[ci].Class, i, func(dst tupleclass.Class) bool {
 				total := enumerated.Add(1)
-				local.observe(g.score(g.srcClasses[ci].Class, dst))
+				local.observe(g.score(ci, dst, cases[w]))
 				if g.Opts.Budget.exceeded(start, int(total)) {
 					exhausted.Store(true)
 					return false
@@ -105,7 +110,8 @@ func newSkylineAcc() skylineAcc {
 
 // observe applies one enumerated pair: keep it if it ties the running
 // minimum balance, restart the skyline if it strictly improves it, and
-// extract x from the most balanced binary partition seen so far.
+// extract x from the most balanced binary partition seen so far. sizes is
+// scratch the caller reuses, so a kept pair keeps a copy.
 func (a *skylineAcc) observe(p tupleclass.Pair, sizes []int, b float64) {
 	a.enumerated++
 	if len(sizes) == 2 && b < a.bestBinary {
@@ -119,9 +125,9 @@ func (a *skylineAcc) observe(p tupleclass.Pair, sizes []int, b float64) {
 	switch {
 	case b < a.minBalance:
 		a.minBalance = b
-		a.pairs = []ScoredPair{{Pair: p, Balance: b, Sizes: sizes}}
+		a.pairs = append(a.pairs[:0], ScoredPair{Pair: p, Balance: b, Sizes: slices.Clone(sizes)})
 	case b == a.minBalance && !math.IsInf(b, 1):
-		a.pairs = append(a.pairs, ScoredPair{Pair: p, Balance: b, Sizes: sizes})
+		a.pairs = append(a.pairs, ScoredPair{Pair: p, Balance: b, Sizes: slices.Clone(sizes)})
 	}
 }
 
@@ -138,7 +144,7 @@ func (a *skylineAcc) merge(local *skylineAcc) {
 	switch {
 	case local.minBalance < a.minBalance:
 		a.minBalance = local.minBalance
-		a.pairs = append(a.pairs[:0:0], local.pairs...)
+		a.pairs = append(a.pairs[:0], local.pairs...)
 	case local.minBalance == a.minBalance && !math.IsInf(local.minBalance, 1):
 		a.pairs = append(a.pairs, local.pairs...)
 	}
@@ -152,12 +158,15 @@ func (a *skylineAcc) drain() []ScoredPair {
 	return pairs
 }
 
-// score computes one (src, dst) pair's single-pair partition statistics.
-// It runs once per enumerated (STC, DTC) pair, so it uses the allocation-
-// free single-pair partitioner.
-func (g *Generator) score(src, dst tupleclass.Class) (tupleclass.Pair, []int, float64) {
-	p := tupleclass.NewPair(src, dst)
-	sizes := g.Space.PartitionSizes1(p)
+// score computes the single-pair partition statistics of the pair from
+// source class srcClasses[ci] to dst. It runs once per enumerated (STC, DTC)
+// pair, so the cases come from the source class's precomputed match mask
+// and word operations on the caller's scratch; the sizes live in that
+// scratch too.
+func (g *Generator) score(ci int, dst tupleclass.Class, cs *tupleclass.Cases) (tupleclass.Pair, []int, float64) {
+	p := tupleclass.NewPair(g.srcClasses[ci].Class, dst)
+	g.Space.CaseMasks(p, g.srcMatch[ci], cs)
+	sizes := cs.Sizes()
 	return p, sizes, cost.Balance(sizes)
 }
 
@@ -168,12 +177,13 @@ func (g *Generator) score(src, dst tupleclass.Class) (tupleclass.Pair, []int, fl
 // 5) uses it to feed Algorithm 4 artificially enlarged skyline sets.
 func (g *Generator) EnumerateScoredPairs(maxPairs int) []ScoredPair {
 	var out []ScoredPair
+	cs := g.Space.NewCases()
 	n := g.Space.NumPredicateAttrs()
 	for i := 1; i <= n; i++ {
-		for _, sc := range g.srcClasses {
+		for ci, sc := range g.srcClasses {
 			g.Space.EnumerateClassesAt(sc.Class, i, func(dst tupleclass.Class) bool {
-				if p, sizes, b := g.score(sc.Class, dst); !math.IsInf(b, 1) {
-					out = append(out, ScoredPair{Pair: p, Balance: b, Sizes: sizes})
+				if p, sizes, b := g.score(ci, dst, cs); !math.IsInf(b, 1) {
+					out = append(out, ScoredPair{Pair: p, Balance: b, Sizes: slices.Clone(sizes)})
 				}
 				return maxPairs <= 0 || len(out) < maxPairs
 			})

@@ -42,7 +42,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		{5, 3}, {8, 3},
 		{9, 4}, {16, 4},
 		{17, 5}, {1 << 20, 5}, // past 2^MaxExp -> +Inf overflow
-		{-7, 0},               // negative clamps to 0
+		{-7, 0}, // negative clamps to 0
 	}
 	for _, c := range cases {
 		if got := bucketIndex(t, size, c.v); got != c.want {

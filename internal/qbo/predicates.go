@@ -58,13 +58,10 @@ func classifyRows(j *db.Joined, proj []string, r *relation.Relation) rowClass {
 	return rc
 }
 
-// generateForJoin synthesizes predicates for one (join, projection) pair.
-func (g *generator) generateForJoin(ix *joinIndex, tables []string, proj []string) {
-	j := ix.j
-	rc := classifyRows(j, proj, g.r)
-	if !rc.feasible {
-		return
-	}
+// generateForJoin synthesizes predicates for one (join, projection) pair,
+// given the pair's feasible row classification from projectionMappings.
+func (g *generator) generateForJoin(ix *joinIndex, tables []string, m mapping) {
+	j, proj, rc := ix.j, m.proj, m.rows
 	// No exclusions needed: projection alone may already work.
 	if len(rc.excluded) == 0 {
 		g.emit(j, tables, proj, algebra.True())

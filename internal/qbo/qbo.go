@@ -99,11 +99,11 @@ func Generate(d *db.Database, r *relation.Relation, cfg Config) ([]*algebra.Quer
 			continue // join too small to produce R under bag semantics
 		}
 		ix := newJoinIndex(j)
-		for _, proj := range g.projectionMappings(j) {
+		for _, m := range g.projectionMappings(j) {
 			if g.full() {
 				break
 			}
-			g.generateForJoin(ix, tables, proj)
+			g.generateForJoin(ix, tables, m)
 		}
 	}
 	for i, q := range g.out {
@@ -303,13 +303,21 @@ func maskConnected(mask int, adj [][]bool, n int) bool {
 	return visited == mask
 }
 
+// mapping is one feasible projection mapping with its row classification.
+type mapping struct {
+	proj []string
+	rows rowClass
+}
+
 // projectionMappings finds assignments of R's columns to joined columns with
 // matching types and value containment. Candidates per column are ordered by
 // plausibility (name match, exact kind, schema order) and complete mappings
 // are kept only when the joint multiset classification is feasible, so a
 // spurious single-column match (e.g. an integer that also occurs in some
-// float column) cannot poison the search. Results are capped by the config.
-func (g *generator) projectionMappings(j *db.Joined) [][]string {
+// float column) cannot poison the search. Each kept mapping carries that
+// classification, so the join's rows are classified once per mapping.
+// Results are capped by the config.
+func (g *generator) projectionMappings(j *db.Joined) []mapping {
 	// Distinct values per joined column, computed at most once per column
 	// through the hash kernel (the legacy path rebuilt a key-string set per
 	// (R column, joined column) combination), and only for columns that
@@ -373,7 +381,7 @@ func (g *generator) projectionMappings(j *db.Joined) [][]string {
 	}
 	// Depth-first over the cartesian product in plausibility order; keep
 	// only feasible mappings, bounding both results and attempts.
-	var out [][]string
+	var out []mapping
 	attempts := 0
 	maxAttempts := g.cfg.MaxProjectionMappings * 32
 	cur := make([]string, g.r.Arity())
@@ -385,8 +393,8 @@ func (g *generator) projectionMappings(j *db.Joined) [][]string {
 		if i == len(cands) {
 			attempts++
 			m := append([]string(nil), cur...)
-			if classifyRows(j, m, g.r).feasible {
-				out = append(out, m)
+			if rc := classifyRows(j, m, g.r); rc.feasible {
+				out = append(out, mapping{proj: m, rows: rc})
 			}
 			return
 		}

@@ -53,9 +53,8 @@ const (
 // which distinguishes queries through inserted values only. The concrete
 // partition computed after concretization remains exact either way.
 //
-// CaseOf sits inside Algorithm 3's enumeration loop (once per query per
-// enumerated pair), so the changed-attribute scan is inlined rather than
-// materialised through ChangedAttrs — zero allocations.
+// CaseOf is the per-query reference for CaseMasks, which Algorithms 3 and 4
+// use to compute every query's case at once.
 func (s *Space) CaseOf(p Pair, qi int) uint8 {
 	srcM, dstM := s.Matches(p.Src, qi), s.Matches(p.Dst, qi)
 	projChanged := false
@@ -103,24 +102,14 @@ func (s *Space) ReplaceCost(p Pair, qi int) int {
 
 // PartitionSizes1 returns the block sizes of the symbolic partition of the
 // candidate queries by the single pair p — two queries share a block
-// exactly when p affects them the same way (Lemma 5.1). It is the shape
-// Algorithm 3 scores once per enumerated (STC, DTC) pair. A single pair
-// admits only the four case codes, so the sizes are a 4-counter tally with
-// no map, no case-vector slices and no key strings; blocks come out in
-// ascending case order. Algorithm 4 groups multi-pair sets through
-// dbgen's evaluation context instead.
+// exactly when p affects them the same way (Lemma 5.1) — in ascending case
+// order. It is the shape Algorithm 3 scores once per enumerated (STC, DTC)
+// pair; the enumeration itself calls CaseMasks with each source class's
+// match mask computed once, and Cases.Sizes.
 func (s *Space) PartitionSizes1(p Pair) []int {
-	var counts [4]int
-	for qi := range s.Queries {
-		counts[s.CaseOf(p, qi)]++
-	}
-	sizes := make([]int, 0, 4)
-	for _, c := range counts {
-		if c > 0 {
-			sizes = append(sizes, c)
-		}
-	}
-	return sizes
+	c := s.NewCases()
+	s.CaseMasks(p, s.MatchMask(p.Src), c)
+	return c.Sizes()
 }
 
 // IndistinguishableGroups clusters queries whose match bit agrees on every

@@ -99,6 +99,17 @@ type Space struct {
 	// projected[q][i] reports whether Attrs[i] occurs in query q's
 	// projection list (needed for the x = x' collapse of Lemma 5.1).
 	projected [][]bool
+
+	// Query-mask tables (mask.go): words per query mask and per conjunct
+	// mask, the conjunct-to-query fold for multi-conjunct predicates, the
+	// conjunct masks per (attribute, subset), and the projection masks per
+	// attribute and the DISTINCT mask over queries.
+	words, conjWords int
+	extraOwner       []int
+	allConj          []uint64
+	conjSat          [][]uint64
+	projMask         [][]uint64
+	distinctMask     []uint64
 }
 
 // NewSpace builds the tuple-class space for a joined relation and candidate
@@ -183,6 +194,7 @@ func NewSpace(joined *relation.Relation, queries []*algebra.Query) (*Space, erro
 		}
 		s.projected[qi] = proj
 	}
+	s.buildMasks()
 	return s, nil
 }
 
