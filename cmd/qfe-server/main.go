@@ -11,7 +11,8 @@
 //	                                with the first feedback round
 //	GET    /sessions/{id}           current round, or the outcome once done
 //	POST   /sessions/{id}/feedback  {"choice": i, "seq": n} — 0-based result
-//	                                index, -1 for "none of these"; seq makes
+//	                                index, -1 for "none of these"; seq (the
+//	                                round answered) is required and makes
 //	                                the request idempotent under retries
 //	DELETE /sessions/{id}           abandon the session
 //	GET    /stats                   session/round counters

@@ -110,8 +110,8 @@ func newSkylineAcc() skylineAcc {
 
 // observe applies one enumerated pair: keep it if it ties the running
 // minimum balance, restart the skyline if it strictly improves it, and
-// extract x from the most balanced binary partition seen so far. sizes is
-// scratch the caller reuses, so a kept pair keeps a copy.
+// extract x from the most balanced binary partition seen so far. p's
+// destination class and sizes are borrowed (see kept).
 func (a *skylineAcc) observe(p tupleclass.Pair, sizes []int, b float64) {
 	a.enumerated++
 	if len(sizes) == 2 && b < a.bestBinary {
@@ -125,10 +125,19 @@ func (a *skylineAcc) observe(p tupleclass.Pair, sizes []int, b float64) {
 	switch {
 	case b < a.minBalance:
 		a.minBalance = b
-		a.pairs = append(a.pairs[:0], ScoredPair{Pair: p, Balance: b, Sizes: slices.Clone(sizes)})
+		a.pairs = append(a.pairs[:0], kept(p, sizes, b))
 	case b == a.minBalance && !math.IsInf(b, 1):
-		a.pairs = append(a.pairs, ScoredPair{Pair: p, Balance: b, Sizes: slices.Clone(sizes)})
+		a.pairs = append(a.pairs, kept(p, sizes, b))
 	}
+}
+
+// kept is the ScoredPair of an enumerated pair that outlives its
+// callback. The destination class is the enumerator's and the sizes are
+// the caller's scratch, both rewritten for the next pair, so it copies
+// them.
+func kept(p tupleclass.Pair, sizes []int, b float64) ScoredPair {
+	p.Dst = p.Dst.Clone()
+	return ScoredPair{Pair: p, Balance: b, Sizes: slices.Clone(sizes)}
 }
 
 // merge folds a class-local accumulator into the level accumulator, in
@@ -183,7 +192,7 @@ func (g *Generator) EnumerateScoredPairs(maxPairs int) []ScoredPair {
 		for ci, sc := range g.srcClasses {
 			g.Space.EnumerateClassesAt(sc.Class, i, func(dst tupleclass.Class) bool {
 				if p, sizes, b := g.score(ci, dst, cs); !math.IsInf(b, 1) {
-					out = append(out, ScoredPair{Pair: p, Balance: b, Sizes: slices.Clone(sizes)})
+					out = append(out, kept(p, sizes, b))
 				}
 				return maxPairs <= 0 || len(out) < maxPairs
 			})

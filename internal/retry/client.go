@@ -24,10 +24,10 @@ func newTransport() *http.Transport {
 }
 
 // HTTPClient is the shared constructor for the repo's upstream HTTP
-// clients (chaos harness, cluster harness, health probers): one place to
-// decide dial/TLS bounds instead of scattered http.Client literals. The
-// timeout caps each whole request, response body included (0 = no cap;
-// prefer HTTPClientPerRequest then).
+// clients (service.Client's attempts, the harnesses' stats reads, health
+// probers): one place to decide dial/TLS bounds instead of scattered
+// http.Client literals. The timeout caps each whole request, response body
+// included (0 = no cap; prefer HTTPClientPerRequest then).
 func HTTPClient(timeout time.Duration) *http.Client {
 	return &http.Client{Timeout: timeout, Transport: newTransport()}
 }

@@ -3,9 +3,9 @@ package retry
 import "qfe/internal/obs"
 
 // Process-wide retry-loop handles: every Policy.Do in the process (router
-// proxying, failover adoptions, chaos clients) feeds the same counters —
-// a rising retry rate is the earliest cluster-distress signal, and give-ups
-// are requests that turned into client-visible 503s.
+// proxying, failover adoptions, service.Client calls) feeds the same
+// counters — a rising retry rate is the earliest cluster-distress signal,
+// and give-ups are requests that turned into client-visible 503s.
 var (
 	mRetriesScheduled = obs.NewCounter("qfe_retry_backoffs_total",
 		"Retries scheduled (backoff sleeps) across all retry loops.")

@@ -1,7 +1,8 @@
 // Package retry implements capped exponential backoff with full jitter —
 // the retry discipline shared by every client that talks to a qfe-server
-// through crashes and failovers (the chaos harness's HTTP client, the
-// cluster router's proxy attempts, the failover handoff RPCs).
+// through crashes and failovers (service.Client, which the simulation and
+// chaos harnesses drive sessions with; the cluster router's proxy
+// attempts; the failover handoff RPCs).
 //
 // The policy follows the classic "full jitter" scheme: attempt i sleeps a
 // uniformly random duration in [0, min(Cap, Initial·Multiplier^i)]. Jitter

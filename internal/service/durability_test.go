@@ -204,7 +204,7 @@ func TestRecoverSnapshotPlusTail(t *testing.T) {
 	if !ok {
 		choice = core.NoneOfThese
 	}
-	st, err = m1.Feedback(id, choice)
+	st, err = m1.FeedbackAt(context.Background(), id, st.Round.Seq, choice)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestRecoverSnapshotPlusTail(t *testing.T) {
 		if !ok {
 			choice = core.NoneOfThese
 		}
-		if _, err := m1.Feedback(id, choice); err != nil {
+		if _, err := m1.FeedbackAt(context.Background(), id, st.Round.Seq, choice); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -457,7 +457,7 @@ func TestSaveRacingFeedback(t *testing.T) {
 				if !ok {
 					choice = core.NoneOfThese
 				}
-				st, err = m.Feedback(id, choice)
+				st, err = m.FeedbackAt(context.Background(), id, st.Round.Seq, choice)
 				if err != nil {
 					t.Error(err)
 					return

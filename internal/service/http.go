@@ -47,7 +47,8 @@ type HandlerOptions struct {
 //
 //	POST   /sessions                {dataset | tables+result} -> first round
 //	GET    /sessions/{id}           current round or outcome
-//	POST   /sessions/{id}/feedback  {"choice": i} (0-based; -1 = none)
+//	POST   /sessions/{id}/feedback  {"choice": i, "seq": n} (0-based;
+//	                                -1 = none; seq of the round answered)
 //	DELETE /sessions/{id}           abandon
 //	GET    /stats                   manager counters
 //	GET    /healthz                 WAL writability + session headroom
@@ -228,16 +229,16 @@ type NamedCSV struct {
 }
 
 // FeedbackRequest is the POST /sessions/{id}/feedback body. Choice is a
-// 0-based index into the round's results; -1 means "none of these". Seq,
-// when positive, names the round the choice answers (RoundJSON.Seq) and
-// makes the request idempotent: retrying after a lost acknowledgement
-// returns the current status instead of double-applying, and a seq beyond
-// any round the server has produced is rejected with 409 (acknowledged
-// state was lost — the crash-recovery detector). Seq 0 preserves the legacy
-// unconditional apply.
+// 0-based index into the round's results; -1 means "none of these". Seq is
+// required: it names the round the choice answers (RoundJSON.Seq) and
+// makes the request idempotent. Retrying after a lost acknowledgement
+// returns the current status instead of double-applying, a seq beyond any
+// round the server has produced is rejected with 409 (acknowledged state
+// was lost — the crash-recovery detector), and a missing seq or one below 1
+// with 400.
 type FeedbackRequest struct {
 	Choice int `json:"choice"`
-	Seq    int `json:"seq,omitempty"`
+	Seq    int `json:"seq"`
 }
 
 // RoundJSON is the wire form of a pending feedback round.
@@ -338,7 +339,7 @@ func writeErr(w http.ResponseWriter, err error) {
 		status = http.StatusNotFound
 	case errors.Is(err, ErrCapacity):
 		status = http.StatusTooManyRequests
-	case errors.Is(err, ErrFinished), errors.Is(err, ErrSeqAhead):
+	case errors.Is(err, ErrSeqAhead):
 		status = http.StatusConflict
 	case errors.Is(err, ErrDead):
 		status = http.StatusInternalServerError

@@ -76,7 +76,7 @@ func TestHTTPDemoSessionEndToEnd(t *testing.T) {
 			t.Fatal("session did not converge")
 		}
 		code, raw = doJSON(t, http.MethodPost,
-			srv.URL+"/sessions/"+st.ID+"/feedback", FeedbackRequest{Choice: 0}, &st)
+			srv.URL+"/sessions/"+st.ID+"/feedback", FeedbackRequest{Choice: 0, Seq: st.Round.Seq}, &st)
 		if code != http.StatusOK {
 			t.Fatalf("feedback: %d %s", code, raw)
 		}
@@ -116,7 +116,7 @@ func TestHTTPCSVTables(t *testing.T) {
 }
 
 // TestHTTPErrors exercises the error mapping: bad dataset, missing session,
-// invalid choice, finished session, capacity.
+// invalid choice, missing seq, abandoned session.
 func TestHTTPErrors(t *testing.T) {
 	srv, _ := newTestServer(t)
 
@@ -128,7 +128,7 @@ func TestHTTPErrors(t *testing.T) {
 		t.Errorf("missing session: %d", code)
 	}
 	if code, _ := doJSON(t, http.MethodPost, srv.URL+"/sessions/missing/feedback",
-		FeedbackRequest{Choice: 0}, nil); code != http.StatusNotFound {
+		FeedbackRequest{Choice: 0, Seq: 1}, nil); code != http.StatusNotFound {
 		t.Errorf("feedback on missing session: %d", code)
 	}
 	if code, _ := doJSON(t, http.MethodGet, srv.URL+"/sessions", nil, nil); code != http.StatusMethodNotAllowed {
@@ -141,13 +141,19 @@ func TestHTTPErrors(t *testing.T) {
 		t.Fatalf("create: %d %s", code, raw)
 	}
 	if code, _ := doJSON(t, http.MethodPost, srv.URL+"/sessions/"+st.ID+"/feedback",
-		FeedbackRequest{Choice: 99}, nil); code != http.StatusBadRequest {
+		FeedbackRequest{Choice: 99, Seq: st.Round.Seq}, nil); code != http.StatusBadRequest {
 		t.Errorf("invalid choice: %d", code)
 	}
-	// Session still alive after the invalid choice.
+	// A body without a seq is rejected whatever its choice.
+	if code, raw := doJSON(t, http.MethodPost, srv.URL+"/sessions/"+st.ID+"/feedback",
+		map[string]int{"choice": 0}, nil); code != http.StatusBadRequest {
+		t.Errorf("feedback without seq: %d %s", code, raw)
+	}
+	// Session still alive, and still at its first round, after both.
 	var got SessionJSON
-	if code, _ := doJSON(t, http.MethodGet, srv.URL+"/sessions/"+st.ID, nil, &got); code != http.StatusOK || got.Done {
-		t.Errorf("session should survive invalid choice: %d %+v", code, got)
+	if code, _ := doJSON(t, http.MethodGet, srv.URL+"/sessions/"+st.ID, nil, &got); code != http.StatusOK ||
+		got.Done || got.Round.Seq != st.Round.Seq {
+		t.Errorf("session should survive invalid feedback unchanged: %d %+v", code, got)
 	}
 	// Abandon, then 404.
 	if code, _ := doJSON(t, http.MethodDelete, srv.URL+"/sessions/"+st.ID, nil, nil); code != http.StatusOK {
@@ -191,7 +197,7 @@ func TestHTTPNoneOfThese(t *testing.T) {
 			t.Fatal("did not terminate")
 		}
 		code, raw := doJSON(t, http.MethodPost,
-			srv.URL+"/sessions/"+st.ID+"/feedback", FeedbackRequest{Choice: -1}, &st)
+			srv.URL+"/sessions/"+st.ID+"/feedback", FeedbackRequest{Choice: -1, Seq: st.Round.Seq}, &st)
 		if code != http.StatusOK {
 			t.Fatalf("feedback: %d %s", code, raw)
 		}

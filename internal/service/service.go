@@ -34,11 +34,10 @@ import (
 )
 
 // Errors returned by the manager. HTTP front-ends map these to status codes
-// (404, 429, 409, 500).
+// (404, 429, 409, 500, 503).
 var (
 	ErrNotFound = errors.New("service: no such session")
 	ErrCapacity = errors.New("service: session capacity reached, retry later")
-	ErrFinished = errors.New("service: session already finished")
 	// ErrDead wraps a fatal engine error inside a session: the session is
 	// unusable and the fault is the server's, not the client's.
 	ErrDead = errors.New("service: session failed")
@@ -403,24 +402,22 @@ func (m *Manager) Get(id string) (Status, error) {
 	return m.statusLocked(h), nil
 }
 
-// Feedback applies one feedback choice (an index into the pending round's
-// results, or core.NoneOfThese) and returns the next status. Invalid
-// choices return an error and leave the round pending, so clients can
-// retry. A fatal stepping error kills the session and is returned to this
-// and every later caller.
-func (m *Manager) Feedback(id string, choice int) (Status, error) {
-	return m.FeedbackAt(context.Background(), id, 0, choice)
-}
-
-// FeedbackAt is Feedback with at-most-once semantics: seq names the round
-// the choice answers (Round.Seq). If the session has already advanced past
-// seq — a retried request whose acknowledgement was lost to a crash or a
-// dropped connection — the current status is returned without applying the
-// choice again. A seq beyond any round the session has produced returns
-// ErrSeqAhead: the client has acknowledged state the server lost. seq 0
-// skips the check (the legacy unconditional apply). ctx bounds the lock
-// wait and is checked once more before the engine steps.
+// FeedbackAt applies one feedback choice (an index into the pending
+// round's results, or core.NoneOfThese) to the round seq names (Round.Seq)
+// and returns the next status, at most once. If the session has already
+// advanced past seq — a retried request whose acknowledgement was lost to a
+// crash or a dropped connection — the current status is returned without
+// applying the choice again; a finished session so answers every seq up to
+// its last round with its outcome. A seq beyond any round the session has
+// produced returns ErrSeqAhead: the client has acknowledged state the
+// server lost. A seq below 1 and an invalid choice are validation errors
+// that leave the round pending. A fatal stepping error kills the session
+// and is returned to this and every later caller. ctx bounds the lock wait
+// and is checked once more before the engine steps.
 func (m *Manager) FeedbackAt(ctx context.Context, id string, seq, choice int) (Status, error) {
+	if seq < 1 {
+		return Status{}, fmt.Errorf("service: feedback seq %d: want the seq of the round being answered (>= 1)", seq)
+	}
 	h, err := m.lookup(id)
 	if err != nil {
 		return Status{}, err
@@ -432,27 +429,22 @@ func (m *Manager) FeedbackAt(ctx context.Context, id string, seq, choice int) (S
 	if h.dead != nil {
 		return Status{}, h.dead
 	}
-	if seq > 0 {
-		switch {
-		case h.round != nil && h.round.Seq == seq:
-			// The pending round: apply below.
-		case seq <= h.sess.Seq():
-			// Already answered (possibly pre-crash, replayed from the WAL):
-			// idempotent success — but only once the transition is durable.
-			// Its original append may have failed, leaving it unjournaled;
-			// re-acknowledging then would hand back an ack a crash could
-			// still lose.
-			if err := m.flushUnjournaledLocked(h); err != nil {
-				return Status{}, err
-			}
-			return m.statusLocked(h), nil
-		default:
-			return Status{}, fmt.Errorf("%w: session %s: feedback for round %d, latest round is %d",
-				ErrSeqAhead, id, seq, h.sess.Seq())
+	switch {
+	case h.round != nil && h.round.Seq == seq:
+		// The pending round: apply below.
+	case seq <= h.sess.Seq():
+		// Already answered (possibly pre-crash, replayed from the WAL):
+		// idempotent success — but only once the transition is durable.
+		// Its original append may have failed, leaving it unjournaled;
+		// re-acknowledging then would hand back an ack a crash could
+		// still lose.
+		if err := m.flushUnjournaledLocked(h); err != nil {
+			return Status{}, err
 		}
-	}
-	if h.outcome != nil {
-		return Status{}, ErrFinished
+		return m.statusLocked(h), nil
+	default:
+		return Status{}, fmt.Errorf("%w: session %s: feedback for round %d, latest round is %d",
+			ErrSeqAhead, id, seq, h.sess.Seq())
 	}
 	// Degraded gate before mutating: while the journal is down the round
 	// must stay pending (503, client retries) rather than advance state we
@@ -463,10 +455,6 @@ func (m *Manager) FeedbackAt(ctx context.Context, id string, seq, choice int) (S
 	}
 	if err := ctx.Err(); err != nil {
 		return Status{}, err
-	}
-	answered := 0
-	if h.round != nil {
-		answered = h.round.Seq
 	}
 	round, outcome, err := h.sess.Feedback(choice)
 	if err != nil {
@@ -501,7 +489,7 @@ func (m *Manager) FeedbackAt(ctx context.Context, id string, seq, choice int) (S
 	// a transition is never acknowledged while undurable.
 	if m.opts.Journal != nil {
 		recs := append([]wal.Record{}, h.unjournaled...)
-		recs = append(recs, wal.Record{Type: wal.TypeFeedback, ID: id, Seq: answered,
+		recs = append(recs, wal.Record{Type: wal.TypeFeedback, ID: id, Seq: seq,
 			Choice: choice, UnixNs: m.nowNs()})
 		if h.outcome != nil {
 			recs = append(recs, wal.Record{Type: wal.TypeFinished, ID: id, UnixNs: m.nowNs()})

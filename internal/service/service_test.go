@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -67,7 +68,7 @@ func driveToOutcome(t *testing.T, m *Manager, id string, oracle feedback.Oracle)
 		if !ok {
 			choice = core.NoneOfThese
 		}
-		st, err = m.Feedback(id, choice)
+		st, err = m.FeedbackAt(context.Background(), id, st.Round.Seq, choice)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,18 +112,49 @@ func TestFeedbackValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Feedback(st.ID, 99); err == nil {
+	ctx := context.Background()
+	if _, err := m.FeedbackAt(ctx, st.ID, st.Round.Seq, 99); err == nil {
 		t.Fatal("out-of-range choice should error")
 	}
 	// Session still usable after the bad choice.
-	if _, err := m.Feedback(st.ID, 0); err != nil {
+	if _, err := m.FeedbackAt(ctx, st.ID, st.Round.Seq, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Feedback("nope", 0); !errors.Is(err, ErrNotFound) {
+	if _, err := m.FeedbackAt(ctx, "nope", 1, 0); !errors.Is(err, ErrNotFound) {
 		t.Errorf("want ErrNotFound, got %v", err)
 	}
 }
 
+// TestFeedbackRequiresSeq: feedback without the seq of the round it
+// answers is a validation error that leaves the round pending. An
+// unconditional apply would turn a retried answer into an answer to the
+// next round.
+func TestFeedbackRequiresSeq(t *testing.T) {
+	d, r := employeeDB()
+	m := New(testOptions())
+	st, err := m.Create(d, r, paperCandidates())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seq := range []int{0, -1} {
+		if _, err := m.FeedbackAt(context.Background(), st.ID, seq, 0); err == nil {
+			t.Errorf("seq %d: feedback applied, want a validation error", seq)
+		}
+		got, err := m.Get(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Round == nil || got.Round.Seq != 1 {
+			t.Fatalf("seq %d: round 1 no longer pending: %+v", seq, got.Round)
+		}
+	}
+	if s := m.Stats(); s.RoundsServed != 1 {
+		t.Errorf("rounds served = %d, want 1", s.RoundsServed)
+	}
+}
+
+// TestFeedbackAfterFinishErrs: a finished session answers a retry of its
+// last round with its outcome, and a later seq with ErrSeqAhead.
 func TestFeedbackAfterFinishErrs(t *testing.T) {
 	d, r := employeeDB()
 	m := New(testOptions())
@@ -131,9 +163,14 @@ func TestFeedbackAfterFinishErrs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveToOutcome(t, m, st.ID, feedback.WorstCase{})
-	if _, err := m.Feedback(st.ID, 0); !errors.Is(err, ErrFinished) {
-		t.Errorf("want ErrFinished, got %v", err)
+	out := driveToOutcome(t, m, st.ID, feedback.WorstCase{})
+	last := len(out.Iterations)
+	again, err := m.FeedbackAt(context.Background(), st.ID, last, 0)
+	if err != nil || again.Outcome != out {
+		t.Errorf("retry of the last round: outcome %p, err %v; want outcome %p", again.Outcome, err, out)
+	}
+	if _, err := m.FeedbackAt(context.Background(), st.ID, last+1, 0); !errors.Is(err, ErrSeqAhead) {
+		t.Errorf("seq past the last round: want ErrSeqAhead, got %v", err)
 	}
 }
 

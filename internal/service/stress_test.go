@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -91,7 +92,7 @@ func TestConcurrentSessionsMatchSerialRuns(t *testing.T) {
 					if !ok {
 						choice = core.NoneOfThese
 					}
-					st, err = m.Feedback(st.ID, choice)
+					st, err = m.FeedbackAt(context.Background(), st.ID, st.Round.Seq, choice)
 					if err != nil {
 						errCh <- fmt.Errorf("worker %d: feedback: %w", w, err)
 						return

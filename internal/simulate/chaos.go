@@ -2,8 +2,9 @@
 // path (DESIGN.md §11) from the outside. RunChaos launches a real qfe-server
 // subprocess with a WAL and drives concurrent sessions against it over HTTP
 // while a killer goroutine SIGKILLs the process at randomized moments and
-// restarts it. Clients retry through the crashes with seq-tagged feedback
-// (idempotent under lost acknowledgements) and verify two properties:
+// restarts it on the same address. Clients (service.Client) retry through
+// the crashes with seq-tagged feedback (idempotent under lost
+// acknowledgements) and verify two properties:
 //
 //   - zero lost acknowledged state: every session the server acknowledged
 //     survives each crash (a 404 for a created session, or a 409 seq-ahead
@@ -25,17 +26,15 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"qfe/internal/codec"
 	"qfe/internal/fault"
 	"qfe/internal/feedback"
 	"qfe/internal/par"
@@ -98,18 +97,8 @@ type ChaosReport struct {
 	Restarts int   `json:"restarts"`
 	Seed     int64 `json:"seed"`
 
-	// Completed sessions reached an outcome; Lost counts durability
-	// violations (acknowledged session or round the restarted server had
-	// forgotten); Mismatched counts outcomes that differ from the
-	// uninterrupted reference run. A correct server keeps both at zero.
-	// Skipped slots failed deterministically in the reference pass (e.g. the
-	// server's candidate generation cannot reverse-engineer the scenario —
-	// a 400 on create) and are excluded from the comparison.
-	Completed  int `json:"completed"`
-	Lost       int `json:"lostAcknowledged"`
-	Mismatched int `json:"outcomeMismatches"`
-	Errors     int `json:"errors"`
-	Skipped    int `json:"skipped"`
+	// Outcomes against the uninterrupted reference run.
+	tally
 
 	// HTTPRetries counts client attempts that hit a down or restarting
 	// server and were retried.
@@ -133,263 +122,22 @@ type ChaosReport struct {
 	WallNs int64 `json:"wallNs"`
 }
 
-// chaosServer manages the qfe-server subprocess: one fixed port across
-// restarts (so clients keep one base URL), SIGKILL, restart, readiness.
-type chaosServer struct {
-	opts ChaosOptions
-	port int
-	base string
-	// faultPath names the schedule JSON passed to -fault-schedule (chaos
-	// pass only; empty = no injection). The schedule re-arms on every
-	// restart, so early faults replay in each process generation.
-	faultPath string
-
-	mu  sync.Mutex
-	cmd *exec.Cmd
-}
-
-func (s *chaosServer) args() []string {
-	a := []string{
-		"-addr", "127.0.0.1:" + strconv.Itoa(s.port),
-		"-state", filepath.Join(s.opts.WorkDir, "state.json"),
-		"-wal", filepath.Join(s.opts.WorkDir, "wal"),
-		"-wal-sync", s.opts.SyncPolicy,
-		"-checkpoint", s.opts.Checkpoint.String(),
-		"-candidates", strconv.Itoa(s.opts.MaxCandidates),
-	}
-	if s.faultPath != "" {
-		a = append(a, "-fault-schedule", s.faultPath)
-	}
-	return a
-}
-
-// start launches the server and waits for /healthz.
-func (s *chaosServer) start() error {
-	s.mu.Lock()
-	cmd := exec.Command(s.opts.ServerBin, s.args()...)
-	cmd.Stdout = io.Discard
-	cmd.Stderr = io.Discard
-	if err := cmd.Start(); err != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("chaos: starting server: %w", err)
-	}
-	s.cmd = cmd
-	s.mu.Unlock()
-
-	client := retry.HTTPClient(time.Second)
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := client.Get(s.base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	s.kill()
-	return errors.New("chaos: server did not become healthy within 60s")
-}
-
-// kill SIGKILLs the server and reaps it.
-func (s *chaosServer) kill() {
-	s.mu.Lock()
-	cmd := s.cmd
-	s.cmd = nil
-	s.mu.Unlock()
-	if cmd == nil || cmd.Process == nil {
-		return
-	}
-	_ = cmd.Process.Kill()
-	_ = cmd.Wait()
-}
-
-// stats fetches the server's /stats counters.
-func (s *chaosServer) stats() (service.Stats, error) {
-	client := retry.HTTPClient(5 * time.Second)
-	resp, err := client.Get(s.base + "/stats")
-	if err != nil {
-		return service.Stats{}, err
-	}
-	defer resp.Body.Close()
-	var st service.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return service.Stats{}, err
-	}
-	return st, nil
-}
-
-// freePort reserves a port by binding and releasing it. Go listeners set
-// SO_REUSEADDR, so the restarted server can rebind it immediately.
-func freePort() (int, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return 0, err
-	}
-	port := ln.Addr().(*net.TCPAddr).Port
-	return port, ln.Close()
-}
-
-// chaosClient is the retrying, seq-aware HTTP client the session drivers
-// share, built on retry.Policy (capped exponential backoff + full jitter).
-// Transport errors (connection refused/reset while a server is down or
-// restarting) and backpressure statuses (429, 502, 503, 504 — a router
-// fencing a dead worker or shedding load answers 503 + Retry-After) retry
-// until the budget runs out; every other HTTP response is authoritative —
-// the server was alive to produce it.
-type chaosClient struct {
-	base     string
-	client   *http.Client
-	retryFor time.Duration
-	retries  atomic.Int64
-}
-
-// errLost marks a durability violation detected by the protocol: the
-// restarted server does not know a session or round it acknowledged.
-var errLost = errors.New("chaos: acknowledged state lost")
-
-// retryableStatus reports whether an HTTP status promises that trying again
-// later can succeed.
-func retryableStatus(code int) bool {
-	switch code {
-	case http.StatusTooManyRequests, http.StatusBadGateway,
-		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		return true
-	}
-	return false
-}
-
-func (c *chaosClient) do(method, path string, body any) (*service.SessionJSON, error) {
-	var payload []byte
-	if body != nil {
-		var err error
-		if payload, err = json.Marshal(body); err != nil {
-			return nil, err
-		}
-	}
-	var st *service.SessionJSON
-	pol := retry.Policy{
-		Cap:     400 * time.Millisecond,
-		Budget:  c.retryFor,
-		OnRetry: func(int, error, time.Duration) { c.retries.Add(1) },
-	}
-	err := pol.Do(context.Background(), func() error {
-		var rd io.Reader
-		if payload != nil {
-			rd = bytes.NewReader(payload)
-		}
-		req, err := http.NewRequest(method, c.base+path, rd)
-		if err != nil {
-			return retry.Permanent(err)
-		}
-		if payload != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		resp, err := c.client.Do(req)
-		if err != nil {
-			return fmt.Errorf("chaos: %s %s: %w", method, path, err)
-		}
-		data, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil {
-			// Connection died mid-response (a kill landed between headers
-			// and body): indistinguishable from a lost request — retry.
-			return fmt.Errorf("chaos: %s %s: reading response: %w", method, path, rerr)
-		}
-		if resp.StatusCode >= 300 {
-			var apiErr struct {
-				Error string `json:"error"`
-			}
-			_ = json.Unmarshal(data, &apiErr)
-			switch {
-			case resp.StatusCode == http.StatusNotFound:
-				return retry.Permanent(fmt.Errorf("%w: %s %s: 404 %s", errLost, method, path, apiErr.Error))
-			case resp.StatusCode == http.StatusConflict:
-				// ErrSeqAhead is the lost-acknowledged-round detector;
-				// ErrFinished cannot reach a seq-tagged client (that path
-				// returns the idempotent status instead).
-				return retry.Permanent(fmt.Errorf("%w: %s %s: 409 %s", errLost, method, path, apiErr.Error))
-			case retryableStatus(resp.StatusCode):
-				return fmt.Errorf("chaos: %s %s: status %d: %s", method, path, resp.StatusCode, apiErr.Error)
-			default:
-				return retry.Permanent(fmt.Errorf("chaos: %s %s: status %d: %s", method, path, resp.StatusCode, apiErr.Error))
-			}
-		}
-		if method == http.MethodDelete {
-			st = nil
-			return nil
-		}
-		var decoded service.SessionJSON
-		if err := json.Unmarshal(data, &decoded); err != nil {
-			return retry.Permanent(fmt.Errorf("chaos: decoding %s response: %w", path, err))
-		}
-		st = &decoded
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-// driveSession runs one scenario to its outcome through the retrying
-// client, answering rounds with target-policy feedback. It returns the
-// final outcome (for comparison against the reference run).
-func driveSession(c *chaosClient, sc *scenario.Scenario, maxCand int) (*service.OutcomeJSON, error) {
-	req := service.CreateRequest{MaxCandidates: maxCand}
-	cd := codec.EncodeDatabase(sc.DB)
-	req.Tables = cd.Tables
-	req.PrimaryKeys = cd.PrimaryKeys
-	req.ForeignKeys = cd.ForeignKeys
-	req.Result = ptr(codec.EncodeRelation(sc.R))
-
-	oracle := feedback.Target{Query: sc.Target}
-	st, err := c.do(http.MethodPost, "/sessions", req)
-	if err != nil {
-		return nil, err
-	}
-	for !st.Done {
-		if st.Round == nil {
-			return nil, errors.New("chaos: server returned neither round nor outcome")
-		}
-		choice, err := chooseRound(sc, oracle, st.Round)
-		if err != nil {
-			return nil, err
-		}
-		st, err = c.do(http.MethodPost, "/sessions/"+st.ID+"/feedback",
-			service.FeedbackRequest{Choice: choice, Seq: st.Round.Seq})
-		if err != nil {
-			return nil, err
-		}
-	}
-	if st.Outcome == nil {
-		return nil, errors.New("chaos: finished session without outcome")
-	}
-	return st.Outcome, nil
-}
-
-// RunChaos executes the full harness: a reference pass against an
-// uninterrupted server, then the chaos pass with SIGKILL injection, then
-// the comparison. It returns the report; the caller decides what counts as
-// failure (the CLI gates on Lost > 0 or Mismatched > 0).
-func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
+// withDefaults checks the options both harnesses share and fills in their
+// defaults; name prefixes errors and the temp WorkDir. Kills is left to
+// the caller, whose kill semantics differ. cleanup removes a WorkDir made
+// here.
+func (opts *ChaosOptions) withDefaults(name string) (cleanup func(), err error) {
 	if opts.ServerBin == "" {
-		return nil, errors.New("chaos: ServerBin is required")
+		return nil, fmt.Errorf("%s: ServerBin is required", name)
 	}
 	if len(opts.Corpus) == 0 {
-		return nil, errors.New("chaos: empty corpus")
+		return nil, fmt.Errorf("%s: empty corpus", name)
 	}
 	if opts.Sessions <= 0 {
 		opts.Sessions = 50
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = 8
-	}
-	if opts.Kills < 0 {
-		opts.Kills = 0
-	} else if opts.Kills == 0 {
-		opts.Kills = 5
 	}
 	if opts.MaxCandidates <= 0 {
 		opts.MaxCandidates = 16
@@ -409,13 +157,84 @@ func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
 	if opts.Log == nil {
 		opts.Log = os.Stderr
 	}
-	if opts.WorkDir == "" {
-		dir, err := os.MkdirTemp("", "qfe-chaos-")
+	if opts.WorkDir != "" {
+		return func() {}, nil
+	}
+	dir, err := os.MkdirTemp("", "qfe-"+name+"-")
+	if err != nil {
+		return nil, err
+	}
+	opts.WorkDir = dir
+	return func() { os.RemoveAll(dir) }, nil
+}
+
+// serverArgs are the qfe-server flags of a node whose state file and WAL
+// live in dir (all but -addr, which the launcher supplies).
+func serverArgs(opts ChaosOptions, dir string) []string {
+	return []string{
+		"-state", filepath.Join(dir, "state.json"),
+		"-wal", filepath.Join(dir, "wal"),
+		"-wal-sync", opts.SyncPolicy,
+		"-checkpoint", opts.Checkpoint.String(),
+		"-candidates", strconv.Itoa(opts.MaxCandidates),
+	}
+}
+
+// getJSON decodes the body of a 200 response to GET url into v.
+func getJSON(url string, v any) error {
+	resp, err := retry.HTTPClient(5 * time.Second).Get(url)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
+	}
+	return json.NewDecoder(resp.Body).Decode(v)
+}
+
+// driveSession runs one scenario to its outcome through the retrying
+// client, answering rounds with target-policy feedback. It returns the
+// final outcome (for comparison against the reference run).
+func driveSession(c *service.Client, sc *scenario.Scenario, maxCand int) (*service.OutcomeJSON, error) {
+	ctx := context.Background()
+	oracle := feedback.Target{Query: sc.Target}
+	st, err := c.Create(ctx, createRequest(sc, maxCand))
+	if err != nil {
+		return nil, err
+	}
+	for !st.Done {
+		if st.Round == nil {
+			return nil, errors.New("chaos: server returned neither round nor outcome")
+		}
+		choice, err := chooseRound(sc, oracle, st.Round)
 		if err != nil {
 			return nil, err
 		}
-		defer os.RemoveAll(dir)
-		opts.WorkDir = dir
+		if st, err = c.Feedback(ctx, st.ID, st.Round.Seq, choice); err != nil {
+			return nil, err
+		}
+	}
+	if st.Outcome == nil {
+		return nil, errors.New("chaos: finished session without outcome")
+	}
+	return st.Outcome, nil
+}
+
+// RunChaos executes the full harness: a reference pass against an
+// uninterrupted server, then the chaos pass with SIGKILL injection, then
+// the comparison. It returns the report; the caller decides what counts as
+// failure (the CLI gates on Lost > 0 or Mismatched > 0).
+func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
+	cleanup, err := opts.withDefaults("chaos")
+	if err != nil {
+		return nil, err
+	}
+	defer cleanup()
+	if opts.Kills < 0 {
+		opts.Kills = 0
+	} else if opts.Kills == 0 {
+		opts.Kills = 5
 	}
 
 	t0 := time.Now()
@@ -426,17 +245,6 @@ func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
 	refOut, _, err := runPass(opts, filepath.Join(opts.WorkDir, "ref"), nil)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: reference pass: %w", err)
-	}
-	// A reference failure is deterministic (no kills happen in that pass):
-	// the server cannot serve this scenario at all — most often create
-	// returns 400 because server-side candidate generation found no SPJ
-	// query. Such slots are excluded from the chaos comparison.
-	skip := make([]bool, len(refOut))
-	for i, o := range refOut {
-		if o.err != nil {
-			skip[i] = true
-			fmt.Fprintf(opts.Log, "chaos: session %d: skipped (reference: %v)\n", i, o.err)
-		}
 	}
 
 	// Chaos pass.
@@ -466,28 +274,7 @@ func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
 	rep.WALAppendErrors = kstats.walAppendErrors
 	rep.DegradedEntered = kstats.degradedEntered
 	rep.DegradedRecovered = kstats.degradedRecovered
-
-	for i := range chaosOut {
-		co := chaosOut[i]
-		switch {
-		case skip[i]:
-			rep.Skipped++
-		case co.err != nil && errors.Is(co.err, errLost):
-			rep.Lost++
-			fmt.Fprintf(opts.Log, "chaos: session %d: LOST: %v\n", i, co.err)
-		case co.err != nil:
-			rep.Errors++
-			fmt.Fprintf(opts.Log, "chaos: session %d: error: %v\n", i, co.err)
-		default:
-			rep.Completed++
-			want, _ := json.Marshal(refOut[i].outcome)
-			got, _ := json.Marshal(co.outcome)
-			if string(want) != string(got) {
-				rep.Mismatched++
-				fmt.Fprintf(opts.Log, "chaos: session %d: outcome mismatch:\n  ref:   %s\n  chaos: %s\n", i, want, got)
-			}
-		}
-	}
+	rep.tally = compare(opts.Log, "chaos", refOut, chaosOut)
 	rep.WallNs = int64(time.Since(t0))
 	return rep, nil
 }
@@ -496,6 +283,54 @@ func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
 type sessionOutcome struct {
 	outcome *service.OutcomeJSON
 	err     error
+}
+
+// tally is what a pass's sessions came to against the reference pass.
+// Completed sessions reached an outcome; Lost counts durability violations
+// (a session or round the servers acknowledged and later did not know);
+// Mismatched counts outcomes that differ from the uninterrupted reference
+// run. Skipped slots failed in the reference pass and are excluded from
+// the comparison. A correct server keeps Lost, Mismatched and Errors at
+// zero.
+type tally struct {
+	Completed  int `json:"completed"`
+	Lost       int `json:"lostAcknowledged"`
+	Mismatched int `json:"outcomeMismatches"`
+	Errors     int `json:"errors"`
+	Skipped    int `json:"skipped"`
+}
+
+// compare tallies a pass's sessions against the reference pass's, logging
+// every session that did not reproduce its reference outcome. A reference
+// failure is deterministic (no kills happen in that pass): the server
+// cannot serve the scenario at all — most often create returns 400 because
+// server-side candidate generation found no SPJ query — so the slot is
+// skipped. A 404 or a 409 (ErrNotFound, ErrSeqAhead) is acknowledged state
+// lost.
+func compare(log io.Writer, name string, ref, run []sessionOutcome) tally {
+	var t tally
+	for i, o := range run {
+		switch {
+		case ref[i].err != nil:
+			t.Skipped++
+			fmt.Fprintf(log, "%s: session %d: skipped (reference: %v)\n", name, i, ref[i].err)
+		case errors.Is(o.err, service.ErrNotFound), errors.Is(o.err, service.ErrSeqAhead):
+			t.Lost++
+			fmt.Fprintf(log, "%s: session %d: LOST: %v\n", name, i, o.err)
+		case o.err != nil:
+			t.Errors++
+			fmt.Fprintf(log, "%s: session %d: error: %v\n", name, i, o.err)
+		default:
+			t.Completed++
+			want, _ := json.Marshal(ref[i].outcome)
+			got, _ := json.Marshal(o.outcome)
+			if !bytes.Equal(want, got) {
+				t.Mismatched++
+				fmt.Fprintf(log, "%s: session %d: outcome mismatch:\n  reference: %s\n  %s: %s\n", name, i, want, name, got)
+			}
+		}
+	}
+	return t
 }
 
 // killerStats aggregates what the killer goroutine observed.
@@ -530,26 +365,24 @@ func runPass(opts ChaosOptions, workDir string, rep *ChaosReport) ([]sessionOutc
 	if err := os.MkdirAll(workDir, 0o755); err != nil {
 		return nil, ks, err
 	}
-	port, err := freePort()
-	if err != nil {
-		return nil, ks, err
-	}
-	passOpts := opts
-	passOpts.WorkDir = workDir
-	srv := &chaosServer{opts: passOpts, port: port, base: "http://127.0.0.1:" + strconv.Itoa(port)}
+	srv := &launcher{name: "qfe-server", bin: opts.ServerBin, args: serverArgs(opts, workDir)}
 	// Faults apply only to the chaos pass (rep != nil): the reference pass
-	// defines the outcomes the faulted run must still reproduce.
+	// defines the outcomes the faulted run must still reproduce. The
+	// schedule re-arms on every restart, so early faults replay in each
+	// process generation.
 	faulted := rep != nil && opts.Faults != nil
 	if faulted && (opts.Faults.HasStorage() || opts.Faults.HasNetwork(fault.SideInbound)) {
-		srv.faultPath = filepath.Join(workDir, "faults.json")
-		if err := opts.Faults.Save(srv.faultPath); err != nil {
+		path := filepath.Join(workDir, "faults.json")
+		if err := opts.Faults.Save(path); err != nil {
 			return nil, ks, fmt.Errorf("chaos: writing fault schedule: %w", err)
 		}
+		srv.args = append(srv.args, "-fault-schedule", path)
 	}
 	if err := srv.start(); err != nil {
 		return nil, ks, err
 	}
 	defer srv.kill()
+	statsURL := srv.url() + "/stats"
 
 	httpc := retry.HTTPClient(opts.CallTimeout)
 	if faulted && opts.Faults.HasNetwork(fault.SideOutbound) {
@@ -557,11 +390,7 @@ func runPass(opts ChaosOptions, workDir string, rep *ChaosReport) ([]sessionOutc
 			fmt.Fprintf(opts.Log, format+"\n", args...)
 		})
 	}
-	client := &chaosClient{
-		base:     srv.base,
-		client:   httpc,
-		retryFor: opts.RetryFor,
-	}
+	client := service.NewClient(srv.url(), httpc, opts.RetryFor)
 
 	done := make(chan struct{})
 	var completed atomic.Int64
@@ -577,7 +406,7 @@ func runPass(opts ChaosOptions, workDir string, rep *ChaosReport) ([]sessionOutc
 		for k := range points {
 			points[k] = rng.Intn(opts.Sessions*17/20 + 1)
 		}
-		sortInts(points)
+		slices.Sort(points)
 		killerWG.Add(1)
 		go func() {
 			defer killerWG.Done()
@@ -598,8 +427,9 @@ func runPass(opts ChaosOptions, workDir string, rep *ChaosReport) ([]sessionOutc
 				// Fault counters live in server memory and die with the
 				// process: sample them before the SIGKILL (best-effort —
 				// /stats stays served even in degraded mode).
-				if st, err := srv.stats(); err == nil {
-					ks.addFaultStats(st)
+				var before service.Stats
+				if getJSON(statsURL, &before) == nil {
+					ks.addFaultStats(before)
 				}
 				srv.kill()
 				fmt.Fprintf(opts.Log, "chaos: kill %d/%d (at %d completed sessions, +%s), restarting\n",
@@ -609,14 +439,13 @@ func runPass(opts ChaosOptions, workDir string, rep *ChaosReport) ([]sessionOutc
 					return
 				}
 				ks.restarts++
-				if st, err := srv.stats(); err == nil {
+				var st service.Stats
+				if getJSON(statsURL, &st) == nil {
 					ks.restored += st.SessionsRestored
 					ks.replayed += st.SessionsReplayed
 					ks.records += st.WALRecordsReplayed
 					ks.recoveryTotal += st.RecoveryNs
-					if st.RecoveryNs > ks.recoveryMax {
-						ks.recoveryMax = st.RecoveryNs
-					}
+					ks.recoveryMax = max(ks.recoveryMax, st.RecoveryNs)
 				}
 			}
 		}()
@@ -631,21 +460,13 @@ func runPass(opts ChaosOptions, workDir string, rep *ChaosReport) ([]sessionOutc
 	})
 	close(done)
 	killerWG.Wait()
-	ks.retries = client.retries.Load()
+	ks.retries = client.Retries()
 	if faulted {
 		// The final process generation was never sampled by the killer.
-		if st, err := srv.stats(); err == nil {
+		var st service.Stats
+		if getJSON(statsURL, &st) == nil {
 			ks.addFaultStats(st)
 		}
 	}
 	return out, ks, nil
-}
-
-// sortInts is a tiny insertion sort (kill counts are single digits).
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

@@ -14,15 +14,12 @@
 package simulate
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -30,6 +27,7 @@ import (
 
 	"qfe/internal/par"
 	"qfe/internal/retry"
+	"qfe/internal/service"
 )
 
 // ClusterChaosOptions tunes a cluster chaos run. RouterBin joins
@@ -54,16 +52,8 @@ type ClusterReport struct {
 	KillsLanded int   `json:"killsLanded"` // SIGKILLs actually delivered mid-run
 	Seed        int64 `json:"seed"`
 
-	// Completed sessions reached an outcome; Lost counts durability
-	// violations (a 404/409 for acknowledged state); Mismatched counts
-	// outcomes differing from the single-node reference run; Skipped slots
-	// failed deterministically in the reference pass. A correct cluster
-	// keeps Lost, Mismatched and Errors at zero.
-	Completed  int `json:"completed"`
-	Lost       int `json:"lostAcknowledged"`
-	Mismatched int `json:"outcomeMismatches"`
-	Errors     int `json:"errors"`
-	Skipped    int `json:"skipped"`
+	// Outcomes against the single-node reference run.
+	tally
 
 	// HTTPRetries counts client attempts retried against the router.
 	HTTPRetries int `json:"httpRetries"`
@@ -78,75 +68,20 @@ type ClusterReport struct {
 	WallNs int64 `json:"wallNs"`
 }
 
-// proc is one managed subprocess (worker or router) with an HTTP base URL.
-type proc struct {
-	name string
-	base string
-	mu   sync.Mutex
-	cmd  *exec.Cmd
-}
-
-// start launches the process and waits for its /healthz.
-func (p *proc) start(bin string, args []string) error {
-	cmd := exec.Command(bin, args...)
-	cmd.Stdout = io.Discard
-	cmd.Stderr = io.Discard
-	if err := cmd.Start(); err != nil {
-		return fmt.Errorf("cluster: starting %s: %w", p.name, err)
-	}
-	p.mu.Lock()
-	p.cmd = cmd
-	p.mu.Unlock()
-	client := retry.HTTPClient(time.Second)
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := client.Get(p.base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	p.kill()
-	return fmt.Errorf("cluster: %s did not become healthy within 60s", p.name)
-}
-
-// kill SIGKILLs the process and reaps it (idempotent).
-func (p *proc) kill() {
-	p.mu.Lock()
-	cmd := p.cmd
-	p.cmd = nil
-	p.mu.Unlock()
-	if cmd == nil || cmd.Process == nil {
-		return
-	}
-	_ = cmd.Process.Kill()
-	_ = cmd.Wait()
-}
-
 // RunClusterChaos executes the full harness: a single-node reference pass,
 // then the cluster pass with worker SIGKILLs, then the comparison. The
 // caller gates on Lost, Mismatched and Errors all being zero.
 func RunClusterChaos(opts ClusterChaosOptions) (*ClusterReport, error) {
-	if opts.ServerBin == "" {
-		return nil, errors.New("cluster: ServerBin is required")
-	}
 	if opts.RouterBin == "" {
 		return nil, errors.New("cluster: RouterBin is required")
 	}
-	if len(opts.Corpus) == 0 {
-		return nil, errors.New("cluster: empty corpus")
+	cleanup, err := opts.withDefaults("cluster")
+	if err != nil {
+		return nil, err
 	}
+	defer cleanup()
 	if opts.Nodes <= 0 {
 		opts.Nodes = 3
-	}
-	if opts.Sessions <= 0 {
-		opts.Sessions = 50
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = 8
 	}
 	if opts.Kills <= 0 {
 		opts.Kills = 1
@@ -154,32 +89,6 @@ func RunClusterChaos(opts ClusterChaosOptions) (*ClusterReport, error) {
 	if opts.Kills > opts.Nodes-1 {
 		// At least one worker must survive to adopt the estates.
 		opts.Kills = opts.Nodes - 1
-	}
-	if opts.MaxCandidates <= 0 {
-		opts.MaxCandidates = 16
-	}
-	if opts.SyncPolicy == "" {
-		opts.SyncPolicy = "off"
-	}
-	if opts.Checkpoint <= 0 {
-		opts.Checkpoint = 500 * time.Millisecond
-	}
-	if opts.CallTimeout <= 0 {
-		opts.CallTimeout = 30 * time.Second
-	}
-	if opts.RetryFor <= 0 {
-		opts.RetryFor = 2 * time.Minute
-	}
-	if opts.Log == nil {
-		opts.Log = os.Stderr
-	}
-	if opts.WorkDir == "" {
-		dir, err := os.MkdirTemp("", "qfe-cluster-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		opts.WorkDir = dir
 	}
 
 	t0 := time.Now()
@@ -194,13 +103,6 @@ func RunClusterChaos(opts ClusterChaosOptions) (*ClusterReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: reference pass: %w", err)
 	}
-	skip := make([]bool, len(refOut))
-	for i, o := range refOut {
-		if o.err != nil {
-			skip[i] = true
-			fmt.Fprintf(opts.Log, "cluster: session %d: skipped (reference: %v)\n", i, o.err)
-		}
-	}
 
 	rep := &ClusterReport{
 		Sessions: opts.Sessions,
@@ -212,8 +114,7 @@ func RunClusterChaos(opts ClusterChaosOptions) (*ClusterReport, error) {
 
 	// Cluster topology: N workers, each with its own state file and WAL
 	// directory, plus the router fronting them.
-	workers := make([]*proc, opts.Nodes)
-	workerArgs := make([]string, 0, opts.Nodes)
+	workers := make([]*launcher, opts.Nodes)
 	defer func() {
 		for _, w := range workers {
 			if w != nil {
@@ -221,59 +122,35 @@ func RunClusterChaos(opts ClusterChaosOptions) (*ClusterReport, error) {
 			}
 		}
 	}()
+	routerArgs := []string{
+		"-probe-interval", "100ms",
+		"-dead-after", "3",
+		"-retry-budget", "30s",
+		"-call-timeout", opts.CallTimeout.String(),
+	}
 	for i := range workers {
-		port, err := freePort()
-		if err != nil {
-			return nil, err
-		}
 		id := "w" + strconv.Itoa(i)
 		dir := filepath.Join(opts.WorkDir, "node-"+strconv.Itoa(i))
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, err
 		}
-		statePath := filepath.Join(dir, "state.json")
-		walDir := filepath.Join(dir, "wal")
-		w := &proc{name: id, base: "http://127.0.0.1:" + strconv.Itoa(port)}
-		if err := w.start(opts.ServerBin, []string{
-			"-addr", "127.0.0.1:" + strconv.Itoa(port),
-			"-state", statePath,
-			"-wal", walDir,
-			"-wal-sync", opts.SyncPolicy,
-			"-checkpoint", opts.Checkpoint.String(),
-			"-candidates", strconv.Itoa(opts.MaxCandidates),
-			"-admin",
-		}); err != nil {
+		w := &launcher{name: id, bin: opts.ServerBin, args: append(serverArgs(opts.ChaosOptions, dir), "-admin")}
+		if err := w.start(); err != nil {
 			return nil, err
 		}
 		workers[i] = w
-		workerArgs = append(workerArgs, "-worker",
-			fmt.Sprintf("id=%s,url=%s,state=%s,wal=%s", id, w.base, statePath, walDir))
+		routerArgs = append(routerArgs, "-worker", fmt.Sprintf("id=%s,url=%s,state=%s,wal=%s",
+			id, w.url(), filepath.Join(dir, "state.json"), filepath.Join(dir, "wal")))
 	}
-
-	routerPort, err := freePort()
-	if err != nil {
-		return nil, err
-	}
-	router := &proc{name: "router", base: "http://127.0.0.1:" + strconv.Itoa(routerPort)}
-	args := append([]string{
-		"-addr", "127.0.0.1:" + strconv.Itoa(routerPort),
-		"-probe-interval", "100ms",
-		"-dead-after", "3",
-		"-retry-budget", "30s",
-		"-call-timeout", opts.CallTimeout.String(),
-	}, workerArgs...)
-	if err := router.start(opts.RouterBin, args); err != nil {
+	router := &launcher{name: "router", bin: opts.RouterBin, args: routerArgs}
+	if err := router.start(); err != nil {
 		return nil, err
 	}
 	defer router.kill()
 	fmt.Fprintf(opts.Log, "cluster: kill pass: %d worker(s) + router up, %d progress-triggered kill(s)\n",
 		opts.Nodes, opts.Kills)
 
-	client := &chaosClient{
-		base:     router.base,
-		client:   retry.HTTPClient(opts.CallTimeout),
-		retryFor: opts.RetryFor,
-	}
+	client := service.NewClient(router.url(), retry.HTTPClient(opts.CallTimeout), opts.RetryFor)
 
 	// Killer: at each progress-randomized point, SIGKILL one random
 	// still-alive worker. No restarts — death is terminal in the cluster
@@ -290,7 +167,7 @@ func RunClusterChaos(opts ClusterChaosOptions) (*ClusterReport, error) {
 	for k := range points {
 		points[k] = rng.Intn(opts.Sessions*3/5 + 1)
 	}
-	sortInts(points)
+	slices.Sort(points)
 	alive := make([]int, opts.Nodes)
 	for i := range alive {
 		alive[i] = i
@@ -330,10 +207,21 @@ func RunClusterChaos(opts ClusterChaosOptions) (*ClusterReport, error) {
 	close(done)
 	killerWG.Wait()
 	rep.KillsLanded = int(killsLanded.Load())
-	rep.HTTPRetries = int(client.retries.Load())
+	rep.HTTPRetries = int(client.Retries())
 
-	// Fold in the router's own counters before tearing anything down.
-	if stats, err := fetchClusterStats(router.base); err == nil {
+	// Fold in the router's own counters before tearing anything down. The
+	// fields mirror cluster.ClusterStats', decoded structurally to keep the
+	// router out of the harness's imports.
+	var stats struct {
+		Counters struct {
+			Retries     int64 `json:"retries"`
+			Shed        int64 `json:"shed"`
+			Failovers   int64 `json:"failovers"`
+			AdoptCalls  int64 `json:"adoptCalls"`
+			AdoptErrors int64 `json:"adoptErrors"`
+		} `json:"counters"`
+	}
+	if err := getJSON(router.url()+"/cluster/stats", &stats); err == nil {
 		rep.Failovers = stats.Counters.Failovers
 		rep.AdoptCalls = stats.Counters.AdoptCalls
 		rep.AdoptErrors = stats.Counters.AdoptErrors
@@ -343,54 +231,7 @@ func RunClusterChaos(opts ClusterChaosOptions) (*ClusterReport, error) {
 		fmt.Fprintf(opts.Log, "cluster: fetching router stats: %v\n", err)
 	}
 
-	for i := range out {
-		co := out[i]
-		switch {
-		case skip[i]:
-			rep.Skipped++
-		case co.err != nil && errors.Is(co.err, errLost):
-			rep.Lost++
-			fmt.Fprintf(opts.Log, "cluster: session %d: LOST: %v\n", i, co.err)
-		case co.err != nil:
-			rep.Errors++
-			fmt.Fprintf(opts.Log, "cluster: session %d: error: %v\n", i, co.err)
-		default:
-			rep.Completed++
-			want, _ := json.Marshal(refOut[i].outcome)
-			got, _ := json.Marshal(co.outcome)
-			if string(want) != string(got) {
-				rep.Mismatched++
-				fmt.Fprintf(opts.Log, "cluster: session %d: outcome mismatch:\n  ref:     %s\n  cluster: %s\n", i, want, got)
-			}
-		}
-	}
+	rep.tally = compare(opts.Log, "cluster", refOut, out)
 	rep.WallNs = int64(time.Since(t0))
 	return rep, nil
-}
-
-// clusterStatsLite mirrors the fields of cluster.ClusterStats the report
-// needs (decoded structurally to avoid importing the router into the
-// harness).
-type clusterStatsLite struct {
-	Counters struct {
-		Retries     int64 `json:"retries"`
-		Shed        int64 `json:"shed"`
-		Failovers   int64 `json:"failovers"`
-		AdoptCalls  int64 `json:"adoptCalls"`
-		AdoptErrors int64 `json:"adoptErrors"`
-	} `json:"counters"`
-}
-
-func fetchClusterStats(base string) (*clusterStatsLite, error) {
-	client := retry.HTTPClient(5 * time.Second)
-	resp, err := client.Get(base + "/cluster/stats")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var st clusterStatsLite
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, err
-	}
-	return &st, nil
 }

@@ -1,19 +1,15 @@
 package simulate
 
 import (
-	"bytes"
-	"encoding/json"
+	"context"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
 
 	"qfe/internal/algebra"
 	"qfe/internal/codec"
 	"qfe/internal/core"
 	"qfe/internal/feedback"
 	"qfe/internal/relation"
-	"qfe/internal/retry"
 	"qfe/internal/scenario"
 	"qfe/internal/service"
 )
@@ -25,24 +21,14 @@ import (
 // may legitimately be absent from the server's candidate set; invariants
 // are therefore not asserted in HTTP mode (divergence is still recorded)
 // and convergence measures the end-to-end service, not just the engine.
-// Latency per round is the HTTP round-trip measured through the runner's
-// clock.
+// Latency per round is the HTTP round trip, retries included, measured
+// through the runner's clock.
 func (r *Runner) runHTTP(sc *scenario.Scenario, idx int, res *SessionResult) {
-	client := retry.HTTPClient(r.opts.HTTPTimeout)
-	base := r.opts.Server
-
-	req := service.CreateRequest{
-		Result:        ptr(codec.EncodeRelation(sc.R)),
-		MaxCandidates: r.opts.MaxCandidates,
-	}
-	cd := codec.EncodeDatabase(sc.DB)
-	req.Tables = cd.Tables
-	req.PrimaryKeys = cd.PrimaryKeys
-	req.ForeignKeys = cd.ForeignKeys
-
 	oracle := r.oracleFor(sc, idx)
-
-	st, err := r.call(client, http.MethodPost, base+"/sessions", req, res)
+	ctx := context.Background()
+	t0 := r.clock()
+	st, err := r.client.Create(ctx, createRequest(sc, r.opts.MaxCandidates))
+	res.latencies = append(res.latencies, r.clock().Sub(t0))
 	if err != nil {
 		res.Error = err.Error()
 		return
@@ -54,11 +40,11 @@ func (r *Runner) runHTTP(sc *scenario.Scenario, idx int, res *SessionResult) {
 			return
 		}
 		res.Rounds++
-		choice, err := r.chooseHTTP(sc, oracle, st.Round)
+		choice, err := chooseRound(sc, oracle, st.Round)
 		if errors.Is(err, feedback.ErrAbandoned) {
 			// Same abandonment signal as the in-process path; tell the
 			// server the user walked away.
-			_, _ = r.call(client, http.MethodDelete, base+"/sessions/"+st.ID, nil, nil)
+			_ = r.client.Abandon(ctx, st.ID)
 			res.Abandoned = true
 			return
 		}
@@ -66,8 +52,9 @@ func (r *Runner) runHTTP(sc *scenario.Scenario, idx int, res *SessionResult) {
 			res.Error = err.Error()
 			return
 		}
-		st, err = r.call(client, http.MethodPost,
-			base+"/sessions/"+st.ID+"/feedback", service.FeedbackRequest{Choice: choice}, res)
+		t0 = r.clock()
+		st, err = r.client.Feedback(ctx, st.ID, st.Round.Seq, choice)
+		res.latencies = append(res.latencies, r.clock().Sub(t0))
 		if err != nil {
 			res.Error = err.Error()
 			return
@@ -94,13 +81,6 @@ func (r *Runner) runHTTP(sc *scenario.Scenario, idx int, res *SessionResult) {
 		}
 	}
 	r.checkOutcome(sc, st.Outcome.Found, identified, remaining, res)
-}
-
-// chooseHTTP answers one HTTP round: it rebuilds D' from the round's edits,
-// decodes the presented results, and applies the policy client-side.
-func (r *Runner) chooseHTTP(sc *scenario.Scenario, oracle feedback.Oracle,
-	round *service.RoundJSON) (int, error) {
-	return chooseRound(sc, oracle, round)
 }
 
 // chooseRound is the wire-round answering logic shared by the load runner
@@ -152,54 +132,16 @@ func chooseRound(sc *scenario.Scenario, oracle feedback.Oracle,
 	return choice, nil
 }
 
-// call performs one JSON request/response cycle, charging its latency to
-// the session when res is non-nil.
-func (r *Runner) call(client *http.Client, method, url string, body any, res *SessionResult) (*service.SessionJSON, error) {
-	var rd io.Reader
-	if body != nil {
-		buf, err := json.Marshal(body)
-		if err != nil {
-			return nil, err
-		}
-		rd = bytes.NewReader(buf)
+// createRequest is the POST /sessions body that ships a scenario's example
+// pair (D, R) for the server to generate at most maxCand candidates from.
+func createRequest(sc *scenario.Scenario, maxCand int) service.CreateRequest {
+	cd := codec.EncodeDatabase(sc.DB)
+	r := codec.EncodeRelation(sc.R)
+	return service.CreateRequest{
+		Tables:        cd.Tables,
+		PrimaryKeys:   cd.PrimaryKeys,
+		ForeignKeys:   cd.ForeignKeys,
+		Result:        &r,
+		MaxCandidates: maxCand,
 	}
-	req, err := http.NewRequest(method, url, rd)
-	if err != nil {
-		return nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	t0 := r.clock()
-	resp, err := client.Do(req)
-	if res != nil {
-		res.latencies = append(res.latencies, r.clock().Sub(t0))
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode >= 300 {
-		var apiErr struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(data, &apiErr) == nil && apiErr.Error != "" {
-			return nil, fmt.Errorf("simulate: %s %s: %s", method, url, apiErr.Error)
-		}
-		return nil, fmt.Errorf("simulate: %s %s: status %d", method, url, resp.StatusCode)
-	}
-	var st service.SessionJSON
-	if method == http.MethodDelete {
-		return nil, nil
-	}
-	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, fmt.Errorf("simulate: decoding %s response: %w", url, err)
-	}
-	return &st, nil
 }
-
-func ptr[T any](v T) *T { return &v }

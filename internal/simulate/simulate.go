@@ -41,7 +41,9 @@ import (
 	"qfe/internal/par"
 	"qfe/internal/qbo"
 	"qfe/internal/relation"
+	"qfe/internal/retry"
 	"qfe/internal/scenario"
+	"qfe/internal/service"
 )
 
 // Policy selects the automated feedback source.
@@ -110,7 +112,8 @@ type Options struct {
 	// Server, when set (e.g. "http://127.0.0.1:8080"), drives sessions over
 	// the qfe-server HTTP API instead of in-process.
 	Server string
-	// HTTPTimeout bounds each HTTP call (default 30s).
+	// HTTPTimeout bounds each HTTP attempt, and the retries of each call
+	// (default 30s).
 	HTTPTimeout time.Duration
 	// Clock substitutes time.Now; every latency and wall-time measurement
 	// in the run reads it, so tests inject a fake clock instead of
@@ -136,6 +139,7 @@ type Runner struct {
 	opts    Options
 	coreCfg core.Config
 	clock   func() time.Time
+	client  *service.Client // HTTP mode only
 }
 
 // New validates options and prepares a runner.
@@ -166,6 +170,9 @@ func New(opts Options) (*Runner, error) {
 		r.coreCfg = *opts.Core
 	} else {
 		r.coreCfg = DefaultCoreConfig()
+	}
+	if opts.Server != "" {
+		r.client = service.NewClient(opts.Server, retry.HTTPClient(opts.HTTPTimeout), opts.HTTPTimeout)
 	}
 	return r, nil
 }

@@ -343,7 +343,9 @@ func (s *Space) Freeze(attrs []string) {
 // distance dist from src, in deterministic order, invoking yield for each.
 // Enumeration stops early when yield returns false. This generates the DTC
 // candidates of Algorithm 3's i-th round. Frozen attributes are never
-// varied (see Freeze).
+// varied (see Freeze). The class yield receives is borrowed: the
+// enumerator rewrites it for the next class, so it is valid only during
+// the callback, and a caller that keeps it keeps a Clone.
 func (s *Space) EnumerateClassesAt(src Class, dist int, yield func(Class) bool) {
 	n := len(s.Parts)
 	if dist <= 0 || dist > n {
@@ -354,7 +356,7 @@ func (s *Space) EnumerateClassesAt(src Class, dist int, yield func(Class) bool) 
 	current := src.Clone()
 	rec = func(start int) bool {
 		if len(positions) == dist {
-			return yield(current.Clone())
+			return yield(current)
 		}
 		for p := start; p < n; p++ {
 			if s.frozen[p] {

@@ -377,7 +377,7 @@ func TestPartitionAtMost4PowNQuick(t *testing.T) {
 	for _, sc := range scs {
 		for dist := 1; dist <= 2; dist++ {
 			s.EnumerateClassesAt(sc.Class, dist, func(d Class) bool {
-				allPairs = append(allPairs, NewPair(sc.Class, d))
+				allPairs = append(allPairs, NewPair(sc.Class, d.Clone()))
 				return true
 			})
 		}
