@@ -172,7 +172,7 @@ func BenchmarkMicroSkylinePairs(b *testing.B) {
 	}
 	opts := dbgen.DefaultOptions()
 	opts.Budget = Budget{MaxPairs: 100000}
-	gen, err := dbgen.New(d, j, qc, r, opts)
+	gen, err := dbgen.New(d, j, qc, r, opts, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -263,10 +263,9 @@ func BenchmarkMicroAlg4Parallelism(b *testing.B) {
 			b.ReportAllocs()
 			opts := dbgen.DefaultOptions()
 			opts.Budget = Budget{MaxPairs: 100000}
-			opts.Parallelism = bc.parallelism
 			opts.MaxFrontier = 512
 			opts.MaxSetsEvaluated = 200000
-			gen, err := dbgen.New(sc.DB, j, sc.QC, sc.R, opts)
+			gen, err := dbgen.New(sc.DB, j, sc.QC, sc.R, opts, bc.parallelism)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"qfe/internal/core"
+	"qfe/internal/dbgen"
 	"qfe/internal/fault"
 	"qfe/internal/obs"
 	"qfe/internal/service"
@@ -68,7 +69,6 @@ func main() {
 		walSyncEvery = flag.Duration("wal-sync-interval", 50*time.Millisecond, "fsync cadence for -wal-sync=interval")
 		walSegBytes  = flag.Int64("wal-segment-bytes", 4<<20, "rotate WAL segments beyond this size")
 		checkpoint   = flag.Duration("checkpoint", time.Minute, "snapshot + WAL truncation cadence (needs -state; 0 disables)")
-		pairBudget   = flag.Int("pair-budget", 0, "deterministic generator budget in candidate pairs (0 = wall-clock default; forced to 100000 under -wal)")
 
 		faultSpec = flag.String("fault-schedule", "", "deterministic fault injection: schedule JSON file or seed:N (testing only)")
 
@@ -91,16 +91,11 @@ func main() {
 
 	cfg := core.DefaultConfig()
 	cfg.Parallelism = *parallelism
-	if *pairBudget > 0 {
-		cfg.Gen.Budget.MaxPairs = *pairBudget
-		cfg.Gen.Budget.MaxDuration = 0
-	}
-	if *walDir != "" && cfg.Gen.Budget.MaxPairs <= 0 {
+	if *walDir != "" {
 		// WAL replay re-runs the generator; a wall-clock budget would make
 		// the regenerated rounds machine- and load-dependent. Force the
 		// deterministic pair-count budget the simulator uses.
-		cfg.Gen.Budget.MaxPairs = 100000
-		cfg.Gen.Budget.MaxDuration = 0
+		cfg.Gen.Budget = dbgen.Budget{MaxPairs: 100000}
 		logger.Info("-wal forces deterministic generator budget", "pairs", 100000)
 	}
 

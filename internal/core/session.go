@@ -38,28 +38,25 @@ type Config struct {
 	// MaxIterations bounds the winnowing loop per join-schema group
 	// (safety; the loop provably shrinks QC every round otherwise).
 	MaxIterations int
-	// MergeEquivalent pre-merges candidates that are indistinguishable over
-	// the tuple-class space (default on; set MaxEquivClasses to bound the
-	// truth-table enumeration).
-	MergeEquivalent bool
-	MaxEquivClasses int
-	// Parallelism sets the worker count for the session's parallel loops —
-	// the equivalence-class truth-table enumeration here and, unless
-	// Gen.Parallelism overrides it, the Database Generator's candidate
-	// evaluation, skyline enumeration and Algorithm 4 scoring. 0 selects
-	// GOMAXPROCS; 1 runs every loop serially, which parallel runs reproduce
-	// exactly whenever the δ budget does not truncate (see
-	// dbgen.Options.Parallelism).
+	// Parallelism sets the worker count for the session's parallel loops:
+	// the equivalence-class truth-table enumeration here and the Database
+	// Generator's candidate evaluation, skyline enumeration and Algorithm 4
+	// scoring. 0 selects GOMAXPROCS; 1 runs every loop serially, which every
+	// other count reproduces exactly unless the δ time budget truncates
+	// enumeration (see dbgen.Generator.SkylinePairs).
 	Parallelism int
 }
+
+// maxEquivCombos bounds the joint class space of one candidate pair that
+// the up-front equivalence merge enumerates (see
+// tupleclass.Space.IndistinguishableGroups).
+const maxEquivCombos = 200000
 
 // DefaultConfig returns the paper's defaults (β = 1, scaled δ).
 func DefaultConfig() Config {
 	return Config{
-		Gen:             dbgen.DefaultOptions(),
-		MaxIterations:   64,
-		MergeEquivalent: true,
-		MaxEquivClasses: 200000,
+		Gen:           dbgen.DefaultOptions(),
+		MaxIterations: 64,
 	}
 }
 
@@ -189,12 +186,6 @@ func NewStepSession(d *db.Database, r *relation.Relation, qc []*algebra.Query,
 	}
 	if cfg.MaxIterations <= 0 {
 		cfg.MaxIterations = 64
-	}
-	if cfg.MaxEquivClasses <= 0 {
-		cfg.MaxEquivClasses = 200000
-	}
-	if cfg.Gen.Parallelism == 0 {
-		cfg.Gen.Parallelism = cfg.Parallelism
 	}
 	return &Session{DB: d, R: r, QC: qc, Config: cfg,
 		joins: map[string]*db.Joined{}}, nil
@@ -421,7 +412,7 @@ func (s *Session) advance() (*Round, error) {
 		if err != nil {
 			return nil, err
 		}
-		gen, err := dbgen.New(s.DB, joined, s.reps, s.R, s.Config.Gen)
+		gen, err := dbgen.New(s.DB, joined, s.reps, s.R, s.Config.Gen, s.Config.Parallelism)
 		if err != nil {
 			return nil, err
 		}
@@ -470,30 +461,27 @@ func (s *Session) beginGroup(qc []*algebra.Query) error {
 	s.groupIter = 0
 	s.members = map[string][]*algebra.Query{}
 	s.reps = qc
-	if s.Config.MergeEquivalent && len(qc) > 1 {
-		space, err := tupleclass.NewSpace(joined.Rel, qc)
-		if err != nil {
-			return err
-		}
-		// Same modification model as the Database Generator: join-key
-		// columns are structural and never modified, so candidates that
-		// differ only on them are indistinguishable by any reachable
-		// database and merge here instead of burning winnowing rounds that
-		// must end in ErrNoSplit.
-		space.Freeze(joined.KeyCols)
-		eq := space.IndistinguishableGroups(s.Config.MaxEquivClasses, s.Config.Parallelism)
-		s.reps = s.reps[:0:0]
-		for _, grp := range eq {
-			rep := qc[grp[0]]
-			s.reps = append(s.reps, rep)
-			k := rep.Key()
-			for _, qi := range grp {
-				s.members[k] = append(s.members[k], qc[qi])
-			}
-		}
-	} else {
-		for _, q := range qc {
-			s.members[q.Key()] = []*algebra.Query{q}
+	if len(qc) == 1 {
+		s.members[qc[0].Key()] = []*algebra.Query{qc[0]}
+		return nil
+	}
+	space, err := tupleclass.NewSpace(joined.Rel, qc)
+	if err != nil {
+		return err
+	}
+	// Same modification model as the Database Generator: join-key columns
+	// are structural and never modified, so candidates that differ only on
+	// them are indistinguishable by any reachable database and merge here
+	// instead of burning winnowing rounds that must end in ErrNoSplit.
+	space.Freeze(joined.KeyCols)
+	eq := space.IndistinguishableGroups(maxEquivCombos, s.Config.Parallelism)
+	s.reps = s.reps[:0:0]
+	for _, grp := range eq {
+		rep := qc[grp[0]]
+		s.reps = append(s.reps, rep)
+		k := rep.Key()
+		for _, qi := range grp {
+			s.members[k] = append(s.members[k], qc[qi])
 		}
 	}
 	return nil

@@ -11,7 +11,7 @@ import (
 	"qfe/internal/relation"
 )
 
-func employeeDB(t *testing.T) (*db.Database, *relation.Relation) {
+func employeeDB(t testing.TB) (*db.Database, *relation.Relation) {
 	t.Helper()
 	d := db.New()
 	r := relation.New("Employee", relation.NewSchema(

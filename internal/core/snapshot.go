@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -57,60 +58,49 @@ type Snapshot struct {
 	Pending *RoundSnapshot   `json:"pending,omitempty"`
 }
 
-// ConfigSnapshot is the serializable form of Config.
+// ConfigSnapshot is the serializable form of Config. Snapshots and WAL
+// records written before the search caps became constants carry five more
+// fields (mergeEquivalent, maxEquivClasses, maxSkylinePairs,
+// maxCandidateSets, genParallelism); decoding ignores them, and every
+// writer outside the tests wrote the values the constants keep.
 type ConfigSnapshot struct {
-	MaxIterations   int     `json:"maxIterations"`
-	MergeEquivalent bool    `json:"mergeEquivalent"`
-	MaxEquivClasses int     `json:"maxEquivClasses"`
-	Parallelism     int     `json:"parallelism"`
-	Beta            float64 `json:"beta"`
-	BudgetNs        int64   `json:"budgetNs"`
-	BudgetPairs     int     `json:"budgetPairs"`
-	Strategy        uint8   `json:"strategy"`
-	MaxSkylinePairs int     `json:"maxSkylinePairs"`
-	MaxFrontier     int     `json:"maxFrontier"`
-	MaxSetsEval     int     `json:"maxSetsEvaluated"`
-	MaxCandSets     int     `json:"maxCandidateSets"`
-	GenParallelism  int     `json:"genParallelism"`
+	MaxIterations int     `json:"maxIterations"`
+	Parallelism   int     `json:"parallelism"`
+	Beta          float64 `json:"beta"`
+	BudgetNs      int64   `json:"budgetNs"`
+	BudgetPairs   int     `json:"budgetPairs"`
+	Strategy      uint8   `json:"strategy"`
+	MaxFrontier   int     `json:"maxFrontier"`
+	MaxSetsEval   int     `json:"maxSetsEvaluated"`
 }
 
 // SnapshotConfig captures cfg in the serializable form.
 func SnapshotConfig(cfg Config) ConfigSnapshot {
 	return ConfigSnapshot{
-		MaxIterations:   cfg.MaxIterations,
-		MergeEquivalent: cfg.MergeEquivalent,
-		MaxEquivClasses: cfg.MaxEquivClasses,
-		Parallelism:     cfg.Parallelism,
-		Beta:            cfg.Gen.Cost.Beta,
-		BudgetNs:        int64(cfg.Gen.Budget.MaxDuration),
-		BudgetPairs:     cfg.Gen.Budget.MaxPairs,
-		Strategy:        uint8(cfg.Gen.Strategy),
-		MaxSkylinePairs: cfg.Gen.MaxSkylinePairs,
-		MaxFrontier:     cfg.Gen.MaxFrontier,
-		MaxSetsEval:     cfg.Gen.MaxSetsEvaluated,
-		MaxCandSets:     cfg.Gen.MaxCandidateSets,
-		GenParallelism:  cfg.Gen.Parallelism,
+		MaxIterations: cfg.MaxIterations,
+		Parallelism:   cfg.Parallelism,
+		Beta:          cfg.Gen.Cost.Beta,
+		BudgetNs:      int64(cfg.Gen.Budget.MaxDuration),
+		BudgetPairs:   cfg.Gen.Budget.MaxPairs,
+		Strategy:      uint8(cfg.Gen.Strategy),
+		MaxFrontier:   cfg.Gen.MaxFrontier,
+		MaxSetsEval:   cfg.Gen.MaxSetsEvaluated,
 	}
 }
 
 // Config rebuilds the runtime configuration.
 func (cs ConfigSnapshot) Config() Config {
 	cfg := Config{
-		MaxIterations:   cs.MaxIterations,
-		MergeEquivalent: cs.MergeEquivalent,
-		MaxEquivClasses: cs.MaxEquivClasses,
-		Parallelism:     cs.Parallelism,
+		MaxIterations: cs.MaxIterations,
+		Parallelism:   cs.Parallelism,
 		Gen: dbgen.Options{
 			Budget: dbgen.Budget{
 				MaxDuration: time.Duration(cs.BudgetNs),
 				MaxPairs:    cs.BudgetPairs,
 			},
 			Strategy:         dbgen.Strategy(cs.Strategy),
-			MaxSkylinePairs:  cs.MaxSkylinePairs,
 			MaxFrontier:      cs.MaxFrontier,
 			MaxSetsEvaluated: cs.MaxSetsEval,
-			MaxCandidateSets: cs.MaxCandSets,
-			Parallelism:      cs.GenParallelism,
 		},
 	}
 	cfg.Gen.Cost.Beta = cs.Beta
@@ -329,12 +319,16 @@ func Restore(snap *Snapshot, oracle feedback.Oracle) (*Session, error) {
 			}
 			rep := qc[ri]
 			s.reps = append(s.reps, rep)
+			// Reps with one key share one member list, which Snapshot
+			// writes out once per rep: assign it, never append to it.
+			var members []*algebra.Query
 			for _, mi := range snap.Members[i] {
 				if err := inRange(mi, "member"); err != nil {
 					return nil, err
 				}
-				s.members[rep.Key()] = append(s.members[rep.Key()], qc[mi])
+				members = append(members, qc[mi])
 			}
+			s.members[rep.Key()] = members
 		}
 	}
 
@@ -366,11 +360,13 @@ func Restore(snap *Snapshot, oracle feedback.Oracle) (*Session, error) {
 		return s, nil
 	case "failed":
 		s.state = stateDone
+		// The message is kept as recorded: a prefix here would grow by one
+		// at every checkpoint of a restored failed session.
 		msg := snap.Fatal
 		if msg == "" {
-			msg = "unknown failure"
+			msg = "core: failed session restored without its error"
 		}
-		s.fatal = fmt.Errorf("core: restored failed session: %s", msg)
+		s.fatal = errors.New(msg)
 		return s, nil
 	case "awaiting":
 		// fall through below
@@ -380,6 +376,9 @@ func Restore(snap *Snapshot, oracle feedback.Oracle) (*Session, error) {
 
 	if snap.Pending == nil {
 		return nil, fmt.Errorf("core: snapshot: awaiting state without pending round")
+	}
+	if s.gi < 0 || s.gi >= len(s.groupKeys) {
+		return nil, fmt.Errorf("core: snapshot: pending round in group %d of %d", s.gi, len(s.groupKeys))
 	}
 	edits, err := codec.DecodeEdits(snap.Pending.Edits)
 	if err != nil {

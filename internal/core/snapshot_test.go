@@ -343,3 +343,28 @@ func TestSnapshotVersionGuard(t *testing.T) {
 		t.Error("version mismatch should be rejected")
 	}
 }
+
+// TestRestoreRejectsPendingRoundOutsideGroups: a pending round names the
+// join-schema group it winnows, and the next Feedback indexes the group
+// list with it, so a corrupt index must fail Restore rather than panic
+// there.
+func TestRestoreRejectsPendingRoundOutsideGroups(t *testing.T) {
+	d, r := employeeDB(t)
+	s, err := NewStepSession(d, r, paperCandidates(), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gi := range []int{-5, 1} { // the candidates form one group
+		snap.GroupIndex = gi
+		if _, err := Restore(snap, nil); err == nil {
+			t.Errorf("group index %d accepted", gi)
+		}
+	}
+}

@@ -54,7 +54,7 @@ func testOptions() Options {
 
 func TestGenerateSplitsExample11(t *testing.T) {
 	d, j, qc, r := example11(t)
-	g, err := New(d, j, qc, r, testOptions())
+	g, err := New(d, j, qc, r, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestGenerateSplitsExample11(t *testing.T) {
 
 func TestGeneratePrefersSmallEdits(t *testing.T) {
 	d, j, qc, r := example11(t)
-	g, err := New(d, j, qc, r, testOptions())
+	g, err := New(d, j, qc, r, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestGeneratePrefersSmallEdits(t *testing.T) {
 
 func TestSkylinePairsNonEmptyAndScored(t *testing.T) {
 	d, j, qc, r := example11(t)
-	g, err := New(d, j, qc, r, testOptions())
+	g, err := New(d, j, qc, r, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestBudgetTruncatesEnumeration(t *testing.T) {
 	d, j, qc, r := example11(t)
 	opts := testOptions()
 	opts.Budget = Budget{MaxPairs: 3}
-	g, err := New(d, j, qc, r, opts)
+	g, err := New(d, j, qc, r, opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestBudgetTruncatesEnumeration(t *testing.T) {
 
 func TestPickSubsetsRanked(t *testing.T) {
 	d, j, qc, r := example11(t)
-	g, err := New(d, j, qc, r, testOptions())
+	g, err := New(d, j, qc, r, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestGenerateNoSplitForEquivalentQueries(t *testing.T) {
 				algebra.NewTerm("Employee.salary", op, relation.Int(c))}}}
 	}
 	qc := []*algebra.Query{mk("A", algebra.OpGT, 4000), mk("B", algebra.OpGE, 4001)}
-	g, err := New(d, j, qc, r, testOptions())
+	g, err := New(d, j, qc, r, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestConcretizeRespectsPrimaryKey(t *testing.T) {
 	qc := []*algebra.Query{mk("A", algebra.OpLE, 2), mk("B", algebra.OpLT, 3)}
 	res := relation.New("R", relation.NewSchema("x", relation.KindString)).
 		Append(relation.NewTuple("a"), relation.NewTuple("a"))
-	g, err := New(d, j, qc, res, testOptions())
+	g, err := New(d, j, qc, res, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestConcretizeRespectsPrimaryKey(t *testing.T) {
 
 func TestGeneratedDBAlwaysValid(t *testing.T) {
 	d, j, qc, r := example11(t)
-	g, err := New(d, j, qc, r, testOptions())
+	g, err := New(d, j, qc, r, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestSideEffectsAccountedInPartition(t *testing.T) {
 	}
 	res := relation.New("R", relation.NewSchema("v", relation.KindInt)).
 		Append(relation.NewTuple(10), relation.NewTuple(20))
-	g, err := New(d, j, qc, res, testOptions())
+	g, err := New(d, j, qc, res, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestSideEffectsAccountedInPartition(t *testing.T) {
 
 func TestEnumerateScoredPairsCap(t *testing.T) {
 	d, j, qc, r := example11(t)
-	g, err := New(d, j, qc, r, testOptions())
+	g, err := New(d, j, qc, r, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestCostParamsFlowThrough(t *testing.T) {
 	d, j, qc, r := example11(t)
 	opts := testOptions()
 	opts.Cost = cost.Params{Beta: 5}
-	g, err := New(d, j, qc, r, opts)
+	g, err := New(d, j, qc, r, opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestCostParamsFlowThrough(t *testing.T) {
 
 func TestNewRejectsEmptyQC(t *testing.T) {
 	d, j, _, r := example11(t)
-	if _, err := New(d, j, nil, r, testOptions()); err == nil {
+	if _, err := New(d, j, nil, r, testOptions(), 0); err == nil {
 		t.Error("empty QC should be rejected")
 	}
 }

@@ -27,22 +27,12 @@ import (
 )
 
 // Budget bounds Algorithm 3's enumeration: the paper's time threshold δ
-// plus a deterministic pair-count bound used by tests (time-based budgets
-// are machine-dependent).
+// plus a deterministic pair-count bound, which the service's WAL mode, the
+// simulator and the tests use because a time budget makes the rounds depend
+// on the machine.
 type Budget struct {
 	MaxDuration time.Duration // δ; 0 means unlimited
 	MaxPairs    int           // 0 means unlimited
-}
-
-// exceeded reports whether the budget is spent.
-func (b Budget) exceeded(start time.Time, pairs int) bool {
-	if b.MaxDuration > 0 && time.Since(start) >= b.MaxDuration {
-		return true
-	}
-	if b.MaxPairs > 0 && pairs >= b.MaxPairs {
-		return true
-	}
-	return false
 }
 
 // Strategy selects how Algorithm 4 ranks candidate pair sets.
@@ -63,28 +53,18 @@ type Options struct {
 	Cost     cost.Params
 	Budget   Budget
 	Strategy Strategy
-	// MaxSkylinePairs caps |SP| handed to Algorithm 4 (0 = all).
-	MaxSkylinePairs int
 	// MaxFrontier caps Algorithm 4's per-level frontier |OPᵢ| as a safety
 	// valve against its O(2^|SP|) worst case (0 = unlimited).
 	MaxFrontier int
 	// MaxSetsEvaluated caps the total number of candidate sets Algorithm 4
 	// scores (0 = 50000).
 	MaxSetsEvaluated int
-	// MaxCandidateSets caps how many optimal sets Generate tries to
-	// concretize before giving up (alternatives are needed when a set's
-	// concrete side effects destroy its predicted partition).
-	MaxCandidateSets int
-	// Parallelism sets the worker count for the generator's parallel loops:
-	// candidate evaluation, skyline (STC, DTC) enumeration, Algorithm 4's
-	// per-pair case masks and its per-level scoring pass, and the concrete
-	// partitioning. 0 selects GOMAXPROCS; 1 runs
-	// every loop serially in index order, and every worker count reproduces
-	// that result exactly whenever the δ budget does not truncate
-	// enumeration (time-based budgets are inherently machine-dependent
-	// either way; see Budget).
-	Parallelism int
 }
+
+// maxCandidateSets is how many optimal sets Generate tries to concretize
+// before giving up (alternatives are needed when a set's concrete side
+// effects destroy its predicted partition).
+const maxCandidateSets = 8
 
 // DefaultOptions mirrors the paper's defaults: β = 1, δ = 1s scaled to our
 // engine (see DESIGN.md §2): 10ms.
@@ -94,7 +74,6 @@ func DefaultOptions() Options {
 		Budget:           Budget{MaxDuration: 10 * time.Millisecond},
 		MaxFrontier:      64,
 		MaxSetsEvaluated: 50000,
-		MaxCandidateSets: 8,
 	}
 }
 
@@ -119,6 +98,13 @@ type Generator struct {
 	R       *relation.Relation
 	Opts    Options
 
+	// workers is the worker count of every parallel loop: candidate
+	// evaluation, skyline (STC, DTC) enumeration, Algorithm 4's per-pair
+	// case masks and its per-level scoring pass, and the concrete
+	// partitioning. Every count reproduces the one-worker result exactly,
+	// unless the δ time budget truncates enumeration (see SkylinePairs).
+	workers int
+
 	baseResults []*relation.Relation // Q(D) per query (= R for true candidates)
 	srcClasses  []tupleclass.SourceClass
 	srcRows     map[string][]int
@@ -132,9 +118,11 @@ type Generator struct {
 }
 
 // New prepares a generator for the given database, precomputed join,
-// candidate queries and target result R.
+// candidate queries and target result R. parallelism is the worker count of
+// its parallel loops: 0 selects GOMAXPROCS, 1 runs them serially in index
+// order.
 func New(d *db.Database, joined *db.Joined, queries []*algebra.Query,
-	r *relation.Relation, opts Options) (*Generator, error) {
+	r *relation.Relation, opts Options, parallelism int) (*Generator, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("dbgen: empty candidate set")
 	}
@@ -149,7 +137,8 @@ func New(d *db.Database, joined *db.Joined, queries []*algebra.Query,
 	// (provably indistinguishable within the reachable modification space).
 	space.Freeze(joined.KeyCols)
 	mCandidates.Observe(int64(len(queries)))
-	g := &Generator{DB: d, Joined: joined, Space: space, Queries: queries, R: r, Opts: opts}
+	g := &Generator{DB: d, Joined: joined, Space: space, Queries: queries, R: r, Opts: opts,
+		workers: par.Workers(parallelism)}
 	if g.baseResults, err = g.evaluateBase(); err != nil {
 		return nil, err
 	}
@@ -189,7 +178,7 @@ func (g *Generator) evaluateBase() ([]*relation.Relation, error) {
 		}
 		qs[i] = q
 	}
-	return algebra.BatchEvaluateOnJoined(qs, g.Joined.Columnar(), par.Workers(g.Opts.Parallelism))
+	return algebra.BatchEvaluateOnJoined(qs, g.Joined.Columnar(), g.workers)
 }
 
 // Result is the outcome of one Database-Generator invocation, carrying both
@@ -244,9 +233,6 @@ func (g *Generator) Generate() (*Result, error) {
 			mNoSplit.Inc()
 			return nil, ErrNoSplit
 		}
-	}
-	if g.Opts.MaxSkylinePairs > 0 && len(sp) > g.Opts.MaxSkylinePairs {
-		sp = sp[:g.Opts.MaxSkylinePairs]
 	}
 	mSkylinePairs.Observe(int64(len(sp)))
 
@@ -348,13 +334,12 @@ func (g *Generator) partitionConcrete(edits []db.CellEdit) ([][]int, []*relation
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	workers := par.Workers(g.Opts.Parallelism)
 	deltas, err := algebra.BatchDeltaOnJoined(g.Queries, g.Joined.Rel, modified)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	fps := make([]algebra.ResultFP, len(g.Queries))
-	par.Do(len(g.Queries), workers, func(qi int) {
+	par.Do(len(g.Queries), g.workers, func(qi int) {
 		fps[qi] = g.Queries[qi].DeltaFingerprint(g.baseResults[qi], deltas[qi])
 	})
 
@@ -371,7 +356,7 @@ func (g *Generator) partitionConcrete(edits []db.CellEdit) ([][]int, []*relation
 	parts := make([][]int, len(order))
 	results := make([]*relation.Relation, len(order))
 	resultCosts := make([]int, len(order))
-	par.Do(len(order), workers, func(bi int) {
+	par.Do(len(order), g.workers, func(bi int) {
 		qs := groups[order[bi]]
 		parts[bi] = qs
 		rep := qs[0]

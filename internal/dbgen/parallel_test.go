@@ -1,42 +1,72 @@
 package dbgen
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
+
+	"qfe/internal/scenario"
 )
 
-// withParallelism returns deterministic (pair-budgeted) options at the given
-// worker count.
-func withParallelism(p int) Options {
-	o := testOptions()
-	o.Parallelism = p
-	return o
-}
-
 // TestSkylinePairsParallelMatchesSerial asserts that skyline enumeration on
-// several workers reproduces the Parallelism 1 run exactly — same pairs in
-// the same order, same statistics — when the budget does not truncate. Run
-// under -race this also exercises the worker pool for data races.
+// several workers reproduces the one-worker run exactly — same pairs in the
+// same order, same statistics — with no cut and under pair budgets that
+// cut mid-class, at a class boundary and at a level's end, and on a
+// generated scenario whose first round the 100,000-pair budget truncates.
+// Run under -race this also exercises the worker pool for data races.
 func TestSkylinePairsParallelMatchesSerial(t *testing.T) {
 	d, j, qc, r := example11(t)
-	serial, err := New(d, j, qc, r, withParallelism(1))
+	ex, err := New(d, j, qc, r, testOptions(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spS, statsS := serial.SkylinePairs()
+	sc, err := scenario.GenerateCorpus(1, 2, scenario.DefaultGenOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := firstRoundGenerator(t, sc[1])
 
-	for _, p := range []int{2, 4, 8, runtime.GOMAXPROCS(0)} {
-		parallel, err := New(d, j, qc, r, withParallelism(p))
-		if err != nil {
-			t.Fatal(err)
+	type budgetCase struct {
+		name     string
+		g        *Generator
+		maxPairs int
+	}
+	cases := []budgetCase{{"example/uncut", ex, 0}, {sc[1].Name + "/100000", gen, 100000}}
+	for _, b := range []budgetCase{{"example", ex, 0}, {sc[1].Name, gen, 0}} {
+		// Level 1 cuts: every source class has perClass destinations.
+		perClass := b.g.Space.CountClassesAt(1, math.MaxInt)
+		if perClass < 2 || len(b.g.srcClasses) < 2 {
+			t.Fatalf("%s: %d source classes of %d destinations: too few to cut",
+				b.name, len(b.g.srcClasses), perClass)
 		}
-		spP, statsP := parallel.SkylinePairs()
-		if !reflect.DeepEqual(spS, spP) {
-			t.Errorf("parallelism %d: skyline differs\nserial:   %v\nparallel: %v", p, spS, spP)
+		cases = append(cases,
+			budgetCase{b.name + "/class-boundary", b.g, perClass},
+			budgetCase{b.name + "/mid-class", b.g, perClass + 1},
+			budgetCase{b.name + "/level-end", b.g, len(b.g.srcClasses) * perClass})
+	}
+	for _, c := range cases {
+		opts := c.g.Opts
+		opts.Budget = Budget{MaxPairs: c.maxPairs}
+		run := func(p int) ([]ScoredPair, SkylineStats) {
+			g, err := New(c.g.DB, c.g.Joined, c.g.Queries, c.g.R, opts, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g.SkylinePairs()
 		}
-		if statsS != statsP {
-			t.Errorf("parallelism %d: stats differ: serial %+v, parallel %+v", p, statsS, statsP)
+		spS, statsS := run(1)
+		if cut := c.maxPairs > 0; statsS.Truncated != cut || (cut && statsS.Enumerated != c.maxPairs) {
+			t.Fatalf("%s: serial stats %+v, want truncated=%v at %d pairs", c.name, statsS, cut, c.maxPairs)
+		}
+		for _, p := range []int{2, 4, 8, runtime.GOMAXPROCS(0)} {
+			spP, statsP := run(p)
+			if !reflect.DeepEqual(spS, spP) {
+				t.Errorf("%s parallelism %d: skyline differs\nserial:   %v\nparallel: %v", c.name, p, spS, spP)
+			}
+			if statsS != statsP {
+				t.Errorf("%s parallelism %d: stats differ: serial %+v, parallel %+v", c.name, p, statsS, statsP)
+			}
 		}
 	}
 }
@@ -49,7 +79,7 @@ func TestSkylinePairsParallelMatchesSerial(t *testing.T) {
 func TestPickSubsetsParallelMatchesSerial(t *testing.T) {
 	d, j, qc, r := example11(t)
 	for _, maxEval := range []int{0, 7, 2} { // 0 = uncapped; small caps truncate
-		serial, err := New(d, j, qc, r, withParallelism(1))
+		serial, err := New(d, j, qc, r, testOptions(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +88,7 @@ func TestPickSubsetsParallelMatchesSerial(t *testing.T) {
 		setsS := serial.PickSubsets(spS, statsS.X)
 
 		for _, p := range []int{2, 4, 8} {
-			parallel, err := New(d, j, qc, r, withParallelism(p))
+			parallel, err := New(d, j, qc, r, testOptions(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,7 +112,7 @@ func TestPickSubsetsParallelMatchesSerial(t *testing.T) {
 // PickSubsets tests above.
 func TestGenerateParallelMatchesSerial(t *testing.T) {
 	d, j, qc, r := example11(t)
-	serial, err := New(d, j, qc, r, withParallelism(1))
+	serial, err := New(d, j, qc, r, testOptions(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +121,7 @@ func TestGenerateParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 4, 8, runtime.GOMAXPROCS(0)} {
-		parallel, err := New(d, j, qc, r, withParallelism(p))
+		parallel, err := New(d, j, qc, r, testOptions(), p)
 		if err != nil {
 			t.Fatal(err)
 		}

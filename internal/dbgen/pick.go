@@ -342,16 +342,15 @@ func (ctx *evalCtx) feasibleWith(parent []int, pi int) bool {
 // the level boundary is a sequence point, because the pruning rule (step
 // 15) needs a child's own score before the child may parent the next level.
 // Scoring writes index-addressed slots and every order-sensitive step is
-// serial, so the output is the same at every Parallelism setting, including
+// serial, so the output is the same at every worker count, including
 // when MaxSetsEvaluated truncates the search.
 func (g *Generator) PickSubsets(sp []ScoredPair, x int) []CandidateSet {
 	if len(sp) == 0 {
 		return nil
 	}
-	workers := par.Workers(g.Opts.Parallelism)
-	s := newSearch(g.newEvalCtx(sp, x, workers), workers)
+	s := newSearch(g.newEvalCtx(sp, x, g.workers), g.workers)
 	defer s.release()
-	best := newTopK(g.Opts.MaxCandidateSets, g.Opts.Strategy)
+	best := &topK{k: maxCandidateSets, strategy: g.Opts.Strategy}
 	evaluated := 0
 	maxEval := g.Opts.MaxSetsEvaluated
 	if maxEval <= 0 {
@@ -792,13 +791,6 @@ type topK struct {
 	k        int
 	strategy Strategy
 	sets     []CandidateSet
-}
-
-func newTopK(k int, s Strategy) *topK {
-	if k <= 0 {
-		k = 8
-	}
-	return &topK{k: k, strategy: s}
 }
 
 // before reports whether a set scored (cost, balance, subsets) with n pairs

@@ -124,12 +124,8 @@ func refPickSubsets(g *Generator, sp []ScoredPair, x int) []CandidateSet {
 		}
 		return len(a.Indices) - len(b.Indices)
 	})
-	k := g.Opts.MaxCandidateSets
-	if k <= 0 {
-		k = 8
-	}
-	if len(ranked) > k {
-		ranked = ranked[:k]
+	if len(ranked) > maxCandidateSets {
+		ranked = ranked[:maxCandidateSets]
 	}
 	for i := range ranked {
 		ranked[i].Pairs = pairsAt(sp, ranked[i].Indices)
@@ -154,15 +150,22 @@ func sameRanking(got, want []CandidateSet) error {
 	return nil
 }
 
-// scenarioGenerator builds a generator for a generated scenario the way a
-// session's first round does: qbo's candidates at the server's cap of 32
-// plus the target, restricted to the largest join-schema group.
+// scenarioGenerator builds firstRoundGenerator's generator for the scenario
+// of the given seed.
 func scenarioGenerator(t *testing.T, seed int64) *Generator {
 	t.Helper()
 	sc, err := scenario.Generate(seed, scenario.DefaultGenOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	return firstRoundGenerator(t, sc)
+}
+
+// firstRoundGenerator builds a generator for a generated scenario the way a
+// session's first round does: qbo's candidates at the server's cap of 32
+// plus the target, restricted to the largest join-schema group.
+func firstRoundGenerator(t *testing.T, sc *scenario.Scenario) *Generator {
+	t.Helper()
 	cfg := qbo.DefaultConfig()
 	cfg.MaxCandidates = 32
 	qc, err := qbo.Generate(sc.DB, sc.R, cfg)
@@ -184,7 +187,7 @@ func scenarioGenerator(t *testing.T, seed int64) *Generator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := New(sc.DB, j, group, sc.R, testOptions())
+	g, err := New(sc.DB, j, group, sc.R, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +238,7 @@ func randomGenerator(t *testing.T, seed int64, nq int) *Generator {
 			Projection: proj[:1+rng.Intn(3)], Pred: pred, Distinct: rng.Intn(3) == 0}
 	}
 	r := relation.New("R", relation.NewSchema("A", relation.KindInt)).Append(relation.NewTuple(1))
-	g, err := New(d, j, qc, r, testOptions())
+	g, err := New(d, j, qc, r, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,13 +328,13 @@ func TestPickSubsetsMatchesReference(t *testing.T) {
 			for _, maxEval := range []int{1500, 2*len(in.sp) + 5} {
 				for _, strategy := range []Strategy{StrategyCostModel, StrategyMaxPartitions} {
 					in.g.Opts.MaxFrontier, in.g.Opts.MaxSetsEvaluated, in.g.Opts.Strategy = maxFrontier, maxEval, strategy
-					in.g.Opts.Parallelism = 1
+					in.g.workers = 1
 					want := refPickSubsets(in.g, in.sp, in.x)
 					if len(want) == 0 {
 						t.Fatalf("%s: reference ranked no sets", in.name)
 					}
 					for _, workers := range []int{1, 4} {
-						in.g.Opts.Parallelism = workers
+						in.g.workers = workers
 						if err := sameRanking(in.g.PickSubsets(in.sp, in.x), want); err != nil {
 							t.Fatalf("%s MaxFrontier=%d MaxSetsEvaluated=%d strategy=%d workers=%d: %v",
 								in.name, maxFrontier, maxEval, strategy, workers, err)

@@ -30,7 +30,7 @@ type SkylineStats struct {
 // SkylinePairs implements Algorithm 3 (Skyline-STC-DTC-Pairs): it enumerates
 // (STC, DTC) pairs in non-descending edit cost (i = 1..n changed
 // attributes), keeping for each level the pairs whose single-pair balance
-// score matches the best seen so far. Enumeration stops when the δ budget is
+// score matches the best seen so far. Enumeration stops when the budget is
 // exhausted, returning the skyline discovered so far (the paper's behaviour
 // under the time threshold).
 //
@@ -39,50 +39,57 @@ type SkylineStats struct {
 //
 // The source classes of each level are enumerated on the worker pool, each
 // into its own accumulator, and the per-class skylines merged in class
-// order, so every worker count yields the same pairs, order and stats
-// whenever the budget does not truncate enumeration. At Parallelism 1
-// par.Do runs the classes serially in order and the budget sees the same
-// cumulative pair count pair by pair. Under a truncating budget with more
-// workers the cut-off point depends on scheduling, just as a time-based
-// budget already depends on the machine.
+// order. Every source class of level i has the same number C_i of
+// destination classes (Space.CountClassesAt), so the pair budget is split
+// into per-class quotas up front: class ci may enumerate
+// clamp(remaining − ci·C_i, 0, C_i) pairs, which is exactly the prefix the
+// serial sweep reaches before the budget cuts it. Every worker count thus
+// yields the same pairs, order and stats as one worker. Only the δ time
+// budget cuts where the clock says, and so depends on the machine and the
+// schedule.
 func (g *Generator) SkylinePairs() ([]ScoredPair, SkylineStats) {
-	workers := par.Workers(g.Opts.Parallelism)
 	start := time.Now()
+	budget := g.Opts.Budget
 	var (
-		sp         []ScoredPair
-		stats      SkylineStats
-		acc        = newSkylineAcc()
-		enumerated atomic.Int64
-		exhausted  atomic.Bool
+		sp       []ScoredPair
+		stats    SkylineStats
+		acc      = newSkylineAcc()
+		timedOut atomic.Bool
 	)
-	cases := make([]*tupleclass.Cases, workers)
+	cases := make([]*tupleclass.Cases, g.workers)
 	for w := range cases {
 		cases[w] = g.Space.NewCases()
 	}
 	n := g.Space.NumPredicateAttrs()
 	for i := 1; i <= n; i++ {
+		quota := func(int) int { return math.MaxInt }
+		if budget.MaxPairs > 0 {
+			remaining := budget.MaxPairs - acc.enumerated
+			perClass := g.Space.CountClassesAt(i, remaining)
+			quota = func(ci int) int { return min(perClass, max(0, remaining-ci*perClass)) }
+		}
 		locals := make([]skylineAcc, len(g.srcClasses))
-		par.DoIndexed(len(g.srcClasses), workers, func(w, ci int) {
+		par.DoIndexed(len(g.srcClasses), g.workers, func(w, ci int) {
 			local := &locals[ci]
 			*local = newSkylineAcc()
-			if exhausted.Load() {
+			limit := quota(ci)
+			if limit == 0 || timedOut.Load() {
 				return
 			}
 			g.Space.EnumerateClassesAt(g.srcClasses[ci].Class, i, func(dst tupleclass.Class) bool {
-				total := enumerated.Add(1)
 				local.observe(g.score(ci, dst, cases[w]))
-				if g.Opts.Budget.exceeded(start, int(total)) {
-					exhausted.Store(true)
+				if budget.MaxDuration > 0 && time.Since(start) >= budget.MaxDuration {
+					timedOut.Store(true)
 					return false
 				}
-				return !exhausted.Load()
+				return local.enumerated < limit && !timedOut.Load()
 			})
 		})
 		for ci := range locals {
 			acc.merge(&locals[ci])
 		}
 		sp = append(sp, acc.drain()...)
-		if exhausted.Load() {
+		if timedOut.Load() || (budget.MaxPairs > 0 && acc.enumerated >= budget.MaxPairs) {
 			stats.Truncated = true
 			break
 		}

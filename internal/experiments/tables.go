@@ -172,10 +172,11 @@ func Table5() (*TextTable, error) {
 		// growth; our implementation carries safety caps, so the evaluation
 		// budget is scaled with |SP| to preserve the growth shape while
 		// keeping the experiment re-runnable (see EXPERIMENTS.md).
-		opts := sessionConfig().Gen
+		cfg := sessionConfig()
+		opts := cfg.Gen
 		opts.MaxFrontier = 512
 		opts.MaxSetsEvaluated = 600 * n
-		gen, err := dbgen.New(sc.DB, joined, sc.QC, sc.R, opts)
+		gen, err := dbgen.New(sc.DB, joined, sc.QC, sc.R, opts, cfg.Parallelism)
 		if err != nil {
 			return nil, err
 		}

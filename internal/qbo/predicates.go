@@ -87,7 +87,7 @@ func (g *generator) generateForJoin(ix *joinIndex, tables []string, m mapping) {
 	// empty. Range units (lo ∧ hi on one attribute) derive their masks by
 	// ANDing the single-term masks, avoiding any further row scans.
 	words := (len(rc.excluded) + 63) / 64
-	var units [][]algebra.Term // each unit: 1..MaxTermsPerAttr terms on one attribute
+	var units [][]algebra.Term // each unit: 1..maxTermsPerAttr terms on one attribute
 	var unitCol []int          // the unit's attribute, as its column in the join
 	var unitMasks [][]uint64
 	for _, p := range pools {
@@ -100,24 +100,23 @@ func (g *generator) generateForJoin(ix *joinIndex, tables []string, m mapping) {
 			unitCol = append(unitCol, p.ci)
 			unitMasks = append(unitMasks, mask)
 		}
-		if g.cfg.MaxTermsPerAttr >= 2 {
-			// Range conjunctions: pair a lower bound with an upper bound.
-			for li, lo := range pool {
-				if lo.Op != algebra.OpGT && lo.Op != algebra.OpGE {
+		// Range conjunctions (maxTermsPerAttr = 2): pair a lower bound with
+		// an upper bound.
+		for li, lo := range pool {
+			if lo.Op != algebra.OpGT && lo.Op != algebra.OpGE {
+				continue
+			}
+			for hi2, hi := range pool {
+				if hi.Op != algebra.OpLT && hi.Op != algebra.OpLE {
 					continue
 				}
-				for hi2, hi := range pool {
-					if hi.Op != algebra.OpLT && hi.Op != algebra.OpLE {
-						continue
-					}
-					mask := make([]uint64, words)
-					for w := range mask {
-						mask[w] = masks[li][w] & masks[hi2][w]
-					}
-					units = append(units, []algebra.Term{lo, hi})
-					unitCol = append(unitCol, p.ci)
-					unitMasks = append(unitMasks, mask)
+				mask := make([]uint64, words)
+				for w := range mask {
+					mask[w] = masks[li][w] & masks[hi2][w]
 				}
+				units = append(units, []algebra.Term{lo, hi})
+				unitCol = append(unitCol, p.ci)
+				unitMasks = append(unitMasks, mask)
 			}
 		}
 	}
@@ -169,14 +168,10 @@ func (g *generator) generateForJoin(ix *joinIndex, tables []string, m mapping) {
 		full[words-1] = (1 << bits) - 1
 	}
 	nodes := 0
-	maxNodes := g.cfg.MaxGrowNodes
-	if maxNodes <= 0 {
-		maxNodes = 100000
-	}
 	// One scratch mask per recursion depth, and one conjunct buffer that
 	// every branch appends into: the search explores one branch at a time,
 	// so neither needs a per-node allocation.
-	scratch := make([][]uint64, g.cfg.MaxPredAttrs+1)
+	scratch := make([][]uint64, maxPredAttrs+1)
 	for i := range scratch {
 		scratch[i] = make([]uint64, words)
 	}
@@ -187,7 +182,7 @@ func (g *generator) generateForJoin(ix *joinIndex, tables []string, m mapping) {
 			return
 		}
 		nodes++
-		if nodes > maxNodes {
+		if nodes > maxGrowNodes {
 			return
 		}
 		if len(conj) > 0 && empty(admit) {
@@ -196,7 +191,7 @@ func (g *generator) generateForJoin(ix *joinIndex, tables []string, m mapping) {
 			// but only add redundancy; stop this branch.
 			return
 		}
-		if depth >= g.cfg.MaxPredAttrs {
+		if depth >= maxPredAttrs {
 			return
 		}
 		next := scratch[depth]
@@ -219,7 +214,7 @@ func (g *generator) generateForJoin(ix *joinIndex, tables []string, m mapping) {
 			used[unitCol[u]] = false
 		}
 	}
-	grow(0, make([]algebra.Term, 0, g.cfg.MaxPredAttrs*g.cfg.MaxTermsPerAttr), full, 0)
+	grow(0, make([]algebra.Term, 0, maxPredAttrs*maxTermsPerAttr), full, 0)
 
 	// DNF by categorical clustering: split the required rows by the value
 	// of one categorical attribute and synthesize a conjunct per cluster.
@@ -264,8 +259,8 @@ func (g *generator) coveringTermPools(ix *joinIndex, rows []int) []attrPool {
 		case t == relation.KindString || t == relation.KindBool:
 			pool = categoricalCoveringTerms(ix, ci, rows)
 		}
-		if len(pool) > g.cfg.MaxTermsPerAttrPool {
-			pool = pool[:g.cfg.MaxTermsPerAttrPool]
+		if len(pool) > maxTermsPerAttrPool {
+			pool = pool[:maxTermsPerAttrPool]
 		}
 		if len(pool) > 0 {
 			pools = append(pools, attrPool{ci: ci, terms: pool})
@@ -412,12 +407,12 @@ func (g *generator) generateClusterDNF(ix *joinIndex, tables, proj []string, rc 
 		for _, ri := range rc.required {
 			if c := cd.Codes[ri]; !slices.Contains(values, c) {
 				values = append(values, c)
-				if len(values) > g.cfg.MaxDisjuncts {
+				if len(values) > maxDisjuncts {
 					break
 				}
 			}
 		}
-		if len(values) == 0 || len(values) > g.cfg.MaxDisjuncts {
+		if len(values) == 0 || len(values) > maxDisjuncts {
 			continue
 		}
 		cs := &clusterSet{ix: ix, ci: ci, excl: excl, byCode: make([]*cluster, len(cd.Dict))}
@@ -528,7 +523,7 @@ func (g *generator) generateClusterDNF(ix *joinIndex, tables, proj []string, rc 
 				if slices.Contains(values, c) {
 					continue
 				}
-				if len(values) >= g.cfg.MaxDisjuncts {
+				if len(values) >= maxDisjuncts {
 					break
 				}
 				values = append(values, c)

@@ -11,8 +11,8 @@
 // conjunctively across attributes and disjunctively across categorical
 // clusters. Every emitted query reproduces R — verified by evaluation
 // (emit, emitVerified) or by construction (the cluster DNF and its variants,
-// emitTrusted; DESIGN.md §15) — so configuration knobs only control the
-// search budget, never correctness.
+// emitTrusted; DESIGN.md §15) — so the search's bounds only control its
+// budget, never correctness.
 package qbo
 
 import (
@@ -25,69 +25,39 @@ import (
 	"qfe/internal/relation"
 )
 
-// Config bounds the candidate search, mirroring QBO's knobs: "the maximum
+// Config bounds the candidate search. QBO's other knobs — "the maximum
 // number of selection-predicate attributes, the maximum number of joined
 // relations, the maximum number of selection predicates in each conjunct,
-// etc." (§4).
+// etc." (§4) — are the fixed bounds below.
 type Config struct {
-	// MaxJoinTables caps the join schema size (0 = all tables allowed).
-	MaxJoinTables int
-	// MaxPredAttrs caps the number of distinct attributes per conjunct.
-	MaxPredAttrs int
-	// MaxTermsPerAttr caps terms on one attribute in a conjunct (2 allows
-	// ranges lo < A ≤ hi).
-	MaxTermsPerAttr int
-	// MaxDisjuncts caps the DNF width explored by categorical clustering.
-	MaxDisjuncts int
 	// MaxCandidates stops the search once this many verified candidates
 	// exist (0 = unlimited).
 	MaxCandidates int
-	// MaxTermsPerAttrPool caps the covering terms generated per attribute.
-	MaxTermsPerAttrPool int
-	// MaxProjectionMappings caps the projection mappings tried per join.
-	MaxProjectionMappings int
-	// MaxGrowNodes budgets the conjunction-combination search per
-	// (join, projection) pair (0 = 100000).
-	MaxGrowNodes int
 }
+
+// The search's fixed bounds. Every join schema of FK-connected tables is
+// tried, whatever its size.
+const (
+	maxPredAttrs          = 3      // distinct attributes per conjunct
+	maxTermsPerAttr       = 2      // terms on one attribute in a conjunct (2 allows lo < A ≤ hi)
+	maxDisjuncts          = 4      // DNF width explored by categorical clustering
+	maxTermsPerAttrPool   = 4      // covering terms generated per attribute
+	maxProjectionMappings = 3      // projection mappings tried per join
+	maxGrowNodes          = 100000 // conjunction-search nodes per (join, projection) pair
+)
 
 // DefaultConfig returns a budget that yields candidate sets of the paper's
 // magnitude (≈ 19 for the scientific queries).
 func DefaultConfig() Config {
-	return Config{
-		MaxJoinTables:         0,
-		MaxPredAttrs:          3,
-		MaxTermsPerAttr:       2,
-		MaxDisjuncts:          4,
-		MaxCandidates:         64,
-		MaxTermsPerAttrPool:   4,
-		MaxProjectionMappings: 3,
-	}
+	return Config{MaxCandidates: 64}
 }
 
 // Generate produces verified candidate queries for (d, R). Candidates are
 // deduplicated by fingerprint and returned in deterministic order, named
 // C1, C2, ....
 func Generate(d *db.Database, r *relation.Relation, cfg Config) ([]*algebra.Query, error) {
-	if cfg.MaxPredAttrs <= 0 {
-		cfg.MaxPredAttrs = 3
-	}
-	if cfg.MaxTermsPerAttr <= 0 {
-		cfg.MaxTermsPerAttr = 2
-	}
-	if cfg.MaxDisjuncts <= 0 {
-		cfg.MaxDisjuncts = 4
-	}
-	if cfg.MaxTermsPerAttrPool <= 0 {
-		cfg.MaxTermsPerAttrPool = 4
-	}
-	if cfg.MaxProjectionMappings <= 0 {
-		cfg.MaxProjectionMappings = 3
-	}
-
 	g := &generator{d: d, r: r, cfg: cfg, seen: map[string]bool{}}
-	subsets := connectedTableSubsets(d, cfg.MaxJoinTables)
-	for _, tables := range subsets {
+	for _, tables := range connectedTableSubsets(d) {
 		if g.full() {
 			break
 		}
@@ -218,14 +188,11 @@ func (g *generator) emitVerified(v *verifier, pred algebra.Predicate) {
 }
 
 // connectedTableSubsets enumerates subsets of tables connected by foreign
-// keys, ordered by size then lexicographically, capped at maxSize (0 = no
-// cap). Single tables are always connected.
-func connectedTableSubsets(d *db.Database, maxSize int) [][]string {
+// keys, ordered by size then lexicographically. Single tables are always
+// connected.
+func connectedTableSubsets(d *db.Database) [][]string {
 	names := d.TableNames()
 	n := len(names)
-	if maxSize <= 0 || maxSize > n {
-		maxSize = n
-	}
 	adj := make([][]bool, n)
 	for i := range adj {
 		adj[i] = make([]bool, n)
@@ -243,15 +210,6 @@ func connectedTableSubsets(d *db.Database, maxSize int) [][]string {
 	}
 	var out [][]string
 	for mask := 1; mask < 1<<n; mask++ {
-		size := 0
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				size++
-			}
-		}
-		if size > maxSize {
-			continue
-		}
 		if !maskConnected(mask, adj, n) {
 			continue
 		}
@@ -316,7 +274,7 @@ type mapping struct {
 // spurious single-column match (e.g. an integer that also occurs in some
 // float column) cannot poison the search. Each kept mapping carries that
 // classification, so the join's rows are classified once per mapping.
-// Results are capped by the config.
+// Results are capped at maxProjectionMappings.
 func (g *generator) projectionMappings(j *db.Joined) []mapping {
 	// Distinct values per joined column, computed at most once per column
 	// through the hash kernel (the legacy path rebuilt a key-string set per
@@ -383,11 +341,11 @@ func (g *generator) projectionMappings(j *db.Joined) []mapping {
 	// only feasible mappings, bounding both results and attempts.
 	var out []mapping
 	attempts := 0
-	maxAttempts := g.cfg.MaxProjectionMappings * 32
+	const maxAttempts = maxProjectionMappings * 32
 	cur := make([]string, g.r.Arity())
 	var rec func(i int)
 	rec = func(i int) {
-		if len(out) >= g.cfg.MaxProjectionMappings || attempts >= maxAttempts {
+		if len(out) >= maxProjectionMappings || attempts >= maxAttempts {
 			return
 		}
 		if i == len(cands) {

@@ -237,7 +237,7 @@ func TestConnectedTableSubsets(t *testing.T) {
 	}
 	d.AddForeignKey("B", []string{"x"}, "A", []string{"x"})
 	// C is an island: subsets = {A},{B},{C},{A,B} — not {A,C},{B,C},{A,B,C}.
-	subsets := connectedTableSubsets(d, 0)
+	subsets := connectedTableSubsets(d)
 	keys := map[string]bool{}
 	for _, s := range subsets {
 		k := ""
@@ -254,13 +254,6 @@ func TestConnectedTableSubsets(t *testing.T) {
 	for _, bad := range []string{"AC", "BC", "ABC"} {
 		if keys[bad] {
 			t.Errorf("disconnected subset %s should be absent", bad)
-		}
-	}
-	// Size cap.
-	capped := connectedTableSubsets(d, 1)
-	for _, s := range capped {
-		if len(s) > 1 {
-			t.Errorf("cap violated: %v", s)
 		}
 	}
 }

@@ -46,7 +46,13 @@ func NewClient(base string, hc *http.Client, retryFor time.Duration) *Client {
 func (c *Client) Retries() int64 { return c.retries.Load() }
 
 // Create starts a session (POST /sessions) and returns its first status.
+// A request that names no session is given a fresh id before the first
+// attempt, so a retry after a lost acknowledgement reads the session the
+// first attempt created instead of starting a second one.
 func (c *Client) Create(ctx context.Context, req CreateRequest) (*SessionJSON, error) {
+	if req.SessionID == "" {
+		req.SessionID = newID()
+	}
 	var st SessionJSON
 	if err := c.do(ctx, http.MethodPost, "/sessions", req, &st); err != nil {
 		return nil, err

@@ -113,3 +113,42 @@ func TestClientPermanentStatuses(t *testing.T) {
 		}
 	}
 }
+
+// TestClientCreateRetryKeepsOneSession: the server creates the session of
+// the first POST /sessions but its acknowledgement is lost with the
+// connection. The client's retry must read that session, not start a
+// second one that would hold a live slot until its TTL.
+func TestClientCreateRetryKeepsOneSession(t *testing.T) {
+	m := New(testOptions())
+	h := NewHandler(m, HandlerOptions{})
+	var mu sync.Mutex
+	dropped := false
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		drop := !dropped && r.Method == http.MethodPost && r.URL.Path == "/sessions"
+		dropped = dropped || drop
+		mu.Unlock()
+		if drop {
+			h.ServeHTTP(httptest.NewRecorder(), r)
+			hangUp(w)
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	c := NewClient(srv.URL, srv.Client(), 10*time.Second)
+
+	st, err := c.Create(context.Background(), CreateRequest{Dataset: "demo"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Retries() != 1 {
+		t.Fatalf("retries = %d, want 1", c.Retries())
+	}
+	if n := m.Resident(); n != 1 {
+		t.Fatalf("%d sessions resident after one create, want 1", n)
+	}
+	if _, err := m.Get(st.ID); err != nil {
+		t.Fatalf("returned session %s: %v", st.ID, err)
+	}
+}

@@ -17,8 +17,13 @@ import (
 	"testing"
 	"time"
 
+	"qfe/internal/algebra"
 	"qfe/internal/core"
+	"qfe/internal/db"
+	"qfe/internal/dbgen"
 	"qfe/internal/feedback"
+	"qfe/internal/qbo"
+	"qfe/internal/relation"
 	"qfe/internal/wal"
 )
 
@@ -87,87 +92,124 @@ func outcomeFingerprint(out *core.Outcome) string {
 // TestRecoverAtEveryPoint is the core differential guarantee: crash the
 // journaled session after every prefix of its feedback history, recover a
 // fresh manager from the WAL alone (no snapshot), resume with the same
-// oracle, and demand the identical outcome — at every engine worker count.
+// oracle, and demand the identical outcome and per-round statistics as an
+// uninterrupted one-worker run — at every engine worker count, under a
+// budget that never cuts Algorithm 3 and under one that cuts its rounds.
 func TestRecoverAtEveryPoint(t *testing.T) {
 	d, r := employeeDB()
-	qc := paperCandidates()
-	oracle := feedback.Target{Query: qc[2]}
-
-	// Reference: uninterrupted, serial.
-	ref := New(testOptions())
-	rst, err := ref.Create(d, r, qc)
+	demoD, demoR, err := datasetPair("demo", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := outcomeFingerprint(driveToOutcome(t, ref, rst.ID, oracle))
+	qcfg := qbo.DefaultConfig()
+	qcfg.MaxCandidates = 32
+	demoQC, err := qbo.Generate(demoD, demoR, qcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		prefix   string
+		d        *db.Database
+		r        *relation.Relation
+		qc       []*algebra.Query
+		maxPairs int
+	}{
+		{"", d, r, paperCandidates(), 100000},
+		{"pairs=20/", demoD, demoR, demoQC, 20},
+	} {
+		oracle := feedback.Target{Query: c.qc[2]}
+		options := func(workers int) Options {
+			opts := testOptions()
+			opts.Config.Gen.Budget = dbgen.Budget{MaxPairs: c.maxPairs}
+			opts.Config.Parallelism = workers
+			return opts
+		}
 
-	for _, workers := range []int{1, 2, 4} {
-		workers := workers
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			walDir := t.TempDir()
-			m1, _ := walManager(t, walDir, workers)
-			st, err := m1.Create(d, r, qc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			id := st.ID
-			if got := outcomeFingerprint(driveToOutcome(t, m1, id, oracle)); got != want {
-				t.Fatalf("live outcome differs from reference:\n  got  %s\n  want %s", got, want)
-			}
+		// Reference: uninterrupted, serial.
+		ref := New(options(1))
+		rst, err := ref.Create(c.d, c.r, c.qc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refOut := driveToOutcome(t, ref, rst.ID, oracle)
+		want := outcomeSignature(refOut)
+		if c.maxPairs < 100000 && refOut.Iterations[0].Enumerated != c.maxPairs {
+			t.Fatalf("%sthe budget does not cut the first round: %s", c.prefix, want)
+		}
 
-			recs := collectRecords(t, walDir)
-			var feedbacks int
-			for _, rec := range recs {
-				if rec.Type == wal.TypeFeedback {
-					feedbacks++
+		for _, workers := range []int{1, 2, 4} {
+			workers := workers
+			t.Run(fmt.Sprintf("%sworkers=%d", c.prefix, workers), func(t *testing.T) {
+				walDir := t.TempDir()
+				l, err := wal.Open(wal.Options{Dir: walDir, Sync: wal.SyncOff})
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if feedbacks == 0 {
-				t.Fatal("session produced no feedback records")
-			}
+				t.Cleanup(func() { l.Close() })
+				opts := options(workers)
+				opts.Journal = l
+				m1 := New(opts)
+				st, err := m1.Create(c.d, c.r, c.qc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				id := st.ID
+				if got := outcomeSignature(driveToOutcome(t, m1, id, oracle)); got != want {
+					t.Fatalf("live outcome differs from reference:\n  got  %s\n  want %s", got, want)
+				}
 
-			// Crash after created + k feedbacks, for every k.
-			for k := 0; k <= feedbacks; k++ {
-				var prefix []wal.Record
-				seen := 0
+				recs := collectRecords(t, walDir)
+				var feedbacks int
 				for _, rec := range recs {
 					if rec.Type == wal.TypeFeedback {
-						if seen == k {
-							break
-						}
-						seen++
+						feedbacks++
 					}
-					prefix = append(prefix, rec)
 				}
-				crashDir := writeWALPrefix(t, prefix)
+				if feedbacks == 0 {
+					t.Fatal("session produced no feedback records")
+				}
 
-				opts := testOptions()
-				opts.Config.Parallelism = workers
-				m2 := New(opts)
-				stats, err := m2.Recover("", crashDir)
-				if err != nil {
-					t.Fatalf("k=%d: recover: %v", k, err)
-				}
-				if len(stats.Errors) > 0 {
-					t.Fatalf("k=%d: recover errors: %v", k, stats.Errors)
-				}
-				if stats.ReplaySessions != 1 {
-					t.Fatalf("k=%d: replayed %d sessions, want 1", k, stats.ReplaySessions)
-				}
-				st2, err := m2.Get(id)
-				if err != nil {
-					t.Fatalf("k=%d: recovered session gone: %v", k, err)
-				}
-				if k < feedbacks {
-					if st2.Done() || st2.Round == nil || st2.Round.Seq != k+1 {
-						t.Fatalf("k=%d: resumed at wrong round: %+v", k, st2.Round)
+				// Crash after created + k feedbacks, for every k.
+				for k := 0; k <= feedbacks; k++ {
+					var prefix []wal.Record
+					seen := 0
+					for _, rec := range recs {
+						if rec.Type == wal.TypeFeedback {
+							if seen == k {
+								break
+							}
+							seen++
+						}
+						prefix = append(prefix, rec)
+					}
+					crashDir := writeWALPrefix(t, prefix)
+
+					m2 := New(options(workers))
+					stats, err := m2.Recover("", crashDir)
+					if err != nil {
+						t.Fatalf("k=%d: recover: %v", k, err)
+					}
+					if len(stats.Errors) > 0 {
+						t.Fatalf("k=%d: recover errors: %v", k, stats.Errors)
+					}
+					if stats.ReplaySessions != 1 {
+						t.Fatalf("k=%d: replayed %d sessions, want 1", k, stats.ReplaySessions)
+					}
+					st2, err := m2.Get(id)
+					if err != nil {
+						t.Fatalf("k=%d: recovered session gone: %v", k, err)
+					}
+					if k < feedbacks {
+						if st2.Done() || st2.Round == nil || st2.Round.Seq != k+1 {
+							t.Fatalf("k=%d: resumed at wrong round: %+v", k, st2.Round)
+						}
+					}
+					if got := outcomeSignature(driveToOutcome(t, m2, id, oracle)); got != want {
+						t.Fatalf("k=%d: recovered outcome differs:\n  got  %s\n  want %s", k, got, want)
 					}
 				}
-				if got := outcomeFingerprint(driveToOutcome(t, m2, id, oracle)); got != want {
-					t.Fatalf("k=%d: recovered outcome differs:\n  got  %s\n  want %s", k, got, want)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -418,12 +418,11 @@ func (h *httpAPI) sessions(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, errors.New("no SPJ query produces the given result on this database"))
 		return
 	}
-	var st Status
-	if req.SessionID != "" {
-		st, err = h.m.CreateWithID(r.Context(), req.SessionID, d, res, qc)
-	} else {
-		st, err = h.m.CreateWithID(r.Context(), newID(), d, res, qc)
+	id := req.SessionID
+	if id == "" {
+		id = newID()
 	}
+	st, err := h.m.CreateWithID(r.Context(), id, d, res, qc)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrCapacity), errors.Is(err, ErrDegraded),

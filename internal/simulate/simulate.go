@@ -21,10 +21,12 @@
 //
 // All time is read through one injectable clock, so latency percentiles are
 // testable without sleeping. Scenario-level concurrency uses the shared
-// internal/par worker pool; the per-session engine runs serially
-// (Parallelism 1) with a deterministic pair budget, which makes every
-// deterministic report field reproducible bit-for-bit across runs and
-// worker counts.
+// internal/par worker pool. The per-session engine runs under a
+// deterministic pair budget, which makes every deterministic report field
+// reproducible bit-for-bit across runs and worker counts; it runs serially
+// (Parallelism 1) for throughput, since the scenarios already keep every
+// core busy, not for determinism: every engine worker count gives the same
+// rounds.
 package simulate
 
 import (
@@ -123,14 +125,15 @@ type Options struct {
 
 // DefaultCoreConfig is the harness's session configuration: the engine's
 // defaults with the time-based δ budget replaced by a deterministic
-// pair-count budget, and all intra-session parallel loops forced serial.
-// Concurrency comes from running many sessions at once; determinism of each
-// session is what makes simulation reports reproducible from their seed.
+// pair-count budget, which makes each session's rounds a function of its
+// inputs and so simulation reports reproducible from their seed. The
+// intra-session loops run serially (Parallelism 1) for throughput:
+// concurrency comes from running many sessions at once, and every worker
+// count would give the same rounds.
 func DefaultCoreConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Gen.Budget = dbgen.Budget{MaxPairs: 100000}
 	cfg.Parallelism = 1
-	cfg.Gen.Parallelism = 1
 	return cfg
 }
 

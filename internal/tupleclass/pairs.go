@@ -137,9 +137,6 @@ func (s *Space) PartitionSizes1(p Pair) []int {
 // prunes those started after a match lands, bounding the waste to roughly
 // one in-flight check per worker.
 func (s *Space) IndistinguishableGroups(maxCombos, parallelism int) [][]int {
-	if maxCombos <= 0 {
-		maxCombos = 100000
-	}
 	workers := par.Workers(parallelism)
 	// Group by representative: truth-table equality is transitive, so
 	// comparing against one representative per group suffices.

@@ -383,6 +383,33 @@ func (s *Space) EnumerateClassesAt(src Class, dist int, yield func(Class) bool) 
 	rec(0)
 }
 
+// CountClassesAt returns how many classes EnumerateClassesAt yields at
+// distance dist, saturating at limit. The count is the same for every
+// source class: the dist-th elementary symmetric sum of |P(A)| − 1 over the
+// attributes A that are not frozen.
+func (s *Space) CountClassesAt(dist, limit int) int {
+	if dist <= 0 || dist > len(s.Parts) {
+		return 0
+	}
+	// e[k] is the k-th elementary symmetric sum over the attributes seen.
+	e := make([]int, dist+1)
+	e[0] = 1
+	for p, part := range s.Parts {
+		if s.frozen[p] {
+			continue
+		}
+		m := len(part.Subsets) - 1
+		for k := dist; k >= 1; k-- {
+			if m > 0 && e[k-1] > (limit-e[k])/m {
+				e[k] = limit
+			} else {
+				e[k] += e[k-1] * m
+			}
+		}
+	}
+	return min(e[dist], limit)
+}
+
 // NumPredicateAttrs returns n, the number of distinct selection-predicate
 // attributes (the upper bound of Algorithm 3's outer loop).
 func (s *Space) NumPredicateAttrs() int { return len(s.Attrs) }

@@ -1,6 +1,7 @@
 package tupleclass
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -187,6 +188,40 @@ func TestEnumerateClassesAt(t *testing.T) {
 	// Degenerate distances.
 	s.EnumerateClassesAt(src, 0, func(Class) bool { t.Error("dist 0 must be empty"); return true })
 	s.EnumerateClassesAt(src, 99, func(Class) bool { t.Error("dist>n must be empty"); return true })
+}
+
+// TestCountClassesAtMatchesEnumeration checks CountClassesAt against
+// EnumerateClassesAt from every source class of random spaces with a frozen
+// attribute, at every distance, and its saturation at small limits.
+func TestCountClassesAtMatchesEnumeration(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 20; trial++ {
+		s := randomMaskSpace(t, rng, 1+rng.Intn(8))
+		srcs, err := s.SourceClasses()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for dist := 0; dist <= len(s.Parts)+1; dist++ {
+			want := -1
+			for _, sc := range srcs {
+				n := 0
+				s.EnumerateClassesAt(sc.Class, dist, func(Class) bool { n++; return true })
+				if want >= 0 && n != want {
+					t.Fatalf("trial %d dist %d: source classes enumerate %d and %d classes", trial, dist, want, n)
+				}
+				want = n
+			}
+			if got := s.CountClassesAt(dist, math.MaxInt); got != want {
+				t.Fatalf("trial %d dist %d: CountClassesAt = %d, enumeration %d", trial, dist, got, want)
+			}
+			for limit := 1; limit <= want+1; limit++ {
+				if got := s.CountClassesAt(dist, limit); got != min(want, limit) {
+					t.Fatalf("trial %d dist %d limit %d: CountClassesAt = %d, want %d",
+						trial, dist, limit, got, min(want, limit))
+				}
+			}
+		}
+	}
 }
 
 func TestCategoricalPartitionExample52(t *testing.T) {

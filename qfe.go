@@ -219,9 +219,10 @@ const (
 )
 
 // DefaultSessionConfig returns the paper's defaults (β = 1, scaled δ) with
-// Parallelism 0 (all cores). Set Config.Parallelism (or Gen.Parallelism) to
-// 1 to run every engine loop serially; results match at every worker count
-// unless the δ time budget truncates enumeration.
+// Parallelism 0 (all cores). Config.Parallelism is the engine's one worker
+// count; set it to 1 to run every engine loop serially. Every count gives
+// the same rounds, also under a truncating Gen.Budget.MaxPairs; only the
+// δ time budget cuts where the clock says.
 var DefaultSessionConfig = core.DefaultConfig
 
 // NewSession validates inputs and prepares a session.
