@@ -46,11 +46,13 @@ bench-batch:
 		-benchmem -run '^$$' .
 
 # Benchmark gates (CI): fail when MicroFullSession allocs/op exceeds the
-# recorded BENCH_baseline.txt, or MicroCandidateGenerationQ4 allocs/op (QBO
-# on baseball/Q4) the recorded BENCH_baseline_qbo.txt, by more than 20%, or
-# (on hosts with >= 8 cores) when the parallel session benchmark misses its
-# speedup ratio. Refresh both allocation baselines after an intentional
-# change with scripts/bench_guard.sh --record.
+# recorded BENCH_baseline.txt, MicroCandidateGenerationQ4 allocs/op (QBO on
+# baseball/Q4) the recorded BENCH_baseline_qbo.txt, or
+# MicroSessionParallelism/serial allocs/op (scientific Q1) the recorded
+# BENCH_baseline_session.txt, by more than 20%, or (on hosts with >= 8
+# cores) when the parallel session benchmark misses its speedup ratio.
+# Refresh the allocation baselines after an intentional change with
+# scripts/bench_guard.sh --record.
 bench-guard:
 	./scripts/bench_guard.sh
 

@@ -15,6 +15,7 @@ import (
 
 	"qfe/internal/algebra"
 	"qfe/internal/datasets"
+	"qfe/internal/db"
 	"qfe/internal/dbgen"
 	"qfe/internal/experiments"
 	"qfe/internal/feedback"
@@ -172,7 +173,7 @@ func BenchmarkMicroSkylinePairs(b *testing.B) {
 	}
 	opts := dbgen.DefaultOptions()
 	opts.Budget = Budget{MaxPairs: 100000}
-	gen, err := dbgen.New(d, j, qc, r, opts, 0)
+	gen, err := dbgen.New(db.NewKeys(d), j, qc, r, opts, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func BenchmarkMicroAlg4Parallelism(b *testing.B) {
 			opts.Budget = Budget{MaxPairs: 100000}
 			opts.MaxFrontier = 512
 			opts.MaxSetsEvaluated = 200000
-			gen, err := dbgen.New(sc.DB, j, sc.QC, sc.R, opts, bc.parallelism)
+			gen, err := dbgen.New(db.NewKeys(sc.DB), j, sc.QC, sc.R, opts, bc.parallelism)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -13,10 +13,13 @@ import (
 // FuzzRestoreSnapshot feeds arbitrary bytes to UnmarshalSnapshot and
 // Restore, which must never panic. A snapshot Restore accepts must
 // re-snapshot to one that Restore accepts again and that snapshots back to
-// itself, every field equal but the elapsed times. The seeds are a session
-// snapshotted in every state it passes through (new, each pending round,
-// done, and failed) and the sessions of the service's config13 state file,
-// written before ConfigSnapshot lost five fields.
+// itself, every field equal but the elapsed times. An accepted snapshot
+// awaiting feedback must then take one Feedback without panicking, and the
+// same choice on the session and on its re-restored copy must give the same
+// next round, outcome or error. The seeds are a session snapshotted in
+// every state it passes through (new, each pending round, done, and failed)
+// and the sessions of the service's config13 state file, written before
+// ConfigSnapshot lost five fields.
 func FuzzRestoreSnapshot(f *testing.F) {
 	for _, seed := range snapshotSeeds(f) {
 		f.Add(seed)
@@ -48,7 +51,53 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		if !reflect.DeepEqual(first, second) {
 			t.Fatalf("snapshot changed across Restore: %s", snapshotDiff(first, second))
 		}
+		if s.Pending() == nil || !steppable(snap.Config) {
+			return
+		}
+		choice := len(data)%(len(s.Pending().View.Results)+1) - 1 // NoneOfThese included
+		got := stepDigest(s.Feedback(choice))
+		want := stepDigest(again.Feedback(choice))
+		// A δ time budget cuts where the clock says, so only a pair budget
+		// makes the two steps comparable.
+		if snap.Config.BudgetNs == 0 && got != want {
+			t.Fatalf("choice %d: restored session steps to\n%s\nits re-restored copy to\n%s", choice, got, want)
+		}
 	})
+}
+
+// steppable reports whether a restored configuration is one the fuzz target
+// may step: a worker count no larger than a real host's, since the engine
+// sizes per-worker scratch by it.
+func steppable(cs ConfigSnapshot) bool { return cs.Parallelism >= 0 && cs.Parallelism <= 8 }
+
+// stepDigest renders what one Feedback call produced — the next round, the
+// outcome or the error — without its timings.
+func stepDigest(r *Round, o *Outcome, err error) string {
+	switch {
+	case err != nil:
+		return "error: " + err.Error()
+	case r != nil:
+		out := fmt.Sprintf("round seq %d iteration %d group %d/%d edits %v groups %v",
+			r.Seq, r.Iteration, r.Group, r.NumGroups, r.View.Edits, r.View.Groups)
+		for _, res := range r.View.Results {
+			out += "\nresult " + res.Fingerprint()
+		}
+		for _, q := range r.View.Queries {
+			out += "\nquery " + q.Key()
+		}
+		return out
+	case o != nil:
+		out := fmt.Sprintf("outcome found %v ambiguous %v rounds %d modcost %d",
+			o.Found, o.Ambiguous, len(o.Iterations), o.TotalModCost)
+		if o.Query != nil {
+			out += "\nquery " + o.Query.Key()
+		}
+		for _, q := range o.Remaining {
+			out += "\nremaining " + q.Key()
+		}
+		return out
+	}
+	return "nothing"
 }
 
 // snapshotDiff names the top-level snapshot fields that differ, with their

@@ -143,7 +143,11 @@ type Session struct {
 	Oracle feedback.Oracle
 	Config Config
 
+	// joins caches each join-schema group's foreign-key join, and keys is
+	// D's key index, built on the first concretized round. Both serve every
+	// round of the session and are released when it completes.
 	joins map[string]*db.Joined
+	keys  *db.Keys
 
 	// State machine.
 	state      state
@@ -184,11 +188,19 @@ func NewStepSession(d *db.Database, r *relation.Relation, qc []*algebra.Query,
 	if len(qc) == 0 {
 		return nil, errors.New("core: empty candidate set")
 	}
+	// Every round costs each candidate's result against R (editdist), which
+	// needs their arities to agree; a restored snapshot may not.
+	for _, q := range qc {
+		if len(q.Projection) != r.Arity() {
+			return nil, fmt.Errorf("core: candidate %s projects %d columns, R has %d",
+				q.Name, len(q.Projection), r.Arity())
+		}
+	}
 	if cfg.MaxIterations <= 0 {
 		cfg.MaxIterations = 64
 	}
 	return &Session{DB: d, R: r, QC: qc, Config: cfg,
-		joins: map[string]*db.Joined{}}, nil
+		joins: map[string]*db.Joined{}, keys: db.NewKeys(d)}, nil
 }
 
 // Run executes Algorithm 1 to completion against the session's Oracle and
@@ -412,7 +424,7 @@ func (s *Session) advance() (*Round, error) {
 		if err != nil {
 			return nil, err
 		}
-		gen, err := dbgen.New(s.DB, joined, s.reps, s.R, s.Config.Gen, s.Config.Parallelism)
+		gen, err := dbgen.New(s.keys, joined, s.reps, s.R, s.Config.Gen, s.Config.Parallelism)
 		if err != nil {
 			return nil, err
 		}
@@ -438,7 +450,6 @@ func (s *Session) advance() (*Round, error) {
 				Iteration: s.groupIter,
 				BaseDB:    s.DB,
 				BaseR:     s.R,
-				NewDB:     res.DB,
 				Edits:     res.Edits,
 				Results:   res.Results,
 				Groups:    res.Partition,
@@ -465,7 +476,7 @@ func (s *Session) beginGroup(qc []*algebra.Query) error {
 		s.members[qc[0].Key()] = []*algebra.Query{qc[0]}
 		return nil
 	}
-	space, err := tupleclass.NewSpace(joined.Rel, qc)
+	space, err := tupleclass.NewSpace(joined.Columnar(), qc)
 	if err != nil {
 		return err
 	}
@@ -510,12 +521,15 @@ func (s *Session) finish() {
 	s.complete()
 }
 
-// complete stamps the total time and transitions to the terminal state.
+// complete stamps the total time and transitions to the terminal state. A
+// finished session never steps again, so it drops its joins and key index,
+// which a service would otherwise keep resident until the session expires.
 func (s *Session) complete() {
 	s.out.TotalTime = time.Since(s.started)
 	mSessionRounds.Observe(int64(len(s.out.Iterations)))
 	s.state = stateDone
 	s.pending, s.pendingRes = nil, nil
+	s.joins, s.keys = nil, nil
 }
 
 // joinFor returns the (cached) foreign-key join for the query's schema.

@@ -384,12 +384,10 @@ func Restore(snap *Snapshot, oracle feedback.Oracle) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	newDB, err := d.ApplyEdits(edits)
-	if err != nil {
-		return nil, fmt.Errorf("core: snapshot: replaying edits: %w", err)
+	if err := d.CheckEdits(edits); err != nil {
+		return nil, fmt.Errorf("core: snapshot: pending edits: %w", err)
 	}
 	res := &dbgen.Result{
-		DB:              newDB,
 		Edits:           edits,
 		Partition:       snap.Pending.Partition,
 		DBCost:          snap.Pending.DBCost,
@@ -435,7 +433,6 @@ func Restore(snap *Snapshot, oracle feedback.Oracle) (*Session, error) {
 			Iteration: s.groupIter,
 			BaseDB:    s.DB,
 			BaseR:     s.R,
-			NewDB:     res.DB,
 			Edits:     res.Edits,
 			Results:   res.Results,
 			Groups:    res.Partition,

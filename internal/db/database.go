@@ -208,22 +208,43 @@ func (e CellEdit) String() string {
 // ApplyEdits returns a deep copy of the database with the edits applied. The
 // receiver is unchanged. An out-of-range edit returns an error.
 func (d *Database) ApplyEdits(edits []CellEdit) (*Database, error) {
+	if err := d.CheckEdits(edits); err != nil {
+		return nil, err
+	}
 	c := d.Clone()
 	for _, e := range edits {
-		t := c.Table(e.Table)
-		if t == nil {
-			return nil, fmt.Errorf("db: edit %s: no such table", e)
-		}
-		if e.Row < 0 || e.Row >= t.Len() {
-			return nil, fmt.Errorf("db: edit %s: row out of range (table has %d rows)", e, t.Len())
-		}
-		ci := t.Schema.IndexOf(e.Column)
-		if ci < 0 {
-			return nil, fmt.Errorf("db: edit %s: no such column", e)
-		}
+		t, ci, _ := c.editTarget(e)
 		t.Tuples[e.Row][ci] = e.Value
 	}
 	return c, nil
+}
+
+// CheckEdits returns the error ApplyEdits would return for the edits — the
+// first one naming a missing table or column, or a row out of range —
+// without copying the database.
+func (d *Database) CheckEdits(edits []CellEdit) error {
+	for _, e := range edits {
+		if _, _, err := d.editTarget(e); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// editTarget resolves an edit to its table and column index.
+func (d *Database) editTarget(e CellEdit) (*relation.Relation, int, error) {
+	t := d.Table(e.Table)
+	if t == nil {
+		return nil, 0, fmt.Errorf("db: edit %s: no such table", e)
+	}
+	if e.Row < 0 || e.Row >= t.Len() {
+		return nil, 0, fmt.Errorf("db: edit %s: row out of range (table has %d rows)", e, t.Len())
+	}
+	ci := t.Schema.IndexOf(e.Column)
+	if ci < 0 {
+		return nil, 0, fmt.Errorf("db: edit %s: no such column", e)
+	}
+	return t, ci, nil
 }
 
 // ModifiedRelations returns the number of distinct tables touched by edits,

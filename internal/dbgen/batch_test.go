@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"qfe/internal/algebra"
+	"qfe/internal/db"
 	"qfe/internal/relation"
 )
 
@@ -46,7 +47,7 @@ func TestEvaluateBaseBatchMatchesScalar(t *testing.T) {
 	for _, bits := range []int{0, 2} {
 		relation.ForceHashCollisionsForTesting(bits)
 		d, j, qc, r := example11(t)
-		g, err := New(d, j, qc, r, testOptions(), 0)
+		g, err := New(db.NewKeys(d), j, qc, r, testOptions(), 0)
 		if err != nil {
 			relation.ForceHashCollisionsForTesting(0)
 			t.Fatal(err)
@@ -62,7 +63,7 @@ func TestEvaluateBaseBatchMatchesScalar(t *testing.T) {
 // by their scalar DeltaFingerprint in query order.
 func TestPartitionConcreteBatchMatchesScalar(t *testing.T) {
 	d, j, qc, r := example11(t)
-	g, err := New(d, j, qc, r, testOptions(), 0)
+	g, err := New(db.NewKeys(d), j, qc, r, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestPartitionConcreteBatchMatchesScalar(t *testing.T) {
 // batch engine's concurrency test.
 func TestGenerateDeterministicAcrossWorkerCounts(t *testing.T) {
 	d, j, qc, r := example11(t)
-	ref, err := New(d, j, qc, r, testOptions(), 1)
+	ref, err := New(db.NewKeys(d), j, qc, r, testOptions(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestGenerateDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8} {
-		g, err := New(d, j, qc, r, testOptions(), workers)
+		g, err := New(db.NewKeys(d), j, qc, r, testOptions(), workers)
 		if err != nil {
 			t.Fatal(err)
 		}

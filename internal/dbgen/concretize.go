@@ -12,15 +12,15 @@ import (
 // pair picks a concrete joined tuple of class s and rewrites the changed
 // attributes' base cells to d's representative values. Tuples are chosen to
 // minimise join side effects (§5.4.1) and edits violating the database's
-// integrity constraints are rejected (§6.3). Pairs that cannot be realised
-// are dropped; if nothing survives an error is returned.
+// integrity constraints are rejected (§6.3): the key index checks the
+// accepted edits plus the row's, so D′ is never materialised. Pairs that
+// cannot be realised are dropped; if nothing survives an error is returned.
 func (g *Generator) concretize(pairs []tupleclass.Pair) (*Result, error) {
-	work := g.DB.Clone()
 	var (
-		edits      []db.CellEdit
-		usedPairs  []tupleclass.Pair
-		usedJoined = map[int]bool{}
-		usedBase   = map[string]bool{}
+		edits, trial []db.CellEdit
+		usedPairs    []tupleclass.Pair
+		usedJoined   = map[int]bool{}
+		usedBase     = map[string]bool{}
 	)
 
 	for _, p := range pairs {
@@ -49,7 +49,8 @@ func (g *Generator) concretize(pairs []tupleclass.Pair) (*Result, error) {
 			if conflictsBase(rowEdits, usedBase) {
 				continue
 			}
-			if !applyValid(work, rowEdits) {
+			trial = append(append(trial[:0], edits...), rowEdits...)
+			if !g.Keys.Valid(trial) {
 				continue
 			}
 			for _, e := range rowEdits {
@@ -70,7 +71,6 @@ func (g *Generator) concretize(pairs []tupleclass.Pair) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{
-		DB:           work,
 		Edits:        edits,
 		Pairs:        usedPairs,
 		Partition:    parts,
@@ -131,46 +131,4 @@ func conflictsBase(edits []db.CellEdit, used map[string]bool) bool {
 		}
 	}
 	return false
-}
-
-// applyValid applies the edits to the working database in place if and only
-// if the result satisfies every declared constraint; otherwise it reverts
-// and reports false.
-func applyValid(work *db.Database, edits []db.CellEdit) bool {
-	var undo []saved
-	for _, e := range edits {
-		t := work.Table(e.Table)
-		if t == nil || e.Row < 0 || e.Row >= t.Len() {
-			revert(work, undo)
-			return false
-		}
-		ci := t.Schema.IndexOf(e.Column)
-		if ci < 0 {
-			revert(work, undo)
-			return false
-		}
-		undo = append(undo, saved{e: e, old: db.CellEdit{
-			Table: e.Table, Row: e.Row, Column: e.Column, Value: t.Tuples[e.Row][ci]}})
-		t.Tuples[e.Row][ci] = e.Value
-	}
-	if err := work.Validate(); err != nil {
-		revert(work, undo)
-		return false
-	}
-	return true
-}
-
-func revert(work *db.Database, undo []saved) {
-	for i := len(undo) - 1; i >= 0; i-- {
-		s := undo[i]
-		t := work.Table(s.old.Table)
-		ci := t.Schema.IndexOf(s.old.Column)
-		t.Tuples[s.old.Row][ci] = s.old.Value
-	}
-}
-
-// saved is declared at package scope for revert's signature.
-type saved struct {
-	e   db.CellEdit
-	old db.CellEdit
 }

@@ -54,7 +54,7 @@ func testOptions() Options {
 
 func TestGenerateSplitsExample11(t *testing.T) {
 	d, j, qc, r := example11(t)
-	g, err := New(d, j, qc, r, testOptions(), 0)
+	g, err := New(db.NewKeys(d), j, qc, r, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +77,11 @@ func TestGenerateSplitsExample11(t *testing.T) {
 	}
 	// The partition must be concretely correct: evaluate every query on D'
 	// and check group consistency.
+	modified := applied(t, d, res)
 	for bi, grp := range res.Partition {
 		var fp string
 		for gi, qi := range grp {
-			out, err := qc[qi].Evaluate(res.DB)
+			out, err := qc[qi].Evaluate(modified)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,7 +118,7 @@ func TestGenerateSplitsExample11(t *testing.T) {
 
 func TestGeneratePrefersSmallEdits(t *testing.T) {
 	d, j, qc, r := example11(t)
-	g, err := New(d, j, qc, r, testOptions(), 0)
+	g, err := New(db.NewKeys(d), j, qc, r, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestGeneratePrefersSmallEdits(t *testing.T) {
 
 func TestSkylinePairsNonEmptyAndScored(t *testing.T) {
 	d, j, qc, r := example11(t)
-	g, err := New(d, j, qc, r, testOptions(), 0)
+	g, err := New(db.NewKeys(d), j, qc, r, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestBudgetTruncatesEnumeration(t *testing.T) {
 	d, j, qc, r := example11(t)
 	opts := testOptions()
 	opts.Budget = Budget{MaxPairs: 3}
-	g, err := New(d, j, qc, r, opts, 0)
+	g, err := New(db.NewKeys(d), j, qc, r, opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestBudgetTruncatesEnumeration(t *testing.T) {
 
 func TestPickSubsetsRanked(t *testing.T) {
 	d, j, qc, r := example11(t)
-	g, err := New(d, j, qc, r, testOptions(), 0)
+	g, err := New(db.NewKeys(d), j, qc, r, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestGenerateNoSplitForEquivalentQueries(t *testing.T) {
 				algebra.NewTerm("Employee.salary", op, relation.Int(c))}}}
 	}
 	qc := []*algebra.Query{mk("A", algebra.OpGT, 4000), mk("B", algebra.OpGE, 4001)}
-	g, err := New(d, j, qc, r, testOptions(), 0)
+	g, err := New(db.NewKeys(d), j, qc, r, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestConcretizeRespectsPrimaryKey(t *testing.T) {
 	qc := []*algebra.Query{mk("A", algebra.OpLE, 2), mk("B", algebra.OpLT, 3)}
 	res := relation.New("R", relation.NewSchema("x", relation.KindString)).
 		Append(relation.NewTuple("a"), relation.NewTuple("a"))
-	g, err := New(d, j, qc, res, testOptions(), 0)
+	g, err := New(db.NewKeys(d), j, qc, res, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,14 +253,14 @@ func TestConcretizeRespectsPrimaryKey(t *testing.T) {
 		// ErrNoSplit is the correct answer then.
 		return
 	}
-	if err := out.DB.Validate(); err != nil {
+	if err := applied(t, d, out).Validate(); err != nil {
 		t.Errorf("generated D' violates constraints: %v", err)
 	}
 }
 
 func TestGeneratedDBAlwaysValid(t *testing.T) {
 	d, j, qc, r := example11(t)
-	g, err := New(d, j, qc, r, testOptions(), 0)
+	g, err := New(db.NewKeys(d), j, qc, r, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,13 +268,14 @@ func TestGeneratedDBAlwaysValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.DB.Validate(); err != nil {
+	modified := applied(t, d, res)
+	if err := modified.Validate(); err != nil {
 		t.Errorf("D' violates constraints: %v", err)
 	}
 	// D' must differ from D in exactly DBCost cells.
 	diff := 0
 	for ti, tab := range d.Tables() {
-		newTab := res.DB.Tables()[ti]
+		newTab := modified.Tables()[ti]
 		for ri := range tab.Tuples {
 			diff += tab.Tuples[ri].DiffCount(newTab.Tuples[ri])
 		}
@@ -315,7 +317,7 @@ func TestSideEffectsAccountedInPartition(t *testing.T) {
 	}
 	res := relation.New("R", relation.NewSchema("v", relation.KindInt)).
 		Append(relation.NewTuple(10), relation.NewTuple(20))
-	g, err := New(d, j, qc, res, testOptions(), 0)
+	g, err := New(db.NewKeys(d), j, qc, res, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,9 +325,10 @@ func TestSideEffectsAccountedInPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	modified := applied(t, d, out)
 	for bi, grp := range out.Partition {
 		for _, qi := range grp {
-			direct, err := qc[qi].Evaluate(out.DB)
+			direct, err := qc[qi].Evaluate(modified)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -339,7 +342,7 @@ func TestSideEffectsAccountedInPartition(t *testing.T) {
 
 func TestEnumerateScoredPairsCap(t *testing.T) {
 	d, j, qc, r := example11(t)
-	g, err := New(d, j, qc, r, testOptions(), 0)
+	g, err := New(db.NewKeys(d), j, qc, r, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +361,7 @@ func TestCostParamsFlowThrough(t *testing.T) {
 	d, j, qc, r := example11(t)
 	opts := testOptions()
 	opts.Cost = cost.Params{Beta: 5}
-	g, err := New(d, j, qc, r, opts, 0)
+	g, err := New(db.NewKeys(d), j, qc, r, opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +372,17 @@ func TestCostParamsFlowThrough(t *testing.T) {
 
 func TestNewRejectsEmptyQC(t *testing.T) {
 	d, j, _, r := example11(t)
-	if _, err := New(d, j, nil, r, testOptions(), 0); err == nil {
+	if _, err := New(db.NewKeys(d), j, nil, r, testOptions(), 0); err == nil {
 		t.Error("empty QC should be rejected")
 	}
+}
+
+// applied returns D′: d with the result's edits applied.
+func applied(t *testing.T, d *db.Database, res *Result) *db.Database {
+	t.Helper()
+	modified, err := d.ApplyEdits(res.Edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return modified
 }

@@ -56,7 +56,7 @@ func example51Generator(t *testing.T) *Generator {
 		mk("Q7", true, ab, algebra.Conjunct{term("A", algebra.OpGT, 40), term("B", algebra.OpLE, 60)}),
 	}
 	r := relation.New("R", relation.NewSchema("C", relation.KindInt)).Append(relation.NewTuple(1))
-	g, err := New(d, j, qc, r, testOptions(), 0)
+	g, err := New(db.NewKeys(d), j, qc, r, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,14 +160,8 @@ func TestEvaluateMatchesReferencePartition(t *testing.T) {
 	}
 	// Example 5.1: moving the tuple (48, 3) into B > 60 adds a tuple to Q1
 	// and removes one from Q2, so they separate, each at arity(R) = 1.
-	src, err := g.Space.ClassOf(relation.NewTuple(1, 48, 3, 25))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst, err := g.Space.ClassOf(relation.NewTuple(1, 48, 70, 25))
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := classOfTuple(t, g.Space, relation.NewTuple(1, 48, 3, 25))
+	dst := classOfTuple(t, g.Space, relation.NewTuple(1, 48, 70, 25))
 	pi := slices.IndexFunc(sp, func(p ScoredPair) bool { return p.Pair.Src.Equal(src) && p.Pair.Dst.Equal(dst) })
 	if pi < 0 {
 		t.Fatal("Example 5.1's pair is not among the splitting pairs")
@@ -190,4 +184,25 @@ func TestEvaluateMatchesReferencePartition(t *testing.T) {
 			check(indices)
 		}
 	}
+}
+
+// classOfTuple classifies a tuple over the joined schema by each
+// attribute's term signature; dst classes need not occur in the join.
+func classOfTuple(t *testing.T, s *tupleclass.Space, tup relation.Tuple) tupleclass.Class {
+	t.Helper()
+	c := make(tupleclass.Class, len(s.Parts))
+	for i, p := range s.Parts {
+		c[i] = slices.IndexFunc(p.Subsets, func(sub tupleclass.Subset) bool {
+			for ti, term := range p.Terms {
+				if term.Matches(tup[p.Col]) != sub.Sig[ti] {
+					return false
+				}
+			}
+			return true
+		})
+		if c[i] < 0 {
+			t.Fatalf("value %s of %s is in no subset", tup[p.Col], p.Attr)
+		}
+	}
+	return c
 }

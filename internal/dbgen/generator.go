@@ -91,7 +91,9 @@ var errNotRealizable = errors.New("dbgen: no pair of the chosen set could be con
 // Generator winnows one candidate set against one database. It is built
 // once per QFE iteration (the space depends on QC).
 type Generator struct {
-	DB      *db.Database
+	// Keys is the key index of D, which concretize asks whether an edit
+	// set keeps every key valid.
+	Keys    *db.Keys
 	Joined  *db.Joined
 	Space   *tupleclass.Space
 	Queries []*algebra.Query
@@ -117,16 +119,17 @@ type Generator struct {
 	alg4Enum, alg4Score, alg4TopK time.Duration
 }
 
-// New prepares a generator for the given database, precomputed join,
-// candidate queries and target result R. parallelism is the worker count of
-// its parallel loops: 0 selects GOMAXPROCS, 1 runs them serially in index
-// order.
-func New(d *db.Database, joined *db.Joined, queries []*algebra.Query,
+// New prepares a generator for the database behind the key index keys, its
+// precomputed join, the candidate queries and target result R. A session
+// passes the same index to every round's generator. parallelism is the
+// worker count of its parallel loops: 0 selects GOMAXPROCS, 1 runs them
+// serially in index order.
+func New(keys *db.Keys, joined *db.Joined, queries []*algebra.Query,
 	r *relation.Relation, opts Options, parallelism int) (*Generator, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("dbgen: empty candidate set")
 	}
-	space, err := tupleclass.NewSpace(joined.Rel, queries)
+	space, err := tupleclass.NewSpace(joined.Columnar(), queries)
 	if err != nil {
 		return nil, err
 	}
@@ -137,15 +140,12 @@ func New(d *db.Database, joined *db.Joined, queries []*algebra.Query,
 	// (provably indistinguishable within the reachable modification space).
 	space.Freeze(joined.KeyCols)
 	mCandidates.Observe(int64(len(queries)))
-	g := &Generator{DB: d, Joined: joined, Space: space, Queries: queries, R: r, Opts: opts,
+	g := &Generator{Keys: keys, Joined: joined, Space: space, Queries: queries, R: r, Opts: opts,
 		workers: par.Workers(parallelism)}
 	if g.baseResults, err = g.evaluateBase(); err != nil {
 		return nil, err
 	}
-	g.srcClasses, err = space.SourceClasses()
-	if err != nil {
-		return nil, err
-	}
+	g.srcClasses = space.SourceClasses()
 	g.srcRows = make(map[string][]int, len(g.srcClasses))
 	g.srcMatch = make([][]uint64, len(g.srcClasses))
 	for i, sc := range g.srcClasses {
@@ -181,15 +181,14 @@ func (g *Generator) evaluateBase() ([]*relation.Relation, error) {
 	return algebra.BatchEvaluateOnJoined(qs, g.Joined.Columnar(), g.workers)
 }
 
-// Result is the outcome of one Database-Generator invocation, carrying both
-// the modified database and the statistics the paper reports per round
-// (Table 1, Table 4, Table 7).
+// Result is the outcome of one Database-Generator invocation, carrying the
+// modified database as edits over D and the statistics the paper reports per
+// round (Table 1, Table 4, Table 7).
 type Result struct {
-	DB    *db.Database
 	Edits []db.CellEdit
 	Pairs []tupleclass.Pair // the concretized Sopt
 
-	// Partition groups query indexes by their result on DB; Results holds
+	// Partition groups query indexes by their result on D′; Results holds
 	// one representative result relation per group.
 	Partition [][]int
 	Results   []*relation.Relation

@@ -176,7 +176,7 @@ func Table5() (*TextTable, error) {
 		opts := cfg.Gen
 		opts.MaxFrontier = 512
 		opts.MaxSetsEvaluated = 600 * n
-		gen, err := dbgen.New(sc.DB, joined, sc.QC, sc.R, opts, cfg.Parallelism)
+		gen, err := dbgen.New(db.NewKeys(sc.DB), joined, sc.QC, sc.R, opts, cfg.Parallelism)
 		if err != nil {
 			return nil, err
 		}

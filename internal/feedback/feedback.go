@@ -31,11 +31,30 @@ type View struct {
 	Iteration int
 	BaseDB    *db.Database
 	BaseR     *relation.Relation
-	NewDB     *db.Database
-	Edits     []db.CellEdit
-	Results   []*relation.Relation
-	Groups    [][]int // query indexes per result
-	Queries   []*algebra.Query
+	// NewDB is D′ itself when the producer of the view already holds it.
+	// The engine leaves it nil: a round carries only its edits, and
+	// ModifiedDB rebuilds D′ for the readers that need it.
+	NewDB   *db.Database
+	Edits   []db.CellEdit
+	Results []*relation.Relation
+	Groups  [][]int // query indexes per result
+	Queries []*algebra.Query
+}
+
+// ModifiedDB returns D′: NewDB when it is set, or else a copy of BaseDB with
+// Edits applied.
+func (v View) ModifiedDB() (*db.Database, error) {
+	if v.NewDB != nil {
+		return v.NewDB, nil
+	}
+	if v.BaseDB == nil {
+		return nil, errors.New("feedback: view has neither D′ nor D")
+	}
+	d, err := v.BaseDB.ApplyEdits(v.Edits)
+	if err != nil {
+		return nil, fmt.Errorf("feedback: rebuilding D′: %w", err)
+	}
+	return d, nil
 }
 
 // Oracle chooses which presented result is the output of the user's target
@@ -81,7 +100,11 @@ type Target struct {
 // an exact match would follow a different query than the user's (the
 // simulation harness's invariant checks caught exactly that misstep).
 func (t Target) Choose(v View) (int, bool, error) {
-	want, err := t.Query.Evaluate(v.NewDB)
+	modified, err := v.ModifiedDB()
+	if err != nil {
+		return 0, false, err
+	}
+	want, err := t.Query.Evaluate(modified)
 	if err != nil {
 		return 0, false, fmt.Errorf("feedback: evaluating target: %w", err)
 	}

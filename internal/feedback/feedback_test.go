@@ -88,6 +88,29 @@ func TestTargetFollowsTargetQuery(t *testing.T) {
 	}
 }
 
+// TestTargetRebuildsModifiedDB: a view that carries only its edits, as the
+// engine's rounds do, gets the same answers as one that carries D′, and a
+// view with neither D′ nor D is an error.
+func TestTargetRebuildsModifiedDB(t *testing.T) {
+	v := exampleView(t)
+	edited := v
+	edited.NewDB = nil
+	for _, q := range v.Queries {
+		want, wantOK, err := Target{Query: q}.Choose(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotOK, err := Target{Query: q}.Choose(edited)
+		if err != nil || got != want || gotOK != wantOK {
+			t.Errorf("%s: edits-only view chose %d (ok %v, err %v), D′ view %d (ok %v)",
+				q.Name, got, gotOK, err, want, wantOK)
+		}
+	}
+	if _, _, err := (Target{Query: v.Queries[0]}).Choose(View{Results: v.Results}); err == nil {
+		t.Error("a view with neither D′ nor D should be an error")
+	}
+}
+
 func TestTargetOutsideCandidates(t *testing.T) {
 	v := exampleView(t)
 	// A target whose result on D1 matches no block: name = 'Alice'.

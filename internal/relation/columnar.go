@@ -17,7 +17,10 @@
 // outcome relative to the scalar row-at-a-time path.
 package relation
 
-import "sync"
+import (
+	"sort"
+	"sync"
+)
 
 // ColumnDict is one dictionary-encoded column: Codes[row] indexes Dict, and
 // Dict holds the first-seen representative of each KeyEqual class in the
@@ -40,6 +43,10 @@ type Columnar struct {
 	Source *Relation
 	cols   []ColumnDict
 	once   []sync.Once
+	// sorted[ci] is column ci's dictionary codes in ascending value order,
+	// built on first SortedCodes access.
+	sorted     [][]uint32
+	sortedOnce []sync.Once
 }
 
 // NewColumnar prepares the columnar view of r. Per-column cost (one hash +
@@ -48,9 +55,11 @@ type Columnar struct {
 // evaluation over it (db.Joined memoises it per join).
 func NewColumnar(r *Relation) *Columnar {
 	return &Columnar{
-		Source: r,
-		cols:   make([]ColumnDict, r.Arity()),
-		once:   make([]sync.Once, r.Arity()),
+		Source:     r,
+		cols:       make([]ColumnDict, r.Arity()),
+		once:       make([]sync.Once, r.Arity()),
+		sorted:     make([][]uint32, r.Arity()),
+		sortedOnce: make([]sync.Once, r.Arity()),
 	}
 }
 
@@ -59,6 +68,24 @@ func NewColumnar(r *Relation) *Columnar {
 func (c *Columnar) Col(ci int) *ColumnDict {
 	c.once[ci].Do(func() { c.cols[ci] = encodeColumn(c.Source, ci) })
 	return &c.cols[ci]
+}
+
+// SortedCodes returns column ci's dictionary codes in ascending
+// Value.Compare order, sorting them on first access (concurrency-safe, like
+// Col). Col(ci).Dict read in this order is the column's sorted active
+// domain: one representative per KeyEqual class, the first seen, in the
+// order a sort.Slice of those representatives produces.
+func (c *Columnar) SortedCodes(ci int) []uint32 {
+	c.sortedOnce[ci].Do(func() {
+		dict := c.Col(ci).Dict
+		order := make([]uint32, len(dict))
+		for i := range order {
+			order[i] = uint32(i)
+		}
+		sort.Slice(order, func(a, b int) bool { return dict[order[a]].Compare(dict[order[b]]) < 0 })
+		c.sorted[ci] = order
+	})
+	return c.sorted[ci]
 }
 
 // encodeColumn dictionary-encodes one column through the hash kernel.

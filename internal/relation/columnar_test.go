@@ -36,8 +36,9 @@ func randColRelation(rng *rand.Rand) *Relation {
 }
 
 // checkColumnar asserts the dictionary-code invariants: every row's code
-// resolves to a KeyEqual representative, and two rows share a code in a
-// column exactly when their values are KeyEqual.
+// resolves to a KeyEqual representative, two rows share a code in a column
+// exactly when their values are KeyEqual, and the dictionary read in
+// SortedCodes order is the row-at-a-time ActiveDomain.
 func checkColumnar(t *testing.T, seed int64) {
 	t.Helper()
 	err := quick.Check(func(s int64) bool {
@@ -66,6 +67,10 @@ func checkColumnar(t *testing.T, seed int64) {
 						return false
 					}
 				}
+			}
+			if got, want := c.SortedDomain(ci), r.ActiveDomain(r.Schema[ci].Name); !SameValues(got, want) {
+				t.Logf("col %d: sorted dictionary %v, active domain %v", ci, got, want)
+				return false
 			}
 			// Dictionary entries must be pairwise distinct under KeyEqual.
 			for i := range cd.Dict {

@@ -177,30 +177,6 @@ func (r *Relation) Sorted() *Relation {
 	return c
 }
 
-// ActiveDomain returns the sorted distinct values of the named column.
-func (r *Relation) ActiveDomain(col string) []Value {
-	i := r.Schema.MustIndexOf(col)
-	seen := make(map[uint64][]Value)
-	var vals []Value
-	for _, t := range r.Tuples {
-		v := t[i]
-		h := v.Hash64()
-		dup := false
-		for _, w := range seen[h] {
-			if w.KeyEqual(v) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			seen[h] = append(seen[h], v)
-			vals = append(vals, v)
-		}
-	}
-	sort.Slice(vals, func(a, b int) bool { return vals[a].Compare(vals[b]) < 0 })
-	return vals
-}
-
 // String renders the relation as an aligned text table, tuples in stored
 // order. Used by the CLI, examples and failure messages.
 func (r *Relation) String() string {

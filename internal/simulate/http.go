@@ -84,17 +84,17 @@ func (r *Runner) runHTTP(sc *scenario.Scenario, idx int, res *SessionResult) {
 }
 
 // chooseRound is the wire-round answering logic shared by the load runner
-// and the chaos harness: rebuild D' from the round's edits, decode the
-// presented results, and apply the policy client-side.
+// and the chaos harness: check the round's edits against D, decode the
+// presented results, and apply the policy client-side (a policy that reads
+// D′ rebuilds it from the edits).
 func chooseRound(sc *scenario.Scenario, oracle feedback.Oracle,
 	round *service.RoundJSON) (int, error) {
 	edits, err := codec.DecodeEdits(round.Edits)
 	if err != nil {
 		return 0, fmt.Errorf("simulate: round edits: %w", err)
 	}
-	modified, err := sc.DB.ApplyEdits(edits)
-	if err != nil {
-		return 0, fmt.Errorf("simulate: applying round edits: %w", err)
+	if err := sc.DB.CheckEdits(edits); err != nil {
+		return 0, fmt.Errorf("simulate: round edits: %w", err)
 	}
 	results := make([]*relation.Relation, len(round.Results))
 	groups := make([][]int, len(round.Results))
@@ -117,7 +117,6 @@ func chooseRound(sc *scenario.Scenario, oracle feedback.Oracle,
 		Iteration: round.Iteration,
 		BaseDB:    sc.DB,
 		BaseR:     sc.R,
-		NewDB:     modified,
 		Edits:     edits,
 		Results:   results,
 		Groups:    groups,

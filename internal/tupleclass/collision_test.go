@@ -8,16 +8,14 @@ import (
 
 // TestPartitioningUnderForcedHashCollisions proves the tuple-class paths'
 // collision-verification invariant: with kernel hashes truncated to 2 bits
-// (values, tuples and Class hashes all collide constantly), SubsetOf
-// classification and SourceClasses grouping must reproduce the untruncated
-// results exactly — value and class equality are always verified.
+// (values, tuples and Class hashes all collide constantly), the join's
+// dictionary coding and SourceClasses grouping must reproduce the
+// untruncated results exactly — value and class equality are always
+// verified.
 func TestPartitioningUnderForcedHashCollisions(t *testing.T) {
 	buildKeys := func() ([]string, [][]int) {
 		s := example51Space(t)
-		scs, err := s.SourceClasses()
-		if err != nil {
-			t.Fatal(err)
-		}
+		scs := s.SourceClasses()
 		keys := make([]string, len(scs))
 		rows := make([][]int, len(scs))
 		for i, sc := range scs {

@@ -64,7 +64,7 @@ func randomMaskSpace(t *testing.T, rng *rand.Rand, nq int) *Space {
 		queries[qi] = &algebra.Query{Name: fmt.Sprintf("Q%d", qi), Tables: []string{"T"},
 			Projection: proj, Pred: pred, Distinct: rng.Intn(2) == 0}
 	}
-	s, err := NewSpace(rel, queries)
+	s, err := NewSpace(relation.NewColumnar(rel), queries)
 	if err != nil {
 		t.Fatal(err)
 	}

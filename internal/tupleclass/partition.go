@@ -43,59 +43,11 @@ type Partition struct {
 	Kind relation.Kind
 	// Terms are the deduplicated predicate terms over this attribute, in
 	// canonical (Key) order.
-	Terms    []algebra.Term
-	Subsets  []Subset
-	sigIndex map[string]int
-	// valIndex maps every probe value (hash-bucketed, KeyEqual-verified on
-	// collision) to its subset, covering the whole active domain. It is
-	// built once at construction and read-only afterwards, so concurrent
-	// classification never needs a lock; values outside the probe set fall
-	// back to signature evaluation.
-	valIndex map[uint64][]valSub
-}
-
-type valSub struct {
-	v      relation.Value
-	subset int
-}
-
-// SubsetOf returns the index of the subset containing v, computed from v's
-// term signature. It returns -1 only for signatures outside the probed
-// space, which cannot happen for values of the joined relation or reps.
-// Probe values — every active-domain value and every subset representative —
-// resolve through the precomputed value index with zero allocations; only
-// foreign values pay for a signature evaluation.
-func (p *Partition) SubsetOf(v relation.Value) int {
-	for _, e := range p.valIndex[v.Hash64()] {
-		if e.v.KeyEqual(v) {
-			return e.subset
-		}
-	}
-	sig := p.signature(v)
-	if i, ok := p.sigIndex[sigKey(sig)]; ok {
-		return i
-	}
-	return -1
-}
-
-func (p *Partition) signature(v relation.Value) []bool {
-	sig := make([]bool, len(p.Terms))
-	for i, t := range p.Terms {
-		sig[i] = t.Matches(v)
-	}
-	return sig
-}
-
-func sigKey(sig []bool) string {
-	b := make([]byte, len(sig))
-	for i, s := range sig {
-		if s {
-			b[i] = '1'
-		} else {
-			b[i] = '0'
-		}
-	}
-	return string(b)
+	Terms   []algebra.Term
+	Subsets []Subset
+	// codeSub maps each dictionary code of the joined column to the subset
+	// holding its value, so a joined row classifies by its codes alone.
+	codeSub []int
 }
 
 // String renders the partition for debugging: attr and subset reps.
@@ -112,53 +64,46 @@ func (p *Partition) String() string {
 }
 
 // buildPartition constructs P_QC(A) for one attribute from the deduplicated
-// terms over it and the attribute's active domain in the joined relation.
+// terms over it and the joined column's dictionary, read in sorted order.
+// Probe values are the active domain first (so representatives are
+// realistic), then synthetic probes covering every elementary region
+// induced by the term constants, then for strings one fresh value; each
+// signature not seen before opens a subset with that probe as its
+// representative.
 func buildPartition(attr string, col int, kind relation.Kind,
-	terms []algebra.Term, active []relation.Value) *Partition {
+	terms []algebra.Term, dict []relation.Value, sorted []uint32) *Partition {
 
 	p := &Partition{Attr: attr, Col: col, Kind: kind, Terms: terms,
-		sigIndex: make(map[string]int), valIndex: make(map[uint64][]valSub)}
-
-	// Probe values: active-domain values first (so representatives are
-	// realistic), then synthetic probes covering every elementary region
-	// induced by the term constants.
-	probes := make([]relation.Value, 0, len(active)*2)
-	probes = append(probes, active...)
-	synth := syntheticProbes(kind, terms, active)
-	probes = append(probes, synth...)
-
-	freshFrom := len(active) + len(synth) // probes from here on are "fresh"
-	if kind == relation.KindString {
-		probes = append(probes, freshValue(attr, terms, probes))
-	}
-
-	for i, v := range probes {
-		sig := p.signature(v)
-		k := sigKey(sig)
-		sub, seen := p.sigIndex[k]
-		if !seen {
-			sub = len(p.Subsets)
-			p.sigIndex[k] = sub
-			p.Subsets = append(p.Subsets, Subset{
-				Rep:        v,
-				Sig:        sig,
-				FromActive: i < len(active),
-				Fresh:      i >= freshFrom,
-			})
-		}
-		// Register the probe in the value index (deduplicated under
-		// KeyEqual) so SubsetOf classifies it without re-evaluating terms.
-		h := v.Hash64()
-		dup := false
-		for _, e := range p.valIndex[h] {
-			if e.v.KeyEqual(v) {
-				dup = true
-				break
+		codeSub: make([]int, len(dict))}
+	bySig := make(map[string]int)
+	sig := make([]bool, len(terms))
+	key := make([]byte, len(terms))
+	classify := func(v relation.Value, fromActive, fresh bool) int {
+		for i, t := range terms {
+			sig[i] = t.Matches(v)
+			key[i] = '0'
+			if sig[i] {
+				key[i] = '1'
 			}
 		}
-		if !dup {
-			p.valIndex[h] = append(p.valIndex[h], valSub{v: v, subset: sub})
+		if sub, ok := bySig[string(key)]; ok {
+			return sub
 		}
+		sub := len(p.Subsets)
+		bySig[string(key)] = sub
+		p.Subsets = append(p.Subsets, Subset{Rep: v, Sig: append([]bool(nil), sig...),
+			FromActive: fromActive, Fresh: fresh})
+		return sub
+	}
+	for _, code := range sorted {
+		p.codeSub[code] = classify(dict[code], true, false)
+	}
+	synth := syntheticProbes(kind, terms)
+	for _, v := range synth {
+		classify(v, false, false)
+	}
+	if kind == relation.KindString {
+		classify(freshValue(attr, dict, synth), false, true)
 	}
 	return p
 }
@@ -181,7 +126,7 @@ func termConstants(terms []algebra.Term) []relation.Value {
 // domain delimited by the term constants. For numeric attributes: the
 // constants themselves, midpoints between consecutive constants, and values
 // beyond both extremes. For categorical attributes: the constants.
-func syntheticProbes(kind relation.Kind, terms []algebra.Term, active []relation.Value) []relation.Value {
+func syntheticProbes(kind relation.Kind, terms []algebra.Term) []relation.Value {
 	consts := termConstants(terms)
 	if !kind.Numeric() {
 		return consts
@@ -246,17 +191,21 @@ func syntheticProbes(kind relation.Kind, terms []algebra.Term, active []relation
 
 // freshValue synthesizes a string value guaranteed not to collide with any
 // probe, representing "a value outside the active domain" (§6.1's insert-
-// style distinguishing strategy needs these).
-func freshValue(attr string, terms []algebra.Term, taken []relation.Value) relation.Value {
-	used := make(map[string]bool, len(taken))
-	for _, v := range taken {
-		used[v.Key()] = true
-	}
+// style distinguishing strategy needs these). Only string probes sharing
+// the candidates' prefix can collide, so only those are collected.
+func freshValue(attr string, taken ...[]relation.Value) relation.Value {
 	base := "novel_" + strings.ReplaceAll(attr, ".", "_")
+	used := make(map[string]bool)
+	for _, vs := range taken {
+		for _, v := range vs {
+			if v.Kind == relation.KindString && strings.HasPrefix(v.S, base) {
+				used[v.S] = true
+			}
+		}
+	}
 	for i := 0; ; i++ {
-		cand := relation.Str(fmt.Sprintf("%s_%d", base, i))
-		if !used[cand.Key()] {
-			return cand
+		if cand := fmt.Sprintf("%s_%d", base, i); !used[cand] {
+			return relation.Str(cand)
 		}
 	}
 }

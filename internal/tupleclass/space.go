@@ -76,7 +76,10 @@ type termRef struct{ part, term int }
 // per-attribute domain partitions; it answers "does class C match query Q"
 // in O(|predicate|) using precompiled term references.
 type Space struct {
-	Joined  *relation.Relation
+	// Joined is the join's columnar view. Each predicate attribute's domain
+	// is its column dictionary, and a joined row's class is read off its
+	// dictionary codes.
+	Joined  *relation.Columnar
 	Queries []*algebra.Query
 	// Attrs lists the selection-predicate attributes (sorted, deduplicated
 	// across all queries); Parts is aligned with it.
@@ -112,10 +115,10 @@ type Space struct {
 	distinctMask     []uint64
 }
 
-// NewSpace builds the tuple-class space for a joined relation and candidate
-// query set. Every query predicate attribute must be a column of the joined
-// relation.
-func NewSpace(joined *relation.Relation, queries []*algebra.Query) (*Space, error) {
+// NewSpace builds the tuple-class space for a joined relation, given as the
+// join's memoised columnar view, and a candidate query set. Every query
+// predicate attribute must be a column of the joined relation.
+func NewSpace(joined *relation.Columnar, queries []*algebra.Query) (*Space, error) {
 	s := &Space{Joined: joined, Queries: queries}
 
 	// Collect terms per attribute, deduplicated by canonical key.
@@ -143,8 +146,9 @@ func NewSpace(joined *relation.Relation, queries []*algebra.Query) (*Space, erro
 
 	s.frozen = make([]bool, len(s.Attrs))
 	s.Parts = make([]*Partition, len(s.Attrs))
+	schema := joined.Schema()
 	for i, a := range s.Attrs {
-		col := joined.Schema.IndexOf(a)
+		col := schema.IndexOf(a)
 		if col < 0 {
 			return nil, fmt.Errorf("tupleclass: predicate attribute %q not in joined schema", a)
 		}
@@ -157,7 +161,8 @@ func NewSpace(joined *relation.Relation, queries []*algebra.Query) (*Space, erro
 		for _, k := range keys {
 			terms = append(terms, termsByAttr[a][k])
 		}
-		s.Parts[i] = buildPartition(a, col, joined.Schema[col].Type, terms, joined.ActiveDomain(a))
+		s.Parts[i] = buildPartition(a, col, schema[col].Type, terms,
+			joined.Col(col).Dict, joined.SortedCodes(col))
 	}
 
 	// Compile query predicates into term references.
@@ -198,30 +203,6 @@ func NewSpace(joined *relation.Relation, queries []*algebra.Query) (*Space, erro
 	return s, nil
 }
 
-// ClassOf maps a joined tuple to its tuple class.
-func (s *Space) ClassOf(t relation.Tuple) (Class, error) {
-	c := make(Class, len(s.Parts))
-	if err := s.classInto(c, t); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// classInto is ClassOf into a caller-provided buffer (len(s.Parts)), so
-// per-tuple loops like SourceClasses allocate a Class only when a new
-// distinct class actually appears.
-func (s *Space) classInto(c Class, t relation.Tuple) error {
-	for i, p := range s.Parts {
-		sub := p.SubsetOf(t[p.Col])
-		if sub < 0 {
-			return fmt.Errorf("tupleclass: value %s of %s falls outside the probed partition",
-				t[p.Col], p.Attr)
-		}
-		c[i] = sub
-	}
-	return nil
-}
-
 // Matches reports whether every tuple of class c satisfies query qi — the
 // defining property of tuple classes: the answer is the same for all tuples
 // of the class.
@@ -255,16 +236,21 @@ type SourceClass struct {
 
 // SourceClasses maps every joined tuple to its class and returns the
 // occupied classes sorted by key (deterministic enumeration order for
-// Algorithm 3). Tuples are bucketed by class hash with Equal verification
-// on collision, so the per-tuple cost is a hash fold — class buffers and
-// Key strings materialise only once per distinct class.
-func (s *Space) SourceClasses() ([]SourceClass, error) {
+// Algorithm 3). A row's class is read off its dictionary codes through each
+// partition's code-to-subset map, and rows are bucketed by class hash with
+// Equal verification on collision, so class buffers and Key strings
+// materialise only once per distinct class.
+func (s *Space) SourceClasses() []SourceClass {
+	codes := make([][]uint32, len(s.Parts))
+	for i, p := range s.Parts {
+		codes[i] = s.Joined.Col(p.Col).Codes
+	}
 	byHash := make(map[uint64][]*SourceClass)
 	var all []*SourceClass
 	scratch := make(Class, len(s.Parts))
-	for i, t := range s.Joined.Tuples {
-		if err := s.classInto(scratch, t); err != nil {
-			return nil, err
+	for row, n := 0, s.Joined.NumRows(); row < n; row++ {
+		for i, p := range s.Parts {
+			scratch[i] = p.codeSub[codes[i][row]]
 		}
 		h := scratch.Hash64()
 		var sc *SourceClass
@@ -280,14 +266,14 @@ func (s *Space) SourceClasses() ([]SourceClass, error) {
 			byHash[h] = append(byHash[h], sc)
 			all = append(all, sc)
 		}
-		sc.Rows = append(sc.Rows, i)
+		sc.Rows = append(sc.Rows, row)
 	}
 	sort.Slice(all, func(a, b int) bool { return all[a].Key < all[b].Key })
 	out := make([]SourceClass, 0, len(all))
 	for _, sc := range all {
 		out = append(out, *sc)
 	}
-	return out, nil
+	return out
 }
 
 // Freeze marks the named attributes (qualified joined-schema columns) as
@@ -315,26 +301,22 @@ func (s *Space) Freeze(attrs []string) {
 	if !matched || s.realized != nil {
 		return
 	}
-	// Record the realized subset per frozen (indeed, per) partition once;
-	// equivalence checks consult it for frozen positions only.
-	seen := make([]map[int]bool, len(s.Parts))
-	for i := range seen {
-		seen[i] = make(map[int]bool)
-	}
-	for _, t := range s.Joined.Tuples {
-		for i, p := range s.Parts {
-			if sub := p.SubsetOf(t[p.Col]); sub >= 0 {
-				seen[i][sub] = true
+	// Record the realized subsets per frozen (indeed, per) partition once;
+	// equivalence checks consult it for frozen positions only. Every
+	// dictionary code occurs in some joined row, so the realized subsets
+	// are the subsets of the codes.
+	s.realized = make([][]int, len(s.Parts))
+	for i, p := range s.Parts {
+		seen := make([]bool, len(p.Subsets))
+		for _, sub := range p.codeSub {
+			seen[sub] = true
+		}
+		subs := make([]int, 0, len(seen))
+		for sub, ok := range seen {
+			if ok {
+				subs = append(subs, sub)
 			}
 		}
-	}
-	s.realized = make([][]int, len(s.Parts))
-	for i, m := range seen {
-		subs := make([]int, 0, len(m))
-		for sub := range m {
-			subs = append(subs, sub)
-		}
-		sort.Ints(subs)
 		s.realized[i] = subs
 	}
 }

@@ -34,7 +34,7 @@ func example51Space(t *testing.T) *Space {
 			algebra.NewTerm("T.A", algebra.OpLE, relation.Int(80)),
 			algebra.NewTerm("T.B", algebra.OpLE, relation.Int(20)),
 		}}}
-	s, err := NewSpace(rel, []*algebra.Query{q1, q2})
+	s, err := NewSpace(relation.NewColumnar(rel), []*algebra.Query{q1, q2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestClassMatchesAgreesWithPredicate(t *testing.T) {
 			t.Fatal(err)
 		}
 		for qi, q := range s.Queries {
-			direct := q.Pred.Matches(s.Joined.Schema, tup)
+			direct := q.Pred.Matches(s.Joined.Schema(), tup)
 			if got := s.Matches(c, qi); got != direct {
 				t.Fatalf("tuple %v class %v: Matches(%s)=%v, predicate says %v",
 					tup, c, q.Name, got, direct)
@@ -133,10 +133,7 @@ func TestClassMatchesAgreesWithPredicate(t *testing.T) {
 
 func TestSourceClasses(t *testing.T) {
 	s := example51Space(t)
-	scs, err := s.SourceClasses()
-	if err != nil {
-		t.Fatal(err)
-	}
+	scs := s.SourceClasses()
 	// The 4 data tuples have distinct (A,B) region combinations:
 	// (48,3): A(40,50], B≤20 ; (10,70): A≤40, B>60 ; (60,30): A(50,80],
 	// B(20,60] ; (90,90): A>80, B>60 — 4 distinct classes.
@@ -147,8 +144,8 @@ func TestSourceClasses(t *testing.T) {
 	for _, sc := range scs {
 		total += len(sc.Rows)
 	}
-	if total != s.Joined.Len() {
-		t.Errorf("source classes cover %d tuples, want %d", total, s.Joined.Len())
+	if total != s.Joined.NumRows() {
+		t.Errorf("source classes cover %d tuples, want %d", total, s.Joined.NumRows())
 	}
 }
 
@@ -197,10 +194,7 @@ func TestCountClassesAtMatchesEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
 		s := randomMaskSpace(t, rng, 1+rng.Intn(8))
-		srcs, err := s.SourceClasses()
-		if err != nil {
-			t.Fatal(err)
-		}
+		srcs := s.SourceClasses()
 		for dist := 0; dist <= len(s.Parts)+1; dist++ {
 			want := -1
 			for _, sc := range srcs {
@@ -244,7 +238,7 @@ func TestCategoricalPartitionExample52(t *testing.T) {
 		Pred: algebra.Predicate{algebra.Conjunct{mkIn("b", "c", "e")}}}
 	q2 := &algebra.Query{Name: "Q2", Tables: []string{"T"}, Projection: []string{"T.A"},
 		Pred: algebra.Predicate{algebra.Conjunct{mkIn("a", "b", "d", "e")}}}
-	s, err := NewSpace(rel, []*algebra.Query{q1, q2})
+	s, err := NewSpace(relation.NewColumnar(rel), []*algebra.Query{q1, q2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +269,7 @@ func TestFreshSubsetSynthesised(t *testing.T) {
 	q := &algebra.Query{Name: "Q", Tables: []string{"T"}, Projection: []string{"T.A"},
 		Pred: algebra.Predicate{algebra.Conjunct{
 			algebra.NewTerm("T.A", algebra.OpEQ, relation.Str("x"))}}}
-	s, err := NewSpace(rel, []*algebra.Query{q})
+	s, err := NewSpace(relation.NewColumnar(rel), []*algebra.Query{q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,10 +398,7 @@ func TestPartitionAtMost4PowNQuick(t *testing.T) {
 			algebra.Conjunct{term("T.A", algebra.OpGT, 80)}),
 		mk("Q7", true, ab, algebra.Conjunct{term("T.A", algebra.OpGT, 40), term("T.B", algebra.OpLE, 60)}),
 	)
-	scs, err := s.SourceClasses()
-	if err != nil {
-		t.Fatal(err)
-	}
+	scs := s.SourceClasses()
 	var allPairs []Pair
 	for _, sc := range scs {
 		for dist := 1; dist <= 2; dist++ {
@@ -514,7 +505,7 @@ func TestIndistinguishableGroups(t *testing.T) {
 	qa := mk("Qa", algebra.OpGT, 3)
 	qb := mk("Qb", algebra.OpGE, 4)
 	qc := mk("Qc", algebra.OpGT, 4)
-	s, err := NewSpace(rel, []*algebra.Query{qa, qb, qc})
+	s, err := NewSpace(relation.NewColumnar(rel), []*algebra.Query{qa, qb, qc})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,7 +171,10 @@ var PerturbCandidates = qbo.PerturbConstants
 // Oracle chooses the correct result among the candidates' results on D′.
 type Oracle = feedback.Oracle
 
-// View is what one feedback round presents.
+// View is what one feedback round presents. The engine's rounds carry D′ as
+// Edits over BaseDB and leave NewDB nil, so a pending round holds no copy
+// of the database; a caller that already holds D′ may set NewDB. Either way
+// View.ModifiedDB returns D′, copying BaseDB only when NewDB is nil.
 type View = feedback.View
 
 // Built-in oracles.
