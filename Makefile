@@ -47,7 +47,9 @@ bench-batch:
 
 # Benchmark gates (CI): fail when MicroFullSession allocs/op exceeds the
 # recorded BENCH_baseline.txt, MicroCandidateGenerationQ4 allocs/op (QBO on
-# baseball/Q4) the recorded BENCH_baseline_qbo.txt, or
+# baseball/Q4) the recorded BENCH_baseline_qbo.txt,
+# MicroCandidateGenerationCorpus allocs/op (QBO on the first 200 winnow
+# corpus scenarios) the recorded BENCH_baseline_qbo_corpus.txt, or
 # MicroSessionParallelism/serial allocs/op (scientific Q1) the recorded
 # BENCH_baseline_session.txt, by more than 20%, or (on hosts with >= 8
 # cores) when the parallel session benchmark misses its speedup ratio.

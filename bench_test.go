@@ -19,6 +19,7 @@ import (
 	"qfe/internal/dbgen"
 	"qfe/internal/experiments"
 	"qfe/internal/feedback"
+	"qfe/internal/scenario"
 )
 
 // BenchmarkTable1PerRoundStats regenerates Table 1: per-round statistics of
@@ -139,9 +140,12 @@ func BenchmarkMicroCandidateGeneration(b *testing.B) {
 
 // BenchmarkMicroCandidateGenerationQ4 measures QBO candidate generation on
 // baseball/Q4 at qfe-server's cap of 32 candidates: the costliest first
-// round of the paper's nine instances, where the cluster DNF's exclusion
-// tests dominate (DESIGN.md §15). scripts/bench_guard.sh gates its
-// allocations.
+// round of the paper's nine instances. The grow search runs three
+// projection mappings to its node budget, and every conjunct it offers
+// fails verification; in a CPU profile it takes about an eighth of the
+// time, against a third for the projection mappings (mostly encoding the
+// join's columns), 29% for the cluster DNF and 20% for building the joins
+// (DESIGN.md §15). scripts/bench_guard.sh gates its allocations.
 func BenchmarkMicroCandidateGenerationQ4(b *testing.B) {
 	b.ReportAllocs()
 	bb := datasets.NewBaseball()
@@ -155,6 +159,29 @@ func BenchmarkMicroCandidateGenerationQ4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := GenerateCandidates(bb.DB, r, cfg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMicroCandidateGenerationCorpus measures QBO candidate generation
+// at qfe-server's cap of 32 over the first 200 scenarios of the winnow
+// benchmark's corpus (seed 1). Unlike Q4 these inputs reach the
+// greedy-anchor path, and most conjuncts the search offers fail
+// verification. scripts/bench_guard.sh gates its allocations.
+func BenchmarkMicroCandidateGenerationCorpus(b *testing.B) {
+	b.ReportAllocs()
+	scs, err := scenario.GenerateCorpus(1, 200, scenario.DefaultGenOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultGenerateConfig()
+	cfg.MaxCandidates = 32
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sc := range scs {
+			if _, err := GenerateCandidates(sc.DB, sc.R, cfg); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -56,7 +56,7 @@ func main() {
 		maxSessions = flag.Int("max-sessions", 1024, "cap on live sessions (backpressure beyond)")
 		maxCand     = flag.Int("candidates", 32, "max candidate queries generated per session")
 		statePath   = flag.String("state", "", "snapshot file: restore on start, checkpoint on shutdown (atomic replace)")
-		parallelism = flag.Int("parallelism", 0, "worker count per session (0 = all cores)")
+		parallelism = flag.Int("parallelism", 0, fmt.Sprintf("worker count per session (0 = all cores, at most %d)", core.MaxParallelism))
 
 		readTimeout  = flag.Duration("read-timeout", 30*time.Second, "max time to read one request (hardening against slow clients)")
 		writeTimeout = flag.Duration("write-timeout", 2*time.Minute, "max time to serve one request; must cover a slow round generation")
@@ -89,6 +89,10 @@ func main() {
 		logger.Error(fmt.Sprintf(format, args...))
 	})
 
+	if *parallelism < 0 || *parallelism > core.MaxParallelism {
+		fmt.Fprintf(os.Stderr, "qfe-server: -parallelism %d outside [0, %d]\n", *parallelism, core.MaxParallelism)
+		os.Exit(1)
+	}
 	cfg := core.DefaultConfig()
 	cfg.Parallelism = *parallelism
 	if *walDir != "" {

@@ -51,7 +51,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		if !reflect.DeepEqual(first, second) {
 			t.Fatalf("snapshot changed across Restore: %s", snapshotDiff(first, second))
 		}
-		if s.Pending() == nil || !steppable(snap.Config) {
+		if s.Pending() == nil {
 			return
 		}
 		choice := len(data)%(len(s.Pending().View.Results)+1) - 1 // NoneOfThese included
@@ -64,11 +64,6 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		}
 	})
 }
-
-// steppable reports whether a restored configuration is one the fuzz target
-// may step: a worker count no larger than a real host's, since the engine
-// sizes per-worker scratch by it.
-func steppable(cs ConfigSnapshot) bool { return cs.Parallelism >= 0 && cs.Parallelism <= 8 }
 
 // stepDigest renders what one Feedback call produced — the next round, the
 // outcome or the error — without its timings.

@@ -43,9 +43,17 @@ type Config struct {
 	// Generator's candidate evaluation, skyline enumeration and Algorithm 4
 	// scoring. 0 selects GOMAXPROCS; 1 runs every loop serially, which every
 	// other count reproduces exactly unless the δ time budget truncates
-	// enumeration (see dbgen.Generator.SkylinePairs).
+	// enumeration (see dbgen.Generator.SkylinePairs). NewStepSession
+	// rejects a count below 0 or above MaxParallelism.
 	Parallelism int
 }
+
+// MaxParallelism bounds Config.Parallelism. The engine sizes per-worker
+// scratch by the count (dbgen.SkylinePairs builds one tupleclass.Cases per
+// worker), so a snapshot, WAL record or adopted estate could otherwise make
+// the first step after recovery allocate without bound. No real host has
+// this many cores.
+const MaxParallelism = 1024
 
 // maxEquivCombos bounds the joint class space of one candidate pair that
 // the up-front equivalence merge enumerates (see
@@ -195,6 +203,9 @@ func NewStepSession(d *db.Database, r *relation.Relation, qc []*algebra.Query,
 			return nil, fmt.Errorf("core: candidate %s projects %d columns, R has %d",
 				q.Name, len(q.Projection), r.Arity())
 		}
+	}
+	if cfg.Parallelism < 0 || cfg.Parallelism > MaxParallelism {
+		return nil, fmt.Errorf("core: parallelism %d outside [0, %d]", cfg.Parallelism, MaxParallelism)
 	}
 	if cfg.MaxIterations <= 0 {
 		cfg.MaxIterations = 64

@@ -368,3 +368,32 @@ func TestRestoreRejectsPendingRoundOutsideGroups(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreRejectsParallelismOutOfRange pins the bound on the restored
+// worker count: the engine sizes per-worker scratch by it, so a state file,
+// WAL record or adopted estate with a huge count must be refused rather
+// than stepped.
+func TestRestoreRejectsParallelismOutOfRange(t *testing.T) {
+	d, r := employeeDB(t)
+	s, err := NewStepSession(d, r, paperCandidates(), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{-1, MaxParallelism + 1, 1 << 30} {
+		snap.Config.Parallelism = p
+		if _, err := Restore(snap, nil); err == nil {
+			t.Errorf("parallelism %d accepted", p)
+		}
+	}
+	snap.Config.Parallelism = MaxParallelism
+	if _, err := Restore(snap, nil); err != nil {
+		t.Errorf("parallelism %d rejected: %v", MaxParallelism, err)
+	}
+}

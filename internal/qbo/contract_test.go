@@ -99,23 +99,21 @@ func checkCandidates(t *testing.T, inputs []contractInput, h hash.Hash) {
 	}
 }
 
-// The inputs TestGenerateContractAndIdentity covers, and the first 8 bytes
-// of the SHA-256 over their candidates' "Name|Key\n" lines as the generator
+// The inputs TestGenerateContractAndIdentity covers — the paper's nine
+// instances and the whole corpora of the winnow and service benchmarks
+// (990 scenarios of seed 1, 1350 of seed 3) — and the first 8 bytes of the
+// SHA-256 over their candidates' "Name|Key\n" lines as the generator
 // produced them before its exclusion tests moved to reject bitsets
 // (DESIGN.md §15). Print the digests of the current code with
 //
 //	go test -run TestGenerateContractAndIdentity -v ./internal/qbo
-//
-// The generated prefixes keep the test inside its time budget under -race;
-// the whole benchmark corpora (990 scenarios of seed 1, 1350 of seed 3)
-// were compared the same way when the digests were recorded (CHANGES.md).
 const (
-	contractSeed1Inputs = 200
-	contractSeed3Inputs = 300
+	contractSeed1Inputs = 990
+	contractSeed3Inputs = 1350
 
 	wantPaperDigest = "a3d1fb8095fc8b95"
-	wantSeed1Digest = "ae2ce38bc02fad76"
-	wantSeed3Digest = "994845aff7db79dc"
+	wantSeed1Digest = "fedb0e2ce749c75c"
+	wantSeed3Digest = "5609bf313792008d"
 )
 
 // TestGenerateContractAndIdentity pins the generator's contract — every

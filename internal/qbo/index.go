@@ -22,11 +22,12 @@ type joinIndex struct {
 	byName []int       // column indexes in attribute-name order
 	nums   [][]float64 // numericDomain per column, nil until first asked
 	groups []codeGroups
+	lookup []map[uint64]uint32 // codeOf's index per column, nil until first asked
 
 	// Scratch, sized to the largest dictionary seen: per-code term outcomes,
 	// and code marks that are all false between calls.
-	outcomes []bool
-	marks    []bool
+	scratch []bool
+	marks   []bool
 }
 
 // codeGroups lists one column's rows grouped by dictionary code, each group
@@ -39,7 +40,7 @@ type codeGroups struct {
 func newJoinIndex(j *db.Joined) *joinIndex {
 	n := j.Rel.Arity()
 	ix := &joinIndex{j: j, col: j.Columnar(), byName: make([]int, n),
-		nums: make([][]float64, n), groups: make([]codeGroups, n)}
+		nums: make([][]float64, n), groups: make([]codeGroups, n), lookup: make([]map[uint64]uint32, n)}
 	for ci := range ix.byName {
 		ix.byName[ci] = ci
 	}
@@ -90,21 +91,82 @@ func (ix *joinIndex) rowsOf(ci int, c uint32) []int {
 	return g.rows[g.start[c]:g.start[c+1]]
 }
 
+// codeOf returns the dictionary code of column ci whose value is KeyEqual
+// to v, if the column holds such a value. The column's hash index is built
+// on first use: Hash64 → the code of the dictionary's one value with that
+// hash, or ambiguous when several share it (then the dictionary is
+// scanned). KeyEqual values hash equal, so a hash the index lacks is a
+// value the column lacks.
+func (ix *joinIndex) codeOf(ci int, v relation.Value) (uint32, bool) {
+	dict := ix.col.Col(ci).Dict
+	if ix.lookup[ci] == nil {
+		m := make(map[uint64]uint32, len(dict))
+		for c, d := range dict {
+			h := d.Hash64()
+			if _, dup := m[h]; dup {
+				m[h] = ambiguous
+			} else {
+				m[h] = uint32(c)
+			}
+		}
+		ix.lookup[ci] = m
+	}
+	c, ok := ix.lookup[ci][v.Hash64()]
+	switch {
+	case !ok:
+		return 0, false
+	case c != ambiguous:
+		return c, dict[c].KeyEqual(v)
+	}
+	for c, d := range dict {
+		if d.KeyEqual(v) {
+			return uint32(c), true
+		}
+	}
+	return 0, false
+}
+
+// ambiguous marks a hash that several dictionary values share.
+const ambiguous = ^uint32(0)
+
+// holdsAll reports whether column ci's dictionary holds, under KeyEqual,
+// the value in column k of every tuple of r.
+func (ix *joinIndex) holdsAll(ci int, r *relation.Relation, k int) bool {
+	for _, t := range r.Tuples {
+		if _, ok := ix.codeOf(ci, t[k]); !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // termBits returns the bitset over rows whose bit k is set iff term t, on
 // column ci, evaluates to want on row rows[k]. t is evaluated once per
 // dictionary code (algebra.Term.MatchCodes) and each row looks its code's
 // outcome up, which is exact because outcomes are constant on the KeyEqual
 // classes the codes stand for (DESIGN.md §9).
 func (ix *joinIndex) termBits(t *algebra.Term, ci int, rows []int, want bool) []uint64 {
-	cd := ix.col.Col(ci)
-	if len(ix.outcomes) < len(cd.Dict) {
-		ix.outcomes = make([]bool, len(cd.Dict))
+	return codeBits(ix.col.Col(ci).Codes, ix.outcomes(t, ci), rows, want)
+}
+
+// outcomes evaluates t once per dictionary code of column ci. The slice is
+// scratch, valid until the next call.
+func (ix *joinIndex) outcomes(t *algebra.Term, ci int) []bool {
+	dict := ix.col.Col(ci).Dict
+	if len(ix.scratch) < len(dict) {
+		ix.scratch = make([]bool, len(dict))
 	}
-	oc := ix.outcomes[:len(cd.Dict)]
-	t.MatchCodes(cd.Dict, oc)
+	oc := ix.scratch[:len(dict)]
+	t.MatchCodes(dict, oc)
+	return oc
+}
+
+// codeBits returns the bitset over rows whose bit k is set iff the outcome
+// of row rows[k]'s code is want.
+func codeBits(codes []uint32, oc []bool, rows []int, want bool) []uint64 {
 	bits := make([]uint64, (len(rows)+63)/64)
 	for k, ri := range rows {
-		if oc[cd.Codes[ri]] == want {
+		if oc[codes[ri]] == want {
 			bits[k>>6] |= 1 << (k & 63)
 		}
 	}

@@ -1,13 +1,12 @@
 package qbo
 
 import (
+	"encoding/binary"
 	"math"
-	"math/bits"
 	"slices"
 	"sort"
 
 	"qfe/internal/algebra"
-	"qfe/internal/db"
 	"qfe/internal/relation"
 )
 
@@ -23,222 +22,147 @@ type rowClass struct {
 	feasible bool
 }
 
-func classifyRows(j *db.Joined, proj []string, r *relation.Relation) rowClass {
-	idx := make([]int, len(proj))
-	for i, p := range proj {
-		idx[i] = j.Rel.Schema.MustIndexOf(p)
+// groups is one projection mapping's row groups (classifyCodes): need
+// holds R's multiplicity per group.
+type groups struct {
+	of   []uint32 // row → group
+	need []int
+}
+
+// classifyCodes classifies the join's rows for the projection onto columns
+// idx. It translates R's tuples into tuples of the columns' codes (codeOf)
+// and groups the rows by their projected code tuples: two projections are
+// KeyEqual iff their code tuples agree, because the codes stand for
+// KeyEqual classes. R's distinct code tuples are the first groups, needing
+// R's multiplicities, and one last group, needing nothing, holds every
+// other row. The mapping is feasible iff every value of R has a code and
+// no group holds fewer rows than R needs.
+func classifyCodes(ix *joinIndex, idx []int, r *relation.Relation) (rowClass, groups) {
+	cols := make([][]uint32, len(idx))
+	for p, ci := range idx {
+		cols[p] = ix.col.Col(ci).Codes
 	}
-	need := r.Bag()
-	have := relation.NewBag(len(j.Rel.Tuples))
-	for _, t := range j.Rel.Tuples {
-		have.IncProj(t, idx, 1)
-	}
-	short := false
-	need.ForEach(func(t relation.Tuple, n int) {
-		if have.Count(t) < n {
-			short = true
+	// A code tuple's group is looked up by the tuple's bytes.
+	ids := map[string]int{}
+	var buf []byte
+	key := func(t []uint32) []byte {
+		buf = buf[:0]
+		for _, c := range t {
+			buf = binary.LittleEndian.AppendUint32(buf, c)
 		}
-	})
-	if short {
-		return rowClass{feasible: false}
+		return buf
 	}
-	var rc rowClass
-	rc.feasible = true
-	for ri, t := range j.Rel.Tuples {
-		n := need.CountProj(t, idx)
+	// inFirst marks the codes of R's first column: a row holding another
+	// code there is in the last group without a lookup of its whole tuple.
+	var inFirst []bool
+	if len(idx) > 0 {
+		inFirst = make([]bool, len(ix.col.Col(idx[0]).Dict))
+	}
+	var need []int
+	t := make([]uint32, len(idx))
+	for _, rt := range r.Tuples {
+		for p, ci := range idx {
+			c, ok := ix.codeOf(ci, rt[p])
+			if !ok {
+				return rowClass{}, groups{}
+			}
+			t[p] = c
+		}
+		if inFirst != nil {
+			inFirst[t[0]] = true
+		}
+		k := key(t)
+		id, ok := ids[string(k)]
+		if !ok {
+			id = len(need)
+			ids[string(k)] = id
+			need = append(need, 0)
+		}
+		need[id]++
+	}
+	rest := len(need)
+	need = append(need, 0)
+
+	of := make([]uint32, ix.j.Rel.Len())
+	have := make([]int, len(need))
+	for ri := range of {
+		gr := rest
+		if inFirst == nil || inFirst[cols[0][ri]] {
+			for p := range cols {
+				t[p] = cols[p][ri]
+			}
+			if id, ok := ids[string(key(t))]; ok {
+				gr = id
+			}
+		}
+		of[ri] = uint32(gr)
+		have[gr]++
+	}
+	for gr := 0; gr < rest; gr++ {
+		if have[gr] < need[gr] {
+			return rowClass{}, groups{}
+		}
+	}
+	rc := rowClass{feasible: true}
+	for ri, gr := range of {
 		switch {
-		case n == 0:
+		case int(gr) == rest:
 			rc.excluded = append(rc.excluded, ri)
-		case n == have.CountProj(t, idx):
+		case have[gr] == need[gr]:
 			rc.required = append(rc.required, ri)
 		default:
 			rc.optional = append(rc.optional, ri)
 		}
 	}
-	return rc
+	return rc, groups{of: of, need: need}
+}
+
+// anchors picks, from the optional rows in order, one row per needed result
+// tuple (respecting multiplicities) to serve as the anchor set when nothing
+// is strictly required.
+func (gs groups) anchors(optional []int) []int {
+	left := slices.Clone(gs.need)
+	var out []int
+	for _, ri := range optional {
+		if gr := gs.of[ri]; left[gr] > 0 {
+			left[gr]--
+			out = append(out, ri)
+		}
+	}
+	return out
 }
 
 // generateForJoin synthesizes predicates for one (join, projection) pair,
 // given the pair's feasible row classification from projectionMappings.
 func (g *generator) generateForJoin(ix *joinIndex, tables []string, m mapping) {
-	j, proj, rc := ix.j, m.proj, m.rows
+	rc := m.rows
 	// No exclusions needed: projection alone may already work.
 	if len(rc.excluded) == 0 {
-		g.emit(j, tables, proj, algebra.True())
+		g.emit(ix.j, tables, m.proj, algebra.True())
 	}
 	if len(rc.required) == 0 {
 		// Every result tuple has surplus multiplicity in the join, so no
 		// row is individually forced. Anchor the covering-term machinery on
 		// a greedy system of distinct rows realising R; the exact-bag
-		// verification in emit keeps this safe.
-		rc.required = greedyAnchors(j, proj, g.r, rc.optional)
+		// check of every candidate keeps this safe.
+		rc.required = m.groups.anchors(rc.optional)
 		if len(rc.required) == 0 {
 			return
 		}
 	}
-
-	vrf := g.newVerifier(j, tables, proj, rc)
-	pools := g.coveringTermPools(ix, rc.required)
-
-	// Single-attribute conjuncts (including two-term ranges).
-	// Precompute, per single term, the bitmap of excluded rows the term
-	// still admits (one evaluation per dictionary code); a conjunct
-	// separates exactly when the intersection of its units' bitmaps is
-	// empty. Range units (lo ∧ hi on one attribute) derive their masks by
-	// ANDing the single-term masks, avoiding any further row scans.
-	words := (len(rc.excluded) + 63) / 64
-	var units [][]algebra.Term // each unit: 1..maxTermsPerAttr terms on one attribute
-	var unitCol []int          // the unit's attribute, as its column in the join
-	var unitMasks [][]uint64
-	for _, p := range pools {
-		pool := p.terms
-		masks := make([][]uint64, len(pool))
-		for pi := range pool {
-			mask := ix.termBits(&pool[pi], p.ci, rc.excluded, true)
-			masks[pi] = mask
-			units = append(units, pool[pi:pi+1:pi+1])
-			unitCol = append(unitCol, p.ci)
-			unitMasks = append(unitMasks, mask)
-		}
-		// Range conjunctions (maxTermsPerAttr = 2): pair a lower bound with
-		// an upper bound.
-		for li, lo := range pool {
-			if lo.Op != algebra.OpGT && lo.Op != algebra.OpGE {
-				continue
+	if !g.full() {
+		s := newGrowSearch(ix, g.coveringTermPools(ix, rc.required), rc, m.groups, g.r.Len())
+		s.run(func(path []int) bool {
+			if s.accepts(path) {
+				g.emitTrusted(tables, m.proj, algebra.Predicate{s.conjunct(path)})
 			}
-			for hi2, hi := range pool {
-				if hi.Op != algebra.OpLT && hi.Op != algebra.OpLE {
-					continue
-				}
-				mask := make([]uint64, words)
-				for w := range mask {
-					mask[w] = masks[li][w] & masks[hi2][w]
-				}
-				units = append(units, []algebra.Term{lo, hi})
-				unitCol = append(unitCol, p.ci)
-				unitMasks = append(unitMasks, mask)
-			}
-		}
+			return g.full()
+		})
 	}
-	// Strongest exclusion first: units admitting fewer excluded rows lead
-	// to separating conjuncts at shallower depths, which matters because
-	// the search is node-budgeted.
-	order := make([]int, len(units))
-	for i := range order {
-		order[i] = i
-	}
-	pop := func(mask []uint64) int {
-		n := 0
-		for _, w := range mask {
-			n += bits.OnesCount64(w)
-		}
-		return n
-	}
-	popCache := make([]int, len(units))
-	for i := range units {
-		popCache[i] = pop(unitMasks[i])
-	}
-	sort.SliceStable(order, func(a, b int) bool { return popCache[order[a]] < popCache[order[b]] })
-	reorderedUnits := make([][]algebra.Term, len(units))
-	reorderedCols := make([]int, len(units))
-	reorderedMasks := make([][]uint64, len(units))
-	for i, o := range order {
-		reorderedUnits[i] = units[o]
-		reorderedCols[i] = unitCol[o]
-		reorderedMasks[i] = unitMasks[o]
-	}
-	units, unitCol, unitMasks = reorderedUnits, reorderedCols, reorderedMasks
-	empty := func(mask []uint64) bool {
-		for _, w := range mask {
-			if w != 0 {
-				return false
-			}
-		}
-		return true
-	}
-
-	// Combine units from distinct attributes, growing conjuncts until they
-	// exclude every excluded row; emit all verified combinations up to the
-	// attribute budget.
-	full := make([]uint64, words)
-	for i := range full {
-		full[i] = ^uint64(0)
-	}
-	if bits := len(rc.excluded) % 64; bits != 0 && words > 0 {
-		full[words-1] = (1 << bits) - 1
-	}
-	nodes := 0
-	// One scratch mask per recursion depth, and one conjunct buffer that
-	// every branch appends into: the search explores one branch at a time,
-	// so neither needs a per-node allocation.
-	scratch := make([][]uint64, maxPredAttrs+1)
-	for i := range scratch {
-		scratch[i] = make([]uint64, words)
-	}
-	used := make([]bool, j.Rel.Arity())
-	var grow func(start int, conj []algebra.Term, admit []uint64, depth int)
-	grow = func(start int, conj []algebra.Term, admit []uint64, depth int) {
-		if g.full() {
-			return
-		}
-		nodes++
-		if nodes > maxGrowNodes {
-			return
-		}
-		if len(conj) > 0 && empty(admit) {
-			g.emitVerified(vrf, algebra.Predicate{append([]algebra.Term(nil), conj...)})
-			// Deeper conjunctions of a separating conjunct stay separating
-			// but only add redundancy; stop this branch.
-			return
-		}
-		if depth >= maxPredAttrs {
-			return
-		}
-		next := scratch[depth]
-		for u := start; u < len(units); u++ {
-			if used[unitCol[u]] {
-				continue
-			}
-			narrowed := false
-			for w := range next {
-				next[w] = admit[w] & unitMasks[u][w]
-				if next[w] != admit[w] {
-					narrowed = true
-				}
-			}
-			if len(conj) > 0 && !narrowed {
-				continue // the unit adds nothing on the excluded rows
-			}
-			used[unitCol[u]] = true
-			grow(u+1, append(conj, units[u]...), next, depth+1)
-			used[unitCol[u]] = false
-		}
-	}
-	grow(0, make([]algebra.Term, 0, maxPredAttrs*maxTermsPerAttr), full, 0)
 
 	// DNF by categorical clustering: split the required rows by the value
 	// of one categorical attribute and synthesize a conjunct per cluster.
-	g.generateClusterDNF(ix, tables, proj, rc)
-}
-
-// greedyAnchors picks, from the optional rows, one row per needed result
-// tuple (respecting multiplicities) to serve as the anchor set when nothing
-// is strictly required.
-func greedyAnchors(j *db.Joined, proj []string, r *relation.Relation, optional []int) []int {
-	idx := make([]int, len(proj))
-	for i, p := range proj {
-		idx[i] = j.Rel.Schema.MustIndexOf(p)
-	}
-	need := r.Bag()
-	var anchors []int
-	for _, ri := range optional {
-		t := j.Rel.Tuples[ri]
-		if need.CountProj(t, idx) > 0 {
-			need.IncProj(t, idx, -1)
-			anchors = append(anchors, ri)
-		}
-	}
-	return anchors
+	g.generateClusterDNF(ix, tables, m.proj, rc)
 }
 
 // attrPool is one attribute's covering terms.

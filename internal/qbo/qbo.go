@@ -9,10 +9,11 @@
 // joined schema, and (c) selection predicates built from covering terms
 // (terms satisfied by every tuple that must appear in the result) combined
 // conjunctively across attributes and disjunctively across categorical
-// clusters. Every emitted query reproduces R — verified by evaluation
-// (emit, emitVerified) or by construction (the cluster DNF and its variants,
-// emitTrusted; DESIGN.md §15) — so the search's bounds only control its
-// budget, never correctness.
+// clusters. Every emitted query reproduces R — the TRUE predicate verified
+// by evaluation (emit), the conjunct search's candidates by counting their
+// selected rows per projected code group, and the cluster DNF and its
+// variants by construction (emitTrusted; DESIGN.md §15) — so the search's
+// bounds only control its budget, never correctness.
 package qbo
 
 import (
@@ -69,7 +70,7 @@ func Generate(d *db.Database, r *relation.Relation, cfg Config) ([]*algebra.Quer
 			continue // join too small to produce R under bag semantics
 		}
 		ix := newJoinIndex(j)
-		for _, m := range g.projectionMappings(j) {
+		for _, m := range g.projectionMappings(ix) {
 			if g.full() {
 				break
 			}
@@ -113,10 +114,11 @@ func (g *generator) emit(j *db.Joined, tables []string, proj []string, pred alge
 }
 
 // emitTrusted appends a query whose exactness the caller has already
-// established: the cluster builder's DNF, whose conjuncts reject every
-// excluded row and whose residual check is itself a complete verification,
-// and its variants, which add one covering term — a term that holds on every
-// row the variant's cluster selects.
+// established: a conjunct of the grow search whose selected rows match R
+// group for group (growSearch.accepts), the cluster builder's DNF, whose
+// conjuncts reject every excluded row and whose residual check is itself a
+// complete verification, and its variants, which add one covering term — a
+// term that holds on every row the variant's cluster selects.
 func (g *generator) emitTrusted(tables, proj []string, pred algebra.Predicate) {
 	if g.full() {
 		return
@@ -124,63 +126,6 @@ func (g *generator) emitTrusted(tables, proj []string, pred algebra.Predicate) {
 	q := &algebra.Query{Tables: tables, Projection: proj, Pred: pred}
 	fp := q.Key()
 	if g.seen[fp] {
-		return
-	}
-	g.seen[fp] = true
-	g.out = append(g.out, q)
-}
-
-// verifier carries the per-(join, projection) state that lets emitVerified
-// check Q(D) = R by scanning only the rows that can possibly be selected.
-// It is sound only for predicates already known to reject every excluded
-// row (the combination search guarantees this via exclusion bitmaps, the
-// cluster builder via per-cluster bad-row checks).
-type verifier struct {
-	j       *db.Joined
-	tables  []string
-	proj    []string
-	projIdx []int
-	rows    []int // required ∪ optional
-	need    *relation.Bag
-}
-
-func (g *generator) newVerifier(j *db.Joined, tables, proj []string, rc rowClass) *verifier {
-	v := &verifier{j: j, tables: tables, proj: proj, need: g.r.Bag()}
-	v.projIdx = make([]int, len(proj))
-	for i, p := range proj {
-		v.projIdx[i] = j.Rel.Schema.MustIndexOf(p)
-	}
-	v.rows = append(append([]int(nil), rc.required...), rc.optional...)
-	return v
-}
-
-// emitVerified appends the query if it is new and selects exactly R from
-// the verifier's candidate rows. Multiplicity bookkeeping runs through the
-// hash kernel: projected tuples are hashed in place (no materialisation, no
-// key strings) and verified on collision.
-func (g *generator) emitVerified(v *verifier, pred algebra.Predicate) {
-	if g.full() {
-		return
-	}
-	q := &algebra.Query{Tables: v.tables, Projection: v.proj, Pred: pred}
-	fp := q.Key()
-	if g.seen[fp] {
-		return
-	}
-	match := pred.Compile(v.j.Rel.Schema)
-	got := relation.NewBag(v.need.Distinct())
-	total := 0
-	for _, ri := range v.rows {
-		t := v.j.Rel.Tuples[ri]
-		if !match(t) {
-			continue
-		}
-		total++
-		if got.IncProj(t, v.projIdx, 1) > v.need.CountProj(t, v.projIdx) {
-			return // overshoot: cannot equal R
-		}
-	}
-	if total != g.r.Len() {
 		return
 	}
 	g.seen[fp] = true
@@ -261,10 +206,12 @@ func maskConnected(mask int, adj [][]bool, n int) bool {
 	return visited == mask
 }
 
-// mapping is one feasible projection mapping with its row classification.
+// mapping is one feasible projection mapping with its row classification
+// and its row groups.
 type mapping struct {
-	proj []string
-	rows rowClass
+	proj   []string
+	rows   rowClass
+	groups groups
 }
 
 // projectionMappings finds assignments of R's columns to joined columns with
@@ -275,74 +222,17 @@ type mapping struct {
 // float column) cannot poison the search. Each kept mapping carries that
 // classification, so the join's rows are classified once per mapping.
 // Results are capped at maxProjectionMappings.
-func (g *generator) projectionMappings(j *db.Joined) []mapping {
-	// Distinct values per joined column, computed at most once per column
-	// through the hash kernel (the legacy path rebuilt a key-string set per
-	// (R column, joined column) combination), and only for columns that
-	// survive the type filter at least once.
-	doms := make([]*relation.Bag, j.Rel.Arity())
-	colIdx := make([][1]int, j.Rel.Arity())
-	domOf := func(ci int) *relation.Bag {
-		if doms[ci] == nil {
-			colIdx[ci][0] = ci
-			dom := relation.NewBag(len(j.Rel.Tuples))
-			for _, t := range j.Rel.Tuples {
-				dom.IncProj(t, colIdx[ci][:], 1)
-			}
-			doms[ci] = dom
-		}
-		return doms[ci]
-	}
-	// Candidate joined columns per R column.
-	cands := make([][]string, g.r.Arity())
-	for ri, rc := range g.r.Schema {
-		rIdx := [1]int{ri}
-		rvals := relation.NewBag(len(g.r.Tuples))
-		for _, t := range g.r.Tuples {
-			rvals.IncProj(t, rIdx[:], 1)
-		}
-		type scored struct {
-			name string
-			rank int
-		}
-		var cs []scored
-		for ci, jc := range j.Rel.Schema {
-			if jc.Type != rc.Type && !(jc.Type.Numeric() && rc.Type.Numeric()) {
-				continue
-			}
-			dom := domOf(ci)
-			ok := true
-			rvals.ForEach(func(t relation.Tuple, _ int) {
-				if ok && dom.Count(t) == 0 {
-					ok = false
-				}
-			})
-			if !ok {
-				continue
-			}
-			rank := 2
-			if jc.Type == rc.Type {
-				rank = 1
-			}
-			if jc.Name == rc.Name || strings.HasSuffix(jc.Name, "."+rc.Name) {
-				rank = 0
-			}
-			cs = append(cs, scored{name: jc.Name, rank: rank})
-		}
-		if len(cs) == 0 {
-			return nil
-		}
-		sort.SliceStable(cs, func(a, b int) bool { return cs[a].rank < cs[b].rank })
-		for _, c := range cs {
-			cands[ri] = append(cands[ri], c.name)
-		}
+func (g *generator) projectionMappings(ix *joinIndex) []mapping {
+	cands, ok := g.mappingColumns(ix)
+	if !ok {
+		return nil
 	}
 	// Depth-first over the cartesian product in plausibility order; keep
 	// only feasible mappings, bounding both results and attempts.
 	var out []mapping
 	attempts := 0
 	const maxAttempts = maxProjectionMappings * 32
-	cur := make([]string, g.r.Arity())
+	cur := make([]int, len(cands))
 	var rec func(i int)
 	rec = func(i int) {
 		if len(out) >= maxProjectionMappings || attempts >= maxAttempts {
@@ -350,9 +240,12 @@ func (g *generator) projectionMappings(j *db.Joined) []mapping {
 		}
 		if i == len(cands) {
 			attempts++
-			m := append([]string(nil), cur...)
-			if rc := classifyRows(j, m, g.r); rc.feasible {
-				out = append(out, mapping{proj: m, rows: rc})
+			if rc, gs := classifyCodes(ix, cur, g.r); rc.feasible {
+				proj := make([]string, len(cur))
+				for k, ci := range cur {
+					proj[k] = ix.j.Rel.Schema[ci].Name
+				}
+				out = append(out, mapping{proj: proj, rows: rc, groups: gs})
 			}
 			return
 		}
@@ -363,4 +256,37 @@ func (g *generator) projectionMappings(j *db.Joined) []mapping {
 	}
 	rec(0)
 	return out
+}
+
+// mappingColumns lists, per column of R, the joined columns it may map to,
+// most plausible first: those of a compatible type whose dictionary holds
+// every value of the R column (joinIndex.holdsAll). It reports false when
+// some R column has none.
+func (g *generator) mappingColumns(ix *joinIndex) ([][]int, bool) {
+	schema := ix.j.Rel.Schema
+	cands := make([][]int, g.r.Arity())
+	for ri, rc := range g.r.Schema {
+		var ranked [3][]int
+		for ci, jc := range schema {
+			if jc.Type != rc.Type && !(jc.Type.Numeric() && rc.Type.Numeric()) {
+				continue
+			}
+			if !ix.holdsAll(ci, g.r, ri) {
+				continue
+			}
+			rank := 2
+			if jc.Type == rc.Type {
+				rank = 1
+			}
+			if jc.Name == rc.Name || strings.HasSuffix(jc.Name, "."+rc.Name) {
+				rank = 0
+			}
+			ranked[rank] = append(ranked[rank], ci)
+		}
+		cands[ri] = append(append(ranked[0], ranked[1]...), ranked[2]...)
+		if len(cands[ri]) == 0 {
+			return nil, false
+		}
+	}
+	return cands, true
 }

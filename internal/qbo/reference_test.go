@@ -1,0 +1,549 @@
+package qbo
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"qfe/internal/algebra"
+	"qfe/internal/datasets"
+	"qfe/internal/db"
+	"qfe/internal/relation"
+	"qfe/internal/scenario"
+)
+
+// The references below are the row-hashing paths that code groups replaced
+// (DESIGN.md §15): the Bag-based verification of the grow search's
+// conjuncts, the Bag-based row classification and anchor choice, and the
+// dense grow loop.
+
+// verifier carries the per-(join, projection) state that lets emitVerified
+// check Q(D) = R by scanning only the rows that can possibly be selected.
+// It is sound only for predicates already known to reject every excluded
+// row.
+type verifier struct {
+	j       *db.Joined
+	projIdx []int
+	rows    []int // required ∪ optional
+	need    *relation.Bag
+}
+
+func newVerifier(j *db.Joined, proj []string, rc rowClass, r *relation.Relation) *verifier {
+	v := &verifier{j: j, need: r.Bag()}
+	v.projIdx = make([]int, len(proj))
+	for i, p := range proj {
+		v.projIdx[i] = j.Rel.Schema.MustIndexOf(p)
+	}
+	v.rows = append(append([]int(nil), rc.required...), rc.optional...)
+	return v
+}
+
+// emitVerified reports whether pred selects exactly R from the verifier's
+// rows, hashing each selected row's projection into a Bag.
+func emitVerified(v *verifier, pred algebra.Predicate) bool {
+	match := pred.Compile(v.j.Rel.Schema)
+	got := relation.NewBag(v.need.Distinct())
+	total := 0
+	for _, ri := range v.rows {
+		t := v.j.Rel.Tuples[ri]
+		if !match(t) {
+			continue
+		}
+		total++
+		if got.IncProj(t, v.projIdx, 1) > v.need.CountProj(t, v.projIdx) {
+			return false // overshoot: cannot equal R
+		}
+	}
+	return total == v.need.Total()
+}
+
+// classifyRows classifies the join's rows for projection proj by hashing
+// every row's projection into a Bag.
+func classifyRows(j *db.Joined, proj []string, r *relation.Relation) rowClass {
+	idx := make([]int, len(proj))
+	for i, p := range proj {
+		idx[i] = j.Rel.Schema.MustIndexOf(p)
+	}
+	need := r.Bag()
+	have := relation.NewBag(len(j.Rel.Tuples))
+	for _, t := range j.Rel.Tuples {
+		have.IncProj(t, idx, 1)
+	}
+	short := false
+	need.ForEach(func(t relation.Tuple, n int) {
+		if have.Count(t) < n {
+			short = true
+		}
+	})
+	if short {
+		return rowClass{feasible: false}
+	}
+	var rc rowClass
+	rc.feasible = true
+	for ri, t := range j.Rel.Tuples {
+		n := need.CountProj(t, idx)
+		switch {
+		case n == 0:
+			rc.excluded = append(rc.excluded, ri)
+		case n == have.CountProj(t, idx):
+			rc.required = append(rc.required, ri)
+		default:
+			rc.optional = append(rc.optional, ri)
+		}
+	}
+	return rc
+}
+
+// greedyAnchors picks, from the optional rows, one row per needed result
+// tuple (respecting multiplicities), counting through R's Bag.
+func greedyAnchors(j *db.Joined, proj []string, r *relation.Relation, optional []int) []int {
+	idx := make([]int, len(proj))
+	for i, p := range proj {
+		idx[i] = j.Rel.Schema.MustIndexOf(p)
+	}
+	need := r.Bag()
+	var anchors []int
+	for _, ri := range optional {
+		t := j.Rel.Tuples[ri]
+		if need.CountProj(t, idx) > 0 {
+			need.IncProj(t, idx, -1)
+			anchors = append(anchors, ri)
+		}
+	}
+	return anchors
+}
+
+// columnBag is a Bag of every row's value in column ci.
+func columnBag(j *db.Joined, ci int) *relation.Bag {
+	dom := relation.NewBag(j.Rel.Len())
+	idx := []int{ci}
+	for _, t := range j.Rel.Tuples {
+		dom.IncProj(t, idx, 1)
+	}
+	return dom
+}
+
+// holdsAllReference is the containment test through columnBag.
+func holdsAllReference(dom, vals *relation.Bag) bool {
+	ok := true
+	vals.ForEach(func(t relation.Tuple, _ int) {
+		if dom.Count(t) == 0 {
+			ok = false
+		}
+	})
+	return ok
+}
+
+// runDense is run with every depth's admit mask ANDed in full.
+func (s *growSearch) runDense(offer func(path []int) bool) int {
+	words := (s.excluded + 63) / 64
+	full := make([]uint64, words)
+	for i := range full {
+		full[i] = ^uint64(0)
+	}
+	if bits := s.excluded % 64; bits != 0 && words > 0 {
+		full[words-1] = (1 << bits) - 1
+	}
+	empty := func(mask []uint64) bool {
+		for _, w := range mask {
+			if w != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	scratch := make([][]uint64, maxPredAttrs+1)
+	for i := range scratch {
+		scratch[i] = make([]uint64, words)
+	}
+	used := make([]bool, s.arity)
+	nodes, stop := 0, false
+	var grow func(start int, path []int, admit []uint64, depth int)
+	grow = func(start int, path []int, admit []uint64, depth int) {
+		if stop {
+			return
+		}
+		nodes++
+		if nodes > maxGrowNodes {
+			return
+		}
+		if len(path) > 0 && empty(admit) {
+			stop = offer(path)
+			return
+		}
+		if depth >= maxPredAttrs {
+			return
+		}
+		next := scratch[depth]
+		for u := start; u < len(s.admits); u++ {
+			if used[s.cols[u]] {
+				continue
+			}
+			narrowed := false
+			for w := range next {
+				next[w] = admit[w] & s.admits[u][w]
+				if next[w] != admit[w] {
+					narrowed = true
+				}
+			}
+			if len(path) > 0 && !narrowed {
+				continue
+			}
+			used[s.cols[u]] = true
+			grow(u+1, append(path, u), next, depth+1)
+			used[s.cols[u]] = false
+		}
+	}
+	grow(0, make([]int, 0, maxPredAttrs), full, 0)
+	return nodes
+}
+
+// refInput is one (D, R) pair of the differential tests.
+type refInput struct {
+	name string
+	d    *db.Database
+	r    *relation.Relation
+}
+
+// refInputs are prefixes of the two benchmark corpora, small random tables
+// whose cells include NULL, NaN and Int/Float pairs that share a dictionary
+// code, and, with paper set, the paper's nine instances. Under forced hash
+// collisions every Bag probe is a linear scan, so the paper's joins of
+// thousands of rows run only without them.
+func refInputs(t *testing.T, corpusPrefix int, paper bool) []refInput {
+	t.Helper()
+	sci, bb, ad := datasets.NewScientific(), datasets.NewBaseball(), datasets.NewAdult()
+	var out []refInput
+	for _, p := range []struct {
+		name string
+		d    *db.Database
+		q    *algebra.Query
+	}{
+		{"scientific/Q1", sci.DB, sci.Q1}, {"scientific/Q2", sci.DB, sci.Q2},
+		{"baseball/Q3", bb.DB, bb.Q3}, {"baseball/Q4", bb.DB, bb.Q4},
+		{"baseball/Q5", bb.DB, bb.Q5}, {"baseball/Q6", bb.DB, bb.Q6},
+		{"adult/U1", ad.DB, ad.Targets[0]}, {"adult/U2", ad.DB, ad.Targets[1]},
+		{"adult/U3", ad.DB, ad.Targets[2]},
+	} {
+		if !paper {
+			break
+		}
+		r, err := p.q.Evaluate(p.d)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		out = append(out, refInput{p.name, p.d, r})
+	}
+	seed3 := scenario.DefaultGenOptions()
+	seed3.Rows = scenario.MinMax{Min: 6, Max: 12}
+	for _, c := range []struct {
+		seed int64
+		opts scenario.GenOptions
+	}{{1, scenario.DefaultGenOptions()}, {3, seed3}} {
+		scs, err := scenario.GenerateCorpus(c.seed, corpusPrefix, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sc := range scs {
+			out = append(out, refInput{sc.Name, sc.DB, sc.R})
+		}
+	}
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 60; i++ {
+		out = append(out, randomRefInput(rng))
+	}
+	return out
+}
+
+// randomRefInput is one table of rejectTestPool cells, with R the
+// projection of a random subset of its rows onto one or two columns. Small
+// pools make most projected values recur, so many rows are optional and
+// some mappings have no required row at all.
+func randomRefInput(rng *rand.Rand) refInput {
+	kinds := []relation.Kind{relation.KindInt, relation.KindFloat, relation.KindString, relation.KindBool}
+	rel := relation.New("T", relation.NewSchema("i", kinds[0], "f", kinds[1], "s", kinds[2], "b", kinds[3]))
+	rows := 20 + rng.Intn(60)
+	for r := 0; r < rows; r++ {
+		t := make(relation.Tuple, len(kinds))
+		for ci, k := range kinds {
+			pool := rejectTestPool(k)
+			t[ci] = pool[rng.Intn(len(pool))]
+		}
+		rel.Tuples = append(rel.Tuples, t)
+	}
+	d := db.New()
+	d.MustAddTable(rel)
+	proj := rng.Perm(len(kinds))[:1+rng.Intn(2)]
+	names := make([]string, len(proj))
+	for k, ci := range proj {
+		names[k] = rel.Schema[ci].Name
+	}
+	r := relation.New("R", rel.Schema.Clone())
+	for _, ri := range rng.Perm(rows)[:1+rng.Intn(rows/2)] {
+		r.Tuples = append(r.Tuples, rel.Tuples[ri])
+	}
+	r, err := r.Project(names)
+	if err != nil {
+		panic(err)
+	}
+	return refInput{name: "random", d: d, r: r}
+}
+
+// forEachJoin calls f with each join Generate would consider for in, with
+// a generator over in and no candidate cap.
+func forEachJoin(t *testing.T, in refInput, f func(g *generator, ix *joinIndex)) {
+	t.Helper()
+	g := &generator{d: in.d, r: in.r, seen: map[string]bool{}}
+	for _, tables := range connectedTableSubsets(in.d) {
+		j, err := db.Join(in.d, tables)
+		if err != nil || j.Rel.Len() < in.r.Len() {
+			continue
+		}
+		f(g, newJoinIndex(j))
+	}
+}
+
+// TestCodeClassificationMatchesClassifyRows checks classification on codes
+// against the Bag-based reference on every projection mapping
+// projectionMappings attempts — the combinations of candidate columns in its
+// order, up to its bounds on attempts and on feasible mappings — comparing
+// feasibility, the three row lists and, where no row is required, the
+// anchors. The containment test that picks the candidate columns is checked
+// against a Bag over every row. Inputs are refInputs', with and without
+// forced hash collisions.
+func TestCodeClassificationMatchesClassifyRows(t *testing.T) {
+	defer relation.ForceHashCollisionsForTesting(0)
+	var attempts, feasible, anchored int
+	for _, collisionBits := range []int{0, 2} {
+		relation.ForceHashCollisionsForTesting(collisionBits)
+		for _, in := range refInputs(t, 60, collisionBits == 0) {
+			forEachJoin(t, in, func(g *generator, ix *joinIndex) {
+				j := ix.j
+				doms := make([]*relation.Bag, j.Rel.Arity())
+				for ri, rc := range in.r.Schema {
+					vals := relation.NewBag(in.r.Len())
+					for _, tu := range in.r.Tuples {
+						vals.IncProj(tu, []int{ri}, 1)
+					}
+					for ci, jc := range j.Rel.Schema {
+						if jc.Type != rc.Type && !(jc.Type.Numeric() && rc.Type.Numeric()) {
+							continue
+						}
+						if doms[ci] == nil {
+							doms[ci] = columnBag(j, ci)
+						}
+						if got, want := ix.holdsAll(ci, in.r, ri), holdsAllReference(doms[ci], vals); got != want {
+							t.Fatalf("%s: R column %s in %s: holdsAll %v, reference %v", in.name, rc.Name, jc.Name, got, want)
+						}
+					}
+				}
+				cands, ok := g.mappingColumns(ix)
+				if !ok {
+					return
+				}
+				cur := make([]int, len(cands))
+				n, kept := 0, 0
+				var rec func(i int)
+				rec = func(i int) {
+					if kept >= maxProjectionMappings || n >= maxProjectionMappings*32 {
+						return
+					}
+					if i < len(cands) {
+						for _, c := range cands[i] {
+							cur[i] = c
+							rec(i + 1)
+						}
+						return
+					}
+					n++
+					proj := make([]string, len(cur))
+					for k, ci := range cur {
+						proj[k] = j.Rel.Schema[ci].Name
+					}
+					got, gs := classifyCodes(ix, cur, in.r)
+					want := classifyRows(j, proj, in.r)
+					if got.feasible != want.feasible ||
+						!slices.Equal(got.required, want.required) ||
+						!slices.Equal(got.optional, want.optional) ||
+						!slices.Equal(got.excluded, want.excluded) {
+						t.Fatalf("collisions %d, %s, %v: classes on codes %+v, reference %+v",
+							collisionBits, in.name, proj, got, want)
+					}
+					attempts++
+					if !got.feasible {
+						return
+					}
+					feasible++
+					kept++
+					if len(got.required) == 0 {
+						anchored++
+						if a, b := gs.anchors(got.optional), greedyAnchors(j, proj, in.r, got.optional); !slices.Equal(a, b) {
+							t.Fatalf("collisions %d, %s, %v: anchors %v, reference %v", collisionBits, in.name, proj, a, b)
+						}
+					}
+				}
+				rec(0)
+			})
+		}
+	}
+	t.Logf("%d mappings attempted, %d feasible, %d with anchors", attempts, feasible, anchored)
+	if feasible == 0 || anchored == 0 || feasible == attempts {
+		t.Errorf("inputs too narrow: %d attempted, %d feasible, %d with anchors", attempts, feasible, anchored)
+	}
+}
+
+// TestCodeGroupAcceptanceMatchesBagReference checks the grow search's
+// code-group check against emitVerified on every conjunct the search offers,
+// over every mapping projectionMappings keeps on refInputs' inputs,
+// greedy-anchor mappings included, with and without forced hash collisions.
+func TestCodeGroupAcceptanceMatchesBagReference(t *testing.T) {
+	defer relation.ForceHashCollisionsForTesting(0)
+	var offered, accepted, anchoredOffers int
+	for _, collisionBits := range []int{0, 2} {
+		relation.ForceHashCollisionsForTesting(collisionBits)
+		for _, in := range refInputs(t, 60, collisionBits == 0) {
+			forEachJoin(t, in, func(g *generator, ix *joinIndex) {
+				for _, m := range g.projectionMappings(ix) {
+					rc := m.rows
+					anchored := len(rc.required) == 0
+					if anchored {
+						if rc.required = m.groups.anchors(rc.optional); len(rc.required) == 0 {
+							continue
+						}
+					}
+					v := newVerifier(ix.j, m.proj, rc, in.r)
+					s := newGrowSearch(ix, g.coveringTermPools(ix, rc.required), rc, m.groups, in.r.Len())
+					s.run(func(path []int) bool {
+						pred := algebra.Predicate{s.conjunct(path)}
+						got, want := s.accepts(path), emitVerified(v, pred)
+						if got != want {
+							t.Fatalf("collisions %d, %s, %v: %s: code groups accept %v, reference %v",
+								collisionBits, in.name, m.proj, pred, got, want)
+						}
+						offered++
+						if got {
+							accepted++
+						}
+						if anchored {
+							anchoredOffers++
+						}
+						return false
+					})
+				}
+			})
+		}
+	}
+	t.Logf("%d conjuncts offered (%d on greedy anchors), %d accepted", offered, anchoredOffers, accepted)
+	if accepted == 0 || accepted == offered || anchoredOffers == 0 {
+		t.Errorf("inputs too narrow: %d offered, %d on anchors, %d accepted", offered, anchoredOffers, accepted)
+	}
+}
+
+// searchBoth runs s sparse and dense, each stopped at its stopAfter-th
+// offer (never when 0), and fails unless both offer the same conjuncts and
+// visit the same number of nodes. It returns the sparse search's offers and
+// nodes. Once a search stops it counts no further node, so with stopAfter
+// = k the node counts agree on where the k-th offer happened.
+func searchBoth(t *testing.T, name string, s *growSearch, stopAfter int) ([][]int, int) {
+	t.Helper()
+	var offers [2][][]int
+	var nodes [2]int
+	for k, run := range []func(func([]int) bool) int{s.run, s.runDense} {
+		nodes[k] = run(func(path []int) bool {
+			offers[k] = append(offers[k], slices.Clone(path))
+			return stopAfter > 0 && len(offers[k]) >= stopAfter
+		})
+	}
+	if nodes[0] != nodes[1] {
+		t.Fatalf("%s, stop after %d: sparse search visits %d nodes, dense %d", name, stopAfter, nodes[0], nodes[1])
+	}
+	if len(offers[0]) != len(offers[1]) {
+		t.Fatalf("%s, stop after %d: sparse search offers %d conjuncts, dense %d", name, stopAfter, len(offers[0]), len(offers[1]))
+	}
+	for i := range offers[0] {
+		if !slices.Equal(offers[0][i], offers[1][i]) {
+			t.Fatalf("%s, stop after %d: offer %d: sparse %v, dense %v", name, stopAfter, i, offers[0][i], offers[1][i])
+		}
+	}
+	return offers[0], nodes[0]
+}
+
+// TestSparseGrowMatchesDense checks that the sparse grow search offers the
+// same conjuncts as the dense loop and stops at the same node: on the
+// searches Generate runs for baseball/Q4, where every offered conjunct
+// fails verification and the node budget binds, so the candidate digests
+// cannot see the search's order; and on random unit masks 1, 63, 64, 65
+// and 200 words wide. Each search also runs stopped at its first and its
+// middle offer.
+func TestSparseGrowMatchesDense(t *testing.T) {
+	check := func(name string, s *growSearch) (offers, nodes int) {
+		all, n := searchBoth(t, name, s, 0)
+		if len(all) > 0 {
+			searchBoth(t, name, s, 1)
+			searchBoth(t, name, s, (len(all)+1)/2)
+		}
+		return len(all), n
+	}
+
+	bb := datasets.NewBaseball()
+	r, err := bb.Q4.Evaluate(bb.DB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &generator{d: bb.DB, r: r, cfg: Config{MaxCandidates: 32}, seen: map[string]bool{}}
+	capped := 0
+	for _, tables := range connectedTableSubsets(bb.DB) {
+		if g.full() {
+			break
+		}
+		j, err := db.Join(bb.DB, tables)
+		if err != nil || j.Rel.Len() < r.Len() {
+			continue
+		}
+		ix := newJoinIndex(j)
+		for _, m := range g.projectionMappings(ix) {
+			if g.full() {
+				break
+			}
+			if rc := m.rows; len(rc.required) > 0 {
+				s := newGrowSearch(ix, g.coveringTermPools(ix, rc.required), rc, m.groups, r.Len())
+				offers, nodes := check("baseball/Q4 "+m.proj[0], s)
+				t.Logf("Q4 %v: %d units, %d-word masks, %d offers, %d nodes", m.proj, len(s.terms), (s.excluded+63)/64, offers, nodes)
+				if nodes > maxGrowNodes {
+					capped++
+				}
+			}
+			g.generateForJoin(ix, tables, m)
+		}
+	}
+	if capped == 0 {
+		t.Error("the node budget binds on no Q4 search")
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	for _, words := range []int{1, 63, 64, 65, 200} {
+		for trial := 0; trial < 4; trial++ {
+			s := &growSearch{excluded: words*64 - rng.Intn(64), arity: 8}
+			n := s.excluded
+			for u := 0; u < 20+rng.Intn(60); u++ {
+				// Densities from "admits nothing" to "admits everything", so
+				// units separate alone, narrow, or are skipped as not
+				// narrowing; few columns, so the distinct-attribute rule
+				// binds.
+				density := []float64{0, 0.01, 0.05, 0.3, 0.9, 1}[rng.Intn(6)]
+				mask := make([]uint64, words)
+				for b := 0; b < n; b++ {
+					if rng.Float64() < density {
+						mask[b>>6] |= 1 << (b & 63)
+					}
+				}
+				s.admits = append(s.admits, mask)
+				s.cols = append(s.cols, rng.Intn(s.arity))
+			}
+			offers, nodes := check("random", s)
+			if words == 200 && trial == 0 {
+				t.Logf("random, %d words: %d units, %d offers, %d nodes", words, len(s.admits), offers, nodes)
+			}
+		}
+	}
+}
