@@ -1,6 +1,7 @@
 package dbgen
 
 import (
+	"math"
 	"testing"
 
 	"qfe/internal/algebra"
@@ -147,8 +148,8 @@ func TestSkylinePairsNonEmptyAndScored(t *testing.T) {
 		t.Errorf("enumerated %d < |SP| %d", stats.Enumerated, len(sp))
 	}
 	for _, p := range sp {
-		if len(p.Sizes) < 2 {
-			t.Errorf("skyline pair does not split: sizes %v", p.Sizes)
+		if math.IsInf(p.Balance, 1) {
+			t.Errorf("skyline pair %v does not split", p.Pair)
 		}
 		if p.Pair.EditCost < 1 {
 			t.Errorf("pair with zero edit cost")
@@ -351,7 +352,7 @@ func TestEnumerateScoredPairsCap(t *testing.T) {
 		t.Errorf("cap violated: %d", len(ps))
 	}
 	for _, p := range ps {
-		if len(p.Sizes) < 2 {
+		if math.IsInf(p.Balance, 1) {
 			t.Error("non-splitting pair returned")
 		}
 	}

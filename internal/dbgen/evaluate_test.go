@@ -131,7 +131,8 @@ func TestEvaluateMatchesReferencePartition(t *testing.T) {
 		for i, pi := range indices {
 			sigs[i] = ctx.sigOf[pi]
 		}
-		_, _, k := ctx.evaluate(sigs, &scr)
+		_, k := ctx.partition(sigs, &scr)
+		ctx.price(sigs, &scr)
 		ref := refPartition(g, pairsAt(sp, indices))
 		refSizes, refEdits := make([]int, len(ref)), make([]int, len(ref))
 		for i, b := range ref {

@@ -139,31 +139,41 @@ func (g *Generator) newEvalCtx(sp []ScoredPair, x, workers int) *evalCtx {
 		}
 		row[4*W+ctx.nq] = uint64(p.EditCost)
 		tbl := ctx.tables(row)
-		for _, a := range p.ChangedAttrs() {
-			tbl[tableOf[a]/64] |= 1 << (tableOf[a] % 64)
+		for a := range p.Src {
+			if p.Src[a] != p.Dst[a] {
+				tbl[tableOf[a]/64] |= 1 << (tableOf[a] % 64)
+			}
 		}
 	})
 
 	// Intern serially, in pair order, so signature ids are deterministic.
+	// Each new row moves to the end of the distinct rows at the front of
+	// rows (its id is at most its pair's index, so it never overwrites a
+	// row still to be read), and an open-addressed table of ids + 1, keyed
+	// by row hash, finds equal rows.
 	ctx.sigOf = make([]int32, len(sp))
-	sigsByHash := make(map[uint64][]int32, len(sp))
+	size := 16
+	for size < 2*len(sp) {
+		size <<= 1
+	}
+	table, mask := make([]int32, size), uint64(size-1)
+	nsig := 0
 	for pi := range sp {
 		row := rows[pi*ctx.sigLen : (pi+1)*ctx.sigLen]
-		h := hashWords(row)
-		id := int32(-1)
-		for _, s := range sigsByHash[h] {
-			if slices.Equal(ctx.sig(s), row) {
-				id = s
+		slot := hashWords(row) & mask
+		for ; table[slot] != 0; slot = (slot + 1) & mask {
+			if id := int(table[slot] - 1); slices.Equal(rows[id*ctx.sigLen:(id+1)*ctx.sigLen], row) {
 				break
 			}
 		}
-		if id < 0 {
-			id = int32(len(ctx.sigs) / ctx.sigLen)
-			ctx.sigs = append(ctx.sigs, row...)
-			sigsByHash[h] = append(sigsByHash[h], id)
+		if table[slot] == 0 {
+			copy(rows[nsig*ctx.sigLen:], row)
+			nsig++
+			table[slot] = int32(nsig)
 		}
-		ctx.sigOf[pi] = id
+		ctx.sigOf[pi] = table[slot] - 1
 	}
+	ctx.sigs = rows[:nsig*ctx.sigLen]
 	return ctx
 }
 
@@ -215,10 +225,26 @@ type block struct{ rep, size int }
 // replace), dropping empty parts, so two queries end in one block exactly
 // when every pair affects them the same way (Lemma 5.1). Blocks are then
 // ordered by their lowest query, the order cost.Balance's float sums see.
-// A block's predicted minEdit(R, Rᵢ) is priced from that lowest query: an
-// added or removed result tuple costs arity(R), a replaced one the changed
-// attributes the query projects.
-func (ctx *evalCtx) evaluate(sigs []int32, scr *evalScratch) (costVal, balance float64, k int) {
+//
+// bound is the highest balance among the parents whose children have this
+// signature multiset. A child passes the pruning rule only below its own
+// parent's balance, so a set whose balance is not below bound has no child
+// that passes, and its cost is never read: evaluate returns it as +Inf
+// without pricing the blocks (at level 1, where every set is offered to the
+// top-k, the bound is +Inf, and a set at +Inf balance has one block, whose
+// cost is +Inf anyway).
+func (ctx *evalCtx) evaluate(sigs []int32, bound float64, scr *evalScratch) (costVal, balance float64, k int) {
+	balance, k = ctx.partition(sigs, scr)
+	if !(balance < bound) {
+		return math.Inf(1), balance, k
+	}
+	return ctx.price(sigs, scr), balance, k
+}
+
+// partition refines the query mask by each signature's case planes, orders
+// the blocks by their lowest query into scr.order and scr.sizes, and
+// returns the partition's balance and block count.
+func (ctx *evalCtx) partition(sigs []int32, scr *evalScratch) (balance float64, k int) {
 	W := ctx.words
 	blocks := append(scr.blocks[:0], ctx.all...)
 	for _, s := range sigs {
@@ -255,11 +281,22 @@ func (ctx *evalCtx) evaluate(sigs []int32, scr *evalScratch) (costVal, balance f
 		order = append(order, block{rep: rep, size: size})
 	}
 	slices.SortFunc(order, func(a, b block) int { return a.rep - b.rep })
-	scr.order = order
-
-	sizes, resultEdits := scr.sizes[:0], scr.resultEdits[:0]
+	sizes := scr.sizes[:0]
 	for _, b := range order {
 		sizes = append(sizes, b.size)
+	}
+	scr.order, scr.sizes = order, sizes
+	return cost.Balance(sizes), len(sizes)
+}
+
+// price returns the Eq. 5 cost of the partition the last partition call
+// left in scr. A block's predicted minEdit(R, Rᵢ) is priced from its lowest
+// query: an added or removed result tuple costs arity(R), a replaced one
+// the changed attributes the query projects.
+func (ctx *evalCtx) price(sigs []int32, scr *evalScratch) float64 {
+	W := ctx.words
+	resultEdits := scr.resultEdits[:0]
+	for _, b := range scr.order {
 		word, bit := b.rep/64, uint64(1)<<(b.rep%64)
 		edit := 0
 		for _, s := range sigs {
@@ -285,16 +322,15 @@ func (ctx *evalCtx) evaluate(sigs []int32, scr *evalScratch) (costVal, balance f
 			tbls[w] |= m
 		}
 	}
-	scr.sizes, scr.resultEdits, scr.tables = sizes, resultEdits, tbls
-	in := cost.Inputs{
+	scr.resultEdits, scr.tables = resultEdits, tbls
+	return ctx.g.Opts.Cost.Cost(cost.Inputs{
 		DBEdit:            dbEdit,
 		ModifiedRelations: popcount(tbls),
 		ModifiedTuples:    len(sigs),
 		ResultEdits:       resultEdits,
-		SubsetSizes:       sizes,
+		SubsetSizes:       scr.sizes,
 		X:                 ctx.x,
-	}
-	return ctx.g.Opts.Cost.Cost(in), cost.Balance(sizes), len(sizes)
+	})
 }
 
 func popcount(m []uint64) int {
@@ -338,12 +374,14 @@ func (ctx *evalCtx) feasibleWith(parent []int, pi int) bool {
 // the level's feasible children in evaluation order, up to the remaining
 // evaluation budget, resolving each to the slot of its signature multiset;
 // score every slot once on the worker pool; replay the children in order,
-// applying the pruning rule, the top-k ranking and the frontier cap. Only
-// the level boundary is a sequence point, because the pruning rule (step
-// 15) needs a child's own score before the child may parent the next level.
-// Scoring writes index-addressed slots and every order-sensitive step is
-// serial, so the output is the same at every worker count, including
-// when MaxSetsEvaluated truncates the search.
+// applying the pruning rule, the top-k ranking and the frontier cap. Level
+// 2, where nearly all children are, lists none: it walks the frontier's
+// positions twice (list2, replay2). Only the level boundary is a sequence
+// point, because the pruning rule (step 15) needs a child's own score
+// before the child may parent the next level. Scoring writes
+// index-addressed slots and every order-sensitive step is serial, so the
+// output is the same at every worker count, including when
+// MaxSetsEvaluated truncates the search.
 func (g *Generator) PickSubsets(sp []ScoredPair, x int) []CandidateSet {
 	if len(sp) == 0 {
 		return nil
@@ -356,7 +394,6 @@ func (g *Generator) PickSubsets(sp []ScoredPair, x int) []CandidateSet {
 	if maxEval <= 0 {
 		maxEval = 50000
 	}
-	var listNs, scoreNs, replayNs time.Duration
 	// Level 1 grows the singletons from the empty set.
 	frontier := []frontierEntry{{balance: math.Inf(1)}}
 	for level := 1; level <= len(sp) && len(frontier) > 0 && evaluated < maxEval; level++ {
@@ -366,23 +403,41 @@ func (g *Generator) PickSubsets(sp []ScoredPair, x int) []CandidateSet {
 			// kept, whatever the budget and the frontier cap.
 			budget, limit = math.MaxInt, 0
 		}
-		t0 := time.Now()
-		s.list(frontier, level, budget)
-		t1 := time.Now()
-		s.score()
-		t2 := time.Now()
-		frontier = s.replay(frontier, level, limit, best)
-		evaluated += len(s.children)
-		t3 := time.Now()
-		listNs += t1.Sub(t0)
-		scoreNs += t2.Sub(t1)
-		replayNs += t3.Sub(t2)
+		frontier = s.grow(frontier, level, budget, limit, best)
+		evaluated += s.listed
 	}
-	g.alg4Enum, g.alg4Score, g.alg4TopK = listNs, scoreNs, replayNs
-	mAlg4Enumerate.ObserveDuration(listNs)
-	mAlg4Score.ObserveDuration(scoreNs)
-	mAlg4TopK.ObserveDuration(replayNs)
+	g.alg4Enum, g.alg4Score, g.alg4TopK = s.listNs, s.scoreNs, s.replayNs
+	mAlg4Enumerate.ObserveDuration(s.listNs)
+	mAlg4Score.ObserveDuration(s.scoreNs)
+	mAlg4TopK.ObserveDuration(s.replayNs)
 	return best.ranked(sp)
+}
+
+// grow runs one level's three passes, adds their times to the search's
+// pass timers and returns the next frontier. Level 2 takes the walks, which
+// are exact only for the frontier level 1 leaves (see list2).
+func (s *search) grow(frontier []frontierEntry, level, budget, limit int, best *topK) []frontierEntry {
+	t0 := time.Now()
+	if level == 2 {
+		s.list2(frontier, budget)
+	} else {
+		s.list(frontier, level, budget)
+	}
+	t1 := time.Now()
+	s.score()
+	t2 := time.Now()
+	s.kept.reset(limit)
+	if level == 2 {
+		s.replay2(frontier, best)
+	} else {
+		s.replay(frontier, level, best)
+	}
+	next := s.nextFrontier(frontier, level)
+	t3 := time.Now()
+	s.listNs += t1.Sub(t0)
+	s.scoreNs += t2.Sub(t1)
+	s.replayNs += t3.Sub(t2)
+	return next
 }
 
 // frontierEntry is one set of the current frontier: its ascending pair
@@ -396,8 +451,8 @@ type frontierEntry struct {
 	balance float64
 }
 
-// child is one listed candidate set: a frontier parent plus one pair, and
-// the slot of its signature multiset.
+// child is one candidate set: a frontier parent plus one pair, and the slot
+// of its signature multiset.
 type child struct{ parent, pair, slot int32 }
 
 // search is Algorithm 4's per-call state, reused across levels. Its
@@ -421,16 +476,38 @@ type search struct {
 	index    []int32
 	firstPos []int
 
+	// children holds the level's listed children after list, and only the
+	// children that passed the pruning rule after the replay; listed counts
+	// the listed children against the evaluation budget.
 	children []child
+	listed   int
+
+	// Level 2's walks read the frontier through flat arrays: per position,
+	// its pair, the pair's signature and source class, and the number of
+	// children the parent there lists (kids, filled by list2 for the first
+	// parents positions). sigBal[sig] is the balance of the singleton of
+	// that signature, and passAt/pass list, per signature p, the slots
+	// {p, s} whose balance is below sigBal[p], as (s, slot).
+	posPair []int32
+	posSig  []int32
+	posCls  []int32
+	kids    []int32
+	parents int
+	covered []int32
+	sigBal  []float64
+	passAt  []int32
+	pass    []passEntry
 
 	// Slots of the current level: slotSigs holds each slot's ascending
 	// signature multiset (level ids each), slotHash its element-hash sum,
-	// slotTable an open-addressed table of slot ids + 1; the score arrays
-	// are indexed by slot.
+	// slotTable an open-addressed table of slot ids + 1; bound is the
+	// highest balance among the parents that resolve the slot, and the
+	// score arrays are indexed by slot.
 	level     int
 	slotSigs  []int32
 	slotHash  []uint64
 	slotTable []int32
+	bound     []float64
 	cost      []float64
 	balance   []float64
 	subsets   []int
@@ -438,7 +515,13 @@ type search struct {
 
 	kept  frontierCut
 	arena []int // carved index slices, never reused
+
+	listNs, scoreNs, replayNs time.Duration
 }
+
+// passEntry is one entry of a pass list: a signature and the slot it makes
+// with the list's own signature.
+type passEntry struct{ sig, slot int32 }
 
 var searchPool = sync.Pool{New: func() any { return new(search) }}
 
@@ -456,6 +539,7 @@ func newSearch(ctx *evalCtx, workers int) *search {
 	clear(s.inSet)
 	clear(s.sigSeen)
 	s.gen = 0
+	s.listNs, s.scoreNs, s.replayNs = 0, 0, 0
 	return s
 }
 
@@ -478,6 +562,7 @@ func (s *search) list(frontier []frontierEntry, level, budget int) {
 	s.children = s.children[:0]
 	s.resetSlots(level)
 	s.indexFrontier(frontier)
+sweep:
 	for j := range frontier {
 		op := &frontier[j]
 		s.gen++
@@ -496,8 +581,164 @@ func (s *search) list(frontier []frontierEntry, level, budget int) {
 			}
 			s.children = append(s.children, child{parent: int32(j), pair: int32(pi), slot: s.sigSlot[sig]})
 			if len(s.children) >= budget {
-				return
+				break sweep
 			}
+		}
+	}
+	s.listed = len(s.children)
+}
+
+// list2 is level 2's first walk. Level 1 runs with no budget, no frontier
+// cap and no pruning, so level 2's frontier is every pair whose source
+// class has a row, in pair order, each at its singleton's balance. For the
+// parent at position j, the earliest-parent rule rejects exactly the
+// positions before j, and feasibility rejects the later positions of j's
+// source class when that class has one row; the listed children of j are
+// the remaining later positions, in order. list2 counts them against the
+// budget into kids and resolves, for each listed parent, the slot of each
+// signature its listed children carry: the slots list would resolve, from
+// array reads alone.
+//
+// All parents of one signature have one balance, and a child's slot
+// depends only on its parent's signature and its own, so a parent resolves
+// nothing new after an earlier parent of its signature whose children
+// include all of its own: one whose class has more than one row, or one of
+// the same class. Such a parent only counts its children.
+func (s *search) list2(frontier []frontierEntry, budget int) {
+	s.resetSlots(2)
+	n := len(frontier)
+	s.posPair = slices.Grow(s.posPair[:0], n)[:n]
+	s.posSig = slices.Grow(s.posSig[:0], n)[:n]
+	s.posCls = slices.Grow(s.posCls[:0], n)[:n]
+	s.kids = slices.Grow(s.kids[:0], n)[:n]
+	nsig := len(s.sigSeen)
+	s.sigBal = slices.Grow(s.sigBal[:0], nsig)[:nsig]
+	// covered[sig] is the class of the last parent of sig that resolved,
+	// or all once a parent whose class has more than one row resolved.
+	const all = -2
+	s.covered = slices.Grow(s.covered[:0], nsig)[:nsig]
+	covered := s.covered
+	for i := range covered {
+		covered[i] = -1
+	}
+	for j := range frontier {
+		pi := frontier[j].indices[0]
+		s.posPair[j], s.posSig[j], s.posCls[j] = int32(pi), s.ctx.sigOf[pi], int32(s.ctx.srcID[pi])
+		s.sigBal[s.posSig[j]] = frontier[j].balance
+	}
+	s.listed, s.parents = 0, 0
+	for j := range frontier {
+		op, sig, cls := &frontier[j], s.posSig[j], s.posCls[j]
+		solo := s.ctx.srcCap[cls] < 2
+		left := budget - s.listed
+		kids := 0
+		switch {
+		case !solo && covered[sig] == all:
+			kids = min(n-1-j, left)
+		case solo && (covered[sig] == all || covered[sig] == cls):
+			for c := j + 1; c < n && kids < left; c++ {
+				if s.posCls[c] != cls {
+					kids++
+				}
+			}
+		default:
+			s.gen++
+			for c := j + 1; c < n && kids < left; c++ {
+				if solo && s.posCls[c] == cls {
+					continue
+				}
+				if cs := s.posSig[c]; s.sigSeen[cs] != s.gen {
+					s.sigSeen[cs] = s.gen
+					s.slotOf(op, cs)
+				}
+				kids++
+			}
+			if kids < left {
+				covered[sig] = cls
+				if !solo {
+					covered[sig] = all
+				}
+			}
+		}
+		s.kids[j] = int32(kids)
+		s.listed += kids
+		s.parents = j + 1
+		if s.listed >= budget {
+			return
+		}
+	}
+}
+
+// replay2 is level 2's second walk. It visits the children list2 counted,
+// in the same order, and keeps those that pass the pruning rule. A
+// parent's passing children are those whose signature is on its
+// signature's pass list, so a parent with an empty pass list is skipped
+// whole.
+func (s *search) replay2(frontier []frontierEntry, best *topK) {
+	s.children = s.children[:0]
+	s.passLists()
+	stamped := int32(-1)
+	for j, n := range s.kids[:s.parents] {
+		sig := s.posSig[j]
+		pass := s.pass[s.passAt[sig]:s.passAt[sig+1]]
+		if len(pass) == 0 || n == 0 {
+			continue
+		}
+		if sig != stamped {
+			s.gen++
+			for _, e := range pass {
+				s.sigSeen[e.sig], s.sigSlot[e.sig] = s.gen, e.slot
+			}
+			stamped = sig
+		}
+		op, cls := &frontier[j], s.posCls[j]
+		solo := s.ctx.srcCap[cls] < 2
+		for c := j + 1; n > 0; c++ {
+			if solo && s.posCls[c] == cls {
+				continue
+			}
+			n--
+			if cs := s.posSig[c]; s.sigSeen[cs] == s.gen {
+				s.keep(best, op, child{parent: int32(j), pair: s.posPair[c], slot: s.sigSlot[cs]}, 2)
+			}
+		}
+	}
+}
+
+// passLists buckets level 2's slots into per-signature pass lists: slot
+// {a, b} is on a's list when its balance is below sigBal[a], and on b's
+// when below sigBal[b]. A list may name a slot no parent of its signature
+// resolved; replay2 looks a slot up only for a listed child, whose slot
+// list2 resolved.
+func (s *search) passLists() {
+	nsig := len(s.sigBal)
+	s.passAt = slices.Grow(s.passAt[:0], nsig+1)[:nsig+1]
+	clear(s.passAt)
+	for id := range s.slotHash {
+		a, b := s.slotSigs[2*id], s.slotSigs[2*id+1]
+		if s.balance[id] < s.sigBal[a] {
+			s.passAt[a]++
+		}
+		if a != b && s.balance[id] < s.sigBal[b] {
+			s.passAt[b]++
+		}
+	}
+	// A counting sort: passAt[p] first ends p's bucket, and filling the
+	// bucket from its end leaves passAt[p] at its start.
+	for i := 1; i <= nsig; i++ {
+		s.passAt[i] += s.passAt[i-1]
+	}
+	total := int(s.passAt[nsig])
+	s.pass = slices.Grow(s.pass[:0], total)[:total]
+	for id := range s.slotHash {
+		a, b := s.slotSigs[2*id], s.slotSigs[2*id+1]
+		if s.balance[id] < s.sigBal[a] {
+			s.passAt[a]--
+			s.pass[s.passAt[a]] = passEntry{sig: b, slot: int32(id)}
+		}
+		if a != b && s.balance[id] < s.sigBal[b] {
+			s.passAt[b]--
+			s.pass[s.passAt[b]] = passEntry{sig: a, slot: int32(id)}
 		}
 	}
 }
@@ -571,7 +812,7 @@ func (s *search) earlierParent(frontier []frontierEntry, j, pi int) bool {
 // resetSlots empties the slot table for a new level.
 func (s *search) resetSlots(level int) {
 	s.level = level
-	s.slotSigs, s.slotHash = s.slotSigs[:0], s.slotHash[:0]
+	s.slotSigs, s.slotHash, s.bound = s.slotSigs[:0], s.slotHash[:0], s.bound[:0]
 	if s.slotTable == nil {
 		s.slotTable = make([]int32, 1024)
 	}
@@ -579,7 +820,8 @@ func (s *search) resetSlots(level int) {
 }
 
 // slotOf returns the slot of the signature multiset of parent op plus one
-// pair of signature sig, creating it when new.
+// pair of signature sig, creating it when new, and raises the slot's bound
+// to op's balance.
 func (s *search) slotOf(op *frontierEntry, sig int32) int32 {
 	h := op.sigHash + elemHash(int(sig))
 	buf := s.sigBuf[:0]
@@ -594,12 +836,16 @@ func (s *search) slotOf(op *frontierEntry, sig int32) int32 {
 	for ; s.slotTable[slot] != 0; slot = (slot + 1) & mask {
 		id := s.slotTable[slot] - 1
 		if s.slotHash[id] == h && slices.Equal(s.sigsOf(id), buf) {
+			if op.balance > s.bound[id] {
+				s.bound[id] = op.balance
+			}
 			return id
 		}
 	}
 	id := int32(len(s.slotHash))
 	s.slotHash = append(s.slotHash, h)
 	s.slotSigs = append(s.slotSigs, buf...)
+	s.bound = append(s.bound, op.balance)
 	s.slotTable[slot] = id + 1
 	if 4*len(s.slotHash) > 3*len(s.slotTable) {
 		s.growSlots()
@@ -625,38 +871,50 @@ func (s *search) growSlots() {
 }
 
 // score evaluates every slot of the level once. evaluate is a pure function
-// of the slot's signatures, and each worker has its own scratch and writes
-// only its slots' scores.
+// of the slot's signatures and bound, and each worker has its own scratch
+// and writes only its slots' scores.
 func (s *search) score() {
 	n := len(s.slotHash)
 	s.cost = slices.Grow(s.cost[:0], n)[:n]
 	s.balance = slices.Grow(s.balance[:0], n)[:n]
 	s.subsets = slices.Grow(s.subsets[:0], n)[:n]
 	par.DoIndexed(n, s.workers, func(w, id int) {
-		s.cost[id], s.balance[id], s.subsets[id] = s.ctx.evaluate(s.sigsOf(int32(id)), &s.scratch[w])
+		s.cost[id], s.balance[id], s.subsets[id] = s.ctx.evaluate(s.sigsOf(int32(id)), s.bound[id], &s.scratch[w])
 	})
 }
 
-// replay visits the listed children in order, applies the pruning rule
-// (step 15: a child must strictly improve on its parent's balance; at level
-// 1 every singleton is kept), offers each kept child to the top-k, and
-// returns the next frontier: the kept children, cut to the limit lowest
-// balances when more than limit are kept (limit 0: no cut).
-func (s *search) replay(frontier []frontierEntry, level, limit int, best *topK) []frontierEntry {
-	s.kept.reset(limit)
-	for seq, ch := range s.children {
+// replay visits the listed children in order and keeps those that pass the
+// pruning rule (step 15: a child must strictly improve on its parent's
+// balance; at level 1 every singleton is kept). The kept children are a
+// subsequence of the listed ones, so they are compacted in place.
+func (s *search) replay(frontier []frontierEntry, level int, best *topK) {
+	listed := s.children
+	s.children = s.children[:0]
+	for _, ch := range listed {
 		op := &frontier[ch.parent]
-		b := s.balance[ch.slot]
-		if level > 1 && !(b < op.balance) {
+		if level > 1 && !(s.balance[ch.slot] < op.balance) {
 			continue
 		}
-		c, k := s.cost[ch.slot], s.subsets[ch.slot]
-		if pos := best.admit(c, b, k, level); pos >= 0 {
-			best.insert(pos, CandidateSet{Indices: s.childIndices(op, int(ch.pair)),
-				Balance: b, Cost: c, Subsets: k})
-		}
-		s.kept.offer(keptChild{balance: b, seq: seq})
+		s.keep(best, op, ch, level)
 	}
+}
+
+// keep offers a child that passed the pruning rule to the top-k and the
+// frontier cut, and appends it to s.children, where the cut's listing
+// positions point.
+func (s *search) keep(best *topK, op *frontierEntry, ch child, level int) {
+	b, c, k := s.balance[ch.slot], s.cost[ch.slot], s.subsets[ch.slot]
+	if pos := best.admit(c, b, k, level); pos >= 0 {
+		best.insert(pos, CandidateSet{Indices: s.childIndices(op, int(ch.pair)),
+			Balance: b, Cost: c, Subsets: k})
+	}
+	s.kept.offer(keptChild{balance: b, seq: len(s.children)})
+	s.children = append(s.children, ch)
+}
+
+// nextFrontier returns the next frontier: the kept children, cut to the
+// limit lowest balances when more than limit are kept (limit 0: no cut).
+func (s *search) nextFrontier(frontier []frontierEntry, level int) []frontierEntry {
 	kept := s.kept.result()
 	next := make([]frontierEntry, len(kept))
 	sigs := make([]int32, len(kept)*level)

@@ -281,29 +281,34 @@ func replaceTwins(g *Generator, n int) ([]ScoredPair, int) {
 	return out[:min(n, len(out))], min(n, len(twins))
 }
 
-// TestPickSubsetsMatchesReference runs PickSubsets against refPickSubsets
-// on Example 5.1, generated scenarios, spaces whose pairs include
-// replace-cost twins, and a space of more than 64 queries,
-// at every combination of frontier cap (none, 1, 3, 64), evaluation budget
-// (1500 sets, and one that truncates level 2 part-way), strategy and worker
-// count (1, 4), and requires the same ranked sets. One scenario is run
-// again with kernel hashes truncated to 2 bits, so the frontier index and
-// the slot table see colliding hashes and must resolve them by equality.
-func TestPickSubsetsMatchesReference(t *testing.T) {
-	type input struct {
-		name string
-		g    *Generator
-		sp   []ScoredPair
-		x    int
-	}
-	var inputs []input
+// pickInput is one input of Algorithm 4's reference tests.
+type pickInput struct {
+	name string
+	g    *Generator
+	sp   []ScoredPair
+	x    int
+}
+
+// pickInputs returns Example 5.1, Example 5.1's pairs whose source class
+// has one row, generated scenarios, spaces whose pairs include
+// replace-cost twins, and a space of more than 64 queries.
+func pickInputs(t *testing.T) []pickInput {
+	t.Helper()
+	var inputs []pickInput
 	e51 := example51Generator(t)
-	inputs = append(inputs, input{"example5.1", e51, e51.EnumerateScoredPairs(24), 1})
+	inputs = append(inputs, pickInput{"example5.1", e51, e51.EnumerateScoredPairs(24), 1})
+	var solo []ScoredPair
+	for _, p := range e51.EnumerateScoredPairs(0) {
+		if len(e51.srcRows[p.Pair.Src.Key()]) == 1 && len(solo) < 40 {
+			solo = append(solo, p)
+		}
+	}
+	inputs = append(inputs, pickInput{"example5.1-one-row", e51, solo, 1})
 	for _, seed := range []int64{3, 11, 29, 42} {
 		g := scenarioGenerator(t, seed)
 		sp, stats := g.SkylinePairs()
 		sp = append(sp, g.EnumerateScoredPairs(24)...)
-		inputs = append(inputs, input{fmt.Sprintf("scenario-%d", seed), g, sp, stats.X})
+		inputs = append(inputs, pickInput{fmt.Sprintf("scenario-%d", seed), g, sp, stats.X})
 	}
 	for _, seed := range []int64{12, 19} {
 		g := randomGenerator(t, seed, 6)
@@ -311,21 +316,72 @@ func TestPickSubsetsMatchesReference(t *testing.T) {
 		if twins < 4 {
 			t.Fatalf("seed %d: %d replace-cost twins, want at least 4", seed, twins)
 		}
-		inputs = append(inputs, input{fmt.Sprintf("twins-%d", seed), g, sp, 1})
+		inputs = append(inputs, pickInput{fmt.Sprintf("twins-%d", seed), g, sp, 1})
 	}
 	wide := randomGenerator(t, 80, 80)
 	if wide.Space.Words() < 2 {
 		t.Fatalf("wide space has %d mask words, want 2", wide.Space.Words())
 	}
-	inputs = append(inputs, input{"80-queries", wide, wide.EnumerateScoredPairs(20), 2})
+	inputs = append(inputs, pickInput{"80-queries", wide, wide.EnumerateScoredPairs(20), 2})
+	return inputs
+}
 
-	run := func(in input) {
+// level2Listing runs level 1 of the search on the input and lists level 2
+// the general way (list), returning level 1's set count and the number of
+// children each level-2 parent lists.
+func level2Listing(in pickInput) (int, []int) {
+	s := newSearch(in.g.newEvalCtx(in.sp, in.x, 1), 1)
+	defer s.release()
+	frontier := s.grow([]frontierEntry{{balance: math.Inf(1)}}, 1, math.MaxInt, 0, &topK{k: maxCandidateSets})
+	level1 := s.listed
+	s.list(frontier, 2, math.MaxInt)
+	kids := make([]int, len(frontier))
+	for _, ch := range s.children {
+		kids[ch.parent]++
+	}
+	return level1, kids
+}
+
+// level2Cuts returns two evaluation budgets that cut level 2: one at the
+// first parent boundary past the middle of the listing, or past 500
+// children when that comes first (the reference scores every set it
+// lists), and one right after the first child of the parent that follows.
+func level2Cuts(t *testing.T, in pickInput) (boundary, firstChild int) {
+	t.Helper()
+	level1, kids := level2Listing(in)
+	listed := 0
+	for _, k := range kids {
+		listed += k
+	}
+	at := 0
+	for _, k := range kids {
+		if at >= min(listed/2, 500) && k > 0 {
+			return level1 + at, level1 + at + 1
+		}
+		at += k
+	}
+	t.Fatalf("%s: level 2 lists %d children; no parent to cut at", in.name, listed)
+	return 0, 0
+}
+
+// TestPickSubsetsMatchesReference runs PickSubsets against refPickSubsets
+// on pickInputs at every combination of frontier cap (none, 1, 3, 64),
+// evaluation budget (1500 sets, one that truncates level 2 part-way, one
+// that cuts it at a parent boundary and one right after a parent's first
+// child), strategy and worker count (1, 4), and requires the same ranked
+// sets. One scenario is run again with kernel hashes truncated to 2 bits,
+// so the frontier index and the slot table see colliding hashes and must
+// resolve them by equality.
+func TestPickSubsetsMatchesReference(t *testing.T) {
+	inputs := pickInputs(t)
+	run := func(in pickInput) {
 		t.Helper()
 		if len(in.sp) < 4 {
 			t.Fatalf("%s: only %d pairs", in.name, len(in.sp))
 		}
+		boundary, firstChild := level2Cuts(t, in)
 		for _, maxFrontier := range []int{0, 1, 3, 64} {
-			for _, maxEval := range []int{1500, 2*len(in.sp) + 5} {
+			for _, maxEval := range []int{1500, 2*len(in.sp) + 5, boundary, firstChild} {
 				for _, strategy := range []Strategy{StrategyCostModel, StrategyMaxPartitions} {
 					in.g.Opts.MaxFrontier, in.g.Opts.MaxSetsEvaluated, in.g.Opts.Strategy = maxFrontier, maxEval, strategy
 					in.g.workers = 1
@@ -349,5 +405,170 @@ func TestPickSubsetsMatchesReference(t *testing.T) {
 	}
 	relation.ForceHashCollisionsForTesting(2)
 	defer relation.ForceHashCollisionsForTesting(0)
-	run(inputs[4])
+	run(inputs[5])
+}
+
+// level2Pass is what one way of running level 2 leaves behind: the listed
+// count, each slot's signature multiset with its bound, the children that
+// passed the pruning rule (by pair and slot multiset), the next frontier and
+// the top-k.
+type level2Pass struct {
+	listed int
+	slots  map[[2]int32]float64
+	passed [][3]int32
+	next   []frontierEntry
+	best   []CandidateSet
+}
+
+func runLevel2(t *testing.T, s *search, frontier []frontierEntry, budget, limit int, walk bool) level2Pass {
+	t.Helper()
+	if walk {
+		s.list2(frontier, budget)
+	} else {
+		s.list(frontier, 2, budget)
+	}
+	s.score()
+	checkBoundedScores(t, s)
+	best := &topK{k: maxCandidateSets}
+	s.kept.reset(limit)
+	if walk {
+		s.replay2(frontier, best)
+	} else {
+		s.replay(frontier, 2, best)
+	}
+	r := level2Pass{listed: s.listed, slots: map[[2]int32]float64{}, best: best.sets}
+	for id := range s.slotHash {
+		r.slots[[2]int32(s.sigsOf(int32(id)))] = s.bound[id]
+	}
+	for _, ch := range s.children {
+		sigs := s.sigsOf(ch.slot)
+		r.passed = append(r.passed, [3]int32{ch.pair, sigs[0], sigs[1]})
+	}
+	r.next = s.nextFrontier(frontier, 2)
+	return r
+}
+
+// checkBoundedScores checks every slot of the level against an unbounded
+// evaluation: the same balance and block count, the same cost when the
+// balance is below the slot's bound, and +Inf otherwise, where a set that
+// splits has a finite cost, so its cost was not computed.
+func checkBoundedScores(t *testing.T, s *search) {
+	t.Helper()
+	var scr evalScratch
+	for id := range s.slotHash {
+		sigs := s.sigsOf(int32(id))
+		b, k := s.ctx.partition(sigs, &scr)
+		c := s.ctx.price(sigs, &scr)
+		if s.balance[id] != b || s.subsets[id] != k {
+			t.Fatalf("slot %v: balance %v k=%d, unbounded %v k=%d", sigs, s.balance[id], s.subsets[id], b, k)
+		}
+		if b < s.bound[id] && s.cost[id] != c || !(b < s.bound[id]) && !math.IsInf(s.cost[id], 1) {
+			t.Fatalf("slot %v: balance %v bound %v: cost %v, unbounded %v", sigs, b, s.bound[id], s.cost[id], c)
+		}
+	}
+}
+
+// TestLevel2WalksMatchListing runs level 2 of the search on every
+// pickInput both ways: listing every child and replaying it (list, replay)
+// and walking the frontier's positions twice (list2, replay2). Under no
+// cut, a cut at a parent boundary and a cut right after a parent's first
+// child, and with no frontier cap and a cap of 3, the two must count the
+// same children, resolve the same slots with the same bounds, keep the same
+// children in the same order, and leave the same next frontier and top-k.
+// Every level 1 and level 2 slot is checked against an unbounded
+// evaluation. It also requires that the inputs exercise the walks' one-row
+// exclusion and a level 2 that keeps more than 64 children.
+func TestLevel2WalksMatchListing(t *testing.T) {
+	excluded, wide := false, false
+	for _, in := range pickInputs(t) {
+		boundary, firstChild := level2Cuts(t, in)
+		for _, workers := range []int{1, 4} {
+			s := newSearch(in.g.newEvalCtx(in.sp, in.x, workers), workers)
+			frontier := s.grow([]frontierEntry{{balance: math.Inf(1)}}, 1, math.MaxInt, 0, &topK{k: maxCandidateSets})
+			checkBoundedScores(t, s)
+			level1 := s.listed
+			for _, maxEval := range []int{50000, boundary, firstChild} {
+				for _, limit := range []int{0, 3} {
+					name := fmt.Sprintf("%s workers=%d MaxSetsEvaluated=%d MaxFrontier=%d", in.name, workers, maxEval, limit)
+					want := runLevel2(t, s, frontier, maxEval-level1, limit, false)
+					got := runLevel2(t, s, frontier, maxEval-level1, limit, true)
+					if got.listed != want.listed || len(got.slots) != len(want.slots) {
+						t.Fatalf("%s: walks list %d children in %d slots, listing %d in %d",
+							name, got.listed, len(got.slots), want.listed, len(want.slots))
+					}
+					if !reflect.DeepEqual(got.slots, want.slots) {
+						t.Fatalf("%s: walks resolve other slots or bounds than the listing", name)
+					}
+					if !reflect.DeepEqual(got.passed, want.passed) {
+						t.Fatalf("%s: walks keep %d children, listing %d, or in another order",
+							name, len(got.passed), len(want.passed))
+					}
+					if !reflect.DeepEqual(got.next, want.next) || !reflect.DeepEqual(got.best, want.best) {
+						t.Fatalf("%s: next frontier or top-k differ", name)
+					}
+					if maxEval == 50000 && limit == 0 && len(got.passed) > 64 {
+						wide = true
+					}
+				}
+			}
+			// The one-row exclusion fired when list2 listed fewer children
+			// than the later positions of every parent.
+			s.list2(frontier, math.MaxInt)
+			if n := len(frontier); s.listed < n*(n-1)/2 {
+				excluded = true
+			}
+			s.release()
+		}
+	}
+	if !excluded {
+		t.Error("no input has two pairs of one one-row source class: the exclusion went unexercised")
+	}
+	if !wide {
+		t.Error("no input keeps more than 64 level-2 children at MaxFrontier 0")
+	}
+}
+
+// TestEvaluateBound checks evaluate's bound on random signature multisets
+// of Example 5.1's pairs: at bound +Inf, at the set's own balance and just
+// above it, balance and block count always match an unbounded evaluation,
+// and the cost matches whenever the balance is below the bound; otherwise
+// it is +Inf.
+func TestEvaluateBound(t *testing.T) {
+	g := example51Generator(t)
+	sp := g.EnumerateScoredPairs(0)
+	ctx := g.newEvalCtx(sp, 1, 1)
+	var scr evalScratch
+	rng := rand.New(rand.NewSource(7))
+	nsig := len(ctx.sigs) / ctx.sigLen
+	below, atOrAbove := 0, 0
+	for trial := 0; trial < 400; trial++ {
+		sigs := make([]int32, rng.Intn(4))
+		for i := range sigs {
+			sigs[i] = int32(rng.Intn(nsig))
+		}
+		slices.Sort(sigs)
+		b, k := ctx.partition(sigs, &scr)
+		c := ctx.price(sigs, &scr)
+		for _, bound := range []float64{math.Inf(1), b, math.Nextafter(b, math.Inf(1))} {
+			gc, gb, gk := ctx.evaluate(sigs, bound, &scr)
+			if gb != b || gk != k {
+				t.Fatalf("%v at bound %v: balance %v k=%d, unbounded %v k=%d", sigs, bound, gb, gk, b, k)
+			}
+			switch {
+			case b < bound:
+				below++
+				if gc != c {
+					t.Fatalf("%v at bound %v: cost %v, unbounded %v", sigs, bound, gc, c)
+				}
+			default:
+				atOrAbove++
+				if !math.IsInf(gc, 1) {
+					t.Fatalf("%v at bound %v: cost %v, want +Inf", sigs, bound, gc)
+				}
+			}
+		}
+	}
+	if below == 0 || atOrAbove == 0 {
+		t.Fatalf("%d evaluations below their bound, %d not: want both", below, atOrAbove)
+	}
 }

@@ -11,12 +11,10 @@ import (
 	"qfe/internal/tupleclass"
 )
 
-// ScoredPair is an (STC, DTC) pair with its single-pair partition statistics
-// cached for Algorithm 4.
+// ScoredPair is an (STC, DTC) pair with its single-pair balance score.
 type ScoredPair struct {
 	Pair    tupleclass.Pair
 	Balance float64
-	Sizes   []int
 }
 
 // SkylineStats reports Algorithm 3's enumeration effort and the Lemma 3.1
@@ -38,7 +36,7 @@ type SkylineStats struct {
 // for the iteration-count estimate used by Algorithm 4's cost evaluations.
 //
 // The source classes of each level are enumerated on the worker pool, each
-// into its own accumulator, and the per-class skylines merged in class
+// into its own classSkyline, and the per-class skylines merged in class
 // order. Every source class of level i has the same number C_i of
 // destination classes (Space.CountClassesAt), so the pair budget is split
 // into per-class quotas up front: class ci may enumerate
@@ -53,137 +51,135 @@ func (g *Generator) SkylinePairs() ([]ScoredPair, SkylineStats) {
 	var (
 		sp       []ScoredPair
 		stats    SkylineStats
-		acc      = newSkylineAcc()
 		timedOut atomic.Bool
 	)
-	cases := make([]*tupleclass.Cases, g.workers)
-	for w := range cases {
-		cases[w] = g.Space.NewCases()
+	// The running minimum and the best binary partition over the levels so
+	// far, as the serial sweep would hold them after each level.
+	minBalance, bestBinary := math.Inf(1), math.Inf(1)
+	bufs := make([]skylineBuf, g.workers)
+	for w := range bufs {
+		bufs[w].cases = g.Space.NewCases()
 	}
-	n := g.Space.NumPredicateAttrs()
+	classes := make([]classSkyline, len(g.srcClasses))
+	var merged []int // contributing classes of a level, in class order
+	n, width := g.Space.NumPredicateAttrs(), len(g.Space.Parts)
 	for i := 1; i <= n; i++ {
 		quota := func(int) int { return math.MaxInt }
 		if budget.MaxPairs > 0 {
-			remaining := budget.MaxPairs - acc.enumerated
+			remaining := budget.MaxPairs - stats.Enumerated
 			perClass := g.Space.CountClassesAt(i, remaining)
 			quota = func(ci int) int { return min(perClass, max(0, remaining-ci*perClass)) }
 		}
-		locals := make([]skylineAcc, len(g.srcClasses))
+		seed := minBalance
 		par.DoIndexed(len(g.srcClasses), g.workers, func(w, ci int) {
-			local := &locals[ci]
-			*local = newSkylineAcc()
+			buf, cs := &bufs[w], &classes[ci]
+			*cs = classSkyline{worker: w, start: len(buf.dst), min: seed, bestBinary: math.Inf(1)}
 			limit := quota(ci)
 			if limit == 0 || timedOut.Load() {
 				return
 			}
 			g.Space.EnumerateClassesAt(g.srcClasses[ci].Class, i, func(dst tupleclass.Class) bool {
-				local.observe(g.score(ci, dst, cases[w]))
+				sizes, b := g.score(ci, dst, buf.cases)
+				cs.observe(buf, dst, sizes, b)
 				if budget.MaxDuration > 0 && time.Since(start) >= budget.MaxDuration {
 					timedOut.Store(true)
 					return false
 				}
-				return local.enumerated < limit && !timedOut.Load()
+				return cs.enumerated < limit && !timedOut.Load()
 			})
 		})
-		for ci := range locals {
-			acc.merge(&locals[ci])
+		// Merge in class order, the rule observe applies pair by pair: a
+		// class whose minimum strictly improves the running minimum
+		// restarts the level's skyline, a tie appends to it.
+		merged = merged[:0]
+		kept := 0
+		for ci := range classes {
+			cs := &classes[ci]
+			stats.Enumerated += cs.enumerated
+			if cs.bestBinary < bestBinary {
+				bestBinary, stats.X = cs.bestBinary, cs.x
+			}
+			switch {
+			case cs.min < minBalance:
+				minBalance = cs.min
+				merged, kept = append(merged[:0], ci), cs.count
+			case cs.min == minBalance && cs.count > 0:
+				merged, kept = append(merged, ci), kept+cs.count
+			}
 		}
-		sp = append(sp, acc.drain()...)
-		if timedOut.Load() || (budget.MaxPairs > 0 && acc.enumerated >= budget.MaxPairs) {
+		// Materialise the level's pairs, their destinations carved from
+		// one arena.
+		sp = slices.Grow(sp, kept)
+		arena := make([]int, kept*width)
+		for _, ci := range merged {
+			cs := &classes[ci]
+			src := bufs[cs.worker].dst[cs.start : cs.start+cs.count*width]
+			for off := 0; off < len(src); off += width {
+				dst := tupleclass.Class(arena[:width:width])
+				arena = arena[width:]
+				copy(dst, src[off:off+width])
+				sp = append(sp, ScoredPair{Pair: tupleclass.NewPair(g.srcClasses[ci].Class, dst), Balance: minBalance})
+			}
+		}
+		for w := range bufs {
+			bufs[w].dst = bufs[w].dst[:0]
+		}
+		if timedOut.Load() || (budget.MaxPairs > 0 && stats.Enumerated >= budget.MaxPairs) {
 			stats.Truncated = true
 			break
 		}
 	}
-	stats.Enumerated = acc.enumerated
-	stats.X = acc.x
 	return sp, stats
 }
 
-// skylineAcc accumulates Algorithm 3's running-minimum state. SkylinePairs
-// keeps one per (level, source class), fed pair by pair through observe,
-// and folds them into a running accumulator in class order through merge,
-// which applies the same selection rule to a whole class at once.
-type skylineAcc struct {
-	pairs      []ScoredPair // pairs at minBalance, in enumeration order
-	minBalance float64
-	bestBinary float64 // best balance among binary partitions seen
-	x          int     // Lemma 3.1's x, from the first bestBinary achiever
-	enumerated int
+// skylineBuf is one worker's scratch for Algorithm 3: its case masks, and
+// the destination classes its source classes keep at the current level,
+// back to back, each class's a contiguous run.
+type skylineBuf struct {
+	cases *tupleclass.Cases
+	dst   []int
 }
 
-func newSkylineAcc() skylineAcc {
-	return skylineAcc{minBalance: math.Inf(1), bestBinary: math.Inf(1)}
+// classSkyline is one source class's skyline at one level: the count
+// destinations it keeps in its worker's buffer from start on, all at
+// balance min, and the best binary partition it saw with its x. min starts
+// at the running minimum of the levels before, so a class that cannot join
+// the level's skyline keeps nothing.
+type classSkyline struct {
+	worker, start, count int
+	min                  float64
+	bestBinary           float64
+	x                    int
+	enumerated           int
 }
 
-// observe applies one enumerated pair: keep it if it ties the running
-// minimum balance, restart the skyline if it strictly improves it, and
-// extract x from the most balanced binary partition seen so far. p's
-// destination class and sizes are borrowed (see kept).
-func (a *skylineAcc) observe(p tupleclass.Pair, sizes []int, b float64) {
-	a.enumerated++
-	if len(sizes) == 2 && b < a.bestBinary {
-		a.bestBinary = b
-		x := sizes[0]
-		if sizes[1] < x {
-			x = sizes[1]
-		}
-		a.x = x
+// observe applies one enumerated pair: keep its destination if it ties the
+// class minimum, restart the class's run if it strictly improves it, and
+// extract x from the most balanced binary partition seen so far.
+func (c *classSkyline) observe(buf *skylineBuf, dst tupleclass.Class, sizes []int, b float64) {
+	c.enumerated++
+	if len(sizes) == 2 && b < c.bestBinary {
+		c.bestBinary, c.x = b, min(sizes[0], sizes[1])
 	}
 	switch {
-	case b < a.minBalance:
-		a.minBalance = b
-		a.pairs = append(a.pairs[:0], kept(p, sizes, b))
-	case b == a.minBalance && !math.IsInf(b, 1):
-		a.pairs = append(a.pairs, kept(p, sizes, b))
+	case b < c.min:
+		c.min, c.count = b, 1
+		buf.dst = append(buf.dst[:c.start], dst...)
+	case b == c.min && !math.IsInf(b, 1):
+		c.count++
+		buf.dst = append(buf.dst, dst...)
 	}
-}
-
-// kept is the ScoredPair of an enumerated pair that outlives its
-// callback. The destination class is the enumerator's and the sizes are
-// the caller's scratch, both rewritten for the next pair, so it copies
-// them.
-func kept(p tupleclass.Pair, sizes []int, b float64) ScoredPair {
-	p.Dst = p.Dst.Clone()
-	return ScoredPair{Pair: p, Balance: b, Sizes: slices.Clone(sizes)}
-}
-
-// merge folds a class-local accumulator into the level accumulator, in
-// class order — the same rule observe applies pair by pair: a class whose
-// local minimum strictly improves the running minimum resets the level
-// skyline, a tie appends in order.
-func (a *skylineAcc) merge(local *skylineAcc) {
-	a.enumerated += local.enumerated
-	if local.bestBinary < a.bestBinary {
-		a.bestBinary = local.bestBinary
-		a.x = local.x
-	}
-	switch {
-	case local.minBalance < a.minBalance:
-		a.minBalance = local.minBalance
-		a.pairs = append(a.pairs[:0], local.pairs...)
-	case local.minBalance == a.minBalance && !math.IsInf(local.minBalance, 1):
-		a.pairs = append(a.pairs, local.pairs...)
-	}
-}
-
-// drain returns the pairs collected since the last drain (one level's
-// skyline) and clears them, keeping the running minima for the next level.
-func (a *skylineAcc) drain() []ScoredPair {
-	pairs := a.pairs
-	a.pairs = nil
-	return pairs
 }
 
 // score computes the single-pair partition statistics of the pair from
-// source class srcClasses[ci] to dst. It runs once per enumerated (STC, DTC)
-// pair, so the cases come from the source class's precomputed match mask
-// and word operations on the caller's scratch; the sizes live in that
-// scratch too.
-func (g *Generator) score(ci int, dst tupleclass.Class, cs *tupleclass.Cases) (tupleclass.Pair, []int, float64) {
-	p := tupleclass.NewPair(g.srcClasses[ci].Class, dst)
-	g.Space.CaseMasks(p, g.srcMatch[ci], cs)
+// source class srcClasses[ci] to dst: its block sizes and balance. It runs
+// once per enumerated (STC, DTC) pair, so the cases come from the source
+// class's precomputed match mask and word operations on the caller's
+// scratch; the sizes live in that scratch too.
+func (g *Generator) score(ci int, dst tupleclass.Class, cs *tupleclass.Cases) ([]int, float64) {
+	g.Space.CaseMasks(tupleclass.Pair{Src: g.srcClasses[ci].Class, Dst: dst}, g.srcMatch[ci], cs)
 	sizes := cs.Sizes()
-	return p, sizes, cost.Balance(sizes)
+	return sizes, cost.Balance(sizes)
 }
 
 // EnumerateScoredPairs collects up to maxPairs splitting pairs (finite
@@ -198,8 +194,9 @@ func (g *Generator) EnumerateScoredPairs(maxPairs int) []ScoredPair {
 	for i := 1; i <= n; i++ {
 		for ci, sc := range g.srcClasses {
 			g.Space.EnumerateClassesAt(sc.Class, i, func(dst tupleclass.Class) bool {
-				if p, sizes, b := g.score(ci, dst, cs); !math.IsInf(b, 1) {
-					out = append(out, kept(p, sizes, b))
+				if _, b := g.score(ci, dst, cs); !math.IsInf(b, 1) {
+					// dst is the enumerator's, rewritten for the next class.
+					out = append(out, ScoredPair{Pair: tupleclass.NewPair(sc.Class, dst.Clone()), Balance: b})
 				}
 				return maxPairs <= 0 || len(out) < maxPairs
 			})

@@ -121,16 +121,23 @@ type Space struct {
 func NewSpace(joined *relation.Columnar, queries []*algebra.Query) (*Space, error) {
 	s := &Space{Joined: joined, Queries: queries}
 
-	// Collect terms per attribute, deduplicated by canonical key.
+	// Collect terms per attribute, deduplicated by canonical key. keys holds
+	// every query term's key in predicate order, so the compile loop below
+	// builds none.
 	termsByAttr := make(map[string]map[string]algebra.Term)
+	var keys []string
 	for _, q := range queries {
-		for _, t := range q.Pred.Terms() {
-			m := termsByAttr[t.Attr]
-			if m == nil {
-				m = make(map[string]algebra.Term)
-				termsByAttr[t.Attr] = m
+		for _, conj := range q.Pred {
+			for _, t := range conj {
+				m := termsByAttr[t.Attr]
+				if m == nil {
+					m = make(map[string]algebra.Term)
+					termsByAttr[t.Attr] = m
+				}
+				k := t.Key()
+				m[k] = t
+				keys = append(keys, k)
 			}
-			m[t.Key()] = t
 		}
 	}
 	s.Attrs = make([]string, 0, len(termsByAttr))
@@ -144,6 +151,9 @@ func NewSpace(joined *relation.Columnar, queries []*algebra.Query) (*Space, erro
 		attrIdx[a] = i
 	}
 
+	// termIdx[i] maps a term key to its index in Parts[i].Terms, which are
+	// in sorted-key order.
+	termIdx := make([]map[string]int, len(s.Attrs))
 	s.frozen = make([]bool, len(s.Attrs))
 	s.Parts = make([]*Partition, len(s.Attrs))
 	schema := joined.Schema()
@@ -152,14 +162,16 @@ func NewSpace(joined *relation.Columnar, queries []*algebra.Query) (*Space, erro
 		if col < 0 {
 			return nil, fmt.Errorf("tupleclass: predicate attribute %q not in joined schema", a)
 		}
-		terms := make([]algebra.Term, 0, len(termsByAttr[a]))
-		keys := make([]string, 0, len(termsByAttr[a]))
+		sorted := make([]string, 0, len(termsByAttr[a]))
 		for k := range termsByAttr[a] {
-			keys = append(keys, k)
+			sorted = append(sorted, k)
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			terms = append(terms, termsByAttr[a][k])
+		sort.Strings(sorted)
+		terms := make([]algebra.Term, len(sorted))
+		termIdx[i] = make(map[string]int, len(sorted))
+		for j, k := range sorted {
+			terms[j] = termsByAttr[a][k]
+			termIdx[i][k] = j
 		}
 		s.Parts[i] = buildPartition(a, col, schema[col].Type, terms,
 			joined.Col(col).Dict, joined.SortedCodes(col))
@@ -174,18 +186,8 @@ func NewSpace(joined *relation.Columnar, queries []*algebra.Query) (*Space, erro
 			refs := make([]termRef, len(conj))
 			for ti, t := range conj {
 				pi := attrIdx[t.Attr]
-				found := -1
-				key := t.Key()
-				for j, pt := range s.Parts[pi].Terms {
-					if pt.Key() == key {
-						found = j
-						break
-					}
-				}
-				if found < 0 {
-					return nil, fmt.Errorf("tupleclass: internal: term %s not registered", t)
-				}
-				refs[ti] = termRef{part: pi, term: found}
+				refs[ti] = termRef{part: pi, term: termIdx[pi][keys[0]]}
+				keys = keys[1:]
 			}
 			prog[ci] = refs
 		}
