@@ -338,17 +338,7 @@ func BenchmarkMicroBatchEval(b *testing.B) {
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := algebra.BatchEvaluateOnJoined(sc.QC, col, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// The block-parallel scan at GOMAXPROCS workers; with -cpu 1,2,4,8 this
-	// sub-benchmark becomes the batch engine's scaling curve.
-	b.Run("batch-parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := algebra.BatchEvaluateOnJoined(sc.QC, col, runtime.GOMAXPROCS(0)); err != nil {
+			if _, err := algebra.BatchEvaluateOnJoined(sc.QC, col); err != nil {
 				b.Fatal(err)
 			}
 		}

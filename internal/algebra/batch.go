@@ -31,19 +31,8 @@ import (
 	"slices"
 	"sort"
 
-	"qfe/internal/par"
 	"qfe/internal/relation"
 )
-
-// batchBlockRows is the row-block granularity of the parallel scan: 4096
-// rows = 64 bitmap words, small enough that a block's column codes and
-// bitmap spans stay cache-resident, and a multiple of 64 so two blocks never
-// share a bitmap word — concurrent blocks write disjoint word ranges and
-// "merge" by construction, with no barrier, lock or combining pass. Blocks
-// are distributed by the work-stealing scheduler (internal/par, DESIGN.md
-// §10); results are byte-identical at every worker count because every write
-// is row-position-addressed.
-const batchBlockRows = 4096
 
 // batchProgram is the compiled form of a candidate batch: a deduplicated
 // term table plus, per query, the DNF structure as term ids.
@@ -138,80 +127,34 @@ func (t Term) MatchCodes(dict []relation.Value, out []bool) {
 	}
 }
 
-// termBitmaps evaluates every unique term once per dictionary code and
-// expands the outcomes into per-term row bit vectors. A term whose column is
-// missing from the schema gets a nil vector (constant false, mirroring the
-// scalar Compile behaviour).
-//
-// The expansion is the batch engine's row scan, and it parallelises over
-// 64-aligned row blocks: dictionaries build first (concurrently per
-// referenced column; Col is Once-guarded either way), then the per-code
-// outcome tables (concurrently per term, carved from one arena), and finally
-// each block fills its disjoint word range of every term's bitmap. Bit
-// positions are row positions, so the assembled vectors are identical to the
-// serial fill no matter which worker handled which block.
-func (bp *batchProgram) termBitmaps(col *relation.Columnar, words, workers, blockRows int) [][]uint64 {
-	// Distinct referenced columns (the term table is small: linear dedup).
-	var uniq []int
-	for _, ci := range bp.cols {
+// termBitmaps evaluates every unique term once per dictionary code of its
+// column and expands the outcomes into per-term row bit vectors, one pass
+// over the column's codes per term. A term whose column is missing from the
+// schema gets a nil vector (constant false, mirroring the scalar Compile
+// behaviour).
+func (bp *batchProgram) termBitmaps(col *relation.Columnar, words int) [][]uint64 {
+	tb := make([][]uint64, len(bp.terms))
+	arena := make([]uint64, len(bp.terms)*words)
+	var outcomes []bool
+	for ti := range bp.terms {
+		ci := bp.cols[ti]
 		if ci < 0 {
 			continue
 		}
-		dup := false
-		for _, u := range uniq {
-			if u == ci {
-				dup = true
-				break
+		cd := col.Col(ci)
+		if cap(outcomes) < len(cd.Dict) {
+			outcomes = make([]bool, len(cd.Dict))
+		}
+		oc := outcomes[:len(cd.Dict)]
+		bp.terms[ti].MatchCodes(cd.Dict, oc)
+		bm := arena[ti*words : (ti+1)*words : (ti+1)*words]
+		for ri, code := range cd.Codes {
+			if oc[code] {
+				bm[ri>>6] |= 1 << (ri & 63)
 			}
 		}
-		if !dup {
-			uniq = append(uniq, ci)
-		}
+		tb[ti] = bm
 	}
-	par.Do(len(uniq), workers, func(k int) { col.Col(uniq[k]) })
-
-	// Per-term outcome tables — term result per dictionary code — in one
-	// arena, sized now that the dictionaries exist.
-	offs := make([]int, len(bp.terms)+1)
-	for ti := range bp.terms {
-		sz := 0
-		if ci := bp.cols[ti]; ci >= 0 {
-			sz = len(col.Col(ci).Dict)
-		}
-		offs[ti+1] = offs[ti] + sz
-	}
-	outcomes := make([]bool, offs[len(bp.terms)])
-	par.Do(len(bp.terms), workers, func(ti int) {
-		if ci := bp.cols[ti]; ci >= 0 {
-			bp.terms[ti].MatchCodes(col.Col(ci).Dict, outcomes[offs[ti]:offs[ti+1]])
-		}
-	})
-
-	// One backing array for all term bitmaps; blocks write disjoint word
-	// ranges of it (blockRows is a multiple of 64).
-	tb := make([][]uint64, len(bp.terms))
-	arena := make([]uint64, len(bp.terms)*words)
-	for ti := range bp.terms {
-		if bp.cols[ti] >= 0 {
-			tb[ti] = arena[ti*words : (ti+1)*words : (ti+1)*words]
-		}
-	}
-	par.DoBlocks(col.NumRows(), blockRows, workers, func(_, lo, hi int) {
-		for ti := range bp.terms {
-			ci := bp.cols[ti]
-			if ci < 0 {
-				continue
-			}
-			oc := outcomes[offs[ti]:offs[ti+1]]
-			bm := tb[ti]
-			codes := col.Col(ci).Codes
-			for ri := lo; ri < hi; ri++ {
-				if oc[codes[ri]] {
-					bm[ri>>6] |= 1 << (ri & 63)
-				}
-			}
-		}
-	})
 	return tb
 }
 
@@ -256,35 +199,19 @@ func selectionVector(prog [][]int, termBits [][]uint64, full []uint64, tmp []uin
 
 // BatchEvaluateOnJoined evaluates a batch of candidate queries against one
 // joined relation in a single shared scan, returning one result per query in
-// input order, on a pool of workers: the row scan runs block-parallel
-// (termBitmaps), the per-query DNF combines run query-parallel with
-// per-worker scratch, and materialisation fills its arena block-parallel
-// behind per-block popcount offsets. Results are byte-identical to calling
-// EvaluateOnJoined per query (same tuple order, schema and name) at every
-// worker count; batch_test.go pins this differentially, including under
-// forced hash collisions. Queries sharing a projection and a selection
-// vector share the materialised tuple storage, so callers must treat
-// results as immutable — the contract evaluation results already have
-// everywhere.
-func BatchEvaluateOnJoined(queries []*Query, col *relation.Columnar, workers int) ([]*relation.Relation, error) {
-	return batchEvaluate(queries, col, workers, batchBlockRows)
-}
-
-// batchEvaluate is BatchEvaluateOnJoined with the block size injectable so
-// tests can straddle row-count boundaries (rows % blockRows ∈ {0, 1,
-// blockRows−1}) at tiny sizes. blockRows is rounded up to a multiple of 64:
-// the disjoint-word-write argument above needs block boundaries on word
-// boundaries.
-func batchEvaluate(queries []*Query, col *relation.Columnar, workers, blockRows int) ([]*relation.Relation, error) {
+// input order. Results are byte-identical to calling EvaluateOnJoined per
+// query (same tuple order, schema and name); batch_test.go pins this
+// differentially, including under forced hash collisions. Queries sharing a
+// projection and a selection vector share the materialised tuple storage, so
+// callers must treat results as immutable — the contract evaluation results
+// already have everywhere.
+//
+// The scan runs on the caller's goroutine: it is a few percent of a round at
+// most, and splitting it across workers measured slower on every benchmark
+// workload (DESIGN.md §4).
+func BatchEvaluateOnJoined(queries []*Query, col *relation.Columnar) ([]*relation.Relation, error) {
 	mBatchScans.Inc()
 	mBatchQueries.Add(uint64(len(queries)))
-	if workers < 1 {
-		workers = 1
-	}
-	if blockRows < 64 {
-		blockRows = 64
-	}
-	blockRows = (blockRows + 63) &^ 63
 	joined := col.Source
 	n := joined.Len()
 	words := (n + 63) / 64
@@ -297,22 +224,11 @@ func batchEvaluate(queries []*Query, col *relation.Columnar, workers, blockRows 
 	}
 
 	bp := compileBatch(queries, joined.Schema)
-	termBits := bp.termBitmaps(col, words, workers, blockRows)
-
-	// Per-query selection vectors: the word-wide OR-of-AND combines are
-	// independent per query, so they spread across the pool with one scratch
-	// vector per worker. The dedup below stays serial in query order.
-	selVecs := make([][]uint64, len(queries))
-	tmps := make([][]uint64, workers)
-	par.DoIndexed(len(queries), workers, func(worker, qi int) {
-		if tmps[worker] == nil {
-			tmps[worker] = make([]uint64, words)
-		}
-		selVecs[qi] = selectionVector(bp.progs[qi], termBits, full, tmps[worker])
-	})
+	termBits := bp.termBitmaps(col, words)
 
 	// Selection vectors, deduplicated: queries with equal vectors share one
-	// selID (hash of the words, equality-verified on collision).
+	// selID (hash of the words, equality-verified on collision). One scratch
+	// vector serves every query's DNF combine.
 	type selEntry struct {
 		hash uint64
 		sel  []uint64
@@ -320,8 +236,9 @@ func batchEvaluate(queries []*Query, col *relation.Columnar, workers, blockRows 
 	var sels []selEntry
 	selByHash := make(map[uint64][]int)
 	selID := make([]int, len(queries))
+	tmp := make([]uint64, words)
 	for qi := range queries {
-		sel := selVecs[qi]
+		sel := selectionVector(bp.progs[qi], termBits, full, tmp)
 		h := hashWords(sel)
 		id := -1
 		for _, cand := range selByHash[h] {
@@ -367,7 +284,7 @@ func batchEvaluate(queries []*Query, col *relation.Columnar, workers, blockRows 
 			bag := findShared(q.Projection, selID[qi], false)
 			if bag == nil {
 				var err error
-				bag, err = materializeSelection(joined, sels[selID[qi]].sel, q.Projection, workers, blockRows)
+				bag, err = materializeSelection(joined, sels[selID[qi]].sel, q.Projection)
 				if err != nil {
 					return nil, fmt.Errorf("algebra: evaluate %s: %w", q.Name, err)
 				}
@@ -385,16 +302,9 @@ func batchEvaluate(queries []*Query, col *relation.Columnar, workers, blockRows 
 }
 
 // materializeSelection projects the selected rows, in row order, into a
-// fresh relation whose tuples are carved from one arena allocation.
-//
-// The fill parallelises without changing a byte of the output: a first
-// block-parallel pass popcounts each word block of the selection vector, a
-// serial exclusive prefix sum turns the counts into per-block arena offsets,
-// and a second block-parallel pass writes each block's rows at its offset —
-// every tuple lands at the exact arena slot the serial scan would have given
-// it, so row order (and storage sharing downstream) is position-determined,
-// not schedule-determined.
-func materializeSelection(joined *relation.Relation, sel []uint64, projection []string, workers, blockRows int) (*relation.Relation, error) {
+// fresh relation whose tuples are carved from one arena allocation: a
+// popcount pass sizes the arena, and a fill pass writes the rows.
+func materializeSelection(joined *relation.Relation, sel []uint64, projection []string) (*relation.Relation, error) {
 	schema, err := joined.Schema.Project(projection)
 	if err != nil {
 		return nil, err
@@ -404,45 +314,28 @@ func materializeSelection(joined *relation.Relation, sel []uint64, projection []
 		projIdx[i] = joined.Schema.IndexOf(name)
 	}
 
-	blockWords := blockRows / 64
-	nBlocks := 0
-	if len(sel) > 0 {
-		nBlocks = (len(sel) + blockWords - 1) / blockWords
+	count := 0
+	for _, word := range sel {
+		count += bits.OnesCount64(word)
 	}
-	blockOff := make([]int, nBlocks+1)
-	par.DoBlocks(len(sel), blockWords, workers, func(_, wlo, whi int) {
-		c := 0
-		for w := wlo; w < whi; w++ {
-			c += bits.OnesCount64(sel[w])
-		}
-		blockOff[wlo/blockWords+1] = c
-	})
-	for b := 0; b < nBlocks; b++ {
-		blockOff[b+1] += blockOff[b]
-	}
-	count := blockOff[nBlocks]
-
 	arity := len(projIdx)
 	arena := make([]relation.Value, count*arity)
 	tuples := make([]relation.Tuple, count)
-	par.DoBlocks(len(sel), blockWords, workers, func(_, wlo, whi int) {
-		k := blockOff[wlo/blockWords]
-		for w := wlo; w < whi; w++ {
-			word := sel[w]
-			base := w << 6
-			for word != 0 {
-				ri := base + bits.TrailingZeros64(word)
-				word &= word - 1
-				t := joined.Tuples[ri]
-				row := arena[k*arity : (k+1)*arity : (k+1)*arity]
-				for i, j := range projIdx {
-					row[i] = t[j]
-				}
-				tuples[k] = relation.Tuple(row)
-				k++
+	k := 0
+	for w, word := range sel {
+		base := w << 6
+		for word != 0 {
+			ri := base + bits.TrailingZeros64(word)
+			word &= word - 1
+			t := joined.Tuples[ri]
+			row := arena[k*arity : (k+1)*arity : (k+1)*arity]
+			for i, j := range projIdx {
+				row[i] = t[j]
 			}
+			tuples[k] = relation.Tuple(row)
+			k++
 		}
-	})
+	}
 	return &relation.Relation{Name: joined.Name, Schema: schema, Tuples: tuples}, nil
 }
 
@@ -467,10 +360,7 @@ const (
 // value) instead of once per query, and the per-query Lemma 5.1 case
 // analysis then runs on cached term outcomes. It needs no columnar view —
 // the modified-row count is small, so terms evaluate directly on the
-// tuples. For the same reason the pass stays serial: a round modifies β
-// edits' worth of rows plus side effects — far below the row counts where
-// the block-parallel scan above starts paying. Deltas are byte-identical to
-// DeltaOnJoined per query.
+// tuples. Deltas are byte-identical to DeltaOnJoined per query.
 func BatchDeltaOnJoined(queries []*Query, joined *relation.Relation, modified map[int]relation.Tuple) ([]ResultDelta, error) {
 	mDeltaBatches.Inc()
 	mDeltaQueries.Add(uint64(len(queries)))

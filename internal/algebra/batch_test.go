@@ -90,7 +90,7 @@ func checkBatchEvaluate(t *testing.T, seed int64) {
 		rel := randBatchRelation(rng)
 		qs := randBatch(rng)
 		col := relation.NewColumnar(rel)
-		batch, err := BatchEvaluateOnJoined(qs, col, 1)
+		batch, err := BatchEvaluateOnJoined(qs, col)
 		if err != nil {
 			t.Logf("batch evaluate: %v", err)
 			return false
@@ -214,7 +214,7 @@ func TestBatchEvaluateErrors(t *testing.T) {
 	col := relation.NewColumnar(rel)
 	good := &Query{Name: "G", Tables: []string{"T"}, Projection: []string{"T.a"}}
 	bad := &Query{Name: "B", Tables: []string{"T"}, Projection: []string{"T.missing"}}
-	if _, err := BatchEvaluateOnJoined([]*Query{good, bad}, col, 1); err == nil {
+	if _, err := BatchEvaluateOnJoined([]*Query{good, bad}, col); err == nil {
 		t.Error("missing projection column should error")
 	}
 	if _, err := BatchDeltaOnJoined([]*Query{good, bad}, rel,
@@ -239,7 +239,7 @@ func TestBatchEvaluateSharesStorage(t *testing.T) {
 	q1 := randQuery(rng, "A")
 	q2 := q1.Clone()
 	q2.Name = "B"
-	res, err := BatchEvaluateOnJoined([]*Query{q1, q2}, relation.NewColumnar(rel), 1)
+	res, err := BatchEvaluateOnJoined([]*Query{q1, q2}, relation.NewColumnar(rel))
 	if err != nil {
 		t.Fatal(err)
 	}

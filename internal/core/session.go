@@ -39,12 +39,12 @@ type Config struct {
 	// (safety; the loop provably shrinks QC every round otherwise).
 	MaxIterations int
 	// Parallelism sets the worker count for the session's parallel loops:
-	// the equivalence-class truth-table enumeration here and the Database
-	// Generator's candidate evaluation, skyline enumeration and Algorithm 4
-	// scoring. 0 selects GOMAXPROCS; 1 runs every loop serially, which every
-	// other count reproduces exactly unless the δ time budget truncates
-	// enumeration (see dbgen.Generator.SkylinePairs). NewStepSession
-	// rejects a count below 0 or above MaxParallelism.
+	// the Database Generator's skyline enumeration (Algorithm 3) and
+	// Algorithm 4's per-pair signatures and scoring. The rest of a round
+	// runs serially. 0 selects GOMAXPROCS; 1 runs every loop serially,
+	// which every other count reproduces exactly unless the δ time budget
+	// truncates enumeration (see dbgen.Generator.SkylinePairs).
+	// NewStepSession rejects a count below 0 or above MaxParallelism.
 	Parallelism int
 }
 
@@ -417,7 +417,7 @@ func (s *Session) advance() (*Round, error) {
 				s.complete()
 				return nil, nil
 			}
-			if err := s.beginGroup(s.groups[s.groupKeys[s.gi]]); err != nil {
+			if err := s.beginGroup(); err != nil {
 				return nil, err
 			}
 		}
@@ -472,10 +472,11 @@ func (s *Session) advance() (*Round, error) {
 	}
 }
 
-// beginGroup prepares winnowing of one join-schema group: computes (or
-// reuses) its foreign-key join and pre-merges candidates that no reachable
-// modification can distinguish.
-func (s *Session) beginGroup(qc []*algebra.Query) error {
+// beginGroup prepares winnowing of the current join-schema group: computes
+// (or reuses) its foreign-key join and pre-merges candidates that no
+// reachable modification can distinguish.
+func (s *Session) beginGroup() error {
+	qc := s.groups[s.groupKeys[s.gi]]
 	joined, err := s.joinFor(qc[0])
 	if err != nil {
 		return err
@@ -496,7 +497,7 @@ func (s *Session) beginGroup(qc []*algebra.Query) error {
 	// them are indistinguishable by any reachable database and merge here
 	// instead of burning winnowing rounds that must end in ErrNoSplit.
 	space.Freeze(joined.KeyCols)
-	eq := space.IndistinguishableGroups(maxEquivCombos, s.Config.Parallelism)
+	eq := space.IndistinguishableGroups(maxEquivCombos)
 	s.reps = s.reps[:0:0]
 	for _, grp := range eq {
 		rep := qc[grp[0]]

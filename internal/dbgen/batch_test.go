@@ -108,9 +108,8 @@ func TestPartitionConcreteBatchMatchesScalar(t *testing.T) {
 }
 
 // TestGenerateDeterministicAcrossWorkerCounts runs the full Algorithm 2
-// pipeline — now routed through the batch engine — at several worker counts
-// and requires bit-identical outcomes. Under -race this doubles as the
-// batch engine's concurrency test.
+// pipeline — candidate evaluation through the batch engine — at several
+// worker counts and requires bit-identical outcomes.
 func TestGenerateDeterministicAcrossWorkerCounts(t *testing.T) {
 	d, j, qc, r := example11(t)
 	ref, err := New(db.NewKeys(d), j, qc, r, testOptions(), 1)

@@ -100,11 +100,12 @@ type Generator struct {
 	R       *relation.Relation
 	Opts    Options
 
-	// workers is the worker count of every parallel loop: candidate
-	// evaluation, skyline (STC, DTC) enumeration, Algorithm 4's per-pair
-	// case masks and its per-level scoring pass, and the concrete
-	// partitioning. Every count reproduces the one-worker result exactly,
-	// unless the δ time budget truncates enumeration (see SkylinePairs).
+	// workers is the worker count of the round's parallel loops: skyline
+	// (STC, DTC) enumeration, Algorithm 4's per-pair case masks and its
+	// per-level scoring pass. Candidate evaluation and the concrete
+	// partitioning run serially. Every count reproduces the one-worker
+	// result exactly, unless the δ time budget truncates enumeration (see
+	// SkylinePairs).
 	workers int
 
 	baseResults []*relation.Relation // Q(D) per query (= R for true candidates)
@@ -178,7 +179,7 @@ func (g *Generator) evaluateBase() ([]*relation.Relation, error) {
 		}
 		qs[i] = q
 	}
-	return algebra.BatchEvaluateOnJoined(qs, g.Joined.Columnar(), g.workers)
+	return algebra.BatchEvaluateOnJoined(qs, g.Joined.Columnar())
 }
 
 // Result is the outcome of one Database-Generator invocation, carrying the
@@ -319,15 +320,13 @@ func (g *Generator) observeResult(res *Result, start time.Time) {
 }
 
 // partitionConcrete evaluates every query incrementally against the edits
-// and groups them by result fingerprint. The Lemma 5.1 deltas for the whole
-// candidate set come from one shared pass over the modified rows
-// (algebra.BatchDeltaOnJoined: unique terms evaluated once per row, not once
-// per query), and the fingerprints from incremental maintenance of each
-// base result (Query.DeltaFingerprint) — re-scanning nothing. Fingerprints
-// and the per-block result materialisation + edit-distance costing run on
-// the configured worker pool with indexed output slots; grouping stays
-// serial in query order, so the partition (and everything downstream) is
-// byte-identical at every worker count.
+// and groups them by result fingerprint, in query order. The Lemma 5.1
+// deltas for the whole candidate set come from one shared pass over the
+// modified rows (algebra.BatchDeltaOnJoined: unique terms evaluated once per
+// row, not once per query), and the fingerprints from incremental
+// maintenance of each base result (Query.DeltaFingerprint) — re-scanning
+// nothing. Each block's result is then materialised from its first query and
+// costed against R.
 func (g *Generator) partitionConcrete(edits []db.CellEdit) ([][]int, []*relation.Relation, []int, error) {
 	modified, err := g.modifiedJoinedRows(edits)
 	if err != nil {
@@ -337,15 +336,11 @@ func (g *Generator) partitionConcrete(edits []db.CellEdit) ([][]int, []*relation
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	fps := make([]algebra.ResultFP, len(g.Queries))
-	par.Do(len(g.Queries), g.workers, func(qi int) {
-		fps[qi] = g.Queries[qi].DeltaFingerprint(g.baseResults[qi], deltas[qi])
-	})
 
 	groups := map[algebra.ResultFP][]int{}
 	order := []algebra.ResultFP{}
-	for qi := range g.Queries {
-		fp := fps[qi]
+	for qi, q := range g.Queries {
+		fp := q.DeltaFingerprint(g.baseResults[qi], deltas[qi])
 		if _, ok := groups[fp]; !ok {
 			order = append(order, fp)
 		}
@@ -355,8 +350,8 @@ func (g *Generator) partitionConcrete(edits []db.CellEdit) ([][]int, []*relation
 	parts := make([][]int, len(order))
 	results := make([]*relation.Relation, len(order))
 	resultCosts := make([]int, len(order))
-	par.Do(len(order), g.workers, func(bi int) {
-		qs := groups[order[bi]]
+	for bi, fp := range order {
+		qs := groups[fp]
 		parts[bi] = qs
 		rep := qs[0]
 		ri := algebra.ApplyDelta(g.baseResults[rep], deltas[rep])
@@ -365,7 +360,7 @@ func (g *Generator) partitionConcrete(edits []db.CellEdit) ([][]int, []*relation
 		}
 		results[bi] = ri
 		resultCosts[bi] = editdist.MinEdit(g.R, ri)
-	})
+	}
 	return parts, results, resultCosts, nil
 }
 

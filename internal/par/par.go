@@ -1,9 +1,12 @@
 // Package par provides the worker-scheduling primitives shared by the
-// engine's parallel loops. Every parallel path in the repository funnels
-// through Do / DoIndexed / DoBlocks so that the Parallelism knob has one
-// semantics everywhere: 0 selects runtime.GOMAXPROCS(0), 1 forces the legacy
-// serial path (no goroutines at all, loop order preserved), and n > 1 runs
-// on n workers.
+// engine's parallel loops: Algorithm 3's per-class skyline enumeration and
+// Algorithm 4's per-pair signatures and per-level scoring. Every parallel
+// path in the repository funnels through Do / DoIndexed so that the
+// Parallelism knob has one semantics everywhere: 0 selects
+// runtime.GOMAXPROCS(0), 1 forces the serial path (no goroutines at all,
+// loop order preserved), and n > 1 runs on n workers. Loops that measured
+// no faster in parallel (batch evaluation, concrete partitioning, the
+// equivalence merge) run serially and do not use this package.
 //
 // Since the round-pipeline PR the implementation is a chunked work-stealing
 // scheduler (steal.go) rather than a shared atomic counter: each worker owns
@@ -61,47 +64,6 @@ func DoIndexed(n, workers int, fn func(worker, i int)) {
 			fn(worker, i)
 		}
 	})
-}
-
-// DoBlocks partitions [0, n) into blocks of the given size and runs
-// fn(worker, lo, hi) once per block, [lo, hi) being the block's index range
-// (the final block may be short). It is the entry point for kernels that
-// want a span rather than single indexes — the columnar batch evaluator's
-// row blocks — so the per-item dispatch cost vanishes into the block loop.
-// Blocks are the stealing granularity: workers own contiguous runs of
-// blocks and steal block runs, never splitting inside one.
-//
-// With workers <= 1 (or a single block) the blocks run serially in
-// ascending order on worker 0 — the deterministic reference path. block <= 0
-// selects one block per worker.
-func DoBlocks(n, block, workers int, fn func(worker, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if block <= 0 {
-		block = (n + workers - 1) / workers
-	}
-	nBlocks := (n + block - 1) / block
-	if workers > nBlocks {
-		workers = nBlocks
-	}
-	span := func(worker, blo, bhi int) {
-		for b := blo; b < bhi; b++ {
-			lo, hi := b*block, (b+1)*block
-			if hi > n {
-				hi = n
-			}
-			fn(worker, lo, hi)
-		}
-	}
-	if workers <= 1 || nBlocks == 1 {
-		span(0, 0, nBlocks)
-		return
-	}
-	runStealing(nBlocks, workers, 1, span)
 }
 
 // ownerChunk sizes the owner-side pop: small enough that a straggler's

@@ -9,9 +9,9 @@ import (
 	"testing/quick"
 )
 
-// TestDoCoversRangeExactlyOnce drives the scheduler across worker counts,
-// sizes and (for DoBlocks) block sizes, asserting every index runs exactly
-// once — the only functional contract the stealing core must keep.
+// TestDoCoversRangeExactlyOnce drives the scheduler across worker counts
+// and sizes, asserting every index runs exactly once — the only functional
+// contract the stealing core must keep.
 func TestDoCoversRangeExactlyOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 7, 64, 65, 1000} {
 		for _, workers := range []int{1, 2, 3, 4, 8, 16} {
@@ -63,9 +63,6 @@ func TestDoDegenerate(t *testing.T) {
 	DoIndexed(0, 8, func(worker, i int) {
 		t.Errorf("n=0: unexpected call fn(%d, %d)", worker, i)
 	})
-	DoBlocks(0, 4, 8, func(worker, lo, hi int) {
-		t.Errorf("n=0: unexpected block call fn(%d, %d, %d)", worker, lo, hi)
-	})
 
 	before := runtime.NumGoroutine()
 	calls := 0
@@ -102,34 +99,33 @@ func TestDoSerialPreservesOrder(t *testing.T) {
 	}
 }
 
-// TestDoBlocksCoverage asserts DoBlocks tiles [0, n) exactly: block spans
-// are disjoint, in-bounds, sized to the block (except the last), and cover
-// every index once — including when n % block is 0, 1 and block-1.
+// TestDoBlocksCoverage asserts DoIndexed covers [0, n) exactly once, with
+// worker ids below the worker count, at the sizes where the owner-side chunk
+// grows: ownerChunk steps from k−1 to k between n = k·workers·16 − 1 and
+// k·workers·16, so a chunk that overran or fell short of its range end
+// would show there.
 func TestDoBlocksCoverage(t *testing.T) {
-	for _, block := range []int{1, 3, 64} {
-		for _, rem := range []int{0, 1, block - 1} {
-			n := 4*block + rem
-			for _, workers := range []int{1, 2, 4, 9} {
+	for _, workers := range []int{2, 3, 4, 8} {
+		for _, k := range []int{1, 2, 5} {
+			for _, d := range []int{-1, 0, 1} {
+				n := k*workers*16 + d
+				wantChunk := k
+				if d < 0 {
+					wantChunk = max(k-1, 1)
+				}
+				if got := ownerChunk(n, workers); got != wantChunk {
+					t.Fatalf("n=%d workers=%d: ownerChunk = %d, want %d", n, workers, got, wantChunk)
+				}
 				counts := make([]atomic.Int32, n)
-				DoBlocks(n, block, workers, func(worker, lo, hi int) {
-					if lo < 0 || hi > n || lo >= hi {
-						t.Errorf("block=%d n=%d: bad span [%d,%d)", block, n, lo, hi)
-						return
+				DoIndexed(n, workers, func(worker, i int) {
+					if worker < 0 || worker >= workers {
+						t.Errorf("n=%d workers=%d: worker id %d", n, workers, worker)
 					}
-					if hi-lo != block && hi != n {
-						t.Errorf("block=%d n=%d: short interior span [%d,%d)", block, n, lo, hi)
-					}
-					if lo%block != 0 {
-						t.Errorf("block=%d n=%d: misaligned span start %d", block, n, lo)
-					}
-					for i := lo; i < hi; i++ {
-						counts[i].Add(1)
-					}
+					counts[i].Add(1)
 				})
 				for i := range counts {
 					if got := counts[i].Load(); got != 1 {
-						t.Fatalf("block=%d n=%d workers=%d: index %d covered %d times",
-							block, n, workers, i, got)
+						t.Fatalf("n=%d workers=%d: index %d covered %d times", n, workers, i, got)
 					}
 				}
 			}

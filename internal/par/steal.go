@@ -12,9 +12,9 @@
 //
 // Determinism contract: the scheduler decides only WHICH worker executes an
 // index and WHEN, never what the call computes or where results land.
-// Callers write to index-addressed slots (or disjoint block ranges), so
-// output is byte-identical to the serial loop at every worker count —
-// deterministic merge, not deterministic execution order.
+// Callers write to index-addressed slots, so output is byte-identical to
+// the serial loop at every worker count — deterministic merge, not
+// deterministic execution order.
 package par
 
 import (

@@ -72,7 +72,7 @@ func PerturbConstants(d *db.Database, r *relation.Relation, base []*algebra.Quer
 		// Every variant shares q's projection, so a batch error (a
 		// projection column missing from the join) is one every variant's
 		// own evaluation would hit too: skip q's variants.
-		results, err := algebra.BatchEvaluateOnJoined(variants, ix.col, 1)
+		results, err := algebra.BatchEvaluateOnJoined(variants, ix.col)
 		if err != nil {
 			continue
 		}

@@ -1,11 +1,6 @@
 package tupleclass
 
-import (
-	"sort"
-	"sync/atomic"
-
-	"qfe/internal/par"
-)
+import "sort"
 
 // Pair is an (STC, DTC) pair: an abstract single-tuple modification that
 // moves some tuple of class Src into class Dst (§5.1). EditCost is the
@@ -128,42 +123,23 @@ func (s *Space) PartitionSizes1(p Pair) []int {
 // ErrNoSplit, so correctness is unaffected.
 //
 // Each query joins the first (lowest-indexed) group whose representative it
-// matches. The comparisons against the existing representatives run on a
-// worker pool (parallelism 0 = GOMAXPROCS, 1 = serial) that keeps the
-// minimum matching index, so the grouping is the same at every worker
-// count. At one worker par.Do visits the groups in order and the gi < best
-// precheck skips every group after the first match. With more workers,
-// comparisons past the first match may run speculatively; the precheck
-// prunes those started after a match lands, bounding the waste to roughly
-// one in-flight check per worker.
-func (s *Space) IndistinguishableGroups(maxCombos, parallelism int) [][]int {
-	workers := par.Workers(parallelism)
+// matches: when a comparison was cut by maxCombos, several groups can match
+// a query that the representatives' own check kept apart. Groups are created
+// in order of their first member, so they come out sorted by it.
+func (s *Space) IndistinguishableGroups(maxCombos int) [][]int {
 	// Group by representative: truth-table equality is transitive, so
 	// comparing against one representative per group suffices.
 	var groups [][]int
+next:
 	for qi := range s.Queries {
-		best := atomic.Int64{}
-		best.Store(int64(len(groups)))
-		par.Do(len(groups), workers, func(gi int) {
-			if int64(gi) < best.Load() && s.equivalentPair(groups[gi][0], qi, maxCombos) {
-				// Keep the lowest matching index (CAS loop: several groups
-				// can match when the rep-vs-rep check was truncated by
-				// maxCombos and conservatively treated as distinct).
-				for {
-					cur := best.Load()
-					if int64(gi) >= cur || best.CompareAndSwap(cur, int64(gi)) {
-						break
-					}
-				}
+		for gi, g := range groups {
+			if s.equivalentPair(g[0], qi, maxCombos) {
+				groups[gi] = append(g, qi)
+				continue next
 			}
-		})
-		if gi := int(best.Load()); gi < len(groups) {
-			groups[gi] = append(groups[gi], qi)
-		} else {
-			groups = append(groups, []int{qi})
 		}
+		groups = append(groups, []int{qi})
 	}
-	sort.SliceStable(groups, func(a, b int) bool { return groups[a][0] < groups[b][0] })
 	return groups
 }
 

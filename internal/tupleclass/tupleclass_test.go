@@ -509,7 +509,7 @@ func TestIndistinguishableGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := s.IndistinguishableGroups(10000, 1)
+	groups := s.IndistinguishableGroups(10000)
 	if len(groups) != 2 {
 		t.Fatalf("groups = %v, want {Qa,Qb} and {Qc}", groups)
 	}
@@ -518,6 +518,43 @@ func TestIndistinguishableGroups(t *testing.T) {
 			if !(g[0] == 0 && g[1] == 1) {
 				t.Errorf("merged group = %v, want Qa,Qb", g)
 			}
+		}
+	}
+
+	// A query that matches two groups joins the lowest one. G1 and G2 are
+	// both A>3 over the integers, but their joint space (A, B, C) has 2·2·2
+	// classes; under a cap of 4 that comparison is cut and they stay apart,
+	// while Q (A>3) shares only A with each and matches both.
+	rel3 := relation.New("T", relation.NewSchema(
+		"T.A", relation.KindInt, "T.B", relation.KindInt, "T.C", relation.KindInt))
+	rel3.Append(relation.NewTuple(1, -1, 2), relation.NewTuple(5, 3, -4))
+	term := func(attr string, op algebra.Op, c int64) algebra.Term {
+		return algebra.NewTerm(attr, op, relation.Int(c))
+	}
+	mkDNF := func(name string, conjs ...algebra.Conjunct) *algebra.Query {
+		return &algebra.Query{Name: name, Tables: []string{"T"}, Projection: []string{"T.A"},
+			Pred: algebra.Predicate(conjs)}
+	}
+	g1 := mkDNF("G1",
+		algebra.Conjunct{term("T.A", algebra.OpGT, 3), term("T.B", algebra.OpGE, 0)},
+		algebra.Conjunct{term("T.A", algebra.OpGT, 3), term("T.B", algebra.OpLT, 0)})
+	g2 := mkDNF("G2",
+		algebra.Conjunct{term("T.A", algebra.OpGE, 4), term("T.C", algebra.OpGE, 0)},
+		algebra.Conjunct{term("T.A", algebra.OpGE, 4), term("T.C", algebra.OpLT, 0)})
+	q := mkDNF("Q", algebra.Conjunct{term("T.A", algebra.OpGT, 3)})
+	s3, err := NewSpace(relation.NewColumnar(rel3), []*algebra.Query{g1, g2, q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		maxCombos int
+		want      [][]int
+	}{
+		{4, [][]int{{0, 2}, {1}}},
+		{8, [][]int{{0, 1, 2}}},
+	} {
+		if got := s3.IndistinguishableGroups(tc.maxCombos); !slices.EqualFunc(got, tc.want, slices.Equal[[]int]) {
+			t.Errorf("maxCombos %d: groups = %v, want %v", tc.maxCombos, got, tc.want)
 		}
 	}
 }

@@ -223,9 +223,11 @@ const (
 
 // DefaultSessionConfig returns the paper's defaults (β = 1, scaled δ) with
 // Parallelism 0 (all cores). Config.Parallelism is the engine's one worker
-// count; set it to 1 to run every engine loop serially. Every count gives
-// the same rounds, also under a truncating Gen.Budget.MaxPairs; only the
-// δ time budget cuts where the clock says.
+// count, used by Algorithm 3's skyline enumeration and Algorithm 4's
+// scoring; the rest of a round runs serially. Set it to 1 to run every
+// engine loop serially. Every count gives the same rounds, also under a
+// truncating Gen.Budget.MaxPairs; only the δ time budget cuts where the
+// clock says.
 var DefaultSessionConfig = core.DefaultConfig
 
 // NewSession validates inputs and prepares a session.
