@@ -200,7 +200,11 @@ func BenchmarkMicroSkylinePairs(b *testing.B) {
 	}
 	opts := dbgen.DefaultOptions()
 	opts.Budget = Budget{MaxPairs: 100000}
-	gen, err := dbgen.New(db.NewKeys(d), j, qc, r, opts, 0)
+	space, err := dbgen.NewSpace(j, qc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen, err := dbgen.New(db.NewKeys(d), j, space, r, opts, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -293,7 +297,11 @@ func BenchmarkMicroAlg4Parallelism(b *testing.B) {
 			opts.Budget = Budget{MaxPairs: 100000}
 			opts.MaxFrontier = 512
 			opts.MaxSetsEvaluated = 200000
-			gen, err := dbgen.New(db.NewKeys(sc.DB), j, sc.QC, sc.R, opts, bc.parallelism)
+			space, err := dbgen.NewSpace(j, sc.QC)
+			if err != nil {
+				b.Fatal(err)
+			}
+			gen, err := dbgen.New(db.NewKeys(sc.DB), j, space, sc.R, opts, bc.parallelism)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -329,7 +337,7 @@ func BenchmarkMicroBatchEval(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, q := range sc.QC {
-				if _, err := q.EvaluateOnJoined(j.Rel); err != nil {
+				if _, err := q.EvaluateOnJoined(j.Relation()); err != nil {
 					b.Fatal(err)
 				}
 			}

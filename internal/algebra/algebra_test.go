@@ -252,17 +252,17 @@ func TestDeltaOnJoined(t *testing.T) {
 	}
 	q := &Query{Name: "Q", Tables: []string{"Employee"}, Projection: []string{"Employee.name"},
 		Pred: Predicate{Conjunct{NewTerm("Employee.salary", OpGT, relation.Int(4000))}}}
-	base, err := q.EvaluateOnJoined(j.Rel)
+	base, err := q.EvaluateOnJoined(j.Relation())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Modify Bob's salary 4200 -> 3900 (paper Example 1.1, database D1):
 	// Bob leaves the salary>4000 result.
-	si := j.Rel.Schema.MustIndexOf("Employee.salary")
-	newBob := j.Rel.Tuples[1].Clone()
+	si := j.Relation().Schema.MustIndexOf("Employee.salary")
+	newBob := j.Relation().Tuples[1].Clone()
 	newBob[si] = relation.Int(3900)
-	delta, err := q.DeltaOnJoined(j.Rel, map[int]relation.Tuple{1: newBob})
+	delta, err := q.DeltaOnJoined(j.Relation(), map[int]relation.Tuple{1: newBob})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,18 +305,18 @@ func TestDeltaFingerprintGroupsQueriesCorrectly(t *testing.T) {
 	q3 := mkQ("Q3", Predicate{Conjunct{NewTerm("Employee.dept", OpEQ, relation.Str("IT"))}})
 
 	// D1: Bob's salary 4200 -> 3900. Paper: {Q1,Q3} keep R, {Q2} drops Bob.
-	si := j.Rel.Schema.MustIndexOf("Employee.salary")
-	newBob := j.Rel.Tuples[1].Clone()
+	si := j.Relation().Schema.MustIndexOf("Employee.salary")
+	newBob := j.Relation().Tuples[1].Clone()
 	newBob[si] = relation.Int(3900)
 	mod := map[int]relation.Tuple{1: newBob}
 
 	fps := make(map[ResultFP][]string)
 	for _, q := range []*Query{q1, q2, q3} {
-		base, err := q.EvaluateOnJoined(j.Rel)
+		base, err := q.EvaluateOnJoined(j.Relation())
 		if err != nil {
 			t.Fatal(err)
 		}
-		delta, err := q.DeltaOnJoined(j.Rel, mod)
+		delta, err := q.DeltaOnJoined(j.Relation(), mod)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,11 +343,11 @@ func TestDeltaErrors(t *testing.T) {
 	d := employeeDB(t)
 	j, _ := db.JoinAll(d)
 	q := &Query{Tables: []string{"Employee"}, Projection: []string{"nope"}}
-	if _, err := q.DeltaOnJoined(j.Rel, nil); err == nil {
+	if _, err := q.DeltaOnJoined(j.Relation(), nil); err == nil {
 		t.Error("bad projection should error")
 	}
 	q2 := &Query{Tables: []string{"Employee"}, Projection: []string{"Employee.name"}}
-	if _, err := q2.DeltaOnJoined(j.Rel, map[int]relation.Tuple{99: nil}); err == nil {
+	if _, err := q2.DeltaOnJoined(j.Relation(), map[int]relation.Tuple{99: nil}); err == nil {
 		t.Error("row out of range should error")
 	}
 	if _, err := (&Query{Tables: []string{"ghost"}}).Evaluate(d); err == nil {
@@ -380,14 +380,14 @@ func TestIncrementalMatchesDirectQuick(t *testing.T) {
 	j, _ := db.JoinAll(d)
 	q := &Query{Name: "Q", Tables: []string{"Employee"}, Projection: []string{"Employee.name"},
 		Pred: Predicate{Conjunct{NewTerm("Employee.salary", OpGT, relation.Int(4000))}}}
-	base, _ := q.EvaluateOnJoined(j.Rel)
-	si := j.Rel.Schema.MustIndexOf("Employee.salary")
+	base, _ := q.EvaluateOnJoined(j.Relation())
+	si := j.Relation().Schema.MustIndexOf("Employee.salary")
 
 	f := func(rowRaw uint8, salary int16) bool {
-		row := int(rowRaw) % j.Rel.Len()
-		newT := j.Rel.Tuples[row].Clone()
+		row := int(rowRaw) % j.Relation().Len()
+		newT := j.Relation().Tuples[row].Clone()
 		newT[si] = relation.Int(int64(salary))
-		delta, err := q.DeltaOnJoined(j.Rel, map[int]relation.Tuple{row: newT})
+		delta, err := q.DeltaOnJoined(j.Relation(), map[int]relation.Tuple{row: newT})
 		if err != nil {
 			return false
 		}

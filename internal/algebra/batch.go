@@ -21,8 +21,9 @@
 // Every function in this file is observationally identical to its scalar
 // counterpart — same tuples, same order, same errors — which the
 // differential tests in batch_test.go assert, including under forced hash
-// collisions. The scalar path stays the reference implementation and keeps
-// serving single-query callers (qbo's verification, scenario targets).
+// collisions. The scalar path stays the reference implementation and serves
+// scenario's target sampler; single queries on a join (Query.Evaluate, qbo's
+// verification) run here too, through Query.EvaluateOnColumnar.
 package algebra
 
 import (
@@ -212,8 +213,13 @@ func selectionVector(prog [][]int, termBits [][]uint64, full []uint64, tmp []uin
 func BatchEvaluateOnJoined(queries []*Query, col *relation.Columnar) ([]*relation.Relation, error) {
 	mBatchScans.Inc()
 	mBatchQueries.Add(uint64(len(queries)))
-	joined := col.Source
-	n := joined.Len()
+	return evaluateColumnar(queries, col)
+}
+
+// evaluateColumnar is BatchEvaluateOnJoined without the engine's scan
+// counters, which count only the winnowing engine's own scans.
+func evaluateColumnar(queries []*Query, col *relation.Columnar) ([]*relation.Relation, error) {
+	n := col.NumRows()
 	words := (n + 63) / 64
 	full := make([]uint64, words)
 	for w := range full {
@@ -223,7 +229,7 @@ func BatchEvaluateOnJoined(queries []*Query, col *relation.Columnar) ([]*relatio
 		full[words-1] = 1<<uint(rem) - 1
 	}
 
-	bp := compileBatch(queries, joined.Schema)
+	bp := compileBatch(queries, col.Schema())
 	termBits := bp.termBitmaps(col, words)
 
 	// Selection vectors, deduplicated: queries with equal vectors share one
@@ -284,7 +290,7 @@ func BatchEvaluateOnJoined(queries []*Query, col *relation.Columnar) ([]*relatio
 			bag := findShared(q.Projection, selID[qi], false)
 			if bag == nil {
 				var err error
-				bag, err = materializeSelection(joined, sels[selID[qi]].sel, q.Projection)
+				bag, err = materializeSelection(col, sels[selID[qi]].sel, q.Projection)
 				if err != nil {
 					return nil, fmt.Errorf("algebra: evaluate %s: %w", q.Name, err)
 				}
@@ -303,15 +309,16 @@ func BatchEvaluateOnJoined(queries []*Query, col *relation.Columnar) ([]*relatio
 
 // materializeSelection projects the selected rows, in row order, into a
 // fresh relation whose tuples are carved from one arena allocation: a
-// popcount pass sizes the arena, and a fill pass writes the rows.
-func materializeSelection(joined *relation.Relation, sel []uint64, projection []string) (*relation.Relation, error) {
-	schema, err := joined.Schema.Project(projection)
+// popcount pass sizes the arena, and a fill pass reads each row's projected
+// cells. A missing projection column fails as Relation.Project does.
+func materializeSelection(col *relation.Columnar, sel []uint64, projection []string) (*relation.Relation, error) {
+	schema, err := col.Schema().Project(projection)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", col.Name(), err)
 	}
 	projIdx := make([]int, len(projection))
 	for i, name := range projection {
-		projIdx[i] = joined.Schema.IndexOf(name)
+		projIdx[i] = col.Schema().IndexOf(name)
 	}
 
 	count := 0
@@ -327,16 +334,15 @@ func materializeSelection(joined *relation.Relation, sel []uint64, projection []
 		for word != 0 {
 			ri := base + bits.TrailingZeros64(word)
 			word &= word - 1
-			t := joined.Tuples[ri]
 			row := arena[k*arity : (k+1)*arity : (k+1)*arity]
 			for i, j := range projIdx {
-				row[i] = t[j]
+				row[i] = col.Cell(ri, j)
 			}
 			tuples[k] = relation.Tuple(row)
 			k++
 		}
 	}
-	return &relation.Relation{Name: joined.Name, Schema: schema, Tuples: tuples}, nil
+	return &relation.Relation{Name: col.Name(), Schema: schema, Tuples: tuples}, nil
 }
 
 func hashWords(ws []uint64) uint64 {
@@ -358,10 +364,11 @@ const (
 // in-place joined-tuple modifications in a single pass over the modified
 // rows: each unique term is evaluated once per modified row (old and new
 // value) instead of once per query, and the per-query Lemma 5.1 case
-// analysis then runs on cached term outcomes. It needs no columnar view —
-// the modified-row count is small, so terms evaluate directly on the
-// tuples. Deltas are byte-identical to DeltaOnJoined per query.
-func BatchDeltaOnJoined(queries []*Query, joined *relation.Relation, modified map[int]relation.Tuple) ([]ResultDelta, error) {
+// analysis then runs on cached term outcomes. It reads the old rows' cells
+// from the join's columnar view and builds no dictionary — the modified-row
+// count is small, so terms evaluate directly on the cells. Deltas are
+// byte-identical to DeltaOnJoined per query.
+func BatchDeltaOnJoined(queries []*Query, joined *relation.Columnar, modified map[int]relation.Tuple) ([]ResultDelta, error) {
 	mDeltaBatches.Inc()
 	mDeltaQueries.Add(uint64(len(queries)))
 	rows := make([]int, 0, len(modified))
@@ -370,14 +377,14 @@ func BatchDeltaOnJoined(queries []*Query, joined *relation.Relation, modified ma
 	}
 	sort.Ints(rows)
 	for _, r := range rows {
-		if r < 0 || r >= joined.Len() {
+		if r < 0 || r >= joined.NumRows() {
 			// Same failure the scalar path reports for each query; the batch
 			// shares one message since every query sees the same rows.
 			return nil, fmt.Errorf("algebra: batch delta: row %d out of range", r)
 		}
 	}
 
-	bp := compileBatch(queries, joined.Schema)
+	bp := compileBatch(queries, joined.Schema())
 	rwords := (len(rows) + 63) / 64
 	oldBits := make([][]uint64, len(bp.terms))
 	newBits := make([][]uint64, len(bp.terms))
@@ -390,7 +397,7 @@ func BatchDeltaOnJoined(queries []*Query, joined *relation.Relation, modified ma
 		ob := make([]uint64, rwords)
 		nb := make([]uint64, rwords)
 		for k, r := range rows {
-			if t.Matches(joined.Tuples[r][ci]) {
+			if t.Matches(joined.Cell(r, ci)) {
 				ob[k>>6] |= 1 << (k & 63)
 			}
 			if t.Matches(modified[r][ci]) {
@@ -425,7 +432,7 @@ func BatchDeltaOnJoined(queries []*Query, joined *relation.Relation, modified ma
 	for qi, q := range queries {
 		projIdx := make([]int, len(q.Projection))
 		for i, name := range q.Projection {
-			j := joined.Schema.IndexOf(name)
+			j := joined.Schema().IndexOf(name)
 			if j < 0 {
 				return nil, fmt.Errorf("algebra: delta %s: no column %q in join", q.Name, name)
 			}
@@ -434,18 +441,18 @@ func BatchDeltaOnJoined(queries []*Query, joined *relation.Relation, modified ma
 		prog := bp.progs[qi]
 		var delta ResultDelta
 		for k, r := range rows {
-			oldT, newT := joined.Tuples[r], modified[r]
+			newT := modified[r]
 			oldIn := matchAt(prog, oldBits, k)
 			newIn := matchAt(prog, newBits, k)
 			switch {
 			case oldIn && newIn:
-				ox, nx := oldT.Project(projIdx), newT.Project(projIdx)
+				ox, nx := joined.Project(r, projIdx), newT.Project(projIdx)
 				if !ox.Equal(nx) {
 					delta.Removed = append(delta.Removed, ox)
 					delta.Added = append(delta.Added, nx)
 				}
 			case oldIn && !newIn:
-				delta.Removed = append(delta.Removed, oldT.Project(projIdx))
+				delta.Removed = append(delta.Removed, joined.Project(r, projIdx))
 			case !oldIn && newIn:
 				delta.Added = append(delta.Added, newT.Project(projIdx))
 			}

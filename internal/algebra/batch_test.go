@@ -153,7 +153,7 @@ func checkBatchDelta(t *testing.T, seed int64) {
 		qs := randBatch(rng)
 		modified := randEdits(rng, rel)
 
-		batchDeltas, err := BatchDeltaOnJoined(qs, rel, modified)
+		batchDeltas, err := BatchDeltaOnJoined(qs, relation.NewColumnar(rel), modified)
 		if err != nil {
 			t.Logf("batch delta: %v", err)
 			return false
@@ -217,11 +217,11 @@ func TestBatchEvaluateErrors(t *testing.T) {
 	if _, err := BatchEvaluateOnJoined([]*Query{good, bad}, col); err == nil {
 		t.Error("missing projection column should error")
 	}
-	if _, err := BatchDeltaOnJoined([]*Query{good, bad}, rel,
+	if _, err := BatchDeltaOnJoined([]*Query{good, bad}, col,
 		map[int]relation.Tuple{0: rel.Tuples[0]}); err == nil {
 		t.Error("missing projection column should error in batch delta")
 	}
-	if _, err := BatchDeltaOnJoined([]*Query{good}, rel,
+	if _, err := BatchDeltaOnJoined([]*Query{good}, col,
 		map[int]relation.Tuple{5: rel.Tuples[0]}); err == nil {
 		t.Error("out-of-range row should error in batch delta")
 	}

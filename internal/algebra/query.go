@@ -126,12 +126,25 @@ func (q *Query) Evaluate(d *db.Database) (*relation.Relation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("algebra: evaluate %s: %w", q.Name, err)
 	}
-	return q.EvaluateOnJoined(j.Rel)
+	return q.EvaluateOnColumnar(j.Columnar())
 }
 
-// EvaluateOnJoined runs selection+projection against an already-computed
-// joined relation. All candidate queries of one QFE session share the join,
-// so the session computes it once and calls this.
+// EvaluateOnColumnar runs selection+projection on a join's columnar view:
+// only the predicate's columns are encoded, and only the selected rows'
+// projected cells are read. It is one query of the batch engine
+// (BatchEvaluateOnJoined), byte-identical to EvaluateOnJoined on the join's
+// rows, but outside the engine's scan counters, which count the winnowing
+// rounds' own scans.
+func (q *Query) EvaluateOnColumnar(col *relation.Columnar) (*relation.Relation, error) {
+	out, err := evaluateColumnar([]*Query{q}, col)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// EvaluateOnJoined runs selection+projection row at a time against
+// materialised joined rows: the reference the batch engine is pinned to.
 func (q *Query) EvaluateOnJoined(joined *relation.Relation) (*relation.Relation, error) {
 	sel := joined.Select(q.Pred.Compile(joined.Schema))
 	out, err := sel.Project(q.Projection)

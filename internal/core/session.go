@@ -151,11 +151,16 @@ type Session struct {
 	Oracle feedback.Oracle
 	Config Config
 
-	// joins caches each join-schema group's foreign-key join, and keys is
-	// D's key index, built on the first concretized round. Both serve every
+	// joins caches each join-schema group's foreign-key join, made in the
+	// encoding scope codes, and keys is D's key index. All three serve every
 	// round of the session and are released when it completes.
 	joins map[string]*db.Joined
+	codes *db.Codes
 	keys  *db.Keys
+	// space is the tuple-class space beginGroup merged the group over, kept
+	// for the group's first round when the merge joined nothing: that round
+	// winnows the same candidates in the same order.
+	space *tupleclass.Space
 
 	// State machine.
 	state      state
@@ -211,7 +216,7 @@ func NewStepSession(d *db.Database, r *relation.Relation, qc []*algebra.Query,
 		cfg.MaxIterations = 64
 	}
 	return &Session{DB: d, R: r, QC: qc, Config: cfg,
-		joins: map[string]*db.Joined{}, keys: db.NewKeys(d)}, nil
+		joins: map[string]*db.Joined{}, codes: db.NewCodes(d), keys: db.NewKeys(d)}, nil
 }
 
 // Run executes Algorithm 1 to completion against the session's Oracle and
@@ -435,7 +440,14 @@ func (s *Session) advance() (*Round, error) {
 		if err != nil {
 			return nil, err
 		}
-		gen, err := dbgen.New(s.keys, joined, s.reps, s.R, s.Config.Gen, s.Config.Parallelism)
+		space := s.space
+		s.space = nil
+		if space == nil {
+			if space, err = dbgen.NewSpace(joined, s.reps); err != nil {
+				return nil, err
+			}
+		}
+		gen, err := dbgen.New(s.keys, joined, space, s.R, s.Config.Gen, s.Config.Parallelism)
 		if err != nil {
 			return nil, err
 		}
@@ -488,16 +500,18 @@ func (s *Session) beginGroup() error {
 		s.members[qc[0].Key()] = []*algebra.Query{qc[0]}
 		return nil
 	}
-	space, err := tupleclass.NewSpace(joined.Columnar(), qc)
+	// The Database Generator's own space: join-key columns are structural
+	// and never modified, so candidates that differ only on them are
+	// indistinguishable by any reachable database and merge here instead of
+	// burning winnowing rounds that must end in ErrNoSplit.
+	space, err := dbgen.NewSpace(joined, qc)
 	if err != nil {
 		return err
 	}
-	// Same modification model as the Database Generator: join-key columns
-	// are structural and never modified, so candidates that differ only on
-	// them are indistinguishable by any reachable database and merge here
-	// instead of burning winnowing rounds that must end in ErrNoSplit.
-	space.Freeze(joined.KeyCols)
 	eq := space.IndistinguishableGroups(maxEquivCombos)
+	if len(eq) == len(qc) {
+		s.space = space // the first round winnows qc itself
+	}
 	s.reps = s.reps[:0:0]
 	for _, grp := range eq {
 		rep := qc[grp[0]]
@@ -541,7 +555,7 @@ func (s *Session) complete() {
 	mSessionRounds.Observe(int64(len(s.out.Iterations)))
 	s.state = stateDone
 	s.pending, s.pendingRes = nil, nil
-	s.joins, s.keys = nil, nil
+	s.joins, s.codes, s.keys, s.space = nil, nil, nil, nil
 }
 
 // joinFor returns the (cached) foreign-key join for the query's schema.
@@ -554,7 +568,7 @@ func (s *Session) joinFor(q *algebra.Query) (*db.Joined, error) {
 	if j, ok := s.joins[k]; ok {
 		return j, nil
 	}
-	j, err := db.Join(s.DB, q.Tables)
+	j, err := s.codes.Join(q.Tables)
 	if err != nil {
 		return nil, err
 	}

@@ -24,8 +24,8 @@ func TestScientificShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Rel.Len() != 417 {
-		t.Errorf("join = %d tuples, want 417", j.Rel.Len())
+	if j.Relation().Len() != 417 {
+		t.Errorf("join = %d tuples, want 417", j.Relation().Len())
 	}
 }
 
@@ -52,7 +52,7 @@ func TestScientificDeterminism(t *testing.T) {
 	a, b := NewScientific(), NewScientific()
 	ja, _ := db.JoinAll(a.DB)
 	jb, _ := db.JoinAll(b.DB)
-	if ja.Rel.Fingerprint() != jb.Rel.Fingerprint() {
+	if ja.Relation().Fingerprint() != jb.Relation().Fingerprint() {
 		t.Error("generation must be deterministic")
 	}
 }
@@ -81,8 +81,8 @@ func TestBaseballShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Rel.Len() != b.ExpectedJoinedSize || j.Rel.Len() != 8810 {
-		t.Errorf("3-way join = %d tuples, want 8810", j.Rel.Len())
+	if j.Relation().Len() != b.ExpectedJoinedSize || j.Relation().Len() != 8810 {
+		t.Errorf("3-way join = %d tuples, want 8810", j.Relation().Len())
 	}
 }
 
@@ -127,8 +127,8 @@ func TestBaseballManagerJoinForQ3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Rel.Len() != 200 {
-		t.Errorf("Manager⋈Team = %d, want 200", j.Rel.Len())
+	if j.Relation().Len() != 200 {
+		t.Errorf("Manager⋈Team = %d, want 200", j.Relation().Len())
 	}
 }
 

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -151,11 +152,11 @@ func TestJoinProvenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Rel.Len() != 4 {
-		t.Fatalf("join size = %d, want 4", j.Rel.Len())
+	if j.Relation().Len() != 4 {
+		t.Fatalf("join size = %d, want 4", j.Relation().Len())
 	}
-	if j.Rel.Arity() != 5 {
-		t.Fatalf("join arity = %d, want 5", j.Rel.Arity())
+	if j.Relation().Arity() != 5 {
+		t.Fatalf("join arity = %d, want 5", j.Relation().Arity())
 	}
 	// Paper §5.4.1: base tuple T1(1,10,50) joins with two T2 rows.
 	if got := j.FanOut("T1", 0); got != 2 {
@@ -165,13 +166,13 @@ func TestJoinProvenance(t *testing.T) {
 		t.Errorf("FanOut(T1,1) = %d, want 1", got)
 	}
 	// Every joined tuple's provenance must point at its source rows.
-	for ti, prov := range j.Prov {
-		t1row := d.Table("T1").Tuples[prov[0]]
-		if !j.Rel.Tuples[ti][0].Equal(t1row[0]) {
+	for ti := 0; ti < j.Len(); ti++ {
+		t1row := d.Table("T1").Tuples[j.BaseRow(ti, 0)]
+		if !j.Relation().Tuples[ti][0].Equal(t1row[0]) {
 			t.Errorf("tuple %d provenance mismatch on T1", ti)
 		}
-		t2row := d.Table("T2").Tuples[prov[1]]
-		if !j.Rel.Tuples[ti][4].Equal(t2row[1]) {
+		t2row := d.Table("T2").Tuples[j.BaseRow(ti, 1)]
+		if !j.Relation().Tuples[ti][4].Equal(t2row[1]) {
 			t.Errorf("tuple %d provenance mismatch on T2", ti)
 		}
 	}
@@ -185,8 +186,8 @@ func TestJoinQualifiedSchemaAndColRefs(t *testing.T) {
 	}
 	wantCols := []string{"T1.A", "T1.B", "T1.C", "T2.A", "T2.D"}
 	for i, n := range wantCols {
-		if j.Rel.Schema[i].Name != n {
-			t.Errorf("col %d = %q, want %q", i, j.Rel.Schema[i].Name, n)
+		if j.Relation().Schema[i].Name != n {
+			t.Errorf("col %d = %q, want %q", i, j.Relation().Schema[i].Name, n)
 		}
 	}
 	ref, err := j.ColRefOf("T2.D")
@@ -209,8 +210,8 @@ func TestJoinDanglingTuplesDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Rel.Len() != 3 {
-		t.Errorf("dangling T1 row should drop; join size = %d, want 3", j.Rel.Len())
+	if j.Relation().Len() != 3 {
+		t.Errorf("dangling T1 row should drop; join size = %d, want 3", j.Relation().Len())
 	}
 }
 
@@ -224,12 +225,12 @@ func TestJoinOrderIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Rel.Len() != b.Rel.Len() {
-		t.Errorf("join cardinality should not depend on order: %d vs %d", a.Rel.Len(), b.Rel.Len())
+	if a.Relation().Len() != b.Relation().Len() {
+		t.Errorf("join cardinality should not depend on order: %d vs %d", a.Relation().Len(), b.Relation().Len())
 	}
 	// Project both to a common column order and compare as bags.
-	pa, _ := a.Rel.Project([]string{"T1.A", "T1.B", "T2.D"})
-	pb, _ := b.Rel.Project([]string{"T1.A", "T1.B", "T2.D"})
+	pa, _ := a.Relation().Project([]string{"T1.A", "T1.B", "T2.D"})
+	pb, _ := b.Relation().Project([]string{"T1.A", "T1.B", "T2.D"})
 	if !pa.BagEqual(pb) {
 		t.Error("join contents should not depend on order")
 	}
@@ -256,10 +257,10 @@ func TestJoinSingleTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Rel.Len() != 3 || j.Rel.Arity() != 3 {
-		t.Errorf("single-table join = %dx%d", j.Rel.Len(), j.Rel.Arity())
+	if j.Relation().Len() != 3 || j.Relation().Arity() != 3 {
+		t.Errorf("single-table join = %dx%d", j.Relation().Len(), j.Relation().Arity())
 	}
-	if j.Rel.Schema[0].Name != "T1.A" {
+	if j.Relation().Schema[0].Name != "T1.A" {
 		t.Error("single-table join should still qualify columns")
 	}
 }
@@ -280,8 +281,8 @@ func TestJoinAllAndRebuilt(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := 0
-	bi := j2.Rel.Schema.MustIndexOf("T1.B")
-	for _, tup := range j2.Rel.Tuples {
+	bi := j2.Relation().Schema.MustIndexOf("T1.B")
+	for _, tup := range j2.Relation().Tuples {
 		if tup[bi].Equal(relation.Int(77)) {
 			found++
 		}
@@ -297,3 +298,17 @@ func TestDatabaseString(t *testing.T) {
 		t.Errorf("String() = %q", s)
 	}
 }
+
+// ColRefOf resolves a qualified column name ("Table.col") of the joined
+// schema to its source location.
+func (j *Joined) ColRefOf(qualified string) (ColRef, error) {
+	i := j.Schema().IndexOf(qualified)
+	if i < 0 {
+		return ColRef{}, fmt.Errorf("db: joined relation has no column %q", qualified)
+	}
+	return j.Cols[i], nil
+}
+
+// Rebuilt recomputes the join on a (possibly edited) database with the same
+// schema, preserving the join order.
+func (j *Joined) Rebuilt(d *Database) (*Joined, error) { return Join(d, j.Tables) }

@@ -17,18 +17,17 @@ type ColRef struct {
 	ColIdx   int    // column index inside the base table
 }
 
-// Joined is the foreign-key join of a set of base tables, together with the
-// provenance of every joined tuple. Provenance is the paper's "join index"
-// (§5.4.1): it lets the database generator find every joined tuple affected
-// by a single base-tuple modification (the "side effects").
+// Joined is the foreign-key join of a set of base tables, held as its
+// provenance alone: per joined table, the vector of base rows that produce
+// each joined tuple. Provenance is the paper's "join index" (§5.4.1): it
+// lets the database generator find every joined tuple affected by a single
+// base-tuple modification (the "side effects"). Cells, dictionary codes and
+// whole rows are read from the base tables through the row vectors, so the
+// database must not change while the join is in use. A Joined is immutable
+// once Join returns and safe for concurrent readers.
 type Joined struct {
-	// Rel holds the joined tuples under a qualified schema ("Table.col").
-	Rel *relation.Relation
 	// Tables lists the joined base tables in join order.
 	Tables []string
-	// Prov[i][j] is the row index in base table Tables[j] that contributed
-	// to joined tuple i.
-	Prov [][]int
 	// Cols maps each joined column (by position) to its source.
 	Cols []ColRef
 	// KeyCols lists the qualified column names (sorted, deduplicated) that
@@ -40,77 +39,73 @@ type Joined struct {
 	// them in its tuple-class space.
 	KeyCols []string
 
-	// fromBase[table][row] lists joined-tuple indexes that include that base
-	// row; rows joining nothing are absent.
-	fromBase map[string]map[int][]int
+	name   string
+	schema relation.Schema
+	base   []*relation.Relation // the base table of each entry of Tables
+	// rows[t][i] is the row of base table Tables[t] in joined tuple i.
+	rows [][]int
+	col  *relation.Columnar
 
-	colOnce  sync.Once
-	columnar *relation.Columnar
+	// rev[t] lists, per row of base table Tables[t], the joined tuples
+	// holding it: rev[t].items[rev[t].start[b]:rev[t].start[b+1]], ascending.
+	revOnce sync.Once
+	rev     []csr
 
-	// curVals / curProv track the arena currently backing Rel's tuples and
-	// provenance while the join is being folded together; each fold recycles
-	// its predecessor's arenas through the fold pools. The final fold's
-	// arenas are owned by the finished Joined and never recycled.
-	curVals  []relation.Value
-	curProv  []int
-	curDepth int
+	relOnce sync.Once
+	rel     *relation.Relation
 }
 
-// Columnar returns the dictionary-encoded columnar view of the joined
-// relation, computed lazily once — a Joined is immutable after Join returns
-// and all winnowing rounds of a session group share it, so one columnar
-// build serves every batch evaluation of the group.
-func (j *Joined) Columnar() *relation.Columnar {
-	j.colOnce.Do(func() { j.columnar = relation.NewColumnar(j.Rel) })
-	return j.columnar
+// csr is a compressed-row index: entry k's items are items[start[k]:start[k+1]].
+type csr struct {
+	start []int
+	items []int
 }
 
-// Fold-arena pools. Every fold of a join allocates one value arena, one
-// provenance arena and match bookkeeping; all but the final fold's arenas
-// die as soon as the next fold has copied them forward. Repeated joins of
-// the same tables — the β/δ sweeps, qbo's join-schema enumeration, every
-// simulator session — therefore cycle through identically-sized buffers,
-// which the pools hand back instead of reallocating. Pools are keyed by
-// fold depth (capped) so a join's k-th fold tends to find a buffer of
-// exactly the right size.
-const numFoldPools = 8
+// Len returns the number of joined tuples.
+func (j *Joined) Len() int { return j.col.NumRows() }
 
-type foldBuffers struct {
-	vals []relation.Value
-	ints []int
+// Schema returns the joined schema: every table's columns, qualified as
+// "Table.col", in join order.
+func (j *Joined) Schema() relation.Schema { return j.schema }
+
+// Columnar returns the dictionary-encoded columnar view of the join. Each
+// column is its base column's codes gathered through the row vector, built
+// on first use of the column, and all winnowing rounds of a session group
+// share it.
+func (j *Joined) Columnar() *relation.Columnar { return j.col }
+
+// BaseRow returns the row of base table Tables[table] that contributed to
+// joined tuple row.
+func (j *Joined) BaseRow(row, table int) int { return j.rows[table][row] }
+
+// Row returns a fresh copy of joined tuple row.
+func (j *Joined) Row(row int) relation.Tuple {
+	return j.fill(make(relation.Tuple, len(j.schema)), row)
 }
 
-var foldPools [numFoldPools]sync.Pool
-
-func foldPool(depth int) *sync.Pool {
-	if depth >= numFoldPools {
-		depth = numFoldPools - 1
+// fill copies joined tuple row's cells, table by table, into dst.
+func (j *Joined) fill(dst relation.Tuple, row int) relation.Tuple {
+	off := 0
+	for t, b := range j.base {
+		off += copy(dst[off:], b.Tuples[j.rows[t][row]])
 	}
-	return &foldPools[depth]
+	return dst
 }
 
-// getFoldBuffers returns pooled buffers with at least the requested
-// capacities (resliced to exactly the requested lengths), or fresh ones.
-func getFoldBuffers(depth, nVals, nInts int) *foldBuffers {
-	if v := foldPool(depth).Get(); v != nil {
-		b := v.(*foldBuffers)
-		if cap(b.vals) >= nVals && cap(b.ints) >= nInts {
-			b.vals = b.vals[:nVals]
-			b.ints = b.ints[:nInts]
-			return b
+// Relation materialises the joined tuples under the joined schema, once,
+// for the readers that need whole rows. The relation is shared; do not
+// mutate it.
+func (j *Joined) Relation() *relation.Relation {
+	j.relOnce.Do(func() {
+		n, arity := j.Len(), len(j.schema)
+		arena := make([]relation.Value, n*arity)
+		tuples := make([]relation.Tuple, n)
+		for i := range tuples {
+			tuples[i] = j.fill(arena[i*arity:(i+1)*arity:(i+1)*arity], i)
 		}
-	}
-	return &foldBuffers{vals: make([]relation.Value, nVals), ints: make([]int, nInts)}
-}
-
-// recycleCurrent returns the arenas backing the pre-fold Rel to their pool.
-// Only callable once the successor fold has copied every value forward.
-func (j *Joined) recycleCurrent() {
-	if j.curVals == nil && j.curProv == nil {
-		return
-	}
-	foldPool(j.curDepth).Put(&foldBuffers{vals: j.curVals, ints: j.curProv})
-	j.curVals, j.curProv = nil, nil
+		j.rel = &relation.Relation{Name: j.name, Schema: j.schema, Tuples: tuples}
+	})
+	return j.rel
 }
 
 // tableIndex returns the position of a table in the join order, or -1.
@@ -123,24 +118,19 @@ func (j *Joined) tableIndex(name string) int {
 	return -1
 }
 
-// ColRefOf resolves a qualified column name ("Table.col") of the joined
-// schema to its source location.
-func (j *Joined) ColRefOf(qualified string) (ColRef, error) {
-	i := j.Rel.Schema.IndexOf(qualified)
-	if i < 0 {
-		return ColRef{}, fmt.Errorf("db: joined relation has no column %q", qualified)
-	}
-	return j.Cols[i], nil
-}
-
 // TuplesFromBase returns the indexes of joined tuples that contain the given
-// base row. The returned slice is shared; do not mutate.
+// base row, ascending. The returned slice is shared; do not mutate.
 func (j *Joined) TuplesFromBase(table string, row int) []int {
-	m := j.fromBase[table]
-	if m == nil {
+	t := j.tableIndex(table)
+	if t < 0 {
 		return nil
 	}
-	return m[row]
+	j.revOnce.Do(j.buildReverseIndex)
+	r := &j.rev[t]
+	if row < 0 || row >= len(r.start)-1 {
+		return nil
+	}
+	return r.items[r.start[row]:r.start[row+1]]
 }
 
 // FanOut returns the number of joined tuples containing the base row; a
@@ -150,11 +140,82 @@ func (j *Joined) FanOut(table string, row int) int {
 	return len(j.TuplesFromBase(table, row))
 }
 
+func (j *Joined) buildReverseIndex() {
+	j.rev = make([]csr, len(j.Tables))
+	for t, rows := range j.rows {
+		j.rev[t] = groupRows(rows, j.base[t].Len())
+	}
+}
+
+// groupRows indexes positions by their key: the result's entry k lists, in
+// ascending order, the positions i with keys[i] == k, for k < n.
+func groupRows[K int | uint32](keys []K, n int) csr {
+	start := make([]int, n+1)
+	for _, k := range keys {
+		start[k+1]++
+	}
+	for k := 1; k <= n; k++ {
+		start[k] += start[k-1]
+	}
+	items := make([]int, len(keys))
+	next := append([]int(nil), start[:n]...)
+	for i, k := range keys {
+		items[next[k]] = i
+		next[k]++
+	}
+	return csr{start: start, items: items}
+}
+
+// Codes is an encoding scope over one database: the dictionary-encoded
+// columnar view of each base table, made on first use (and each column
+// encoded on first use), shared by every join made through the scope. One
+// user of the joins — a qbo.Generate call, a core session — makes one
+// scope, so each base column is hashed at most once for all its joins. The
+// scope belongs to its user, not to the database: a database outlives its
+// users, and encodings kept with it would stay resident as long. The
+// database must not change while the scope is in use. Safe for concurrent
+// use.
+type Codes struct {
+	d      *Database
+	mu     sync.Mutex
+	tables map[string]*relation.Columnar
+}
+
+// NewCodes returns an empty encoding scope over d.
+func NewCodes(d *Database) *Codes {
+	return &Codes{d: d, tables: map[string]*relation.Columnar{}}
+}
+
+// table returns the columnar view of a base table of the scope's database.
+func (c *Codes) table(r *relation.Relation) *relation.Columnar {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	col := c.tables[r.Name]
+	if col == nil {
+		col = relation.NewColumnar(r)
+		c.tables[r.Name] = col
+	}
+	return col
+}
+
 // Join computes the foreign-key join of the named tables (in any connected
-// order). All FK edges between two joined tables contribute equality
-// conditions. Dangling tuples are dropped (inner join), matching the paper's
-// experimental setup (e.g. the 424-row table joining to 417 tuples).
-func Join(d *Database, tables []string) (*Joined, error) {
+// order) in an encoding scope of its own. All FK edges between two joined
+// tables contribute equality conditions. Dangling tuples are dropped (inner
+// join), matching the paper's experimental setup (e.g. the 424-row table
+// joining to 417 tuples).
+func Join(d *Database, tables []string) (*Joined, error) { return NewCodes(d).Join(tables) }
+
+// JoinAll joins every table of the database (the §5 assumption that all
+// candidate queries share the full join schema).
+func JoinAll(d *Database) (*Joined, error) { return Join(d, d.TableNames()) }
+
+// Join computes the foreign-key join of the named tables over the scope's
+// encodings; see the package-level Join. The join order is the first table,
+// then repeatedly the first remaining table connected to those joined. Its
+// tuples are in fold order: every tuple of the previous fold in order, each
+// followed by its matching rows of the incoming table in ascending order.
+func (c *Codes) Join(tables []string) (*Joined, error) {
+	d := c.d
 	if len(tables) == 0 {
 		return nil, fmt.Errorf("db: join of zero tables")
 	}
@@ -164,46 +225,37 @@ func Join(d *Database, tables []string) (*Joined, error) {
 		}
 	}
 
-	j := &Joined{fromBase: make(map[string]map[int][]int)}
-
-	// Seed with the first table.
 	first := d.Table(tables[0])
-	j.Tables = []string{first.Name}
-	j.Rel = relation.New(joinName(tables), first.Schema.Qualify(first.Name))
-	for ci, c := range first.Schema {
-		j.Cols = append(j.Cols, ColRef{Table: first.Name, Column: c.Name, TableIdx: 0, ColIdx: ci})
+	j := &Joined{
+		Tables: []string{first.Name},
+		name:   strings.Join(tables, "⋈"),
+		schema: first.Schema.Qualify(first.Name),
+		base:   []*relation.Relation{first},
 	}
-	j.Rel.Tuples = make([]relation.Tuple, first.Len())
-	j.Prov = make([][]int, first.Len())
-	seedArity := first.Arity()
-	seedBufs := getFoldBuffers(0, first.Len()*seedArity, first.Len())
-	seedArena, provArena := seedBufs.vals, seedBufs.ints
-	j.curVals, j.curProv, j.curDepth = seedArena, provArena, 0
-	for i, t := range first.Tuples {
-		row := seedArena[i*seedArity : (i+1)*seedArity : (i+1)*seedArity]
-		copy(row, t)
-		j.Rel.Tuples[i] = row
-		provArena[i] = i
-		j.Prov[i] = provArena[i : i+1 : i+1]
+	for ci, col := range first.Schema {
+		j.Cols = append(j.Cols, ColRef{Table: first.Name, Column: col.Name, TableIdx: 0, ColIdx: ci})
 	}
+	seed := make([]int, first.Len())
+	for i := range seed {
+		seed[i] = i
+	}
+	j.rows = [][]int{seed}
 
 	remaining := append([]string(nil), tables[1:]...)
 	for len(remaining) > 0 {
 		progressed := false
 		for ri, name := range remaining {
-			conds := joinConditions(d, j, name)
+			conds := joinConditions(d, j.schema, j.Tables, name)
 			if len(conds) == 0 {
 				continue
 			}
 			in := d.Table(name)
-			for _, c := range conds {
+			for _, cond := range conds {
 				j.KeyCols = append(j.KeyCols,
-					j.Rel.Schema[c.joinedCol].Name,
-					in.Name+"."+in.Schema[c.newCol].Name)
+					j.schema[cond.joinedCol].Name,
+					in.Name+"."+in.Schema[cond.newCol].Name)
 			}
-			if err := j.foldIn(in, conds); err != nil {
-				return nil, err
-			}
+			j.foldIn(c, in, conds)
 			remaining = append(remaining[:ri], remaining[ri+1:]...)
 			progressed = true
 			break
@@ -215,10 +267,15 @@ func Join(d *Database, tables []string) (*Joined, error) {
 	}
 	sort.Strings(j.KeyCols)
 	j.KeyCols = dedupeSorted(j.KeyCols)
-	// The final fold's arenas are owned by the finished join; drop the
-	// tracking references so they are never recycled.
-	j.curVals, j.curProv = nil, nil
-	j.buildReverseIndex()
+
+	from := make([]relation.Gather, len(j.Cols))
+	for ci, ref := range j.Cols {
+		from[ci] = relation.Gather{Base: c.table(j.base[ref.TableIdx]), Col: ref.ColIdx, Rows: j.rows[ref.TableIdx]}
+		if len(j.Tables) == 1 {
+			from[ci].Rows = nil // the seed's identity vector
+		}
+	}
+	j.col = relation.NewGathered(j.name, j.schema, len(j.rows[0]), from)
 	return j, nil
 }
 
@@ -233,167 +290,167 @@ func dedupeSorted(ss []string) []string {
 	return out
 }
 
-// JoinAll joins every table of the database (the §5 assumption that all
-// candidate queries share the full join schema).
-func JoinAll(d *Database) (*Joined, error) { return Join(d, d.TableNames()) }
-
-// joinCondition equates a column of the current joined relation with a
-// column of the incoming table.
+// joinCondition equates a column of the current joined schema with a column
+// of the incoming table.
 type joinCondition struct {
-	joinedCol int // index into j.Rel.Schema
+	joinedCol int // index into the joined schema
 	newCol    int // index into the incoming table's schema
 }
 
 // joinConditions collects the equality conditions implied by every FK edge
-// between the already-joined tables and the incoming table.
-func joinConditions(d *Database, j *Joined, incoming string) []joinCondition {
+// between the already-joined tables (with the given joined schema) and the
+// incoming table.
+func joinConditions(d *Database, schema relation.Schema, joined []string, incoming string) []joinCondition {
 	var conds []joinCondition
 	add := func(joinedTable string, joinedCols []string, newCols []string, newTable *relation.Relation) {
 		for i := range joinedCols {
 			qc := joinedTable + "." + joinedCols[i]
-			ji := j.Rel.Schema.IndexOf(qc)
+			ji := schema.IndexOf(qc)
 			ni := newTable.Schema.IndexOf(newCols[i])
 			if ji >= 0 && ni >= 0 {
 				conds = append(conds, joinCondition{joinedCol: ji, newCol: ni})
 			}
 		}
 	}
+	isJoined := func(name string) bool {
+		for _, t := range joined {
+			if t == name {
+				return true
+			}
+		}
+		return false
+	}
 	in := d.Table(incoming)
 	for _, fk := range d.ForeignKeys {
 		switch {
-		case fk.ChildTable == incoming && j.tableIndex(fk.ParentTable) >= 0:
+		case fk.ChildTable == incoming && isJoined(fk.ParentTable):
 			add(fk.ParentTable, fk.ParentColumns, fk.ChildColumns, in)
-		case fk.ParentTable == incoming && j.tableIndex(fk.ChildTable) >= 0:
+		case fk.ParentTable == incoming && isJoined(fk.ChildTable):
 			add(fk.ChildTable, fk.ChildColumns, fk.ParentColumns, in)
 		}
 	}
 	return conds
 }
 
-// foldIn hash-joins the incoming table into j under the given conditions.
-// The build side is keyed by per-row join-column hashes (relation's hash
-// kernel; no key strings) and every hash match is verified value-by-value
-// with KeyEqual, so correctness never depends on hash uniqueness. The
-// merged tuples and provenance rows are carved out of one backing array
-// each — one allocation per fold, not one per output row.
-func (j *Joined) foldIn(in *relation.Relation, conds []joinCondition) error {
-	newTableIdx := len(j.Tables)
+// none marks a code or key group that does not exist.
+const none = ^uint32(0)
+
+// foldIn joins the incoming table into j under the given conditions, on
+// dictionary codes. Each condition's joined-side base codes are mapped once
+// to the incoming column's codes, through a hash lookup verified with
+// KeyEqual; then the incoming rows are grouped by their tuple of key codes,
+// and every joined tuple probes its group with integer work alone. Two
+// values match exactly when they are KeyEqual — NULL = NULL, NaN = NaN,
+// Int(3) = Float(3.0) — whatever the hashes do.
+func (j *Joined) foldIn(c *Codes, in *relation.Relation, conds []joinCondition) {
+	incoming := c.table(in)
+	n := len(j.rows[0])
+
+	// group[i] is joined tuple i's key group among the incoming rows, or
+	// none; inGroup is the incoming rows' groups, numGroups their count.
+	group := make([]uint32, n)
+	var inGroup []uint32
+	numGroups := 0
+	for k, cond := range conds {
+		ref := j.Cols[cond.joinedCol]
+		side := c.table(j.base[ref.TableIdx]).Col(ref.ColIdx)
+		sideRows := j.rows[ref.TableIdx]
+		inCol := incoming.Col(cond.newCol)
+		toIn := mapCodes(side.Dict, inCol.Dict)
+		if k == 0 {
+			inGroup = inCol.Codes
+			numGroups = len(inCol.Dict)
+			for i, b := range sideRows {
+				group[i] = toIn[side.Codes[b]]
+			}
+			continue
+		}
+		// Later conditions refine the groups: a group is a (previous group,
+		// code) pair, numbered in incoming row order.
+		pairs := make(map[uint64]uint32)
+		refined := make([]uint32, len(inGroup))
+		for ri, g := range inGroup {
+			key := uint64(g)<<32 | uint64(inCol.Codes[ri])
+			id, ok := pairs[key]
+			if !ok {
+				id = uint32(len(pairs))
+				pairs[key] = id
+			}
+			refined[ri] = id
+		}
+		inGroup, numGroups = refined, len(pairs)
+		for i, b := range sideRows {
+			if group[i] == none {
+				continue
+			}
+			code := toIn[side.Codes[b]]
+			id, ok := pairs[uint64(group[i])<<32|uint64(code)]
+			if code == none || !ok {
+				id = none
+			}
+			group[i] = id
+		}
+	}
+	members := groupRows(inGroup, numGroups)
+
+	total := 0
+	for _, g := range group {
+		if g != none {
+			total += members.start[g+1] - members.start[g]
+		}
+	}
+	rows := make([][]int, len(j.rows)+1)
+	for t := range rows {
+		rows[t] = make([]int, 0, total)
+	}
+	newT := len(j.rows)
+	for i, g := range group {
+		if g == none {
+			continue
+		}
+		for _, ri := range members.items[members.start[g]:members.start[g+1]] {
+			for t, prev := range j.rows {
+				rows[t] = append(rows[t], prev[i])
+			}
+			rows[newT] = append(rows[newT], ri)
+		}
+	}
+
+	j.rows = rows
+	j.base = append(j.base, in)
 	j.Tables = append(j.Tables, in.Name)
-
-	newIdx := make([]int, len(conds))
-	joinedIdx := make([]int, len(conds))
-	for i, c := range conds {
-		newIdx[i] = c.newCol
-		joinedIdx[i] = c.joinedCol
+	j.schema = j.schema.Concat(in.Schema.Qualify(in.Name))
+	for ci, col := range in.Schema {
+		j.Cols = append(j.Cols, ColRef{Table: in.Name, Column: col.Name, TableIdx: newT, ColIdx: ci})
 	}
-	condsEqual := func(jt, it relation.Tuple) bool {
-		for _, c := range conds {
-			if !jt[c.joinedCol].KeyEqual(it[c.newCol]) {
-				return false
-			}
+}
+
+// mapCodes maps each value of dictionary from to the code of its KeyEqual
+// value in dictionary to, or none.
+func mapCodes(from, to []relation.Value) []uint32 {
+	head := make(map[uint64]uint32, len(to))
+	next := make([]uint32, len(to))
+	for code, v := range to {
+		h := v.Hash64()
+		next[code] = none
+		if first, ok := head[h]; ok {
+			next[code] = first
 		}
-		return true
+		head[h] = uint32(code)
 	}
-
-	// Index incoming rows by their join-column hash.
-	index := make(map[uint64][]int, in.Len())
-	for ri, t := range in.Tuples {
-		h := t.HashProj(newIdx)
-		index[h] = append(index[h], ri)
-	}
-
-	newSchema := j.Rel.Schema.Concat(in.Schema.Qualify(in.Name))
-	for ci, c := range in.Schema {
-		j.Cols = append(j.Cols, ColRef{Table: in.Name, Column: c.Name, TableIdx: newTableIdx, ColIdx: ci})
-	}
-
-	// Pass 1: probe with verification, recording the matching incoming rows
-	// per joined tuple (flattened, so the pass allocates O(output), not
-	// O(output rows) separate slices). The bookkeeping slices come from the
-	// scratch pool and go back at the end of the fold.
-	scr := getFoldScratch(len(j.Rel.Tuples))
-	matches, starts := scr.matches[:0], scr.starts
-	for ti, t := range j.Rel.Tuples {
-		starts[ti] = len(matches)
-		for _, ri := range index[t.HashProj(joinedIdx)] {
-			if condsEqual(t, in.Tuples[ri]) {
-				matches = append(matches, ri)
+	out := make([]uint32, len(from))
+	for b, v := range from {
+		out[b] = none
+		first, ok := head[v.Hash64()]
+		if !ok {
+			continue
+		}
+		for code := first; code != none; code = next[code] {
+			if to[code].KeyEqual(v) {
+				out[b] = code
+				break
 			}
 		}
 	}
-	starts[len(j.Rel.Tuples)] = len(matches)
-
-	// Pass 2: materialise output rows from (pooled) arenas.
-	n := len(matches)
-	arity := len(j.Rel.Schema) + in.Arity()
-	provLen := newTableIdx + 1
-	bufs := getFoldBuffers(newTableIdx, n*arity, n*provLen)
-	valueArena, provArena := bufs.vals, bufs.ints
-	outTuples := make([]relation.Tuple, n)
-	outProv := make([][]int, n)
-	oi := 0
-	for ti, t := range j.Rel.Tuples {
-		for _, ri := range matches[starts[ti]:starts[ti+1]] {
-			merged := valueArena[oi*arity : (oi+1)*arity : (oi+1)*arity]
-			copy(merged, t)
-			copy(merged[len(t):], in.Tuples[ri])
-			prov := provArena[oi*provLen : (oi+1)*provLen : (oi+1)*provLen]
-			copy(prov, j.Prov[ti])
-			prov[provLen-1] = ri
-			outTuples[oi] = merged
-			outProv[oi] = prov
-			oi++
-		}
-	}
-	j.Rel = &relation.Relation{Name: j.Rel.Name, Schema: newSchema, Tuples: outTuples}
-	j.Prov = outProv
-	// The pre-fold arenas were fully copied forward above: recycle them and
-	// take ownership of this fold's arenas.
-	j.recycleCurrent()
-	j.curVals, j.curProv, j.curDepth = valueArena, provArena, newTableIdx
-	scr.matches = matches
-	putFoldScratch(scr)
-	return nil
+	return out
 }
-
-// foldScratch holds the per-fold match bookkeeping (pass 1), pooled across
-// joins.
-type foldScratch struct {
-	matches []int
-	starts  []int
-}
-
-var foldScratchPool sync.Pool
-
-func getFoldScratch(tuples int) *foldScratch {
-	if v := foldScratchPool.Get(); v != nil {
-		s := v.(*foldScratch)
-		if cap(s.starts) >= tuples+1 {
-			s.starts = s.starts[:tuples+1]
-			return s
-		}
-	}
-	return &foldScratch{matches: make([]int, 0, tuples), starts: make([]int, tuples+1)}
-}
-
-func putFoldScratch(s *foldScratch) { foldScratchPool.Put(s) }
-
-func (j *Joined) buildReverseIndex() {
-	j.fromBase = make(map[string]map[int][]int, len(j.Tables))
-	for _, t := range j.Tables {
-		j.fromBase[t] = make(map[int][]int)
-	}
-	for ti, prov := range j.Prov {
-		for tbl, row := range prov {
-			name := j.Tables[tbl]
-			j.fromBase[name][row] = append(j.fromBase[name][row], ti)
-		}
-	}
-}
-
-// Rebuilt recomputes the join on a (possibly edited) database with the same
-// schema, preserving the join order. Used by tests to cross-check the
-// incremental evaluator against a from-scratch join.
-func (j *Joined) Rebuilt(d *Database) (*Joined, error) { return Join(d, j.Tables) }
-
-func joinName(tables []string) string { return strings.Join(tables, "⋈") }

@@ -26,20 +26,17 @@ func TestJoinUnderForcedHashCollisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Rel.Len() != want.Rel.Len() {
-		t.Fatalf("collided join has %d tuples, want %d", got.Rel.Len(), want.Rel.Len())
+	if got.Len() != want.Len() {
+		t.Fatalf("collided join has %d tuples, want %d", got.Len(), want.Len())
 	}
-	for i := range want.Rel.Tuples {
-		if !got.Rel.Tuples[i].Equal(want.Rel.Tuples[i]) {
-			t.Fatalf("tuple %d diverges under collisions: %v vs %v",
-				i, got.Rel.Tuples[i], want.Rel.Tuples[i])
+	for i := 0; i < want.Len(); i++ {
+		if g, w := got.Row(i), want.Row(i); !g.Equal(w) {
+			t.Fatalf("tuple %d diverges under collisions: %v vs %v", i, g, w)
 		}
-		if len(got.Prov[i]) != len(want.Prov[i]) {
-			t.Fatalf("provenance %d length diverges", i)
-		}
-		for j := range want.Prov[i] {
-			if got.Prov[i][j] != want.Prov[i][j] {
-				t.Fatalf("provenance %d diverges: %v vs %v", i, got.Prov[i], want.Prov[i])
+		for k := range want.Tables {
+			if got.BaseRow(i, k) != want.BaseRow(i, k) {
+				t.Fatalf("provenance %d diverges on %s: %d vs %d",
+					i, want.Tables[k], got.BaseRow(i, k), want.BaseRow(i, k))
 			}
 		}
 	}

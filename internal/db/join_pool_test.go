@@ -1,66 +1,71 @@
 package db
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
 
 // TestJoinArenaPoolingIsObservationallyPure re-runs the same joins many
-// times — the shape of the β/δ sweeps and the simulator, where the fold
-// pools actually cycle — and requires every run to reproduce the first
-// run's joined relation, provenance and columnar view exactly. A pooled
-// buffer leaking live data into a later join would surface here.
+// times — the shape of the β/δ sweeps and the simulator — and requires
+// every run to reproduce the first run's tuples, provenance and column
+// codes exactly, and the first join to stay intact: a join shares nothing
+// mutable with a later one.
 func TestJoinArenaPoolingIsObservationallyPure(t *testing.T) {
 	d := twoTableDB(t)
 	first, err := JoinAll(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantFP := first.Rel.Fingerprint()
-	wantCols := first.Columnar()
+	wantFP := first.Relation().Fingerprint()
+	same := func(j *Joined) bool {
+		if j.Len() != first.Len() || j.Relation().Fingerprint() != wantFP {
+			return false
+		}
+		for i := 0; i < j.Len(); i++ {
+			for k := range j.Tables {
+				if j.BaseRow(i, k) != first.BaseRow(i, k) {
+					return false
+				}
+			}
+		}
+		for ci := range j.Schema() {
+			if !slices.Equal(j.Columnar().Col(ci).Codes, first.Columnar().Col(ci).Codes) {
+				return false
+			}
+		}
+		return true
+	}
 	for run := 0; run < 50; run++ {
 		j, err := JoinAll(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := j.Rel.Fingerprint(); got != wantFP {
-			t.Fatalf("run %d: joined relation diverged", run)
-		}
-		if len(j.Prov) != len(first.Prov) {
-			t.Fatalf("run %d: provenance length diverged", run)
-		}
-		for i := range j.Prov {
-			for k := range j.Prov[i] {
-				if j.Prov[i][k] != first.Prov[i][k] {
-					t.Fatalf("run %d: provenance row %d diverged", run, i)
-				}
-			}
-		}
-		col := j.Columnar()
-		if col.NumRows() != wantCols.NumRows() {
-			t.Fatalf("run %d: columnar row count diverged", run)
+		if !same(j) {
+			t.Fatalf("run %d: join diverged from the first", run)
 		}
 	}
-	// The first join's tuples must still be intact after its arenas' peers
-	// cycled through the pools 50 times (final arenas are never recycled).
-	if got := first.Rel.Fingerprint(); got != wantFP {
-		t.Fatal("original join corrupted by later pooled joins")
+	if got := first.Relation().Fingerprint(); got != wantFP {
+		t.Fatal("original join corrupted by later joins")
 	}
 }
 
-// TestJoinArenaPoolingConcurrent hammers the fold pools from many
-// goroutines; run under -race this checks the pools introduce no sharing
-// between concurrent joins.
+// TestJoinArenaPoolingConcurrent has 8 goroutines join one database while
+// they all read one shared join's rows, cells, provenance, reverse index
+// and columnar view; run under -race this checks that joins share no
+// mutable state and that a join's lazily built parts are safe for
+// concurrent readers.
 func TestJoinArenaPoolingConcurrent(t *testing.T) {
 	d := twoTableDB(t)
-	want := ""
-	{
-		j, err := JoinAll(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = j.Rel.Fingerprint()
+	shared, err := JoinAll(d)
+	if err != nil {
+		t.Fatal(err)
 	}
+	want, err := JoinAll(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFP := want.Relation().Fingerprint()
 	var wg sync.WaitGroup
 	errs := make([]string, 8)
 	for w := 0; w < 8; w++ {
@@ -73,9 +78,23 @@ func TestJoinArenaPoolingConcurrent(t *testing.T) {
 					errs[w] = err.Error()
 					return
 				}
-				if j.Rel.Fingerprint() != want {
+				if j.Relation().Fingerprint() != wantFP || shared.Relation().Fingerprint() != wantFP {
 					errs[w] = "fingerprint diverged"
 					return
+				}
+				col := shared.Columnar()
+				for r := 0; r < shared.Len(); r++ {
+					if !shared.Row(r).Equal(want.Row(r)) || shared.FanOut("T1", shared.BaseRow(r, 0)) < 1 {
+						errs[w] = "row or provenance diverged"
+						return
+					}
+					for ci := range shared.Schema() {
+						cd := col.Col(ci)
+						if !cd.Dict[cd.Codes[r]].KeyEqual(col.Cell(r, ci)) {
+							errs[w] = "code does not resolve to its cell"
+							return
+						}
+					}
 				}
 			}
 		}(w)
@@ -89,9 +108,10 @@ func TestJoinArenaPoolingConcurrent(t *testing.T) {
 }
 
 // TestColumnarConcurrentSharedJoin races many goroutines into one Joined's
-// memoised Columnar() — the access pattern of concurrent batch evaluations
-// over one shared join. All callers must observe the same fully-built view
-// (sync.Once publication), with pooled join arenas cycling underneath.
+// Columnar() — the access pattern of concurrent batch evaluations over one
+// shared join. All callers must observe the same fully-built view and
+// column dictionaries (sync.Once publication), with other joins of the
+// same database running alongside.
 func TestColumnarConcurrentSharedJoin(t *testing.T) {
 	d := twoTableDB(t)
 	j, err := JoinAll(d)
@@ -99,29 +119,26 @@ func TestColumnarConcurrentSharedJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	cols := make([]any, 16)
-	for w := 0; w < len(cols); w++ {
+	dicts := make([]any, 16)
+	for w := 0; w < len(dicts); w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Churn the fold pools concurrently so a pooled-arena bug could
-			// only surface as divergence in the shared view.
 			if _, err := JoinAll(d); err != nil {
 				t.Error(err)
 				return
 			}
 			col := j.Columnar()
-			if col.NumRows() != j.Rel.Len() {
-				t.Errorf("worker %d: columnar has %d rows, join has %d",
-					w, col.NumRows(), j.Rel.Len())
+			if col.NumRows() != j.Len() {
+				t.Errorf("worker %d: columnar has %d rows, join has %d", w, col.NumRows(), j.Len())
 			}
-			cols[w] = col
+			dicts[w] = col.Col(w % len(j.Schema()))
 		}(w)
 	}
 	wg.Wait()
-	for w := 1; w < len(cols); w++ {
-		if cols[w] != cols[0] {
-			t.Errorf("worker %d saw a different columnar view", w)
+	for w := range dicts {
+		if dicts[w] != j.Columnar().Col(w%len(j.Schema())) {
+			t.Errorf("worker %d saw a different column dictionary", w)
 		}
 	}
 }

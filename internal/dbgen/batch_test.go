@@ -21,7 +21,7 @@ func checkBaseResultsMatchScalar(t *testing.T, g *Generator) {
 			bag.Distinct = false
 			ref = bag
 		}
-		direct, err := ref.EvaluateOnJoined(g.Joined.Rel)
+		direct, err := ref.EvaluateOnJoined(g.Joined.Relation())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func TestEvaluateBaseBatchMatchesScalar(t *testing.T) {
 	for _, bits := range []int{0, 2} {
 		relation.ForceHashCollisionsForTesting(bits)
 		d, j, qc, r := example11(t)
-		g, err := New(db.NewKeys(d), j, qc, r, testOptions(), 0)
+		g, err := newGenerator(db.NewKeys(d), j, qc, r, testOptions(), 0)
 		if err != nil {
 			relation.ForceHashCollisionsForTesting(0)
 			t.Fatal(err)
@@ -63,7 +63,7 @@ func TestEvaluateBaseBatchMatchesScalar(t *testing.T) {
 // by their scalar DeltaFingerprint in query order.
 func TestPartitionConcreteBatchMatchesScalar(t *testing.T) {
 	d, j, qc, r := example11(t)
-	g, err := New(db.NewKeys(d), j, qc, r, testOptions(), 0)
+	g, err := newGenerator(db.NewKeys(d), j, qc, r, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,14 +75,14 @@ func TestPartitionConcreteBatchMatchesScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchDeltas, err := algebra.BatchDeltaOnJoined(g.Queries, g.Joined.Rel, modified)
+	batchDeltas, err := algebra.BatchDeltaOnJoined(g.Queries, g.Joined.Columnar(), modified)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want [][]int
 	block := map[algebra.ResultFP]int{}
 	for qi, q := range g.Queries {
-		scalar, err := q.DeltaOnJoined(g.Joined.Rel, modified)
+		scalar, err := q.DeltaOnJoined(g.Joined.Relation(), modified)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestPartitionConcreteBatchMatchesScalar(t *testing.T) {
 // worker counts and requires bit-identical outcomes.
 func TestGenerateDeterministicAcrossWorkerCounts(t *testing.T) {
 	d, j, qc, r := example11(t)
-	ref, err := New(db.NewKeys(d), j, qc, r, testOptions(), 1)
+	ref, err := newGenerator(db.NewKeys(d), j, qc, r, testOptions(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestGenerateDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8} {
-		g, err := New(db.NewKeys(d), j, qc, r, testOptions(), workers)
+		g, err := newGenerator(db.NewKeys(d), j, qc, r, testOptions(), workers)
 		if err != nil {
 			t.Fatal(err)
 		}

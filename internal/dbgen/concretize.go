@@ -89,14 +89,13 @@ func (g *Generator) concretize(pairs []tupleclass.Pair) (*Result, error) {
 
 // editsForRow builds the cell edits realising pair p on joined row `row`.
 func (g *Generator) editsForRow(row int, p tupleclass.Pair) []db.CellEdit {
-	prov := g.Joined.Prov[row]
 	var edits []db.CellEdit
 	for _, a := range p.ChangedAttrs() {
 		part := g.Space.Parts[a]
 		ref := g.Joined.Cols[part.Col]
 		edits = append(edits, db.CellEdit{
 			Table:  ref.Table,
-			Row:    prov[ref.TableIdx],
+			Row:    g.Joined.BaseRow(row, ref.TableIdx),
 			Column: ref.Column,
 			Value:  part.Subsets[p.Dst[a]].Rep,
 		})
@@ -107,17 +106,17 @@ func (g *Generator) editsForRow(row int, p tupleclass.Pair) []db.CellEdit {
 // sideEffectBadness counts how many *other* joined tuples a modification of
 // this row would drag along: the sum over edited base rows of (fan-out − 1).
 func (g *Generator) sideEffectBadness(row int, p tupleclass.Pair) int {
-	prov := g.Joined.Prov[row]
 	seen := map[string]bool{}
 	badness := 0
 	for _, a := range p.ChangedAttrs() {
 		ref := g.Joined.Cols[g.Space.Parts[a].Col]
-		k := baseKey(ref.Table, prov[ref.TableIdx])
+		b := g.Joined.BaseRow(row, ref.TableIdx)
+		k := baseKey(ref.Table, b)
 		if seen[k] {
 			continue
 		}
 		seen[k] = true
-		badness += g.Joined.FanOut(ref.Table, prov[ref.TableIdx]) - 1
+		badness += g.Joined.FanOut(ref.Table, b) - 1
 	}
 	return badness
 }

@@ -53,9 +53,19 @@ func testOptions() Options {
 	return o
 }
 
+// newGenerator builds a round's space over j and the generator winnowing it.
+func newGenerator(keys *db.Keys, j *db.Joined, qc []*algebra.Query, r *relation.Relation,
+	opts Options, parallelism int) (*Generator, error) {
+	space, err := NewSpace(j, qc)
+	if err != nil {
+		return nil, err
+	}
+	return New(keys, j, space, r, opts, parallelism)
+}
+
 func TestGenerateSplitsExample11(t *testing.T) {
 	d, j, qc, r := example11(t)
-	g, err := New(db.NewKeys(d), j, qc, r, testOptions(), 0)
+	g, err := newGenerator(db.NewKeys(d), j, qc, r, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +129,7 @@ func TestGenerateSplitsExample11(t *testing.T) {
 
 func TestGeneratePrefersSmallEdits(t *testing.T) {
 	d, j, qc, r := example11(t)
-	g, err := New(db.NewKeys(d), j, qc, r, testOptions(), 0)
+	g, err := newGenerator(db.NewKeys(d), j, qc, r, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +146,7 @@ func TestGeneratePrefersSmallEdits(t *testing.T) {
 
 func TestSkylinePairsNonEmptyAndScored(t *testing.T) {
 	d, j, qc, r := example11(t)
-	g, err := New(db.NewKeys(d), j, qc, r, testOptions(), 0)
+	g, err := newGenerator(db.NewKeys(d), j, qc, r, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +175,7 @@ func TestBudgetTruncatesEnumeration(t *testing.T) {
 	d, j, qc, r := example11(t)
 	opts := testOptions()
 	opts.Budget = Budget{MaxPairs: 3}
-	g, err := New(db.NewKeys(d), j, qc, r, opts, 0)
+	g, err := newGenerator(db.NewKeys(d), j, qc, r, opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +190,7 @@ func TestBudgetTruncatesEnumeration(t *testing.T) {
 
 func TestPickSubsetsRanked(t *testing.T) {
 	d, j, qc, r := example11(t)
-	g, err := New(db.NewKeys(d), j, qc, r, testOptions(), 0)
+	g, err := newGenerator(db.NewKeys(d), j, qc, r, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +222,7 @@ func TestGenerateNoSplitForEquivalentQueries(t *testing.T) {
 				algebra.NewTerm("Employee.salary", op, relation.Int(c))}}}
 	}
 	qc := []*algebra.Query{mk("A", algebra.OpGT, 4000), mk("B", algebra.OpGE, 4001)}
-	g, err := New(db.NewKeys(d), j, qc, r, testOptions(), 0)
+	g, err := newGenerator(db.NewKeys(d), j, qc, r, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +254,7 @@ func TestConcretizeRespectsPrimaryKey(t *testing.T) {
 	qc := []*algebra.Query{mk("A", algebra.OpLE, 2), mk("B", algebra.OpLT, 3)}
 	res := relation.New("R", relation.NewSchema("x", relation.KindString)).
 		Append(relation.NewTuple("a"), relation.NewTuple("a"))
-	g, err := New(db.NewKeys(d), j, qc, res, testOptions(), 0)
+	g, err := newGenerator(db.NewKeys(d), j, qc, res, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +271,7 @@ func TestConcretizeRespectsPrimaryKey(t *testing.T) {
 
 func TestGeneratedDBAlwaysValid(t *testing.T) {
 	d, j, qc, r := example11(t)
-	g, err := New(db.NewKeys(d), j, qc, r, testOptions(), 0)
+	g, err := newGenerator(db.NewKeys(d), j, qc, r, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +328,7 @@ func TestSideEffectsAccountedInPartition(t *testing.T) {
 	}
 	res := relation.New("R", relation.NewSchema("v", relation.KindInt)).
 		Append(relation.NewTuple(10), relation.NewTuple(20))
-	g, err := New(db.NewKeys(d), j, qc, res, testOptions(), 0)
+	g, err := newGenerator(db.NewKeys(d), j, qc, res, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +353,7 @@ func TestSideEffectsAccountedInPartition(t *testing.T) {
 
 func TestEnumerateScoredPairsCap(t *testing.T) {
 	d, j, qc, r := example11(t)
-	g, err := New(db.NewKeys(d), j, qc, r, testOptions(), 0)
+	g, err := newGenerator(db.NewKeys(d), j, qc, r, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +372,7 @@ func TestCostParamsFlowThrough(t *testing.T) {
 	d, j, qc, r := example11(t)
 	opts := testOptions()
 	opts.Cost = cost.Params{Beta: 5}
-	g, err := New(db.NewKeys(d), j, qc, r, opts, 0)
+	g, err := newGenerator(db.NewKeys(d), j, qc, r, opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +383,7 @@ func TestCostParamsFlowThrough(t *testing.T) {
 
 func TestNewRejectsEmptyQC(t *testing.T) {
 	d, j, _, r := example11(t)
-	if _, err := New(db.NewKeys(d), j, nil, r, testOptions(), 0); err == nil {
+	if _, err := newGenerator(db.NewKeys(d), j, nil, r, testOptions(), 0); err == nil {
 		t.Error("empty QC should be rejected")
 	}
 }

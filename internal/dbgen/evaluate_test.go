@@ -56,7 +56,7 @@ func example51Generator(t *testing.T) *Generator {
 		mk("Q7", true, ab, algebra.Conjunct{term("A", algebra.OpGT, 40), term("B", algebra.OpLE, 60)}),
 	}
 	r := relation.New("R", relation.NewSchema("C", relation.KindInt)).Append(relation.NewTuple(1))
-	g, err := New(db.NewKeys(d), j, qc, r, testOptions(), 0)
+	g, err := newGenerator(db.NewKeys(d), j, qc, r, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

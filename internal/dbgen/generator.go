@@ -120,13 +120,14 @@ type Generator struct {
 	alg4Enum, alg4Score, alg4TopK time.Duration
 }
 
-// New prepares a generator for the database behind the key index keys, its
-// precomputed join, the candidate queries and target result R. A session
-// passes the same index to every round's generator. parallelism is the
-// worker count of its parallel loops: 0 selects GOMAXPROCS, 1 runs them
-// serially in index order.
-func New(keys *db.Keys, joined *db.Joined, queries []*algebra.Query,
-	r *relation.Relation, opts Options, parallelism int) (*Generator, error) {
+// NewSpace builds the tuple-class space a round winnows: the candidate
+// queries' space over the join's columnar view. Join-key columns are
+// structural: an edit to one changes which base tuples join, which the delta
+// model (in-place joined-tuple replacement, Lemma 5.1) cannot predict. They
+// are frozen so no enumerated modification touches them; candidates
+// differing only there surface as ErrNoSplit (provably indistinguishable
+// within the reachable modification space).
+func NewSpace(joined *db.Joined, queries []*algebra.Query) (*tupleclass.Space, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("dbgen: empty candidate set")
 	}
@@ -134,15 +135,23 @@ func New(keys *db.Keys, joined *db.Joined, queries []*algebra.Query,
 	if err != nil {
 		return nil, err
 	}
-	// Join-key columns are structural: an edit to one changes which base
-	// tuples join, which the delta model (in-place joined-tuple replacement,
-	// Lemma 5.1) cannot predict. Freeze them so no enumerated modification
-	// touches them; candidates differing only there surface as ErrNoSplit
-	// (provably indistinguishable within the reachable modification space).
 	space.Freeze(joined.KeyCols)
+	return space, nil
+}
+
+// New prepares a generator for the database behind the key index keys, its
+// precomputed join, the round's space (NewSpace over the join, whose
+// queries are the candidates) and target result R. A session passes the
+// same index to every round's generator. parallelism is the worker count of
+// its parallel loops: 0 selects GOMAXPROCS, 1 runs them serially in index
+// order.
+func New(keys *db.Keys, joined *db.Joined, space *tupleclass.Space,
+	r *relation.Relation, opts Options, parallelism int) (*Generator, error) {
+	queries := space.Queries
 	mCandidates.Observe(int64(len(queries)))
 	g := &Generator{Keys: keys, Joined: joined, Space: space, Queries: queries, R: r, Opts: opts,
 		workers: par.Workers(parallelism)}
+	var err error
 	if g.baseResults, err = g.evaluateBase(); err != nil {
 		return nil, err
 	}
@@ -332,7 +341,7 @@ func (g *Generator) partitionConcrete(edits []db.CellEdit) ([][]int, []*relation
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	deltas, err := algebra.BatchDeltaOnJoined(g.Queries, g.Joined.Rel, modified)
+	deltas, err := algebra.BatchDeltaOnJoined(g.Queries, g.Joined.Columnar(), modified)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -384,7 +393,7 @@ func (g *Generator) modifiedJoinedRows(edits []db.CellEdit) (map[int]relation.Tu
 		for _, row := range g.Joined.TuplesFromBase(e.Table, e.Row) {
 			t, ok := modified[row]
 			if !ok {
-				t = g.Joined.Rel.Tuples[row].Clone()
+				t = g.Joined.Row(row)
 			}
 			t[colIdx] = e.Value
 			modified[row] = t

@@ -18,7 +18,7 @@ import (
 // Run under -race this also exercises the worker pool for data races.
 func TestSkylinePairsParallelMatchesSerial(t *testing.T) {
 	d, j, qc, r := example11(t)
-	ex, err := New(db.NewKeys(d), j, qc, r, testOptions(), 1)
+	ex, err := newGenerator(db.NewKeys(d), j, qc, r, testOptions(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestSkylinePairsParallelMatchesSerial(t *testing.T) {
 		opts := c.g.Opts
 		opts.Budget = Budget{MaxPairs: c.maxPairs}
 		run := func(p int) ([]ScoredPair, SkylineStats) {
-			g, err := New(c.g.Keys, c.g.Joined, c.g.Queries, c.g.R, opts, p)
+			g, err := newGenerator(c.g.Keys, c.g.Joined, c.g.Queries, c.g.R, opts, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,7 +80,7 @@ func TestSkylinePairsParallelMatchesSerial(t *testing.T) {
 func TestPickSubsetsParallelMatchesSerial(t *testing.T) {
 	d, j, qc, r := example11(t)
 	for _, maxEval := range []int{0, 7, 2} { // 0 = uncapped; small caps truncate
-		serial, err := New(db.NewKeys(d), j, qc, r, testOptions(), 1)
+		serial, err := newGenerator(db.NewKeys(d), j, qc, r, testOptions(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestPickSubsetsParallelMatchesSerial(t *testing.T) {
 		setsS := serial.PickSubsets(spS, statsS.X)
 
 		for _, p := range []int{2, 4, 8} {
-			parallel, err := New(db.NewKeys(d), j, qc, r, testOptions(), p)
+			parallel, err := newGenerator(db.NewKeys(d), j, qc, r, testOptions(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +113,7 @@ func TestPickSubsetsParallelMatchesSerial(t *testing.T) {
 // PickSubsets tests above.
 func TestGenerateParallelMatchesSerial(t *testing.T) {
 	d, j, qc, r := example11(t)
-	serial, err := New(db.NewKeys(d), j, qc, r, testOptions(), 1)
+	serial, err := newGenerator(db.NewKeys(d), j, qc, r, testOptions(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestGenerateParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 4, 8, runtime.GOMAXPROCS(0)} {
-		parallel, err := New(db.NewKeys(d), j, qc, r, testOptions(), p)
+		parallel, err := newGenerator(db.NewKeys(d), j, qc, r, testOptions(), p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -187,7 +187,7 @@ func firstRoundGenerator(t *testing.T, sc *scenario.Scenario) *Generator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := New(db.NewKeys(sc.DB), j, group, sc.R, testOptions(), 0)
+	g, err := newGenerator(db.NewKeys(sc.DB), j, group, sc.R, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func randomGenerator(t *testing.T, seed int64, nq int) *Generator {
 			Projection: proj[:1+rng.Intn(3)], Pred: pred, Distinct: rng.Intn(3) == 0}
 	}
 	r := relation.New("R", relation.NewSchema("A", relation.KindInt)).Append(relation.NewTuple(1))
-	g, err := New(db.NewKeys(d), j, qc, r, testOptions(), 0)
+	g, err := newGenerator(db.NewKeys(d), j, qc, r, testOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,7 @@ func checkCandidates(t *testing.T, inputs []contractInput, h hash.Hash) {
 				}
 				joins[q.JoinSchemaKey()] = j
 			}
-			res, err := q.EvaluateOnJoined(j.Rel)
+			res, err := q.EvaluateOnJoined(j.Relation())
 			if err != nil {
 				t.Errorf("%s: %s: %v", in.name, q, err)
 			} else if !res.BagEqual(in.r) {

@@ -75,7 +75,7 @@ func newGrowSearch(ix *joinIndex, pools []attrPool, rc rowClass, gs groups, rLen
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return pop[order[a]] < pop[order[b]] })
-	s := &growSearch{excluded: len(rc.excluded), arity: ix.j.Rel.Arity(),
+	s := &growSearch{excluded: len(rc.excluded), arity: len(ix.j.Schema()),
 		group: make([]uint32, len(listed)), need: gs.need, rLen: rLen,
 		got: make([]int, len(gs.need)), sel: make([]uint64, (len(listed)+63)/64)}
 	for _, i := range order {

@@ -38,13 +38,13 @@ type codeGroups struct {
 }
 
 func newJoinIndex(j *db.Joined) *joinIndex {
-	n := j.Rel.Arity()
+	schema := j.Schema()
+	n := len(schema)
 	ix := &joinIndex{j: j, col: j.Columnar(), byName: make([]int, n),
 		nums: make([][]float64, n), groups: make([]codeGroups, n), lookup: make([]map[uint64]uint32, n)}
 	for ci := range ix.byName {
 		ix.byName[ci] = ci
 	}
-	schema := j.Rel.Schema
 	sort.Slice(ix.byName, func(a, b int) bool {
 		return schema[ix.byName[a]].Name < schema[ix.byName[b]].Name
 	})

@@ -15,9 +15,9 @@ import (
 // Term.Matches on the actual row values. It reports whether the conjunct
 // rejects every row of excluded.
 func excludesAllReference(j *db.Joined, conj []algebra.Term, excluded []int) bool {
-	match := algebra.Predicate{algebra.Conjunct(conj)}.Compile(j.Rel.Schema)
+	match := algebra.Predicate{algebra.Conjunct(conj)}.Compile(j.Relation().Schema)
 	for _, ri := range excluded {
-		if match(j.Rel.Tuples[ri]) {
+		if match(j.Relation().Tuples[ri]) {
 			return false
 		}
 	}
@@ -44,7 +44,7 @@ func rejectTestPool(kind relation.Kind) []relation.Value {
 func rejectTestJoin(rng *rand.Rand, rows int) *db.Joined {
 	kinds := []relation.Kind{relation.KindInt, relation.KindFloat, relation.KindString, relation.KindBool}
 	rel := relation.New("T", relation.NewSchema(
-		"T.i", kinds[0], "T.f", kinds[1], "T.s", kinds[2], "T.b", kinds[3]))
+		"i", kinds[0], "f", kinds[1], "s", kinds[2], "b", kinds[3]))
 	for r := 0; r < rows; r++ {
 		t := make(relation.Tuple, len(kinds))
 		for ci, k := range kinds {
@@ -53,7 +53,18 @@ func rejectTestJoin(rng *rand.Rand, rows int) *db.Joined {
 		}
 		rel.Tuples = append(rel.Tuples, t)
 	}
-	return &db.Joined{Rel: rel}
+	return tableJoin(rel)
+}
+
+// tableJoin is the one-table join of rel, whose columns it qualifies.
+func tableJoin(rel *relation.Relation) *db.Joined {
+	d := db.New()
+	d.MustAddTable(rel)
+	j, err := db.Join(d, []string{rel.Name})
+	if err != nil {
+		panic(err)
+	}
+	return j
 }
 
 // rejectTestTerm draws a term on column ci with any operator, its constant
@@ -64,14 +75,14 @@ func rejectTestTerm(rng *rand.Rand, j *db.Joined, ci int) algebra.Term {
 	for _, k := range []relation.Kind{relation.KindInt, relation.KindString, relation.KindBool} {
 		all = append(all, rejectTestPool(k)...)
 	}
-	own := rejectTestPool(j.Rel.Schema[ci].Type)
+	own := rejectTestPool(j.Relation().Schema[ci].Type)
 	pick := func() relation.Value {
 		if rng.Intn(4) == 0 {
 			return all[rng.Intn(len(all))]
 		}
 		return own[rng.Intn(len(own))]
 	}
-	attr := j.Rel.Schema[ci].Name
+	attr := j.Relation().Schema[ci].Name
 	op := algebra.Op(rng.Intn(int(algebra.OpNotIn) + 1))
 	if op == algebra.OpIn || op == algebra.OpNotIn {
 		set := make([]relation.Value, 1+rng.Intn(3))
@@ -100,19 +111,19 @@ func TestRejectBitsetsMatchRowScan(t *testing.T) {
 			j := rejectTestJoin(rng, 70+rng.Intn(60))
 			ix := newJoinIndex(j)
 			for _, n := range []int{0, 1, 63, 64, 65} {
-				rows := rng.Perm(j.Rel.Len())[:n]
+				rows := rng.Perm(j.Relation().Len())[:n]
 				for c := 0; c < 20; c++ {
 					conj := make([]algebra.Term, 1+rng.Intn(3))
 					sets := make([][]uint64, len(conj))
 					for k := range conj {
-						ci := rng.Intn(j.Rel.Arity())
+						ci := rng.Intn(j.Relation().Arity())
 						conj[k] = rejectTestTerm(rng, j, ci)
 						sets[k] = ix.rejects(&conj[k], ci, rows)
 						for b, ri := range rows {
 							got := sets[k][b>>6]&(1<<(b&63)) != 0
-							if want := !conj[k].Matches(j.Rel.Tuples[ri][ci]); got != want {
+							if want := !conj[k].Matches(j.Relation().Tuples[ri][ci]); got != want {
 								t.Fatalf("collisions %d: %s on %v: reject bit %v, want %v",
-									collisionBits, conj[k], j.Rel.Tuples[ri][ci], got, want)
+									collisionBits, conj[k], j.Relation().Tuples[ri][ci], got, want)
 							}
 						}
 					}
@@ -155,11 +166,11 @@ func TestRejectBitsetsMatchRowScan(t *testing.T) {
 // lies inside the good rows' bounds), and the first refinement is kept, as
 // the row-at-a-time check of the whole conjunct kept it.
 func TestClusterConjunctOnNullValue(t *testing.T) {
-	rel := relation.New("T", relation.NewSchema("T.id", relation.KindInt, "T.grp", relation.KindString))
+	rel := relation.New("T", relation.NewSchema("id", relation.KindInt, "grp", relation.KindString))
 	rel.Append(
 		relation.NewTuple(1, nil), relation.NewTuple(2, nil),
 		relation.NewTuple(3, nil), relation.NewTuple(4, "g"))
-	j := &db.Joined{Rel: rel}
+	j := tableJoin(rel)
 	ix := newJoinIndex(j)
 	cd := ix.col.Col(1)
 	g := &generator{cfg: DefaultConfig()}

@@ -24,13 +24,14 @@ func PerturbConstants(d *db.Database, r *relation.Relation, base []*algebra.Quer
 	}
 	var out []*algebra.Query
 
+	codes := db.NewCodes(d)
 	joins := map[string]*joinIndex{}
 	joinFor := func(q *algebra.Query) (*joinIndex, error) {
 		k := q.JoinSchemaKey()
 		if ix, ok := joins[k]; ok {
 			return ix, nil
 		}
-		j, err := db.Join(d, q.Tables)
+		j, err := codes.Join(q.Tables)
 		if err != nil {
 			return nil, err
 		}
@@ -98,11 +99,11 @@ func PerturbConstants(d *db.Database, r *relation.Relation, base []*algebra.Quer
 // active-domain values of attr's column (its memoised numeric domain) and
 // the midpoints of the gaps on either side of c.
 func nearbyConstants(ix *joinIndex, attr string, c relation.Value) []relation.Value {
-	col := ix.j.Rel.Schema.IndexOf(attr)
+	col := ix.j.Schema().IndexOf(attr)
 	if col < 0 {
 		return nil
 	}
-	kind := ix.j.Rel.Schema[col].Type
+	kind := ix.j.Schema()[col].Type
 	vals := ix.numericDomain(col)
 	if len(vals) == 0 {
 		return nil

@@ -83,7 +83,7 @@ func classifyCodes(ix *joinIndex, idx []int, r *relation.Relation) (rowClass, gr
 	rest := len(need)
 	need = append(need, 0)
 
-	of := make([]uint32, ix.j.Rel.Len())
+	of := make([]uint32, ix.j.Len())
 	have := make([]int, len(need))
 	for ri := range of {
 		gr := rest
@@ -177,7 +177,7 @@ func (g *generator) coveringTermPools(ix *joinIndex, rows []int) []attrPool {
 	var pools []attrPool
 	for _, ci := range ix.byName {
 		var pool []algebra.Term
-		switch t := ix.j.Rel.Schema[ci].Type; {
+		switch t := ix.j.Schema()[ci].Type; {
 		case t.Numeric():
 			pool = numericCoveringTerms(ix, ci, rows)
 		case t == relation.KindString || t == relation.KindBool:
@@ -207,7 +207,7 @@ func numericCoveringTerms(ix *joinIndex, ci int, rows []int) []algebra.Term {
 		// A row holding NULL or NaN gets no bounds: NULL matches no
 		// comparison, and NaN compares equal to every number, so no strict
 		// bound covers it.
-		v := ix.j.Rel.Tuples[ri][ci]
+		v := ix.col.Cell(ri, ci)
 		if !v.Kind.Numeric() || math.IsNaN(v.AsFloat()) {
 			return nil
 		}
@@ -232,8 +232,8 @@ func numericCoveringTerms(ix *joinIndex, ci int, rows []int) []algebra.Term {
 	if i := sort.Search(len(dom), func(i int) bool { return dom[i] > hi }); i < len(dom) {
 		above = dom[i]
 	}
-	attr := ix.j.Rel.Schema[ci].Name
-	kind := ix.j.Rel.Schema[ci].Type
+	attr := ix.j.Schema()[ci].Name
+	kind := ix.j.Schema()[ci].Type
 	mk := func(f float64) relation.Value {
 		if kind == relation.KindInt && f == math.Trunc(f) {
 			return relation.Int(int64(f))
@@ -281,7 +281,7 @@ func categoricalCoveringTerms(ix *joinIndex, ci int, rows []int) []algebra.Term 
 	if len(codes) == 0 || len(codes) == len(cd.Dict) {
 		return nil
 	}
-	attr := ix.j.Rel.Schema[ci].Name
+	attr := ix.j.Schema()[ci].Name
 	if len(codes) == 1 {
 		return []algebra.Term{algebra.NewTerm(attr, algebra.OpEQ, cd.Dict[codes[0]])}
 	}
@@ -306,18 +306,19 @@ func categoricalCoveringTerms(ix *joinIndex, ci int, rows []int) []algebra.Term 
 // cluster's rows, refinements and conjunct are memoised per code
 // (clusterSet), so repair rounds and the variant loop reuse them.
 func (g *generator) generateClusterDNF(ix *joinIndex, tables, proj []string, rc rowClass) {
-	j := ix.j
-	excl := make([]bool, j.Rel.Len())
+	schema := ix.j.Schema()
+	excl := make([]bool, ix.j.Len())
 	for _, ri := range rc.excluded {
 		excl[ri] = true
 	}
 	projIdx := make([]int, len(proj))
 	for i, p := range proj {
-		projIdx[i] = j.Rel.Schema.MustIndexOf(p)
+		projIdx[i] = schema.MustIndexOf(p)
 	}
+	projected := newCells(ix.col, projIdx)
 	need := g.r.Bag()
 
-	for ci, col := range j.Rel.Schema {
+	for ci, col := range schema {
 		if col.Type != relation.KindString {
 			continue
 		}
@@ -350,13 +351,18 @@ func (g *generator) generateClusterDNF(ix *joinIndex, tables, proj []string, rc 
 			// counting goes through the hash kernel — no projected-key
 			// strings inside the per-round row scan. Every row a cluster
 			// predicate can select carries one of the cluster values, so the
-			// scan touches only those rows.
-			match := pred.Compile(j.Rel.Schema)
+			// scan touches only those rows, and only their projected and
+			// predicate cells.
+			rows := newCells(ix.col, projIdx)
+			for _, a := range pred.Attrs() {
+				rows.add(schema.IndexOf(a))
+			}
+			match := pred.Compile(rows.schema)
 			got := relation.NewBag(need.Distinct())
 			for _, c := range values {
 				for _, ri := range cs.get(c).good {
-					if t := j.Rel.Tuples[ri]; match(t) {
-						got.IncProj(t, projIdx, 1)
+					if t := rows.row(ri); match(t) {
+						got.IncProj(t, rows.all, 1)
 					}
 				}
 			}
@@ -415,21 +421,22 @@ func (g *generator) generateClusterDNF(ix *joinIndex, tables, proj []string, rc 
 				badCount[cd.Codes[ri]]++
 			}
 			bestFor := map[string]uint32{}
-			for ri, t := range j.Rel.Tuples {
+			for ri := range excl {
 				if excl[ri] {
 					continue
 				}
 				// Cheap hashed membership test first; the canonical key
 				// string is built only for the (rare) rows that actually
 				// supply a missing result tuple.
-				if missingSet.CountProj(t, projIdx) == 0 {
+				t := projected.row(ri)
+				if missingSet.Count(t) == 0 {
 					continue
 				}
 				c := cd.Codes[ri]
 				if slices.Contains(values, c) {
 					continue
 				}
-				k := t.Project(projIdx).Key()
+				k := t.Key()
 				cur, ok := bestFor[k]
 				if !ok || badCount[c] < badCount[cur] ||
 					(badCount[c] == badCount[cur] && cd.Dict[c].Key() < cd.Dict[cur].Key()) {
@@ -507,7 +514,7 @@ func (cs *clusterSet) get(c uint32) *cluster {
 // rows; a term's reject set is computed when the search first reaches it.
 func (g *generator) buildClusterPredicate(cs *clusterSet, values []uint32) (algebra.Predicate, bool) {
 	cd := cs.ix.col.Col(cs.ci)
-	attr := cs.ix.j.Rel.Schema[cs.ci].Name
+	attr := cs.ix.j.Schema()[cs.ci].Name
 	var pred algebra.Predicate
 	for _, c := range values {
 		cl := cs.get(c)
@@ -576,4 +583,46 @@ func (g *generator) clusterRefinements(cs *clusterSet, cl *cluster) []colTerm {
 		cl.refsDone = true
 	}
 	return cl.refs
+}
+
+// cells reads a few columns of the join, one row at a time, into a scratch
+// tuple: the projection first (positions all), then the columns add
+// appends. The cluster checks test rows on it and never materialise the
+// join's rows.
+type cells struct {
+	col    *relation.Columnar
+	cols   []int // the join's columns read
+	all    []int // 0, 1, ..., len(projection)-1
+	schema relation.Schema
+	buf    relation.Tuple
+}
+
+func newCells(col *relation.Columnar, proj []int) *cells {
+	c := &cells{col: col, all: make([]int, len(proj))}
+	for i, ci := range proj {
+		c.all[i] = i
+		c.cols = append(c.cols, ci)
+		c.schema = append(c.schema, col.Schema()[ci])
+	}
+	c.buf = make(relation.Tuple, len(c.cols))
+	return c
+}
+
+// add reads column ci too, unless it is read already or missing (-1).
+func (c *cells) add(ci int) {
+	if ci < 0 || slices.Contains(c.cols, ci) {
+		return
+	}
+	c.cols = append(c.cols, ci)
+	c.schema = append(c.schema, c.col.Schema()[ci])
+	c.buf = append(c.buf, relation.Value{})
+}
+
+// row loads row ri's cells into the scratch tuple, valid until the next
+// call.
+func (c *cells) row(ri int) relation.Tuple {
+	for k, ci := range c.cols {
+		c.buf[k] = c.col.Cell(ri, ci)
+	}
+	return c.buf
 }

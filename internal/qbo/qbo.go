@@ -58,15 +58,18 @@ func DefaultConfig() Config {
 // C1, C2, ....
 func Generate(d *db.Database, r *relation.Relation, cfg Config) ([]*algebra.Query, error) {
 	g := &generator{d: d, r: r, cfg: cfg, seen: map[string]bool{}}
+	// One encoding scope serves every join schema: each base column is
+	// hashed once, however many joins read it.
+	codes := db.NewCodes(d)
 	for _, tables := range connectedTableSubsets(d) {
 		if g.full() {
 			break
 		}
-		j, err := db.Join(d, tables)
+		j, err := codes.Join(tables)
 		if err != nil {
 			continue // disconnected combination; skip
 		}
-		if j.Rel.Len() < r.Len() {
+		if j.Len() < r.Len() {
 			continue // join too small to produce R under bag semantics
 		}
 		ix := newJoinIndex(j)
@@ -105,7 +108,7 @@ func (g *generator) emit(j *db.Joined, tables []string, proj []string, pred alge
 	if g.seen[fp] {
 		return
 	}
-	res, err := q.EvaluateOnJoined(j.Rel)
+	res, err := q.EvaluateOnColumnar(j.Columnar())
 	if err != nil || !res.BagEqual(g.r) {
 		return
 	}
@@ -243,7 +246,7 @@ func (g *generator) projectionMappings(ix *joinIndex) []mapping {
 			if rc, gs := classifyCodes(ix, cur, g.r); rc.feasible {
 				proj := make([]string, len(cur))
 				for k, ci := range cur {
-					proj[k] = ix.j.Rel.Schema[ci].Name
+					proj[k] = ix.j.Schema()[ci].Name
 				}
 				out = append(out, mapping{proj: proj, rows: rc, groups: gs})
 			}
@@ -263,7 +266,7 @@ func (g *generator) projectionMappings(ix *joinIndex) []mapping {
 // every value of the R column (joinIndex.holdsAll). It reports false when
 // some R column has none.
 func (g *generator) mappingColumns(ix *joinIndex) ([][]int, bool) {
-	schema := ix.j.Rel.Schema
+	schema := ix.j.Schema()
 	cands := make([][]int, g.r.Arity())
 	for ri, rc := range g.r.Schema {
 		var ranked [3][]int

@@ -32,7 +32,7 @@ func newVerifier(j *db.Joined, proj []string, rc rowClass, r *relation.Relation)
 	v := &verifier{j: j, need: r.Bag()}
 	v.projIdx = make([]int, len(proj))
 	for i, p := range proj {
-		v.projIdx[i] = j.Rel.Schema.MustIndexOf(p)
+		v.projIdx[i] = j.Relation().Schema.MustIndexOf(p)
 	}
 	v.rows = append(append([]int(nil), rc.required...), rc.optional...)
 	return v
@@ -41,11 +41,11 @@ func newVerifier(j *db.Joined, proj []string, rc rowClass, r *relation.Relation)
 // emitVerified reports whether pred selects exactly R from the verifier's
 // rows, hashing each selected row's projection into a Bag.
 func emitVerified(v *verifier, pred algebra.Predicate) bool {
-	match := pred.Compile(v.j.Rel.Schema)
+	match := pred.Compile(v.j.Relation().Schema)
 	got := relation.NewBag(v.need.Distinct())
 	total := 0
 	for _, ri := range v.rows {
-		t := v.j.Rel.Tuples[ri]
+		t := v.j.Relation().Tuples[ri]
 		if !match(t) {
 			continue
 		}
@@ -62,11 +62,11 @@ func emitVerified(v *verifier, pred algebra.Predicate) bool {
 func classifyRows(j *db.Joined, proj []string, r *relation.Relation) rowClass {
 	idx := make([]int, len(proj))
 	for i, p := range proj {
-		idx[i] = j.Rel.Schema.MustIndexOf(p)
+		idx[i] = j.Relation().Schema.MustIndexOf(p)
 	}
 	need := r.Bag()
-	have := relation.NewBag(len(j.Rel.Tuples))
-	for _, t := range j.Rel.Tuples {
+	have := relation.NewBag(len(j.Relation().Tuples))
+	for _, t := range j.Relation().Tuples {
 		have.IncProj(t, idx, 1)
 	}
 	short := false
@@ -80,7 +80,7 @@ func classifyRows(j *db.Joined, proj []string, r *relation.Relation) rowClass {
 	}
 	var rc rowClass
 	rc.feasible = true
-	for ri, t := range j.Rel.Tuples {
+	for ri, t := range j.Relation().Tuples {
 		n := need.CountProj(t, idx)
 		switch {
 		case n == 0:
@@ -99,12 +99,12 @@ func classifyRows(j *db.Joined, proj []string, r *relation.Relation) rowClass {
 func greedyAnchors(j *db.Joined, proj []string, r *relation.Relation, optional []int) []int {
 	idx := make([]int, len(proj))
 	for i, p := range proj {
-		idx[i] = j.Rel.Schema.MustIndexOf(p)
+		idx[i] = j.Relation().Schema.MustIndexOf(p)
 	}
 	need := r.Bag()
 	var anchors []int
 	for _, ri := range optional {
-		t := j.Rel.Tuples[ri]
+		t := j.Relation().Tuples[ri]
 		if need.CountProj(t, idx) > 0 {
 			need.IncProj(t, idx, -1)
 			anchors = append(anchors, ri)
@@ -115,9 +115,9 @@ func greedyAnchors(j *db.Joined, proj []string, r *relation.Relation, optional [
 
 // columnBag is a Bag of every row's value in column ci.
 func columnBag(j *db.Joined, ci int) *relation.Bag {
-	dom := relation.NewBag(j.Rel.Len())
+	dom := relation.NewBag(j.Relation().Len())
 	idx := []int{ci}
-	for _, t := range j.Rel.Tuples {
+	for _, t := range j.Relation().Tuples {
 		dom.IncProj(t, idx, 1)
 	}
 	return dom
@@ -296,7 +296,7 @@ func forEachJoin(t *testing.T, in refInput, f func(g *generator, ix *joinIndex))
 	g := &generator{d: in.d, r: in.r, seen: map[string]bool{}}
 	for _, tables := range connectedTableSubsets(in.d) {
 		j, err := db.Join(in.d, tables)
-		if err != nil || j.Rel.Len() < in.r.Len() {
+		if err != nil || j.Relation().Len() < in.r.Len() {
 			continue
 		}
 		f(g, newJoinIndex(j))
@@ -319,13 +319,13 @@ func TestCodeClassificationMatchesClassifyRows(t *testing.T) {
 		for _, in := range refInputs(t, 60, collisionBits == 0) {
 			forEachJoin(t, in, func(g *generator, ix *joinIndex) {
 				j := ix.j
-				doms := make([]*relation.Bag, j.Rel.Arity())
+				doms := make([]*relation.Bag, j.Relation().Arity())
 				for ri, rc := range in.r.Schema {
 					vals := relation.NewBag(in.r.Len())
 					for _, tu := range in.r.Tuples {
 						vals.IncProj(tu, []int{ri}, 1)
 					}
-					for ci, jc := range j.Rel.Schema {
+					for ci, jc := range j.Relation().Schema {
 						if jc.Type != rc.Type && !(jc.Type.Numeric() && rc.Type.Numeric()) {
 							continue
 						}
@@ -358,7 +358,7 @@ func TestCodeClassificationMatchesClassifyRows(t *testing.T) {
 					n++
 					proj := make([]string, len(cur))
 					for k, ci := range cur {
-						proj[k] = j.Rel.Schema[ci].Name
+						proj[k] = j.Relation().Schema[ci].Name
 					}
 					got, gs := classifyCodes(ix, cur, in.r)
 					want := classifyRows(j, proj, in.r)
@@ -497,7 +497,7 @@ func TestSparseGrowMatchesDense(t *testing.T) {
 			break
 		}
 		j, err := db.Join(bb.DB, tables)
-		if err != nil || j.Rel.Len() < r.Len() {
+		if err != nil || j.Relation().Len() < r.Len() {
 			continue
 		}
 		ix := newJoinIndex(j)

@@ -1,7 +1,7 @@
 // Columnar representation (DESIGN.md §9).
 //
-// A Columnar is a dictionary-encoded, column-oriented view of a Relation:
-// per column, every row holds a dense uint32 code into a small dictionary of
+// A Columnar is a dictionary-encoded, column-oriented view of a table: per
+// column, every row holds a dense uint32 code into a small dictionary of
 // representative values, built through the hash kernel (hash bucket plus
 // KeyEqual verification, so codes are exact regardless of hash quality —
 // including under ForceHashCollisionsForTesting).
@@ -15,6 +15,12 @@
 // therefore be evaluated ONCE per dictionary code (on the representative) and
 // looked up per row, instead of once per row, without changing a single
 // outcome relative to the scalar row-at-a-time path.
+//
+// A view either holds a Relation's rows (NewColumnar) or gathers each column
+// from a column of another view through a row vector (NewGathered) — the
+// form of a foreign-key join, whose row i of a base table's column is that
+// table's row rows[i]. A gathered column's codes are its base column's codes
+// renumbered in first-seen order, so gathering re-hashes nothing.
 package relation
 
 import (
@@ -30,19 +36,33 @@ type ColumnDict struct {
 	Dict  []Value
 }
 
-// Columnar is the column-oriented view of Source. Source is retained because
-// materialisation must project the actual row values (a dictionary
-// representative is only KeyEqual to the row value, e.g. Int(3) for a row
-// holding Float(3.0)); the dictionaries serve predicate evaluation only.
+// Gather locates a gathered column: row i of it is row Rows[i] of column Col
+// of Base, and a nil Rows is the identity.
+type Gather struct {
+	Base *Columnar
+	Col  int
+	Rows []int
+}
+
+// Columnar is the column-oriented view of a table. Cells stay readable
+// (Cell) because materialisation must project the actual row values (a
+// dictionary representative is only KeyEqual to the row value, e.g. Int(3)
+// for a row holding Float(3.0)); the dictionaries serve predicate evaluation
+// only.
 //
 // Column dictionaries are built lazily on first access (Col): predicates of
 // a candidate set typically reference a few columns of a wide join, so the
-// unreferenced columns never pay the O(rows) encode. The Source relation is
-// treated as immutable; a Columnar is safe for concurrent use.
+// unreferenced columns never pay the O(rows) encode. The rows behind a view
+// are treated as immutable; a Columnar is safe for concurrent use.
 type Columnar struct {
-	Source *Relation
-	cols   []ColumnDict
-	once   []sync.Once
+	name   string
+	schema Schema
+	n      int
+	src    *Relation // the rows of a NewColumnar view
+	from   []Gather  // per column, the source of a NewGathered view
+
+	cols []ColumnDict
+	once []sync.Once
 	// sorted[ci] is column ci's dictionary codes in ascending value order,
 	// built on first SortedCodes access.
 	sorted     [][]uint32
@@ -50,23 +70,46 @@ type Columnar struct {
 }
 
 // NewColumnar prepares the columnar view of r. Per-column cost (one hash +
-// bucket probe per cell) is deferred to the first Col access of each column;
-// the view is meant to be built once per relation and shared by every batch
-// evaluation over it (db.Joined memoises it per join).
+// bucket probe per cell) is deferred to the first Col access of each column.
 func NewColumnar(r *Relation) *Columnar {
+	c := newColumnar(r.Name, r.Schema, r.Len())
+	c.src = r
+	return c
+}
+
+// NewGathered prepares a view of n rows whose column ci is gathered as
+// from[ci] says. Column ci's codes are from[ci].Base's codes through the row
+// vector, renumbered in first-seen order, and each dictionary representative
+// is the first row's own cell: exactly what NewColumnar would build over the
+// gathered rows, without hashing a cell.
+func NewGathered(name string, schema Schema, n int, from []Gather) *Columnar {
+	c := newColumnar(name, schema, n)
+	c.from = from
+	return c
+}
+
+func newColumnar(name string, schema Schema, n int) *Columnar {
 	return &Columnar{
-		Source:     r,
-		cols:       make([]ColumnDict, r.Arity()),
-		once:       make([]sync.Once, r.Arity()),
-		sorted:     make([][]uint32, r.Arity()),
-		sortedOnce: make([]sync.Once, r.Arity()),
+		name:       name,
+		schema:     schema,
+		n:          n,
+		cols:       make([]ColumnDict, len(schema)),
+		once:       make([]sync.Once, len(schema)),
+		sorted:     make([][]uint32, len(schema)),
+		sortedOnce: make([]sync.Once, len(schema)),
 	}
 }
 
 // Col returns the dictionary encoding of column ci, building it on first
 // access (concurrency-safe; subsequent calls are a sync.Once fast path).
 func (c *Columnar) Col(ci int) *ColumnDict {
-	c.once[ci].Do(func() { c.cols[ci] = encodeColumn(c.Source, ci) })
+	c.once[ci].Do(func() {
+		if c.src != nil {
+			c.cols[ci] = encodeColumn(c.src, ci)
+		} else {
+			c.cols[ci] = c.from[ci].gather()
+		}
+	})
 	return &c.cols[ci]
 }
 
@@ -88,34 +131,122 @@ func (c *Columnar) SortedCodes(ci int) []uint32 {
 	return c.sorted[ci]
 }
 
-// encodeColumn dictionary-encodes one column through the hash kernel.
+// encodeColumn dictionary-encodes one column through the hash kernel: an
+// open-addressing table of codes, probed by each cell's hash and verified
+// with KeyEqual against the code's first row. It allocates one slot table,
+// the codes and, once the distinct count is known, the dictionary at its
+// exact size.
 func encodeColumn(r *Relation, ci int) ColumnDict {
-	n := r.Len()
-	codes := make([]uint32, n)
-	var dict []Value
-	buckets := make(map[uint64][]uint32, n)
+	codes := make([]uint32, r.Len())
+	var first []int32   // first[c] is the row where code c first occurs
+	var hashes []uint64 // hashes[c] is code c's hash
+	slots := make([]uint32, 16)
 	for ri, t := range r.Tuples {
 		v := t[ci]
 		h := v.Hash64()
-		code := ^uint32(0)
-		for _, cand := range buckets[h] {
-			if dict[cand].KeyEqual(v) {
-				code = cand
+		mask := uint64(len(slots) - 1)
+		i := h & mask
+		code := noCode
+		for s := slots[i]; s != 0; s = slots[i] {
+			if c := s - 1; hashes[c] == h && r.Tuples[first[c]][ci].KeyEqual(v) {
+				code = c
 				break
 			}
+			i = (i + 1) & mask
 		}
-		if code == ^uint32(0) {
-			code = uint32(len(dict))
-			dict = append(dict, v)
-			buckets[h] = append(buckets[h], code)
+		if code == noCode {
+			code = uint32(len(first))
+			first = append(first, int32(ri))
+			hashes = append(hashes, h)
+			slots[i] = code + 1
+			if 2*len(hashes) > len(slots) {
+				slots = rehash(hashes, 2*len(slots))
+			}
 		}
 		codes[ri] = code
+	}
+	dict := make([]Value, len(first))
+	for c, ri := range first {
+		dict[c] = r.Tuples[ri][ci]
 	}
 	return ColumnDict{Codes: codes, Dict: dict}
 }
 
-// NumRows returns the number of rows of the source relation.
-func (c *Columnar) NumRows() int { return c.Source.Len() }
+// rehash places codes 0..len(hashes)-1 in a fresh slot table of n slots (a
+// power of two); a slot holds a code plus one, and 0 when empty.
+func rehash(hashes []uint64, n int) []uint32 {
+	slots := make([]uint32, n)
+	mask := uint64(n - 1)
+	for c, h := range hashes {
+		i := h & mask
+		for slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		slots[i] = uint32(c) + 1
+	}
+	return slots
+}
 
-// Schema returns the source relation's schema.
-func (c *Columnar) Schema() Schema { return c.Source.Schema }
+// noCode marks a cell whose code is not yet known.
+const noCode = ^uint32(0)
+
+// gather encodes a gathered column from its base column's codes.
+func (g Gather) gather() ColumnDict {
+	base := g.Base.Col(g.Col)
+	if g.Rows == nil {
+		return *base
+	}
+	codes := make([]uint32, len(g.Rows))
+	// seen[b] is base code b's gathered code plus one, 0 while unseen.
+	seen := make([]uint32, len(base.Dict))
+	var n uint32
+	for i, r := range g.Rows {
+		b := base.Codes[r]
+		if seen[b] == 0 {
+			n++
+			seen[b] = n
+		}
+		codes[i] = seen[b] - 1
+	}
+	// Codes are numbered in first-seen order, so code c first occurs at the
+	// first row holding c once codes 0..c-1 have all occurred.
+	dict := make([]Value, n)
+	next := uint32(0)
+	for i := 0; next < n; i++ {
+		if codes[i] == next {
+			dict[next] = g.Base.Cell(g.Rows[i], g.Col)
+			next++
+		}
+	}
+	return ColumnDict{Codes: codes, Dict: dict}
+}
+
+// Cell returns column ci's value on row ri.
+func (c *Columnar) Cell(ri, ci int) Value {
+	if c.src != nil {
+		return c.src.Tuples[ri][ci]
+	}
+	g := &c.from[ci]
+	if g.Rows != nil {
+		ri = g.Rows[ri]
+	}
+	return g.Base.Cell(ri, g.Col)
+}
+
+// Project returns a fresh tuple of row ri's cells in columns idx.
+func (c *Columnar) Project(ri int, idx []int) Tuple {
+	t := make(Tuple, len(idx))
+	for i, ci := range idx {
+		t[i] = c.Cell(ri, ci)
+	}
+	return t
+}
+
+// NumRows returns the number of rows.
+func (c *Columnar) NumRows() int { return c.n }
+
+// Schema returns the view's schema.
+func (c *Columnar) Schema() Schema { return c.schema }
+
+// Name returns the name of the table the view encodes.
+func (c *Columnar) Name() string { return c.name }

@@ -378,16 +378,17 @@ func populate(spec *dbSpec, rng *rand.Rand, skew float64) *db.Database {
 // which succeeds whenever any payload column is non-constant on the join.
 func sampleQuery(spec *dbSpec, d *db.Database, rng *rand.Rand, opts GenOptions) (*algebra.Query, *relation.Relation, bool) {
 	tables := sampleJoinTables(spec, rng, opts.Query.MaxJoinTables)
-	joined, err := db.Join(d, tables)
-	if err != nil || joined.Rel.Len() < 2 {
+	j, err := db.Join(d, tables)
+	if err != nil || j.Len() < 2 {
 		return nil, nil, false
 	}
-	proj := sampleProjection(joined.Rel.Schema, rng, opts.Query.ProjectionCols)
+	joined := j.Relation()
+	proj := sampleProjection(joined.Schema, rng, opts.Query.ProjectionCols)
 	distinct := rng.Float64() < opts.Query.DistinctProb
 
 	// Predicates range over payload columns: small active domains give them
 	// meaningful selectivity (id columns are near-unique keys).
-	attrs := payloadAttrs(spec, joined.Rel.Schema, tables)
+	attrs := payloadAttrs(spec, joined.Schema, tables)
 	if len(attrs) == 0 {
 		return nil, nil, false
 	}
@@ -405,7 +406,7 @@ func sampleQuery(spec *dbSpec, d *db.Database, rng *rand.Rand, opts GenOptions) 
 	// semantics, and the result-size cap still applies: a cap too tight for
 	// even the rarest value fails the attempt, and the outer retry
 	// regenerates the database.
-	if pred, ok := constructivePredicate(joined.Rel, attrs); ok {
+	if pred, ok := constructivePredicate(joined, attrs); ok {
 		if q, r, ok := admit(tables, proj, pred, false, joined, opts.Query.MaxResultRows); ok {
 			return q, r, true
 		}
@@ -415,19 +416,19 @@ func sampleQuery(spec *dbSpec, d *db.Database, rng *rand.Rand, opts GenOptions) 
 
 // admit materialises and screens one sampled query.
 func admit(tables, proj []string, pred algebra.Predicate, distinct bool,
-	joined *db.Joined, maxRows int) (*algebra.Query, *relation.Relation, bool) {
+	joined *relation.Relation, maxRows int) (*algebra.Query, *relation.Relation, bool) {
 	q := &algebra.Query{Name: "target", Tables: tables, Projection: proj, Pred: pred, Distinct: distinct}
-	match := pred.Compile(joined.Rel.Schema)
+	match := pred.Compile(joined.Schema)
 	selected := 0
-	for _, t := range joined.Rel.Tuples {
+	for _, t := range joined.Tuples {
 		if match(t) {
 			selected++
 		}
 	}
-	if selected == 0 || selected == joined.Rel.Len() {
+	if selected == 0 || selected == joined.Len() {
 		return nil, nil, false
 	}
-	r, err := q.EvaluateOnJoined(joined.Rel)
+	r, err := q.EvaluateOnJoined(joined)
 	if err != nil || r.Len() == 0 {
 		return nil, nil, false
 	}
@@ -437,7 +438,7 @@ func admit(tables, proj []string, pred algebra.Predicate, distinct bool,
 	// Non-total under the query's own semantics: projection (and DISTINCT)
 	// may collapse a proper selection back to the full result.
 	trivial := &algebra.Query{Tables: tables, Projection: proj, Distinct: distinct}
-	full, err := trivial.EvaluateOnJoined(joined.Rel)
+	full, err := trivial.EvaluateOnJoined(joined)
 	if err != nil || r.BagEqual(full) {
 		return nil, nil, false
 	}

@@ -51,16 +51,17 @@ func paperGroups(t *testing.T) []paperGroup {
 }
 
 // refSourceClasses is the row-at-a-time reference for SourceClasses and
-// Freeze: every joined row classified value by value through ClassOf,
-// grouped by class in key order, plus each partition's realized subsets.
-func refSourceClasses(t *testing.T, s *Space) ([]SourceClass, [][]int) {
+// Freeze: every joined row (rows, the join's materialised tuples)
+// classified value by value through ClassOf, grouped by class in key order,
+// plus each partition's realized subsets.
+func refSourceClasses(t *testing.T, s *Space, rows []relation.Tuple) ([]SourceClass, [][]int) {
 	t.Helper()
 	byKey := map[string]*SourceClass{}
 	realized := make([]map[int]bool, len(s.Parts))
 	for i := range realized {
 		realized[i] = map[int]bool{}
 	}
-	for row, tup := range s.Joined.Source.Tuples {
+	for row, tup := range rows {
 		c, err := s.ClassOf(tup)
 		if err != nil {
 			t.Fatal(err)
@@ -113,7 +114,7 @@ func TestCodeClassesMatchRowReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Freeze(j.KeyCols)
-		want, wantRealized := refSourceClasses(t, s)
+		want, wantRealized := refSourceClasses(t, s, j.Relation().Tuples)
 		if got := s.SourceClasses(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: %d code classes differ from the %d row-reference classes",
 				g.name, len(got), len(want))

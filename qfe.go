@@ -101,7 +101,11 @@ type Database = db.Database
 // CellEdit is a single attribute modification in a base table.
 type CellEdit = db.CellEdit
 
-// Joined is a foreign-key join with provenance (the paper's join index).
+// Joined is a foreign-key join held as its provenance (the paper's join
+// index): per joined table, the base row behind each joined tuple. Its
+// rows (Row, Relation), cells and dictionary-encoded columnar view are read
+// from the base tables through it, so the database must not change while
+// the join is in use.
 type Joined = db.Joined
 
 // NewDatabase creates an empty database.
