@@ -26,6 +26,7 @@ package relation
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // ColumnDict is one dictionary-encoded column: Codes[row] indexes Dict, and
@@ -63,6 +64,7 @@ type Columnar struct {
 
 	cols []ColumnDict
 	once []sync.Once
+	done []atomic.Bool // done[ci] once cols[ci] is built
 	// sorted[ci] is column ci's dictionary codes in ascending value order,
 	// built on first SortedCodes access.
 	sorted     [][]uint32
@@ -95,6 +97,7 @@ func newColumnar(name string, schema Schema, n int) *Columnar {
 		n:          n,
 		cols:       make([]ColumnDict, len(schema)),
 		once:       make([]sync.Once, len(schema)),
+		done:       make([]atomic.Bool, len(schema)),
 		sorted:     make([][]uint32, len(schema)),
 		sortedOnce: make([]sync.Once, len(schema)),
 	}
@@ -105,10 +108,11 @@ func newColumnar(name string, schema Schema, n int) *Columnar {
 func (c *Columnar) Col(ci int) *ColumnDict {
 	c.once[ci].Do(func() {
 		if c.src != nil {
-			c.cols[ci] = encodeColumn(c.src, ci)
+			c.cols[ci] = encodeColumn(c.src.Tuples, ci, nil)
 		} else {
 			c.cols[ci] = c.from[ci].gather()
 		}
+		c.done[ci].Store(true)
 	})
 	return &c.cols[ci]
 }
@@ -131,24 +135,35 @@ func (c *Columnar) SortedCodes(ci int) []uint32 {
 	return c.sorted[ci]
 }
 
-// encodeColumn dictionary-encodes one column through the hash kernel: an
-// open-addressing table of codes, probed by each cell's hash and verified
-// with KeyEqual against the code's first row. It allocates one slot table,
-// the codes and, once the distinct count is known, the dictionary at its
-// exact size.
-func encodeColumn(r *Relation, ci int) ColumnDict {
-	codes := make([]uint32, r.Len())
+// encodeColumn dictionary-encodes column ci of the tuples, or of
+// tuples[rows[0]], tuples[rows[1]], ... when rows is not nil, through the
+// hash kernel: an open-addressing table of codes, probed by each cell's hash
+// and verified with KeyEqual against the code's first row. It allocates one
+// slot table, the codes and, once the distinct count is known, the
+// dictionary at its exact size.
+func encodeColumn(tuples []Tuple, ci int, rows []int) ColumnDict {
+	n := len(tuples)
+	if rows != nil {
+		n = len(rows)
+	}
+	cell := func(i int) Value {
+		if rows != nil {
+			i = rows[i]
+		}
+		return tuples[i][ci]
+	}
+	codes := make([]uint32, n)
 	var first []int32   // first[c] is the row where code c first occurs
 	var hashes []uint64 // hashes[c] is code c's hash
 	slots := make([]uint32, 16)
-	for ri, t := range r.Tuples {
-		v := t[ci]
+	for ri := range codes {
+		v := cell(ri)
 		h := v.Hash64()
 		mask := uint64(len(slots) - 1)
 		i := h & mask
 		code := noCode
 		for s := slots[i]; s != 0; s = slots[i] {
-			if c := s - 1; hashes[c] == h && r.Tuples[first[c]][ci].KeyEqual(v) {
+			if c := s - 1; hashes[c] == h && cell(int(first[c])).KeyEqual(v) {
 				code = c
 				break
 			}
@@ -167,7 +182,7 @@ func encodeColumn(r *Relation, ci int) ColumnDict {
 	}
 	dict := make([]Value, len(first))
 	for c, ri := range first {
-		dict[c] = r.Tuples[ri][ci]
+		dict[c] = cell(int(ri))
 	}
 	return ColumnDict{Codes: codes, Dict: dict}
 }
@@ -190,12 +205,19 @@ func rehash(hashes []uint64, n int) []uint32 {
 // noCode marks a cell whose code is not yet known.
 const noCode = ^uint32(0)
 
-// gather encodes a gathered column from its base column's codes.
+// gather encodes a gathered column. It renumbers the base column's codes,
+// unless the base column is not encoded yet and has more rows — a join that
+// keeps a fraction of a table — when hashing the gathered cells costs less
+// than encoding the base column first. Both give the codes and dictionary
+// encodeColumn gives over the gathered cells.
 func (g Gather) gather() ColumnDict {
-	base := g.Base.Col(g.Col)
 	if g.Rows == nil {
-		return *base
+		return *g.Base.Col(g.Col)
 	}
+	if b := g.Base; b.src != nil && len(g.Rows) < b.n && !b.done[g.Col].Load() {
+		return encodeColumn(b.src.Tuples, g.Col, g.Rows)
+	}
+	base := g.Base.Col(g.Col)
 	codes := make([]uint32, len(g.Rows))
 	// seen[b] is base code b's gathered code plus one, 0 while unseen.
 	seen := make([]uint32, len(base.Dict))
