@@ -332,12 +332,12 @@ func BenchmarkMicroBatchEval(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	col := j.Columnar()
+	rel, col := j.Relation(), j.Columnar()
 	b.Run("scalar", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, q := range sc.QC {
-				if _, err := q.EvaluateOnJoined(j.Relation()); err != nil {
+				if _, err := q.EvaluateOnJoined(rel); err != nil {
 					b.Fatal(err)
 				}
 			}

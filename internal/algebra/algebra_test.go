@@ -250,19 +250,20 @@ func TestDeltaOnJoined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rel := j.Relation()
 	q := &Query{Name: "Q", Tables: []string{"Employee"}, Projection: []string{"Employee.name"},
 		Pred: Predicate{Conjunct{NewTerm("Employee.salary", OpGT, relation.Int(4000))}}}
-	base, err := q.EvaluateOnJoined(j.Relation())
+	base, err := q.EvaluateOnJoined(rel)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Modify Bob's salary 4200 -> 3900 (paper Example 1.1, database D1):
 	// Bob leaves the salary>4000 result.
-	si := j.Relation().Schema.MustIndexOf("Employee.salary")
-	newBob := j.Relation().Tuples[1].Clone()
+	si := rel.Schema.MustIndexOf("Employee.salary")
+	newBob := rel.Tuples[1].Clone()
 	newBob[si] = relation.Int(3900)
-	delta, err := q.DeltaOnJoined(j.Relation(), map[int]relation.Tuple{1: newBob})
+	delta, err := q.DeltaOnJoined(rel, map[int]relation.Tuple{1: newBob})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,6 +297,7 @@ func TestDeltaOnJoined(t *testing.T) {
 func TestDeltaFingerprintGroupsQueriesCorrectly(t *testing.T) {
 	d := employeeDB(t)
 	j, _ := db.JoinAll(d)
+	rel := j.Relation()
 	mkQ := func(name string, p Predicate) *Query {
 		return &Query{Name: name, Tables: []string{"Employee"},
 			Projection: []string{"Employee.name"}, Pred: p}
@@ -305,18 +307,18 @@ func TestDeltaFingerprintGroupsQueriesCorrectly(t *testing.T) {
 	q3 := mkQ("Q3", Predicate{Conjunct{NewTerm("Employee.dept", OpEQ, relation.Str("IT"))}})
 
 	// D1: Bob's salary 4200 -> 3900. Paper: {Q1,Q3} keep R, {Q2} drops Bob.
-	si := j.Relation().Schema.MustIndexOf("Employee.salary")
-	newBob := j.Relation().Tuples[1].Clone()
+	si := rel.Schema.MustIndexOf("Employee.salary")
+	newBob := rel.Tuples[1].Clone()
 	newBob[si] = relation.Int(3900)
 	mod := map[int]relation.Tuple{1: newBob}
 
 	fps := make(map[ResultFP][]string)
 	for _, q := range []*Query{q1, q2, q3} {
-		base, err := q.EvaluateOnJoined(j.Relation())
+		base, err := q.EvaluateOnJoined(rel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		delta, err := q.DeltaOnJoined(j.Relation(), mod)
+		delta, err := q.DeltaOnJoined(rel, mod)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,12 +344,13 @@ func TestDeltaFingerprintGroupsQueriesCorrectly(t *testing.T) {
 func TestDeltaErrors(t *testing.T) {
 	d := employeeDB(t)
 	j, _ := db.JoinAll(d)
+	rel := j.Relation()
 	q := &Query{Tables: []string{"Employee"}, Projection: []string{"nope"}}
-	if _, err := q.DeltaOnJoined(j.Relation(), nil); err == nil {
+	if _, err := q.DeltaOnJoined(rel, nil); err == nil {
 		t.Error("bad projection should error")
 	}
 	q2 := &Query{Tables: []string{"Employee"}, Projection: []string{"Employee.name"}}
-	if _, err := q2.DeltaOnJoined(j.Relation(), map[int]relation.Tuple{99: nil}); err == nil {
+	if _, err := q2.DeltaOnJoined(rel, map[int]relation.Tuple{99: nil}); err == nil {
 		t.Error("row out of range should error")
 	}
 	if _, err := (&Query{Tables: []string{"ghost"}}).Evaluate(d); err == nil {
@@ -378,16 +381,17 @@ func TestIncrementalMatchesDirectQuick(t *testing.T) {
 	// equals from-scratch evaluation.
 	d := employeeDB(t)
 	j, _ := db.JoinAll(d)
+	rel := j.Relation()
 	q := &Query{Name: "Q", Tables: []string{"Employee"}, Projection: []string{"Employee.name"},
 		Pred: Predicate{Conjunct{NewTerm("Employee.salary", OpGT, relation.Int(4000))}}}
-	base, _ := q.EvaluateOnJoined(j.Relation())
-	si := j.Relation().Schema.MustIndexOf("Employee.salary")
+	base, _ := q.EvaluateOnJoined(rel)
+	si := rel.Schema.MustIndexOf("Employee.salary")
 
 	f := func(rowRaw uint8, salary int16) bool {
-		row := int(rowRaw) % j.Relation().Len()
-		newT := j.Relation().Tuples[row].Clone()
+		row := int(rowRaw) % rel.Len()
+		newT := rel.Tuples[row].Clone()
 		newT[si] = relation.Int(int64(salary))
-		delta, err := q.DeltaOnJoined(j.Relation(), map[int]relation.Tuple{row: newT})
+		delta, err := q.DeltaOnJoined(rel, map[int]relation.Tuple{row: newT})
 		if err != nil {
 			return false
 		}

@@ -24,8 +24,8 @@ func TestScientificShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Relation().Len() != 417 {
-		t.Errorf("join = %d tuples, want 417", j.Relation().Len())
+	if j.Len() != 417 {
+		t.Errorf("join = %d tuples, want 417", j.Len())
 	}
 }
 
@@ -81,8 +81,8 @@ func TestBaseballShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Relation().Len() != b.ExpectedJoinedSize || j.Relation().Len() != 8810 {
-		t.Errorf("3-way join = %d tuples, want 8810", j.Relation().Len())
+	if j.Len() != b.ExpectedJoinedSize || j.Len() != 8810 {
+		t.Errorf("3-way join = %d tuples, want 8810", j.Len())
 	}
 }
 
@@ -127,8 +127,8 @@ func TestBaseballManagerJoinForQ3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Relation().Len() != 200 {
-		t.Errorf("Manager⋈Team = %d, want 200", j.Relation().Len())
+	if j.Len() != 200 {
+		t.Errorf("Manager⋈Team = %d, want 200", j.Len())
 	}
 }
 

@@ -152,11 +152,12 @@ func TestJoinProvenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Relation().Len() != 4 {
-		t.Fatalf("join size = %d, want 4", j.Relation().Len())
+	rel := j.Relation()
+	if rel.Len() != 4 {
+		t.Fatalf("join size = %d, want 4", rel.Len())
 	}
-	if j.Relation().Arity() != 5 {
-		t.Fatalf("join arity = %d, want 5", j.Relation().Arity())
+	if rel.Arity() != 5 {
+		t.Fatalf("join arity = %d, want 5", rel.Arity())
 	}
 	// Paper §5.4.1: base tuple T1(1,10,50) joins with two T2 rows.
 	if got := j.FanOut("T1", 0); got != 2 {
@@ -168,11 +169,11 @@ func TestJoinProvenance(t *testing.T) {
 	// Every joined tuple's provenance must point at its source rows.
 	for ti := 0; ti < j.Len(); ti++ {
 		t1row := d.Table("T1").Tuples[j.BaseRow(ti, 0)]
-		if !j.Relation().Tuples[ti][0].Equal(t1row[0]) {
+		if !rel.Tuples[ti][0].Equal(t1row[0]) {
 			t.Errorf("tuple %d provenance mismatch on T1", ti)
 		}
 		t2row := d.Table("T2").Tuples[j.BaseRow(ti, 1)]
-		if !j.Relation().Tuples[ti][4].Equal(t2row[1]) {
+		if !rel.Tuples[ti][4].Equal(t2row[1]) {
 			t.Errorf("tuple %d provenance mismatch on T2", ti)
 		}
 	}
@@ -186,8 +187,8 @@ func TestJoinQualifiedSchemaAndColRefs(t *testing.T) {
 	}
 	wantCols := []string{"T1.A", "T1.B", "T1.C", "T2.A", "T2.D"}
 	for i, n := range wantCols {
-		if j.Relation().Schema[i].Name != n {
-			t.Errorf("col %d = %q, want %q", i, j.Relation().Schema[i].Name, n)
+		if j.Schema()[i].Name != n {
+			t.Errorf("col %d = %q, want %q", i, j.Schema()[i].Name, n)
 		}
 	}
 	ref, err := j.ColRefOf("T2.D")
@@ -210,8 +211,8 @@ func TestJoinDanglingTuplesDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Relation().Len() != 3 {
-		t.Errorf("dangling T1 row should drop; join size = %d, want 3", j.Relation().Len())
+	if j.Len() != 3 {
+		t.Errorf("dangling T1 row should drop; join size = %d, want 3", j.Len())
 	}
 }
 
@@ -225,8 +226,8 @@ func TestJoinOrderIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Relation().Len() != b.Relation().Len() {
-		t.Errorf("join cardinality should not depend on order: %d vs %d", a.Relation().Len(), b.Relation().Len())
+	if a.Len() != b.Len() {
+		t.Errorf("join cardinality should not depend on order: %d vs %d", a.Len(), b.Len())
 	}
 	// Project both to a common column order and compare as bags.
 	pa, _ := a.Relation().Project([]string{"T1.A", "T1.B", "T2.D"})
@@ -257,10 +258,11 @@ func TestJoinSingleTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Relation().Len() != 3 || j.Relation().Arity() != 3 {
-		t.Errorf("single-table join = %dx%d", j.Relation().Len(), j.Relation().Arity())
+	rel := j.Relation()
+	if rel.Len() != 3 || rel.Arity() != 3 {
+		t.Errorf("single-table join = %dx%d", rel.Len(), rel.Arity())
 	}
-	if j.Relation().Schema[0].Name != "T1.A" {
+	if rel.Schema[0].Name != "T1.A" {
 		t.Error("single-table join should still qualify columns")
 	}
 }
@@ -281,8 +283,9 @@ func TestJoinAllAndRebuilt(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := 0
-	bi := j2.Relation().Schema.MustIndexOf("T1.B")
-	for _, tup := range j2.Relation().Tuples {
+	rel := j2.Relation()
+	bi := rel.Schema.MustIndexOf("T1.B")
+	for _, tup := range rel.Tuples {
 		if tup[bi].Equal(relation.Int(77)) {
 			found++
 		}

@@ -46,8 +46,8 @@ func TestInferForeignKeys(t *testing.T) {
 	if err != nil {
 		t.Fatalf("join over inferred FK: %v", err)
 	}
-	if j.Relation().Len() != 3 {
-		t.Errorf("join size = %d, want 3", j.Relation().Len())
+	if j.Len() != 3 {
+		t.Errorf("join size = %d, want 3", j.Len())
 	}
 }
 

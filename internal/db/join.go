@@ -46,19 +46,9 @@ type Joined struct {
 	rows [][]int
 	col  *relation.Columnar
 
-	// rev[t] lists, per row of base table Tables[t], the joined tuples
-	// holding it: rev[t].items[rev[t].start[b]:rev[t].start[b+1]], ascending.
+	// rev[t] groups the joined tuples by their row of base table Tables[t].
 	revOnce sync.Once
-	rev     []csr
-
-	relOnce sync.Once
-	rel     *relation.Relation
-}
-
-// csr is a compressed-row index: entry k's items are items[start[k]:start[k+1]].
-type csr struct {
-	start []int
-	items []int
+	rev     []relation.Groups
 }
 
 // Len returns the number of joined tuples.
@@ -92,20 +82,16 @@ func (j *Joined) fill(dst relation.Tuple, row int) relation.Tuple {
 	return dst
 }
 
-// Relation materialises the joined tuples under the joined schema, once,
-// for the readers that need whole rows. The relation is shared; do not
-// mutate it.
+// Relation materialises the joined tuples under the joined schema, for the
+// readers that need whole rows. Each call builds a fresh relation.
 func (j *Joined) Relation() *relation.Relation {
-	j.relOnce.Do(func() {
-		n, arity := j.Len(), len(j.schema)
-		arena := make([]relation.Value, n*arity)
-		tuples := make([]relation.Tuple, n)
-		for i := range tuples {
-			tuples[i] = j.fill(arena[i*arity:(i+1)*arity:(i+1)*arity], i)
-		}
-		j.rel = &relation.Relation{Name: j.name, Schema: j.schema, Tuples: tuples}
-	})
-	return j.rel
+	n, arity := j.Len(), len(j.schema)
+	arena := make([]relation.Value, n*arity)
+	tuples := make([]relation.Tuple, n)
+	for i := range tuples {
+		tuples[i] = j.fill(arena[i*arity:(i+1)*arity:(i+1)*arity], i)
+	}
+	return &relation.Relation{Name: j.name, Schema: j.schema, Tuples: tuples}
 }
 
 // tableIndex returns the position of a table in the join order, or -1.
@@ -126,11 +112,11 @@ func (j *Joined) TuplesFromBase(table string, row int) []int {
 		return nil
 	}
 	j.revOnce.Do(j.buildReverseIndex)
-	r := &j.rev[t]
-	if row < 0 || row >= len(r.start)-1 {
+	r := j.rev[t]
+	if row < 0 || row >= len(r.Start)-1 {
 		return nil
 	}
-	return r.items[r.start[row]:r.start[row+1]]
+	return r.Of(row)
 }
 
 // FanOut returns the number of joined tuples containing the base row; a
@@ -141,29 +127,10 @@ func (j *Joined) FanOut(table string, row int) int {
 }
 
 func (j *Joined) buildReverseIndex() {
-	j.rev = make([]csr, len(j.Tables))
+	j.rev = make([]relation.Groups, len(j.Tables))
 	for t, rows := range j.rows {
-		j.rev[t] = groupRows(rows, j.base[t].Len())
+		j.rev[t] = relation.GroupBy(rows, j.base[t].Len())
 	}
-}
-
-// groupRows indexes positions by their key: the result's entry k lists, in
-// ascending order, the positions i with keys[i] == k, for k < n.
-func groupRows[K int | uint32](keys []K, n int) csr {
-	start := make([]int, n+1)
-	for _, k := range keys {
-		start[k+1]++
-	}
-	for k := 1; k <= n; k++ {
-		start[k] += start[k-1]
-	}
-	items := make([]int, len(keys))
-	next := append([]int(nil), start[:n]...)
-	for i, k := range keys {
-		items[next[k]] = i
-		next[k]++
-	}
-	return csr{start: start, items: items}
 }
 
 // Codes is an encoding scope over one database: the dictionary-encoded
@@ -356,7 +323,7 @@ func (j *Joined) foldIn(c *Codes, in *relation.Relation, conds []joinCondition) 
 		side := c.table(j.base[ref.TableIdx]).Col(ref.ColIdx)
 		sideRows := j.rows[ref.TableIdx]
 		inCol := incoming.Col(cond.newCol)
-		toIn := mapCodes(side.Dict, inCol.Dict)
+		toIn := mapCodes(side.Dict, relation.NewDictIndex(inCol.Dict))
 		if k == 0 {
 			inGroup = inCol.Codes
 			numGroups = len(inCol.Dict)
@@ -391,12 +358,12 @@ func (j *Joined) foldIn(c *Codes, in *relation.Relation, conds []joinCondition) 
 			group[i] = id
 		}
 	}
-	members := groupRows(inGroup, numGroups)
+	members := relation.GroupBy(inGroup, numGroups)
 
 	total := 0
 	for _, g := range group {
 		if g != none {
-			total += members.start[g+1] - members.start[g]
+			total += len(members.Of(int(g)))
 		}
 	}
 	rows := make([][]int, len(j.rows)+1)
@@ -408,7 +375,7 @@ func (j *Joined) foldIn(c *Codes, in *relation.Relation, conds []joinCondition) 
 		if g == none {
 			continue
 		}
-		for _, ri := range members.items[members.start[g]:members.start[g+1]] {
+		for _, ri := range members.Of(int(g)) {
 			for t, prev := range j.rows {
 				rows[t] = append(rows[t], prev[i])
 			}
@@ -426,31 +393,15 @@ func (j *Joined) foldIn(c *Codes, in *relation.Relation, conds []joinCondition) 
 }
 
 // mapCodes maps each value of dictionary from to the code of its KeyEqual
-// value in dictionary to, or none.
-func mapCodes(from, to []relation.Value) []uint32 {
-	head := make(map[uint64]uint32, len(to))
-	next := make([]uint32, len(to))
-	for code, v := range to {
-		h := v.Hash64()
-		next[code] = none
-		if first, ok := head[h]; ok {
-			next[code] = first
-		}
-		head[h] = uint32(code)
-	}
+// value in the dictionary to indexes, or none.
+func mapCodes(from []relation.Value, to *relation.DictIndex) []uint32 {
 	out := make([]uint32, len(from))
 	for b, v := range from {
-		out[b] = none
-		first, ok := head[v.Hash64()]
+		code, ok := to.Lookup(v)
 		if !ok {
-			continue
+			code = none
 		}
-		for code := first; code != none; code = next[code] {
-			if to[code].KeyEqual(v) {
-				out[b] = code
-				break
-			}
-		}
+		out[b] = code
 	}
 	return out
 }

@@ -4,6 +4,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"qfe/internal/relation"
 )
 
 // TestJoinArenaPoolingIsObservationallyPure re-runs the same joins many
@@ -109,18 +111,19 @@ func TestJoinArenaPoolingConcurrent(t *testing.T) {
 
 // TestColumnarConcurrentSharedJoin races many goroutines into one Joined's
 // Columnar() — the access pattern of concurrent batch evaluations over one
-// shared join. All callers must observe the same fully-built view and
-// column dictionaries (sync.Once publication), with other joins of the
-// same database running alongside.
+// shared join — with other joins of the same database running alongside.
+// Each worker copies the codes and dictionary of one column, building it
+// and its base column on first access; every copy must equal the encoding
+// of that column over a fresh join's rows, built serially.
 func TestColumnarConcurrentSharedJoin(t *testing.T) {
 	d := twoTableDB(t)
 	j, err := JoinAll(d)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := make([]relation.ColumnDict, 16)
 	var wg sync.WaitGroup
-	dicts := make([]any, 16)
-	for w := 0; w < len(dicts); w++ {
+	for w := range got {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -128,17 +131,22 @@ func TestColumnarConcurrentSharedJoin(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			col := j.Columnar()
-			if col.NumRows() != j.Len() {
-				t.Errorf("worker %d: columnar has %d rows, join has %d", w, col.NumRows(), j.Len())
-			}
-			dicts[w] = col.Col(w % len(j.Schema()))
+			cd := j.Columnar().Col(w % len(j.Schema()))
+			got[w] = relation.ColumnDict{Codes: slices.Clone(cd.Codes), Dict: slices.Clone(cd.Dict)}
 		}(w)
 	}
 	wg.Wait()
-	for w := range dicts {
-		if dicts[w] != j.Columnar().Col(w%len(j.Schema())) {
-			t.Errorf("worker %d saw a different column dictionary", w)
+	fresh, err := JoinAll(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := relation.NewColumnar(fresh.Relation())
+	for w, cd := range got {
+		ci := w % len(j.Schema())
+		want := serial.Col(ci)
+		if !slices.Equal(cd.Codes, want.Codes) || !sameCells(cd.Dict, want.Dict) {
+			t.Errorf("worker %d: column %s is %v %v, a serial build %v %v",
+				w, j.Schema()[ci].Name, cd.Codes, cd.Dict, want.Codes, want.Dict)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 // differential oracle at the dbgen integration layer.
 func checkBaseResultsMatchScalar(t *testing.T, g *Generator) {
 	t.Helper()
+	rel := g.Joined.Relation()
 	for i, q := range g.Queries {
 		ref := q
 		if q.Distinct {
@@ -21,7 +22,7 @@ func checkBaseResultsMatchScalar(t *testing.T, g *Generator) {
 			bag.Distinct = false
 			ref = bag
 		}
-		direct, err := ref.EvaluateOnJoined(g.Joined.Relation())
+		direct, err := ref.EvaluateOnJoined(rel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,8 +82,9 @@ func TestPartitionConcreteBatchMatchesScalar(t *testing.T) {
 	}
 	var want [][]int
 	block := map[algebra.ResultFP]int{}
+	rel := g.Joined.Relation()
 	for qi, q := range g.Queries {
-		scalar, err := q.DeltaOnJoined(g.Joined.Relation(), modified)
+		scalar, err := q.DeltaOnJoined(rel, modified)
 		if err != nil {
 			t.Fatal(err)
 		}

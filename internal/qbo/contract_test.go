@@ -79,16 +79,18 @@ func checkCandidates(t *testing.T, inputs []contractInput, h hash.Hash) {
 		if err != nil {
 			t.Fatalf("%s: %v", in.name, err)
 		}
-		joins := map[string]*db.Joined{}
+		joins := map[string]*relation.Relation{} // each join's rows
 		for _, q := range qs {
-			j, ok := joins[q.JoinSchemaKey()]
+			rel, ok := joins[q.JoinSchemaKey()]
 			if !ok {
-				if j, err = db.Join(in.d, q.Tables); err != nil {
+				j, err := db.Join(in.d, q.Tables)
+				if err != nil {
 					t.Fatalf("%s: %s: %v", in.name, q, err)
 				}
-				joins[q.JoinSchemaKey()] = j
+				rel = j.Relation()
+				joins[q.JoinSchemaKey()] = rel
 			}
-			res, err := q.EvaluateOnJoined(j.Relation())
+			res, err := q.EvaluateOnJoined(rel)
 			if err != nil {
 				t.Errorf("%s: %s: %v", in.name, q, err)
 			} else if !res.BagEqual(in.r) {

@@ -19,10 +19,10 @@ import (
 type joinIndex struct {
 	j      *db.Joined
 	col    *relation.Columnar
-	byName []int       // column indexes in attribute-name order
-	nums   [][]float64 // numericDomain per column, nil until first asked
-	groups []codeGroups
-	lookup []map[uint64]uint32 // codeOf's index per column, nil until first asked
+	byName []int                 // column indexes in attribute-name order
+	nums   [][]float64           // numericDomain per column, nil until first asked
+	groups []relation.Groups     // rowsOf's rows by code per column, built on first ask
+	lookup []*relation.DictIndex // codeOf's index per column, nil until first asked
 
 	// Scratch, sized to the largest dictionary seen: per-code term outcomes,
 	// and code marks that are all false between calls.
@@ -30,18 +30,11 @@ type joinIndex struct {
 	marks   []bool
 }
 
-// codeGroups lists one column's rows grouped by dictionary code, each group
-// in ascending row order: code c's rows are rows[start[c]:start[c+1]].
-type codeGroups struct {
-	start []int
-	rows  []int
-}
-
 func newJoinIndex(j *db.Joined) *joinIndex {
 	schema := j.Schema()
 	n := len(schema)
 	ix := &joinIndex{j: j, col: j.Columnar(), byName: make([]int, n),
-		nums: make([][]float64, n), groups: make([]codeGroups, n), lookup: make([]map[uint64]uint32, n)}
+		nums: make([][]float64, n), groups: make([]relation.Groups, n), lookup: make([]*relation.DictIndex, n)}
 	for ci := range ix.byName {
 		ix.byName[ci] = ci
 	}
@@ -71,63 +64,22 @@ func (ix *joinIndex) numericDomain(ci int) []float64 {
 
 // rowsOf returns the rows of column ci holding code c, in ascending order.
 func (ix *joinIndex) rowsOf(ci int, c uint32) []int {
-	g := &ix.groups[ci]
-	if g.start == nil {
+	if ix.groups[ci].Start == nil {
 		cd := ix.col.Col(ci)
-		g.start = make([]int, len(cd.Dict)+1)
-		for _, code := range cd.Codes {
-			g.start[code+1]++
-		}
-		for k := 1; k < len(g.start); k++ {
-			g.start[k] += g.start[k-1]
-		}
-		next := slices.Clone(g.start[:len(cd.Dict)])
-		g.rows = make([]int, len(cd.Codes))
-		for ri, code := range cd.Codes {
-			g.rows[next[code]] = ri
-			next[code]++
-		}
+		ix.groups[ci] = relation.GroupBy(cd.Codes, len(cd.Dict))
 	}
-	return g.rows[g.start[c]:g.start[c+1]]
+	return ix.groups[ci].Of(int(c))
 }
 
 // codeOf returns the dictionary code of column ci whose value is KeyEqual
-// to v, if the column holds such a value. The column's hash index is built
-// on first use: Hash64 → the code of the dictionary's one value with that
-// hash, or ambiguous when several share it (then the dictionary is
-// scanned). KeyEqual values hash equal, so a hash the index lacks is a
-// value the column lacks.
+// to v, if the column holds such a value. The column's index is built on
+// first use.
 func (ix *joinIndex) codeOf(ci int, v relation.Value) (uint32, bool) {
-	dict := ix.col.Col(ci).Dict
 	if ix.lookup[ci] == nil {
-		m := make(map[uint64]uint32, len(dict))
-		for c, d := range dict {
-			h := d.Hash64()
-			if _, dup := m[h]; dup {
-				m[h] = ambiguous
-			} else {
-				m[h] = uint32(c)
-			}
-		}
-		ix.lookup[ci] = m
+		ix.lookup[ci] = relation.NewDictIndex(ix.col.Col(ci).Dict)
 	}
-	c, ok := ix.lookup[ci][v.Hash64()]
-	switch {
-	case !ok:
-		return 0, false
-	case c != ambiguous:
-		return c, dict[c].KeyEqual(v)
-	}
-	for c, d := range dict {
-		if d.KeyEqual(v) {
-			return uint32(c), true
-		}
-	}
-	return 0, false
+	return ix.lookup[ci].Lookup(v)
 }
-
-// ambiguous marks a hash that several dictionary values share.
-const ambiguous = ^uint32(0)
 
 // holdsAll reports whether column ci's dictionary holds, under KeyEqual,
 // the value in column k of every tuple of r.

@@ -14,10 +14,10 @@ import (
 // bitsets replaced: compile the conjunct and scan the rows through
 // Term.Matches on the actual row values. It reports whether the conjunct
 // rejects every row of excluded.
-func excludesAllReference(j *db.Joined, conj []algebra.Term, excluded []int) bool {
-	match := algebra.Predicate{algebra.Conjunct(conj)}.Compile(j.Relation().Schema)
+func excludesAllReference(rel *relation.Relation, conj []algebra.Term, excluded []int) bool {
+	match := algebra.Predicate{algebra.Conjunct(conj)}.Compile(rel.Schema)
 	for _, ri := range excluded {
-		if match(j.Relation().Tuples[ri]) {
+		if match(rel.Tuples[ri]) {
 			return false
 		}
 	}
@@ -75,14 +75,14 @@ func rejectTestTerm(rng *rand.Rand, j *db.Joined, ci int) algebra.Term {
 	for _, k := range []relation.Kind{relation.KindInt, relation.KindString, relation.KindBool} {
 		all = append(all, rejectTestPool(k)...)
 	}
-	own := rejectTestPool(j.Relation().Schema[ci].Type)
+	own := rejectTestPool(j.Schema()[ci].Type)
 	pick := func() relation.Value {
 		if rng.Intn(4) == 0 {
 			return all[rng.Intn(len(all))]
 		}
 		return own[rng.Intn(len(own))]
 	}
-	attr := j.Relation().Schema[ci].Name
+	attr := j.Schema()[ci].Name
 	op := algebra.Op(rng.Intn(int(algebra.OpNotIn) + 1))
 	if op == algebra.OpIn || op == algebra.OpNotIn {
 		set := make([]relation.Value, 1+rng.Intn(3))
@@ -109,21 +109,21 @@ func TestRejectBitsetsMatchRowScan(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(17 + collisionBits)))
 		for trial := 0; trial < 60; trial++ {
 			j := rejectTestJoin(rng, 70+rng.Intn(60))
-			ix := newJoinIndex(j)
+			ix, rel := newJoinIndex(j), j.Relation()
 			for _, n := range []int{0, 1, 63, 64, 65} {
-				rows := rng.Perm(j.Relation().Len())[:n]
+				rows := rng.Perm(j.Len())[:n]
 				for c := 0; c < 20; c++ {
 					conj := make([]algebra.Term, 1+rng.Intn(3))
 					sets := make([][]uint64, len(conj))
 					for k := range conj {
-						ci := rng.Intn(j.Relation().Arity())
+						ci := rng.Intn(len(j.Schema()))
 						conj[k] = rejectTestTerm(rng, j, ci)
 						sets[k] = ix.rejects(&conj[k], ci, rows)
 						for b, ri := range rows {
 							got := sets[k][b>>6]&(1<<(b&63)) != 0
-							if want := !conj[k].Matches(j.Relation().Tuples[ri][ci]); got != want {
+							if want := !conj[k].Matches(rel.Tuples[ri][ci]); got != want {
 								t.Fatalf("collisions %d: %s on %v: reject bit %v, want %v",
-									collisionBits, conj[k], j.Relation().Tuples[ri][ci], got, want)
+									collisionBits, conj[k], rel.Tuples[ri][ci], got, want)
 							}
 						}
 					}
@@ -133,7 +133,7 @@ func TestRejectBitsetsMatchRowScan(t *testing.T) {
 							union[w] |= s[w]
 						}
 					}
-					got, want := covers(n, union, nil), excludesAllReference(j, conj, rows)
+					got, want := covers(n, union, nil), excludesAllReference(rel, conj, rows)
 					if got != want {
 						t.Fatalf("collisions %d, %d rows: %v: covers %v, reference %v",
 							collisionBits, n, algebra.Conjunct(conj), got, want)
@@ -144,7 +144,7 @@ func TestRejectBitsetsMatchRowScan(t *testing.T) {
 						outcomes[0]++
 					}
 					if len(sets) >= 2 {
-						if got, want := covers(n, sets[0], sets[1]), excludesAllReference(j, conj[:2], rows); got != want {
+						if got, want := covers(n, sets[0], sets[1]), excludesAllReference(rel, conj[:2], rows); got != want {
 							t.Fatalf("collisions %d, %d rows: %v: pair covers %v, reference %v",
 								collisionBits, n, algebra.Conjunct(conj[:2]), got, want)
 						}
@@ -182,7 +182,7 @@ func TestClusterConjunctOnNullValue(t *testing.T) {
 	if got, want := pred.String(), "T.grp = NULL AND T.id >= 1"; got != want {
 		t.Errorf("conjunct %q, want %q", got, want)
 	}
-	if !excludesAllReference(j, pred[0], []int{1}) {
+	if !excludesAllReference(j.Relation(), pred[0], []int{1}) {
 		t.Errorf("%s admits the excluded row", pred)
 	}
 }

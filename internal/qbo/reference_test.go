@@ -22,17 +22,17 @@ import (
 // It is sound only for predicates already known to reject every excluded
 // row.
 type verifier struct {
-	j       *db.Joined
+	rel     *relation.Relation // the join's rows
 	projIdx []int
 	rows    []int // required ∪ optional
 	need    *relation.Bag
 }
 
-func newVerifier(j *db.Joined, proj []string, rc rowClass, r *relation.Relation) *verifier {
-	v := &verifier{j: j, need: r.Bag()}
+func newVerifier(rel *relation.Relation, proj []string, rc rowClass, r *relation.Relation) *verifier {
+	v := &verifier{rel: rel, need: r.Bag()}
 	v.projIdx = make([]int, len(proj))
 	for i, p := range proj {
-		v.projIdx[i] = j.Relation().Schema.MustIndexOf(p)
+		v.projIdx[i] = rel.Schema.MustIndexOf(p)
 	}
 	v.rows = append(append([]int(nil), rc.required...), rc.optional...)
 	return v
@@ -41,11 +41,11 @@ func newVerifier(j *db.Joined, proj []string, rc rowClass, r *relation.Relation)
 // emitVerified reports whether pred selects exactly R from the verifier's
 // rows, hashing each selected row's projection into a Bag.
 func emitVerified(v *verifier, pred algebra.Predicate) bool {
-	match := pred.Compile(v.j.Relation().Schema)
+	match := pred.Compile(v.rel.Schema)
 	got := relation.NewBag(v.need.Distinct())
 	total := 0
 	for _, ri := range v.rows {
-		t := v.j.Relation().Tuples[ri]
+		t := v.rel.Tuples[ri]
 		if !match(t) {
 			continue
 		}
@@ -57,16 +57,16 @@ func emitVerified(v *verifier, pred algebra.Predicate) bool {
 	return total == v.need.Total()
 }
 
-// classifyRows classifies the join's rows for projection proj by hashing
-// every row's projection into a Bag.
-func classifyRows(j *db.Joined, proj []string, r *relation.Relation) rowClass {
+// classifyRows classifies the join's rows (rel) for projection proj by
+// hashing every row's projection into a Bag.
+func classifyRows(rel *relation.Relation, proj []string, r *relation.Relation) rowClass {
 	idx := make([]int, len(proj))
 	for i, p := range proj {
-		idx[i] = j.Relation().Schema.MustIndexOf(p)
+		idx[i] = rel.Schema.MustIndexOf(p)
 	}
 	need := r.Bag()
-	have := relation.NewBag(len(j.Relation().Tuples))
-	for _, t := range j.Relation().Tuples {
+	have := relation.NewBag(len(rel.Tuples))
+	for _, t := range rel.Tuples {
 		have.IncProj(t, idx, 1)
 	}
 	short := false
@@ -80,7 +80,7 @@ func classifyRows(j *db.Joined, proj []string, r *relation.Relation) rowClass {
 	}
 	var rc rowClass
 	rc.feasible = true
-	for ri, t := range j.Relation().Tuples {
+	for ri, t := range rel.Tuples {
 		n := need.CountProj(t, idx)
 		switch {
 		case n == 0:
@@ -94,17 +94,18 @@ func classifyRows(j *db.Joined, proj []string, r *relation.Relation) rowClass {
 	return rc
 }
 
-// greedyAnchors picks, from the optional rows, one row per needed result
-// tuple (respecting multiplicities), counting through R's Bag.
-func greedyAnchors(j *db.Joined, proj []string, r *relation.Relation, optional []int) []int {
+// greedyAnchors picks, from the optional rows of the join's rows rel, one
+// row per needed result tuple (respecting multiplicities), counting through
+// R's Bag.
+func greedyAnchors(rel *relation.Relation, proj []string, r *relation.Relation, optional []int) []int {
 	idx := make([]int, len(proj))
 	for i, p := range proj {
-		idx[i] = j.Relation().Schema.MustIndexOf(p)
+		idx[i] = rel.Schema.MustIndexOf(p)
 	}
 	need := r.Bag()
 	var anchors []int
 	for _, ri := range optional {
-		t := j.Relation().Tuples[ri]
+		t := rel.Tuples[ri]
 		if need.CountProj(t, idx) > 0 {
 			need.IncProj(t, idx, -1)
 			anchors = append(anchors, ri)
@@ -113,11 +114,11 @@ func greedyAnchors(j *db.Joined, proj []string, r *relation.Relation, optional [
 	return anchors
 }
 
-// columnBag is a Bag of every row's value in column ci.
-func columnBag(j *db.Joined, ci int) *relation.Bag {
-	dom := relation.NewBag(j.Relation().Len())
+// columnBag is a Bag of every row's value in column ci of rel.
+func columnBag(rel *relation.Relation, ci int) *relation.Bag {
+	dom := relation.NewBag(rel.Len())
 	idx := []int{ci}
-	for _, t := range j.Relation().Tuples {
+	for _, t := range rel.Tuples {
 		dom.IncProj(t, idx, 1)
 	}
 	return dom
@@ -289,17 +290,17 @@ func randomRefInput(rng *rand.Rand) refInput {
 	return refInput{name: "random", d: d, r: r}
 }
 
-// forEachJoin calls f with each join Generate would consider for in, with
-// a generator over in and no candidate cap.
-func forEachJoin(t *testing.T, in refInput, f func(g *generator, ix *joinIndex)) {
+// forEachJoin calls f with each join Generate would consider for in, and
+// its rows, with a generator over in and no candidate cap.
+func forEachJoin(t *testing.T, in refInput, f func(g *generator, ix *joinIndex, rel *relation.Relation)) {
 	t.Helper()
 	g := &generator{d: in.d, r: in.r, seen: map[string]bool{}}
 	for _, tables := range connectedTableSubsets(in.d) {
 		j, err := db.Join(in.d, tables)
-		if err != nil || j.Relation().Len() < in.r.Len() {
+		if err != nil || j.Len() < in.r.Len() {
 			continue
 		}
-		f(g, newJoinIndex(j))
+		f(g, newJoinIndex(j), j.Relation())
 	}
 }
 
@@ -317,20 +318,19 @@ func TestCodeClassificationMatchesClassifyRows(t *testing.T) {
 	for _, collisionBits := range []int{0, 2} {
 		relation.ForceHashCollisionsForTesting(collisionBits)
 		for _, in := range refInputs(t, 60, collisionBits == 0) {
-			forEachJoin(t, in, func(g *generator, ix *joinIndex) {
-				j := ix.j
-				doms := make([]*relation.Bag, j.Relation().Arity())
+			forEachJoin(t, in, func(g *generator, ix *joinIndex, rel *relation.Relation) {
+				doms := make([]*relation.Bag, rel.Arity())
 				for ri, rc := range in.r.Schema {
 					vals := relation.NewBag(in.r.Len())
 					for _, tu := range in.r.Tuples {
 						vals.IncProj(tu, []int{ri}, 1)
 					}
-					for ci, jc := range j.Relation().Schema {
+					for ci, jc := range rel.Schema {
 						if jc.Type != rc.Type && !(jc.Type.Numeric() && rc.Type.Numeric()) {
 							continue
 						}
 						if doms[ci] == nil {
-							doms[ci] = columnBag(j, ci)
+							doms[ci] = columnBag(rel, ci)
 						}
 						if got, want := ix.holdsAll(ci, in.r, ri), holdsAllReference(doms[ci], vals); got != want {
 							t.Fatalf("%s: R column %s in %s: holdsAll %v, reference %v", in.name, rc.Name, jc.Name, got, want)
@@ -358,10 +358,10 @@ func TestCodeClassificationMatchesClassifyRows(t *testing.T) {
 					n++
 					proj := make([]string, len(cur))
 					for k, ci := range cur {
-						proj[k] = j.Relation().Schema[ci].Name
+						proj[k] = rel.Schema[ci].Name
 					}
 					got, gs := classifyCodes(ix, cur, in.r)
-					want := classifyRows(j, proj, in.r)
+					want := classifyRows(rel, proj, in.r)
 					if got.feasible != want.feasible ||
 						!slices.Equal(got.required, want.required) ||
 						!slices.Equal(got.optional, want.optional) ||
@@ -377,7 +377,7 @@ func TestCodeClassificationMatchesClassifyRows(t *testing.T) {
 					kept++
 					if len(got.required) == 0 {
 						anchored++
-						if a, b := gs.anchors(got.optional), greedyAnchors(j, proj, in.r, got.optional); !slices.Equal(a, b) {
+						if a, b := gs.anchors(got.optional), greedyAnchors(rel, proj, in.r, got.optional); !slices.Equal(a, b) {
 							t.Fatalf("collisions %d, %s, %v: anchors %v, reference %v", collisionBits, in.name, proj, a, b)
 						}
 					}
@@ -402,7 +402,7 @@ func TestCodeGroupAcceptanceMatchesBagReference(t *testing.T) {
 	for _, collisionBits := range []int{0, 2} {
 		relation.ForceHashCollisionsForTesting(collisionBits)
 		for _, in := range refInputs(t, 60, collisionBits == 0) {
-			forEachJoin(t, in, func(g *generator, ix *joinIndex) {
+			forEachJoin(t, in, func(g *generator, ix *joinIndex, rel *relation.Relation) {
 				for _, m := range g.projectionMappings(ix) {
 					rc := m.rows
 					anchored := len(rc.required) == 0
@@ -411,7 +411,7 @@ func TestCodeGroupAcceptanceMatchesBagReference(t *testing.T) {
 							continue
 						}
 					}
-					v := newVerifier(ix.j, m.proj, rc, in.r)
+					v := newVerifier(rel, m.proj, rc, in.r)
 					s := newGrowSearch(ix, g.coveringTermPools(ix, rc.required), rc, m.groups, in.r.Len())
 					s.run(func(path []int) bool {
 						pred := algebra.Predicate{s.conjunct(path)}
@@ -497,7 +497,7 @@ func TestSparseGrowMatchesDense(t *testing.T) {
 			break
 		}
 		j, err := db.Join(bb.DB, tables)
-		if err != nil || j.Relation().Len() < r.Len() {
+		if err != nil || j.Len() < r.Len() {
 			continue
 		}
 		ix := newJoinIndex(j)

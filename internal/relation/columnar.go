@@ -26,7 +26,6 @@ package relation
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // ColumnDict is one dictionary-encoded column: Codes[row] indexes Dict, and
@@ -64,7 +63,6 @@ type Columnar struct {
 
 	cols []ColumnDict
 	once []sync.Once
-	done []atomic.Bool // done[ci] once cols[ci] is built
 	// sorted[ci] is column ci's dictionary codes in ascending value order,
 	// built on first SortedCodes access.
 	sorted     [][]uint32
@@ -97,7 +95,6 @@ func newColumnar(name string, schema Schema, n int) *Columnar {
 		n:          n,
 		cols:       make([]ColumnDict, len(schema)),
 		once:       make([]sync.Once, len(schema)),
-		done:       make([]atomic.Bool, len(schema)),
 		sorted:     make([][]uint32, len(schema)),
 		sortedOnce: make([]sync.Once, len(schema)),
 	}
@@ -108,11 +105,10 @@ func newColumnar(name string, schema Schema, n int) *Columnar {
 func (c *Columnar) Col(ci int) *ColumnDict {
 	c.once[ci].Do(func() {
 		if c.src != nil {
-			c.cols[ci] = encodeColumn(c.src.Tuples, ci, nil)
+			c.cols[ci] = encodeColumn(c.src.Tuples, ci)
 		} else {
 			c.cols[ci] = c.from[ci].gather()
 		}
-		c.done[ci].Store(true)
 	})
 	return &c.cols[ci]
 }
@@ -135,89 +131,26 @@ func (c *Columnar) SortedCodes(ci int) []uint32 {
 	return c.sorted[ci]
 }
 
-// encodeColumn dictionary-encodes column ci of the tuples, or of
-// tuples[rows[0]], tuples[rows[1]], ... when rows is not nil, through the
-// hash kernel: an open-addressing table of codes, probed by each cell's hash
-// and verified with KeyEqual against the code's first row. It allocates one
-// slot table, the codes and, once the distinct count is known, the
-// dictionary at its exact size.
-func encodeColumn(tuples []Tuple, ci int, rows []int) ColumnDict {
-	n := len(tuples)
-	if rows != nil {
-		n = len(rows)
+// encodeColumn dictionary-encodes column ci of the tuples through a
+// DictIndex that grows as the cells bring new values.
+func encodeColumn(tuples []Tuple, ci int) ColumnDict {
+	codes := make([]uint32, len(tuples))
+	x := DictIndex{slots: make([]uint32, 16)}
+	for ri, t := range tuples {
+		codes[ri] = x.code(t[ci])
 	}
-	cell := func(i int) Value {
-		if rows != nil {
-			i = rows[i]
-		}
-		return tuples[i][ci]
-	}
-	codes := make([]uint32, n)
-	var first []int32   // first[c] is the row where code c first occurs
-	var hashes []uint64 // hashes[c] is code c's hash
-	slots := make([]uint32, 16)
-	for ri := range codes {
-		v := cell(ri)
-		h := v.Hash64()
-		mask := uint64(len(slots) - 1)
-		i := h & mask
-		code := noCode
-		for s := slots[i]; s != 0; s = slots[i] {
-			if c := s - 1; hashes[c] == h && cell(int(first[c])).KeyEqual(v) {
-				code = c
-				break
-			}
-			i = (i + 1) & mask
-		}
-		if code == noCode {
-			code = uint32(len(first))
-			first = append(first, int32(ri))
-			hashes = append(hashes, h)
-			slots[i] = code + 1
-			if 2*len(hashes) > len(slots) {
-				slots = rehash(hashes, 2*len(slots))
-			}
-		}
-		codes[ri] = code
-	}
-	dict := make([]Value, len(first))
-	for c, ri := range first {
-		dict[c] = cell(int(ri))
-	}
-	return ColumnDict{Codes: codes, Dict: dict}
+	return ColumnDict{Codes: codes, Dict: x.dict}
 }
 
-// rehash places codes 0..len(hashes)-1 in a fresh slot table of n slots (a
-// power of two); a slot holds a code plus one, and 0 when empty.
-func rehash(hashes []uint64, n int) []uint32 {
-	slots := make([]uint32, n)
-	mask := uint64(n - 1)
-	for c, h := range hashes {
-		i := h & mask
-		for slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		slots[i] = uint32(c) + 1
-	}
-	return slots
-}
-
-// noCode marks a cell whose code is not yet known.
-const noCode = ^uint32(0)
-
-// gather encodes a gathered column. It renumbers the base column's codes,
-// unless the base column is not encoded yet and has more rows — a join that
-// keeps a fraction of a table — when hashing the gathered cells costs less
-// than encoding the base column first. Both give the codes and dictionary
-// encodeColumn gives over the gathered cells.
+// gather encodes a gathered column by renumbering its base column's codes
+// in first-seen order; the representative of each code is the first
+// gathered row's own cell. This gives the codes and dictionary encodeColumn
+// gives over the gathered cells, without hashing a cell.
 func (g Gather) gather() ColumnDict {
-	if g.Rows == nil {
-		return *g.Base.Col(g.Col)
-	}
-	if b := g.Base; b.src != nil && len(g.Rows) < b.n && !b.done[g.Col].Load() {
-		return encodeColumn(b.src.Tuples, g.Col, g.Rows)
-	}
 	base := g.Base.Col(g.Col)
+	if g.Rows == nil {
+		return *base
+	}
 	codes := make([]uint32, len(g.Rows))
 	// seen[b] is base code b's gathered code plus one, 0 while unseen.
 	seen := make([]uint32, len(base.Dict))
@@ -242,6 +175,121 @@ func (g Gather) gather() ColumnDict {
 	}
 	return ColumnDict{Codes: codes, Dict: dict}
 }
+
+// DictIndex finds values in a dictionary of KeyEqual-distinct values: an
+// open-addressing table of codes, probed by a value's hash and verified
+// with KeyEqual, so a lookup is exact whatever the hashes do (including
+// under ForceHashCollisionsForTesting). It is not safe for concurrent use
+// while it grows.
+type DictIndex struct {
+	dict   []Value
+	hashes []uint64 // hashes[c] is dict[c]'s hash
+	// slots holds a code plus one, 0 when empty; its length is a power of
+	// two at least twice the number of codes.
+	slots []uint32
+}
+
+// NewDictIndex indexes dict, whose values must be KeyEqual-distinct (a
+// ColumnDict's Dict is); code c is dict[c].
+func NewDictIndex(dict []Value) *DictIndex {
+	x := &DictIndex{dict: dict, hashes: make([]uint64, len(dict))}
+	for c, v := range dict {
+		x.hashes[c] = v.Hash64()
+	}
+	n := 16
+	for n < 2*len(dict) {
+		n *= 2
+	}
+	x.slots = rehash(x.hashes, n)
+	return x
+}
+
+// Lookup returns the code of the dictionary value KeyEqual to v, if the
+// dictionary holds one.
+func (x *DictIndex) Lookup(v Value) (uint32, bool) {
+	_, c := x.probe(v, v.Hash64())
+	return c, c != noCode
+}
+
+// code returns v's code, appending v to the dictionary when it holds no
+// KeyEqual value.
+func (x *DictIndex) code(v Value) uint32 {
+	h := v.Hash64()
+	i, c := x.probe(v, h)
+	if c != noCode {
+		return c
+	}
+	c = uint32(len(x.dict))
+	x.dict = append(x.dict, v)
+	x.hashes = append(x.hashes, h)
+	x.slots[i] = c + 1
+	if 2*len(x.hashes) > len(x.slots) {
+		x.slots = rehash(x.hashes, 2*len(x.slots))
+	}
+	return c
+}
+
+// probe returns the code of the value KeyEqual to v, whose hash is h, and
+// its slot; or noCode and the empty slot where v would go.
+func (x *DictIndex) probe(v Value, h uint64) (uint64, uint32) {
+	mask := uint64(len(x.slots) - 1)
+	i := h & mask
+	for s := x.slots[i]; s != 0; s = x.slots[i] {
+		if c := s - 1; x.hashes[c] == h && x.dict[c].KeyEqual(v) {
+			return i, c
+		}
+		i = (i + 1) & mask
+	}
+	return i, noCode
+}
+
+// rehash places codes 0..len(hashes)-1 in a fresh slot table of n slots (a
+// power of two); a slot holds a code plus one, and 0 when empty.
+func rehash(hashes []uint64, n int) []uint32 {
+	slots := make([]uint32, n)
+	mask := uint64(n - 1)
+	for c, h := range hashes {
+		i := h & mask
+		for slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		slots[i] = uint32(c) + 1
+	}
+	return slots
+}
+
+// noCode marks a value the dictionary does not hold.
+const noCode = ^uint32(0)
+
+// Groups lists positions grouped by key: the positions holding key k are
+// Items[Start[k]:Start[k+1]], in ascending order.
+type Groups struct {
+	Start []int
+	Items []int
+}
+
+// GroupBy groups the positions of keys by key, for keys below n: a
+// counting sort into one list with start offsets per key.
+func GroupBy[K int | uint32](keys []K, n int) Groups {
+	start := make([]int, n+1)
+	for _, k := range keys {
+		start[k+1]++
+	}
+	for k := 1; k <= n; k++ {
+		start[k] += start[k-1]
+	}
+	items := make([]int, len(keys))
+	next := append([]int(nil), start[:n]...)
+	for i, k := range keys {
+		items[next[k]] = i
+		next[k]++
+	}
+	return Groups{Start: start, Items: items}
+}
+
+// Of returns the positions holding key k, ascending. The slice is shared;
+// do not mutate it.
+func (g Groups) Of(k int) []int { return g.Items[g.Start[k]:g.Start[k+1]] }
 
 // Cell returns column ci's value on row ri.
 func (c *Columnar) Cell(ri, ci int) Value {

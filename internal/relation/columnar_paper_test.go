@@ -44,9 +44,10 @@ func TestSortedDomainsOnPaperJoins(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := relation.NewColumnar(j.Relation())
-			for ci, col := range j.Relation().Schema {
-				if got, want := c.SortedDomain(ci), j.Relation().ActiveDomain(col.Name); !relation.SameValues(got, want) {
+			rel := j.Relation()
+			c := relation.NewColumnar(rel)
+			for ci, col := range rel.Schema {
+				if got, want := c.SortedDomain(ci), rel.ActiveDomain(col.Name); !relation.SameValues(got, want) {
 					t.Fatalf("%s: sorted dictionary of %d values differs from the %d-value active domain",
 						col.Name, len(got), len(want))
 				}

@@ -38,7 +38,9 @@ func randColRelation(rng *rand.Rand) *Relation {
 // checkColumnar asserts the dictionary-code invariants: every row's code
 // resolves to a KeyEqual representative, two rows share a code in a column
 // exactly when their values are KeyEqual, and the dictionary read in
-// SortedCodes order is the row-at-a-time ActiveDomain.
+// SortedCodes order is the row-at-a-time ActiveDomain. A DictIndex over
+// the dictionary finds exactly the values some entry is KeyEqual to, at
+// that entry's code, and GroupBy over the codes lists each code's rows.
 func checkColumnar(t *testing.T, seed int64) {
 	t.Helper()
 	err := quick.Check(func(s int64) bool {
@@ -80,6 +82,34 @@ func checkColumnar(t *testing.T, seed int64) {
 						return false
 					}
 				}
+			}
+			ix := NewDictIndex(cd.Dict)
+			for k := 0; k < 20; k++ {
+				v := randColValue(rng)
+				want, held := uint32(0), false
+				for c, d := range cd.Dict {
+					if d.KeyEqual(v) {
+						want, held = uint32(c), true
+					}
+				}
+				if got, ok := ix.Lookup(v); ok != held || ok && got != want {
+					t.Logf("col %d: lookup of %v gives %d %v, want %d %v", ci, v, got, ok, want, held)
+					return false
+				}
+			}
+			groups, rows := GroupBy(cd.Codes, len(cd.Dict)), 0
+			for c := range cd.Dict {
+				for i, ri := range groups.Of(c) {
+					if cd.Codes[ri] != uint32(c) || i > 0 && ri <= groups.Of(c)[i-1] {
+						t.Logf("col %d: code %d groups rows %v", ci, c, groups.Of(c))
+						return false
+					}
+					rows++
+				}
+			}
+			if rows != r.Len() {
+				t.Logf("col %d: groups hold %d of %d rows", ci, rows, r.Len())
+				return false
 			}
 		}
 		return true
