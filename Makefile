@@ -13,7 +13,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -ldflags "-X qfe/internal/obs.Version=$(VERSION) -X qfe/internal/obs.Commit=$(COMMIT)"
 
-.PHONY: build test race test-parallel bench bench-micro bench-batch bench-guard sim sim-smoke chaos chaos-smoke fault-smoke cluster cluster-smoke metrics-smoke
+.PHONY: build test race test-parallel reachable bench bench-micro bench-batch bench-guard sim sim-smoke chaos chaos-smoke fault-smoke cluster cluster-smoke metrics-smoke
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -30,6 +30,13 @@ race:
 test-parallel:
 	GOMAXPROCS=8 $(GO) test -race -count=2 \
 		-run 'Parallel|Concurrent|Steal|Block|Degenerate' ./...
+
+# Reachability gate (CI): build every program of the repository with
+# inlining off and fail when a function declared in a non-test file under
+# internal/, cmd/ or examples/ is linked by none of them. Functions kept on
+# purpose are listed, each with its reason, in scripts/reachable/allowlist.txt.
+reachable:
+	$(GO) run ./scripts/reachable
 
 # Full micro-benchmark sweep with allocation counts, printed to stdout.
 bench:

@@ -109,19 +109,16 @@ func TestPredicateDNF(t *testing.T) {
 	}
 	for _, c := range cases {
 		tup := relation.NewTuple(c.a, c.b)
-		if p.Matches(schema, tup) != c.want {
+		if p.Matches(schema, tup) != c.want || p.Compile(schema)(tup) != c.want {
 			t.Errorf("p(%d,%d) = %v, want %v", c.a, c.b, !c.want, c.want)
 		}
 	}
-	if !True().Matches(schema, relation.NewTuple(1, 2)) {
+	if !True().Matches(schema, relation.NewTuple(1, 2)) || !True().Compile(schema)(relation.NewTuple(1, 2)) {
 		t.Error("empty predicate is TRUE")
 	}
 	attrs := p.Attrs()
 	if len(attrs) != 2 || attrs[0] != "A" || attrs[1] != "B" {
 		t.Errorf("Attrs = %v", attrs)
-	}
-	if len(p.Terms()) != 3 {
-		t.Errorf("Terms = %d, want 3", len(p.Terms()))
 	}
 }
 

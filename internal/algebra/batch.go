@@ -1,9 +1,10 @@
 // Columnar batch evaluation (DESIGN.md §9).
 //
 // The winnowing loop evaluates every surviving candidate against the same
-// joined relation each round. The scalar path (EvaluateOnJoined /
-// DeltaOnJoined) pays one full row-at-a-time scan per candidate; the batch
-// path here pays ONE shared pass for a whole candidate group:
+// joined relation each round. The scalar path (EvaluateOnJoined, and the
+// Lemma 5.1 reference testref.DeltaOnJoined) pays one full row-at-a-time
+// scan per candidate; the batch path here pays ONE shared pass for a whole
+// candidate group:
 //
 //   - every candidate's DNF predicate is flattened into term ids over a
 //     shared, deduplicated term table (candidates overwhelmingly share
@@ -367,7 +368,7 @@ const (
 // analysis then runs on cached term outcomes. It reads the old rows' cells
 // from the join's columnar view and builds no dictionary — the modified-row
 // count is small, so terms evaluate directly on the cells. Deltas are
-// byte-identical to DeltaOnJoined per query.
+// byte-identical, per query, to the scalar reference testref.DeltaOnJoined.
 func BatchDeltaOnJoined(queries []*Query, joined *relation.Columnar, modified map[int]relation.Tuple) ([]ResultDelta, error) {
 	mDeltaBatches.Inc()
 	mDeltaQueries.Add(uint64(len(queries)))

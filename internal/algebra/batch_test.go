@@ -3,6 +3,7 @@ package algebra
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -69,7 +70,7 @@ func relIdentical(a, b *relation.Relation) error {
 	if a.Name != b.Name {
 		return fmt.Errorf("name %q vs %q", a.Name, b.Name)
 	}
-	if !a.Schema.Equal(b.Schema) {
+	if !slices.Equal(a.Schema, b.Schema) {
 		return fmt.Errorf("schema %v vs %v", a.Schema, b.Schema)
 	}
 	if a.Len() != b.Len() {

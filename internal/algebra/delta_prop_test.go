@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"qfe/internal/relation"
+	"qfe/internal/testref"
 )
 
 // This file is the property-based differential test for the incremental
@@ -104,13 +105,62 @@ func randEdits(rng *rand.Rand, rel *relation.Relation) map[int]relation.Tuple {
 	return modified
 }
 
+// keyCounts is the multiset of r's tuple keys.
+func keyCounts(r *relation.Relation) map[string]int {
+	m := make(map[string]int, len(r.Tuples))
+	for _, t := range r.Tuples {
+		m[t.Key()]++
+	}
+	return m
+}
+
+// DeltaOnJoined is the scalar Lemma 5.1 reference, testref.DeltaOnJoined,
+// for q: the reference BatchDeltaOnJoined is checked against.
+func (q *Query) DeltaOnJoined(joined *relation.Relation, modified map[int]relation.Tuple) (ResultDelta, error) {
+	removed, added, err := testref.DeltaOnJoined(joined, modified, q.Pred.Compile(joined.Schema), q.Projection)
+	if err != nil {
+		return ResultDelta{}, fmt.Errorf("algebra: delta %s: %w", q.Name, err)
+	}
+	return ResultDelta{Removed: removed, Added: added}, nil
+}
+
+// Empty reports whether the delta leaves the result unchanged tuple-for-
+// tuple.
+func (d ResultDelta) Empty() bool { return len(d.Removed) == 0 && len(d.Added) == 0 }
+
+// Matches evaluates the conjunct against a tuple under the given schema,
+// looking each column up per call: the reference for Predicate.Compile.
+func (c Conjunct) Matches(schema relation.Schema, tup relation.Tuple) bool {
+	for _, t := range c {
+		i := schema.IndexOf(t.Attr)
+		if i < 0 || !t.Matches(tup[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Matches evaluates the predicate against a tuple: the reference for
+// Predicate.Compile.
+func (p Predicate) Matches(schema relation.Schema, tup relation.Tuple) bool {
+	if len(p) == 0 {
+		return true
+	}
+	for _, c := range p {
+		if c.Matches(schema, tup) {
+			return true
+		}
+	}
+	return false
+}
+
 // slowDeltaFingerprint is the string-keyed canonical encoding of the
 // post-delta result (sorted tuple keys, ×count under bag semantics). It is
 // the reference implementation for DeltaFingerprint's differential tests:
 // two (base, delta) pairs get equal slow encodings iff they describe the
 // same result bag, which is exactly when DeltaFingerprint must agree.
 func (q *Query) slowDeltaFingerprint(base *relation.Relation, delta ResultDelta) string {
-	counts := base.Counts()
+	counts := keyCounts(base)
 	for _, t := range delta.Removed {
 		counts[t.Key()]--
 	}
@@ -135,7 +185,7 @@ func (q *Query) slowDeltaFingerprint(base *relation.Relation, delta ResultDelta)
 // deltaStyleFP re-encodes a fully re-evaluated result in DeltaFingerprint's
 // canonical form: sorted tuple keys, with ×multiplicity under bag semantics.
 func deltaStyleFP(q *Query, r *relation.Relation) string {
-	counts := r.Counts()
+	counts := keyCounts(r)
 	keys := make([]string, 0, len(counts))
 	for k, c := range counts {
 		if c <= 0 {

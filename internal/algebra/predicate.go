@@ -177,17 +177,6 @@ func (t Term) Key() string {
 // Conjunct is a conjunction (AND) of terms.
 type Conjunct []Term
 
-// Matches evaluates the conjunct against a tuple under the given schema.
-func (c Conjunct) Matches(schema relation.Schema, tup relation.Tuple) bool {
-	for _, t := range c {
-		i := schema.IndexOf(t.Attr)
-		if i < 0 || !t.Matches(tup[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the conjunct as SQL, parenthesised when needed by the
 // caller.
 func (c Conjunct) String() string {
@@ -208,38 +197,12 @@ func (c Conjunct) Key() string {
 	return strings.Join(keys, "\x01")
 }
 
-// Attrs returns the distinct attribute names referenced by the conjunct.
-func (c Conjunct) Attrs() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, t := range c {
-		if !seen[t.Attr] {
-			seen[t.Attr] = true
-			out = append(out, t.Attr)
-		}
-	}
-	return out
-}
-
 // Predicate is a disjunction (OR) of conjuncts — DNF, as the paper assumes
 // (§4). The empty predicate is TRUE (no selection).
 type Predicate []Conjunct
 
 // True is the predicate with no selection.
 func True() Predicate { return nil }
-
-// Matches evaluates the predicate against a tuple.
-func (p Predicate) Matches(schema relation.Schema, tup relation.Tuple) bool {
-	if len(p) == 0 {
-		return true
-	}
-	for _, c := range p {
-		if c.Matches(schema, tup) {
-			return true
-		}
-	}
-	return false
-}
 
 // String renders the predicate as SQL.
 func (p Predicate) String() string {
@@ -284,20 +247,10 @@ func (p Predicate) Attrs() []string {
 	return out
 }
 
-// Terms returns all terms of the predicate in order.
-func (p Predicate) Terms() []Term {
-	var out []Term
-	for _, c := range p {
-		out = append(out, c...)
-	}
-	return out
-}
-
 // Compile resolves the predicate's attribute names against a schema once
-// and returns a fast evaluator. Evaluating a predicate over thousands of
-// tuples through Matches pays a linear column lookup per term per tuple;
-// the compiled form pays it once. A reference to a column missing from the
-// schema yields an evaluator that is constantly false (mirroring Matches).
+// and returns an evaluator of the DNF over tuples of that schema: TRUE for
+// the empty predicate, otherwise true when some conjunct's terms all match.
+// A conjunct naming a column missing from the schema never matches.
 func (p Predicate) Compile(schema relation.Schema) func(relation.Tuple) bool {
 	if len(p) == 0 {
 		return func(relation.Tuple) bool { return true }

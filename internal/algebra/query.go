@@ -166,59 +166,6 @@ type ResultDelta struct {
 	Added   []relation.Tuple
 }
 
-// Empty reports whether the delta leaves the result unchanged tuple-for-
-// tuple (note: under bag semantics equal add/remove pairs cancel only if
-// they are the same value; Canceled handles that).
-func (d ResultDelta) Empty() bool { return len(d.Removed) == 0 && len(d.Added) == 0 }
-
-// DeltaOnJoined computes the query's result delta when the joined tuples at
-// the given indexes are replaced by new versions. modified maps joined-row
-// index to the new tuple. This is the incremental evaluator: Q(D') =
-// Q(D) − Removed ∪ Added, without re-running the join.
-func (q *Query) DeltaOnJoined(joined *relation.Relation, modified map[int]relation.Tuple) (ResultDelta, error) {
-	projIdx := make([]int, len(q.Projection))
-	for i, n := range q.Projection {
-		j := joined.Schema.IndexOf(n)
-		if j < 0 {
-			return ResultDelta{}, fmt.Errorf("algebra: delta %s: no column %q in join", q.Name, n)
-		}
-		projIdx[i] = j
-	}
-	var delta ResultDelta
-	// Compile the predicate once for the whole delta: the column lookups and
-	// term dispatch are resolved here instead of per modified row (Compile
-	// mirrors Matches exactly, including the constant-false behaviour for
-	// columns missing from the schema).
-	match := q.Pred.Compile(joined.Schema)
-	// Deterministic order: visit modified rows in ascending index.
-	rows := make([]int, 0, len(modified))
-	for r := range modified {
-		rows = append(rows, r)
-	}
-	sort.Ints(rows)
-	for _, r := range rows {
-		if r < 0 || r >= joined.Len() {
-			return ResultDelta{}, fmt.Errorf("algebra: delta %s: row %d out of range", q.Name, r)
-		}
-		oldT, newT := joined.Tuples[r], modified[r]
-		oldIn := match(oldT)
-		newIn := match(newT)
-		switch {
-		case oldIn && newIn:
-			ox, nx := oldT.Project(projIdx), newT.Project(projIdx)
-			if !ox.Equal(nx) {
-				delta.Removed = append(delta.Removed, ox)
-				delta.Added = append(delta.Added, nx)
-			}
-		case oldIn && !newIn:
-			delta.Removed = append(delta.Removed, oldT.Project(projIdx))
-		case !oldIn && newIn:
-			delta.Added = append(delta.Added, newT.Project(projIdx))
-		}
-	}
-	return delta, nil
-}
-
 // ApplyDelta applies a delta to a base result (bag semantics) and returns
 // the resulting relation. Removal bookkeeping runs through the hash kernel
 // (collision-verified), so no per-tuple key strings are built.

@@ -117,19 +117,6 @@ func (r *Ring) Remove(node string) {
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.members) }
 
-// Members returns the member ids, sorted.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.members))
-	for n := range r.members {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Has reports membership.
-func (r *Ring) Has(node string) bool { return r.members[node] }
-
 // Lookup returns the member owning key — the first virtual node at or
 // clockwise of the key's hash — or "" on an empty ring.
 func (r *Ring) Lookup(key string) string {

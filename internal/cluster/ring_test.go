@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -22,6 +23,16 @@ func ringNodes(n int) []string {
 		nodes[i] = fmt.Sprintf("w%d", i)
 	}
 	return nodes
+}
+
+// Members returns the member ids, sorted.
+func (r *Ring) Members() []string {
+	out := make([]string, 0, len(r.members))
+	for n := range r.members {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // TestLookupMapsEveryKeyToOneLiveNode: property (a) — with any non-empty

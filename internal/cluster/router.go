@@ -275,13 +275,6 @@ func (rt *Router) Start() { rt.monitor.Start() }
 // Stop halts health probing (in-flight failovers still complete).
 func (rt *Router) Stop() { rt.monitor.Stop() }
 
-// Tick runs one probe round synchronously (test hook; failovers it
-// triggers still run asynchronously — wait on FailoversDone).
-func (rt *Router) Tick() { rt.monitor.Tick() }
-
-// FailoversDone returns how many estate handoffs have completed.
-func (rt *Router) FailoversDone() int64 { return rt.failoversDone.Load() }
-
 // probeWorker is the Monitor's ProbeFunc: a bounded GET /healthz.
 func (rt *Router) probeWorker(id string) error {
 	rt.mu.Lock()

@@ -226,13 +226,13 @@ func TestRouterFailoverPreservesAcknowledgedSessions(t *testing.T) {
 
 	// Drive the failure detector to a verdict, then wait for the handoff.
 	for i := 0; i < 2; i++ {
-		f.rt.Tick()
+		f.rt.monitor.Tick()
 	}
 	if got := f.rt.monitor.State(victim); got != StateDead {
 		t.Fatalf("victim state %v after DeadAfter ticks, want dead", got)
 	}
 	deadline := time.Now().Add(30 * time.Second)
-	for f.rt.FailoversDone() < 1 {
+	for f.rt.failoversDone.Load() < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("failover did not complete")
 		}

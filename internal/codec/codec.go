@@ -6,13 +6,13 @@
 //
 // Every Encode*/Decode* pair round-trips exactly: decoding an encoded value
 // yields a structurally identical one (relation.Value keys, algebra.Query
-// keys and relation fingerprints are preserved). The DTO types are plain
-// structs with json tags so callers can embed them in larger messages.
+// keys and relations' bags of tuples are preserved). The DTO types are
+// plain structs with json tags so callers can embed them in larger
+// messages.
 //
 // Snapshots never persist kernel hashes (relation.Value.Hash64,
-// relation.Tuple.Hash64): those involve process-local string-interner ids.
-// Only the canonical string forms (keys, fingerprint strings) are stable
-// across processes.
+// relation.Tuple.Hash64); only the canonical string forms (keys) are part
+// of the format.
 package codec
 
 import (

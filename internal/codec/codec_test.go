@@ -3,6 +3,7 @@ package codec
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"testing"
 
 	"qfe/internal/algebra"
@@ -88,11 +89,11 @@ func TestRelationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Name != r.Name || !got.Schema.Equal(r.Schema) {
+	if got.Name != r.Name || !slices.Equal(got.Schema, r.Schema) {
 		t.Errorf("schema/name changed: %v vs %v", got.Schema, r.Schema)
 	}
-	if got.Fingerprint() != r.Fingerprint() {
-		t.Fatalf("fingerprint changed")
+	if !got.BagEqual(r) {
+		t.Fatalf("tuples changed")
 	}
 	for i := range r.Tuples {
 		if !got.Tuples[i].Equal(r.Tuples[i]) {
@@ -109,7 +110,7 @@ func TestDecodeRelationArityMismatch(t *testing.T) {
 	}
 }
 
-func TestDatabaseRoundTrip(t *testing.T) {
+func sampleDatabase() *db.Database {
 	d := db.New()
 	d.MustAddTable(sampleRelation())
 	dept := relation.New("Dept", relation.NewSchema("did", relation.KindInt))
@@ -117,7 +118,11 @@ func TestDatabaseRoundTrip(t *testing.T) {
 	d.MustAddTable(dept)
 	d.AddPrimaryKey("Employee", "Eid")
 	d.AddForeignKey("Employee", []string{"Eid"}, "Dept", []string{"did"})
+	return d
+}
 
+func TestDatabaseRoundTrip(t *testing.T) {
+	d := sampleDatabase()
 	data, err := json.Marshal(EncodeDatabase(d))
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +138,7 @@ func TestDatabaseRoundTrip(t *testing.T) {
 	if len(got.TableNames()) != 2 || got.TableNames()[0] != "Employee" {
 		t.Errorf("table order changed: %v", got.TableNames())
 	}
-	if got.Table("Employee").Fingerprint() != d.Table("Employee").Fingerprint() {
+	if !got.Table("Employee").BagEqual(d.Table("Employee")) {
 		t.Error("table content changed")
 	}
 	if len(got.PrimaryKeys) != 1 || len(got.ForeignKeys) != 1 {
@@ -144,11 +149,15 @@ func TestDatabaseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEditsRoundTrip(t *testing.T) {
-	edits := []db.CellEdit{
+func sampleEdits() []db.CellEdit {
+	return []db.CellEdit{
 		{Table: "Employee", Row: 1, Column: "salary", Value: relation.Int(4500)},
 		{Table: "Employee", Row: 0, Column: "name", Value: relation.Str("Eve")},
 	}
+}
+
+func TestEditsRoundTrip(t *testing.T) {
+	edits := sampleEdits()
 	data, err := json.Marshal(EncodeEdits(edits))
 	if err != nil {
 		t.Fatal(err)
@@ -168,8 +177,8 @@ func TestEditsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestQueryRoundTrip(t *testing.T) {
-	queries := []*algebra.Query{
+func sampleQueries() []*algebra.Query {
+	return []*algebra.Query{
 		{
 			Name:       "Q1",
 			Tables:     []string{"Employee"},
@@ -196,7 +205,10 @@ func TestQueryRoundTrip(t *testing.T) {
 		},
 		{Name: "Qtrue", Tables: []string{"T"}, Projection: []string{"T.a"}},
 	}
-	for _, q := range queries {
+}
+
+func TestQueryRoundTrip(t *testing.T) {
+	for _, q := range sampleQueries() {
 		data, err := json.Marshal(EncodeQuery(q))
 		if err != nil {
 			t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"qfe/internal/qbo"
+	"qfe/internal/testref"
 )
 
 // FuzzRestoreSnapshot feeds arbitrary bytes to UnmarshalSnapshot and
@@ -75,7 +76,7 @@ func stepDigest(r *Round, o *Outcome, err error) string {
 		out := fmt.Sprintf("round seq %d iteration %d group %d/%d edits %v groups %v",
 			r.Seq, r.Iteration, r.Group, r.NumGroups, r.View.Edits, r.View.Groups)
 		for _, res := range r.View.Results {
-			out += "\nresult " + res.Fingerprint()
+			out += "\nresult " + testref.Fingerprint(res)
 		}
 		for _, q := range r.View.Queries {
 			out += "\nquery " + q.Key()
@@ -99,7 +100,7 @@ func stepDigest(r *Round, o *Outcome, err error) string {
 // two encodings.
 func snapshotDiff(a, b *Snapshot) string {
 	fields := func(sn *Snapshot) map[string]json.RawMessage {
-		data, _ := sn.Marshal()
+		data, _ := json.Marshal(sn)
 		var m map[string]json.RawMessage
 		_ = json.Unmarshal(data, &m)
 		return m
@@ -128,7 +129,7 @@ func snapshotSeeds(tb testing.TB) [][]byte {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		data, err := snap.Marshal()
+		data, err := json.Marshal(snap)
 		if err != nil {
 			tb.Fatal(err)
 		}

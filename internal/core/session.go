@@ -396,9 +396,6 @@ func (s *Session) Pending() *Round {
 // crash-recovery replays.
 func (s *Session) Seq() int { return s.seq }
 
-// Done reports whether the session has finished (including by failure).
-func (s *Session) Done() bool { return s.state == stateDone }
-
 // Err returns the fatal stepping error of a failed session, or nil.
 func (s *Session) Err() error { return s.fatal }
 

@@ -117,9 +117,11 @@ func TestEndToEndWithQBOCandidates(t *testing.T) {
 	// Pick the salary-threshold candidate as target if present, else first.
 	target := qc[0]
 	for _, q := range qc {
-		for _, term := range q.Pred.Terms() {
-			if term.Attr == "Employee.salary" && term.Op == algebra.OpGT {
-				target = q
+		for _, c := range q.Pred {
+			for _, term := range c {
+				if term.Attr == "Employee.salary" && term.Op == algebra.OpGT {
+					target = q
+				}
 			}
 		}
 	}

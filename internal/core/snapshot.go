@@ -254,11 +254,6 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 	return snap, nil
 }
 
-// MarshalJSON / reading convenience.
-
-// Marshal serializes the snapshot to JSON.
-func (snap *Snapshot) Marshal() ([]byte, error) { return json.Marshal(snap) }
-
 // UnmarshalSnapshot parses a JSON snapshot.
 func UnmarshalSnapshot(data []byte) (*Snapshot, error) {
 	var snap Snapshot

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"testing"
 
 	"qfe/internal/feedback"
@@ -67,7 +68,7 @@ func TestSnapshotRestoreMidSession(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := snap.Marshal()
+		data, err := json.Marshal(snap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +92,7 @@ func TestSnapshotRestoreMidSession(t *testing.T) {
 			t.Fatalf("oracle %T: result count differs", oracle)
 		}
 		for i := range a.View.Results {
-			if a.View.Results[i].Fingerprint() != b.View.Results[i].Fingerprint() {
+			if !a.View.Results[i].BagEqual(b.View.Results[i]) {
 				t.Errorf("oracle %T: result %d differs after restore", oracle, i)
 			}
 		}
@@ -138,7 +139,7 @@ func TestSnapshotEveryRound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := snap.Marshal()
+		data, err := json.Marshal(snap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +206,7 @@ func TestSnapshotNewAndDoneStates(t *testing.T) {
 	if snap2.State != "done" {
 		t.Fatalf("state = %q, want done", snap2.State)
 	}
-	data, err := snap2.Marshal()
+	data, err := json.Marshal(snap2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +306,7 @@ func TestSnapshotPreservesFailure(t *testing.T) {
 	if snap.State != "failed" || snap.Fatal == "" {
 		t.Fatalf("snapshot state %q fatal %q, want failed", snap.State, snap.Fatal)
 	}
-	data, err := snap.Marshal()
+	data, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,9 +318,9 @@ func TestSnapshotPreservesFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !restored.Done() || restored.Err() == nil {
+	if restored.state != stateDone || restored.Err() == nil {
 		t.Errorf("restored session should be failed: done=%v err=%v",
-			restored.Done(), restored.Err())
+			restored.state == stateDone, restored.Err())
 	}
 	if _, ok := restored.Outcome(); ok {
 		t.Error("restored failed session must not report an outcome")

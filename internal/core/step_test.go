@@ -137,7 +137,7 @@ func TestStepRoundContents(t *testing.T) {
 	if out.Query == nil || out.Query.Name != "Q2" {
 		t.Errorf("identified %v, want Q2", out.Query)
 	}
-	if !s.Done() || s.Pending() != nil {
+	if s.state != stateDone || s.Pending() != nil {
 		t.Error("terminal session should be Done with no pending round")
 	}
 }
@@ -331,8 +331,8 @@ func TestFatalAdvanceErrorTerminatesSession(t *testing.T) {
 	if _, _, err := s.Feedback(choice); err == nil {
 		t.Fatal("exceeding MaxIterations should error")
 	}
-	if !s.Done() || s.Err() == nil {
-		t.Fatalf("session should be terminally failed: done=%v err=%v", s.Done(), s.Err())
+	if s.state != stateDone || s.Err() == nil {
+		t.Fatalf("session should be terminally failed: done=%v err=%v", s.state == stateDone, s.Err())
 	}
 	if _, ok := s.Outcome(); ok {
 		t.Error("failed session must not report an outcome")

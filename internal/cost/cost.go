@@ -148,23 +148,3 @@ func (p Params) Cost(in Inputs) float64 {
 	residualPerRound := float64(in.DBEdit)/mu + p.Beta + (2.0/float64(k))*sumResult
 	return current + n*residualPerRound
 }
-
-// BinaryX extracts, from a collection of binary partitionings described by
-// their subset-size pairs, the x of Lemma 3.1: the smaller-side size of the
-// most balanced one (the pair minimising Balance). It returns 0 when the
-// collection contains no binary partitioning.
-func BinaryX(binarySizes [][2]int) int {
-	best := math.Inf(1)
-	x := 0
-	for _, s := range binarySizes {
-		b := Balance([]int{s[0], s[1]})
-		if b < best {
-			best = b
-			x = s[0]
-			if s[1] < x {
-				x = s[1]
-			}
-		}
-	}
-	return x
-}

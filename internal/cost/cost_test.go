@@ -160,20 +160,6 @@ func TestCostTradeoffBalanceVsEdits(t *testing.T) {
 	}
 }
 
-func TestBinaryX(t *testing.T) {
-	// Partitionings: (9,1) balance .4/... vs (6,4): most balanced is (6,4),
-	// so x = 4.
-	if x := BinaryX([][2]int{{9, 1}, {6, 4}}); x != 4 {
-		t.Errorf("BinaryX = %d, want 4", x)
-	}
-	if x := BinaryX(nil); x != 0 {
-		t.Errorf("BinaryX(nil) = %d, want 0", x)
-	}
-	if x := BinaryX([][2]int{{1, 9}}); x != 1 {
-		t.Errorf("BinaryX = %d, want 1 (order-insensitive)", x)
-	}
-}
-
 func TestDefaultParams(t *testing.T) {
 	if DefaultParams().Beta != 1 {
 		t.Error("paper default β is 1")

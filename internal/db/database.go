@@ -114,16 +114,6 @@ func (d *Database) Clone() *Database {
 	return c
 }
 
-// PrimaryKeyOf returns the primary key declared for a table, if any.
-func (d *Database) PrimaryKeyOf(table string) (PrimaryKey, bool) {
-	for _, pk := range d.PrimaryKeys {
-		if pk.Table == table {
-			return pk, true
-		}
-	}
-	return PrimaryKey{}, false
-}
-
 // Validate checks every declared constraint and returns the first violation
 // found, or nil. Paper §6.3: modified databases shown to the user must be
 // valid.
@@ -253,20 +243,6 @@ func ModifiedRelations(edits []CellEdit) int {
 	seen := make(map[string]bool)
 	for _, e := range edits {
 		seen[e.Table] = true
-	}
-	return len(seen)
-}
-
-// ModifiedTuples returns the number of distinct (table,row) pairs touched by
-// edits, the "µ" of the paper's residual cost model (§3).
-func ModifiedTuples(edits []CellEdit) int {
-	type key struct {
-		t string
-		r int
-	}
-	seen := make(map[key]bool)
-	for _, e := range edits {
-		seen[key{e.Table, e.Row}] = true
 	}
 	return len(seen)
 }

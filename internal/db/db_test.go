@@ -131,6 +131,20 @@ func TestApplyEdits(t *testing.T) {
 	}
 }
 
+// ModifiedTuples returns the number of distinct (table,row) pairs touched by
+// edits, the "µ" of the paper's residual cost model (§3).
+func ModifiedTuples(edits []CellEdit) int {
+	type key struct {
+		t string
+		r int
+	}
+	seen := make(map[key]bool)
+	for _, e := range edits {
+		seen[key{e.Table, e.Row}] = true
+	}
+	return len(seen)
+}
+
 func TestModifiedCounters(t *testing.T) {
 	edits := []CellEdit{
 		{Table: "T1", Row: 0, Column: "B"},

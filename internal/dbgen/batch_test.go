@@ -7,6 +7,7 @@ import (
 	"qfe/internal/algebra"
 	"qfe/internal/db"
 	"qfe/internal/relation"
+	"qfe/internal/testref"
 )
 
 // checkBaseResultsMatchScalar compares a generator's batch-computed base
@@ -60,8 +61,8 @@ func TestEvaluateBaseBatchMatchesScalar(t *testing.T) {
 
 // TestPartitionConcreteBatchMatchesScalar drives one concrete partitioning
 // through the batch delta path and cross-checks every query's delta against
-// the scalar DeltaOnJoined, and the partition against grouping the queries
-// by their scalar DeltaFingerprint in query order.
+// the scalar testref.DeltaOnJoined, and the partition against grouping the
+// queries by their scalar DeltaFingerprint in query order.
 func TestPartitionConcreteBatchMatchesScalar(t *testing.T) {
 	d, j, qc, r := example11(t)
 	g, err := newGenerator(db.NewKeys(d), j, qc, r, testOptions(), 0)
@@ -84,10 +85,11 @@ func TestPartitionConcreteBatchMatchesScalar(t *testing.T) {
 	block := map[algebra.ResultFP]int{}
 	rel := g.Joined.Relation()
 	for qi, q := range g.Queries {
-		scalar, err := q.DeltaOnJoined(rel, modified)
+		removed, added, err := testref.DeltaOnJoined(rel, modified, q.Pred.Compile(rel.Schema), q.Projection)
 		if err != nil {
 			t.Fatal(err)
 		}
+		scalar := algebra.ResultDelta{Removed: removed, Added: added}
 		if !reflect.DeepEqual(batchDeltas[qi], scalar) {
 			t.Errorf("query %s: batch delta %+v, scalar %+v", q.Name, batchDeltas[qi], scalar)
 		}
@@ -141,7 +143,7 @@ func TestGenerateDeterministicAcrossWorkerCounts(t *testing.T) {
 			t.Fatalf("workers %d: result counts differ", workers)
 		}
 		for i := range got.Results {
-			if got.Results[i].Fingerprint() != want.Results[i].Fingerprint() {
+			if !got.Results[i].BagEqual(want.Results[i]) {
 				t.Errorf("workers %d: result %d differs", workers, i)
 			}
 		}

@@ -141,7 +141,7 @@ func TestGenerateParallelMatchesSerial(t *testing.T) {
 				p, len(resS.Results), len(resP.Results))
 		}
 		for i := range resS.Results {
-			if resS.Results[i].Fingerprint() != resP.Results[i].Fingerprint() {
+			if !resS.Results[i].BagEqual(resP.Results[i]) {
 				t.Errorf("parallelism %d: result %d differs:\n%v\nvs\n%v",
 					p, i, resS.Results[i], resP.Results[i])
 			}

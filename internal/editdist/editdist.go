@@ -2,7 +2,6 @@ package editdist
 
 import (
 	"fmt"
-	"strings"
 
 	"qfe/internal/relation"
 )
@@ -166,39 +165,4 @@ func match(a, b *relation.Relation) ([]pair, int) {
 		}
 	}
 	return pairs, total
-}
-
-// DatabaseEdit sums MinEdit over the tables of two databases with identical
-// schemas, the paper's minEdit(D, D′). Tables present in only one database
-// are not supported (QFE only modifies attribute values).
-type TablePair struct {
-	Name string
-	A, B *relation.Relation
-}
-
-// MinEditTables sums minEdit over the given table pairs.
-func MinEditTables(pairs []TablePair) int {
-	total := 0
-	for _, p := range pairs {
-		total += MinEdit(p.A, p.B)
-	}
-	return total
-}
-
-// FormatScript renders an edit script with the relation's column names, for
-// the Δ(D,Ri) presentation of the Result Feedback module.
-func FormatScript(rel *relation.Relation, ops []Op) string {
-	var b strings.Builder
-	for _, op := range ops {
-		switch op.Kind {
-		case OpModify:
-			fmt.Fprintf(&b, "  ~ %s[%d].%s: %s -> %s\n",
-				rel.Name, op.RowA, rel.Schema[op.Col].Name, op.From, op.To)
-		case OpDelete:
-			fmt.Fprintf(&b, "  - %s[%d]: %s\n", rel.Name, op.RowA, rel.Tuples[op.RowA])
-		case OpInsert:
-			fmt.Fprintf(&b, "  + %s: (new tuple)\n", rel.Name)
-		}
-	}
-	return b.String()
 }

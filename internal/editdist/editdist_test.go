@@ -219,15 +219,6 @@ func TestMinEditBruteForceSmall(t *testing.T) {
 	}
 }
 
-func TestMinEditTables(t *testing.T) {
-	a1, b1 := rel([]int{1}), rel([]int{2})
-	a2, b2 := rel([]int{1, 2}), rel([]int{1, 2})
-	total := MinEditTables([]TablePair{{"t1", a1, b1}, {"t2", a2, b2}})
-	if total != 1 {
-		t.Errorf("MinEditTables = %d, want 1", total)
-	}
-}
-
 func TestArityMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -235,16 +226,6 @@ func TestArityMismatchPanics(t *testing.T) {
 		}
 	}()
 	MinEdit(rel([]int{1}), rel([]int{1, 2}))
-}
-
-func TestFormatScript(t *testing.T) {
-	a := rel([]int{1, 2}, []int{3, 4})
-	b := rel([]int{1, 9})
-	ops, _ := Script(a, b)
-	s := FormatScript(a, ops)
-	if s == "" {
-		t.Error("FormatScript should render something")
-	}
 }
 
 func TestHungarianKnownMatrix(t *testing.T) {

@@ -286,12 +286,6 @@ func Table6() (*TextTable, *TextTable, error) {
 	return t, breakdown, nil
 }
 
-// Table7 reproduces Table 7 alone (it shares the runs with Table 6).
-func Table7() (*TextTable, error) {
-	_, bd, err := Table6()
-	return bd, err
-}
-
 // table6Pool builds the nested candidate pool: the target Q2 first, then
 // the QBO candidates, then perturbed variants up to 80.
 func table6Pool() ([]*algebra.Query, *Scenario, error) {

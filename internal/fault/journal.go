@@ -171,8 +171,5 @@ func (j *Journal) Rotate() (uint64, error) { return j.inner.Rotate() }
 // TruncateBefore delegates.
 func (j *Journal) TruncateBefore(boundary uint64) error { return j.inner.TruncateBefore(boundary) }
 
-// Sync delegates.
-func (j *Journal) Sync() error { return j.inner.Sync() }
-
 // Close closes the underlying log.
 func (j *Journal) Close() error { return j.inner.Close() }

@@ -85,7 +85,7 @@ func (WorstCase) Choose(v View) (int, bool, error) {
 }
 
 // Target follows a known target query: it evaluates the target on D' and
-// picks the result block with the matching fingerprint. This reproduces the
+// picks the result block equal to the target's result. This reproduces the
 // paper's "automated result feedback that always chooses the query subset
 // that contains the target query".
 type Target struct {
@@ -108,16 +108,14 @@ func (t Target) Choose(v View) (int, bool, error) {
 	if err != nil {
 		return 0, false, fmt.Errorf("feedback: evaluating target: %w", err)
 	}
-	wantFP := want.Fingerprint()
 	for i, r := range v.Results {
-		if r.Fingerprint() == wantFP {
+		if want.BagEqual(r) {
 			return i, true, nil
 		}
 	}
 	if t.Query.Distinct {
-		wantSet := want.SetFingerprint()
 		for i, r := range v.Results {
-			if r.SetFingerprint() == wantSet {
+			if want.SetEqual(r) {
 				return i, true, nil
 			}
 		}

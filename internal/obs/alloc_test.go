@@ -25,7 +25,7 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		{"Counter.Inc", func() { c.Inc() }},
 		{"Counter.Add", func() { c.Add(3) }},
 		{"Gauge.Set", func() { g.Set(42) }},
-		{"Gauge.Add", func() { g.Add(-1) }},
+		{"Gauge.Inc", func() { g.Inc() }},
 		{"Histogram.Observe", func() { h.Observe(12345) }},
 		{"Histogram.ObserveDuration", func() { h.ObserveDuration(3 * time.Millisecond) }},
 		{"CounterVec child Inc", func() { vc.Inc() }},

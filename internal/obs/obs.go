@@ -48,9 +48,6 @@ type Gauge struct {
 // Set replaces the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add moves the value by n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Inc adds one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 
@@ -302,11 +299,6 @@ func NewGauge(name, help string) *Gauge { return Default().Gauge(name, help) }
 
 // NewGaugeFunc registers a scrape-time gauge on the Default registry.
 func NewGaugeFunc(name, help string, fn func() float64) { Default().GaugeFunc(name, help, fn) }
-
-// NewHistogram registers a histogram on the Default registry.
-func NewHistogram(name, help string, opts HistogramOpts) *Histogram {
-	return Default().Histogram(name, help, opts)
-}
 
 // NewLatency registers a latency histogram (1µs … ~34s, exposed in seconds)
 // on the Default registry.

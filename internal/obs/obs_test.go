@@ -74,7 +74,7 @@ func TestRegistryConcurrentStress(t *testing.T) {
 			mine := cv.With(label)
 			for i := 0; i < iters; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Inc()
 				h.Observe(int64(i))
 				mine.Inc()
 				if i%500 == 0 {

@@ -58,8 +58,8 @@ func TestGenerateExample11Candidates(t *testing.T) {
 	// salary>4000-style, dept='IT'.
 	var hasGender, hasSalary, hasDept bool
 	for _, q := range qs {
-		for _, term := range q.Pred.Terms() {
-			switch term.Attr {
+		for _, attr := range q.Pred.Attrs() {
+			switch attr {
 			case "Employee.gender":
 				hasGender = true
 			case "Employee.salary":

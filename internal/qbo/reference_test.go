@@ -26,10 +26,11 @@ type verifier struct {
 	projIdx []int
 	rows    []int // required ∪ optional
 	need    *relation.Bag
+	size    int // |R|
 }
 
 func newVerifier(rel *relation.Relation, proj []string, rc rowClass, r *relation.Relation) *verifier {
-	v := &verifier{rel: rel, need: r.Bag()}
+	v := &verifier{rel: rel, need: r.Bag(), size: r.Len()}
 	v.projIdx = make([]int, len(proj))
 	for i, p := range proj {
 		v.projIdx[i] = rel.Schema.MustIndexOf(p)
@@ -50,11 +51,11 @@ func emitVerified(v *verifier, pred algebra.Predicate) bool {
 			continue
 		}
 		total++
-		if got.IncProj(t, v.projIdx, 1) > v.need.CountProj(t, v.projIdx) {
+		if got.IncProj(t, v.projIdx, 1) > v.need.Count(t.Project(v.projIdx)) {
 			return false // overshoot: cannot equal R
 		}
 	}
-	return total == v.need.Total()
+	return total == v.size
 }
 
 // classifyRows classifies the join's rows (rel) for projection proj by
@@ -81,11 +82,12 @@ func classifyRows(rel *relation.Relation, proj []string, r *relation.Relation) r
 	var rc rowClass
 	rc.feasible = true
 	for ri, t := range rel.Tuples {
-		n := need.CountProj(t, idx)
+		p := t.Project(idx)
+		n := need.Count(p)
 		switch {
 		case n == 0:
 			rc.excluded = append(rc.excluded, ri)
-		case n == have.CountProj(t, idx):
+		case n == have.Count(p):
 			rc.required = append(rc.required, ri)
 		default:
 			rc.optional = append(rc.optional, ri)
@@ -106,7 +108,7 @@ func greedyAnchors(rel *relation.Relation, proj []string, r *relation.Relation, 
 	var anchors []int
 	for _, ri := range optional {
 		t := rel.Tuples[ri]
-		if need.CountProj(t, idx) > 0 {
+		if need.Count(t.Project(idx)) > 0 {
 			need.IncProj(t, idx, -1)
 			anchors = append(anchors, ri)
 		}

@@ -6,11 +6,9 @@
 // value per tuple per winnowing round. This file replaces that string
 // material with fixed-width word hashing:
 //
-//   - an Interner maps strings to dense uint32 ids (RW-sharded, process-wide)
-//     so string values hash as a single word;
-//   - Value/Tuple hash by folding (kind tag, normalized numeric bits or
-//     interned id) words through an FNV-1a-style multiply-xor with a final
-//     avalanche — zero heap allocations;
+//   - Value/Tuple hash by folding (kind tag, normalized numeric bits or the
+//     string's FNV-1a hash) words through an FNV-1a-style multiply-xor with
+//     a final avalanche — zero heap allocations;
 //   - Bag is a hash-keyed multiset with equality verification on collision:
 //     correctness NEVER depends on hash uniqueness, only speed does.
 //
@@ -21,14 +19,12 @@
 // legacy string-keyed paths (kept as slowXxx reference implementations and
 // asserted equivalent by differential tests).
 //
-// Hashes involve interner ids and are therefore process-local: they must
-// never be persisted. Codec snapshots do not store them; everything is
-// recomputed lazily after restore.
+// Hashes are never persisted: codec snapshots do not store them, and
+// everything is recomputed lazily after restore.
 package relation
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 )
 
@@ -88,77 +84,6 @@ func CollisionTestMask(h uint64) uint64 {
 	}
 	return h
 }
-
-// Interner maps strings to dense uint32 ids so string values hash and
-// compare as single machine words. It is sharded by string hash with one
-// RWMutex per shard: lookups of already-interned strings (the steady state —
-// a dataset's active domain is interned once) take only a read lock, so
-// concurrent evaluation goroutines do not contend.
-type Interner struct {
-	next   atomic.Uint32
-	shards [internShards]internShard
-}
-
-const internShards = 64
-
-type internShard struct {
-	mu sync.RWMutex
-	m  map[string]uint32
-}
-
-// NewInterner returns an empty interner.
-func NewInterner() *Interner {
-	in := &Interner{}
-	for i := range in.shards {
-		in.shards[i].m = make(map[string]uint32)
-	}
-	return in
-}
-
-// Intern returns the id of s, assigning the next dense id on first sight.
-// Ids are unique within one interner and stable for the process lifetime;
-// they are never persisted (codec snapshots store the strings themselves).
-func (in *Interner) Intern(s string) uint32 {
-	sh := &in.shards[hashString(hashOffset64, s)%internShards]
-	sh.mu.RLock()
-	id, ok := sh.m[s]
-	sh.mu.RUnlock()
-	if ok {
-		return id
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if id, ok := sh.m[s]; ok {
-		return id
-	}
-	id = in.next.Add(1)
-	sh.m[s] = id
-	return id
-}
-
-// Len returns the number of interned strings.
-func (in *Interner) Len() int {
-	n := 0
-	for i := range in.shards {
-		sh := &in.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// defaultInterner backs Value hashing. Process-wide by design: sessions
-// share datasets, so one id space serves them all. Growth is bounded by the
-// number of distinct strings ever hashed — for the built-in datasets a few
-// thousand; a long-lived server ingesting many novel user CSVs accumulates
-// their distinct strings for the process lifetime (monitor with
-// DefaultInterner().Len(); per-tenant interners are the escape hatch if
-// that ever dominates).
-var defaultInterner = NewInterner()
-
-// DefaultInterner returns the process-wide interner used by Value hashing.
-func DefaultInterner() *Interner { return defaultInterner }
 
 // keyClass normalizes a value into the equality class its Key encodes:
 // integral floats inside the exactly-representable window collapse onto
@@ -225,8 +150,8 @@ func (v Value) KeyEqual(w Value) bool {
 }
 
 // appendHash folds v into a running hash as fixed-width words: one kind-tag
-// word plus one payload word (normalized numeric bits or interned string
-// id). Zero heap allocations.
+// word plus one payload word (normalized numeric bits, or the FNV-1a hash
+// of a string's bytes). Zero heap allocations.
 func (v Value) appendHash(h uint64) uint64 {
 	c, i, f := v.normalize()
 	switch c {
@@ -235,7 +160,7 @@ func (v Value) appendHash(h uint64) uint64 {
 	case kcFloat:
 		return hashWord(hashWord(h, uint64(c)), f)
 	case kcStr:
-		return hashWord(hashWord(h, uint64(c)), uint64(defaultInterner.Intern(v.S)))
+		return hashWord(hashWord(h, uint64(c)), hashString(hashOffset64, v.S))
 	default:
 		return hashWord(h, uint64(c))
 	}
@@ -340,7 +265,6 @@ const smallBagMax = 12
 type Bag struct {
 	small    []bagEntry // small mode storage; nil once spilled
 	m        map[uint64][]bagEntry
-	total    int
 	distinct int
 }
 
@@ -402,7 +326,6 @@ func (b *Bag) insert(e bagEntry) {
 // reference; callers must not mutate it afterwards.
 func (b *Bag) Inc(t Tuple, d int) int {
 	h := t.Hash64()
-	b.total += d
 	if b.m == nil {
 		if i := b.smallFind(h, t); i >= 0 {
 			b.small[i].n += d
@@ -447,7 +370,6 @@ func (b *Bag) TakeOne(t Tuple) bool {
 				return false
 			}
 			b.small[i].n--
-			b.total--
 			return true
 		}
 		return false
@@ -459,7 +381,6 @@ func (b *Bag) TakeOne(t Tuple) bool {
 				return false
 			}
 			bucket[i].n--
-			b.total--
 			return true
 		}
 	}
@@ -471,7 +392,6 @@ func (b *Bag) TakeOne(t Tuple) bool {
 // copy, so later probes stay allocation-free).
 func (b *Bag) IncProj(t Tuple, idx []int, d int) int {
 	h := t.HashProj(idx)
-	b.total += d
 	if b.m == nil {
 		if i := b.smallFindProj(h, t, idx); i >= 0 {
 			b.small[i].n += d
@@ -490,30 +410,9 @@ func (b *Bag) IncProj(t Tuple, idx []int, d int) int {
 	return d
 }
 
-// CountProj returns the count of the projection t[idx] without
-// materialising it.
-func (b *Bag) CountProj(t Tuple, idx []int) int {
-	h := t.HashProj(idx)
-	if b.m == nil {
-		if i := b.smallFindProj(h, t, idx); i >= 0 {
-			return b.small[i].n
-		}
-		return 0
-	}
-	for _, e := range b.m[h] {
-		if t.keyEqualProj(idx, e.t) {
-			return e.n
-		}
-	}
-	return 0
-}
-
 // Distinct returns the number of distinct tuples ever inserted (entries are
 // never removed, only counted down).
 func (b *Bag) Distinct() int { return b.distinct }
-
-// Total returns the sum of all counts.
-func (b *Bag) Total() int { return b.total }
 
 // ForEach visits every entry (including non-positive counts) in
 // unspecified order. Callers needing determinism must sort or combine

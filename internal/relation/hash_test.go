@@ -5,7 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sync"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -80,44 +81,6 @@ func TestHashProjMatchesProjectedHash(t *testing.T) {
 		if got, want := tup.HashProj(idx), tup.Project(idx).Hash64(); got != want {
 			t.Errorf("HashProj(%v) = %x, Project().Hash64() = %x", idx, got, want)
 		}
-	}
-}
-
-// --- interner ---------------------------------------------------------------
-
-func TestInternerStableAndConcurrent(t *testing.T) {
-	in := NewInterner()
-	if a, b := in.Intern("x"), in.Intern("x"); a != b {
-		t.Fatal("same string must intern to the same id")
-	}
-	if in.Intern("x") == in.Intern("y") {
-		t.Fatal("distinct strings must intern to distinct ids")
-	}
-	// Concurrent interning of an overlapping working set must stay
-	// consistent (exercised under -race).
-	var wg sync.WaitGroup
-	ids := make([][]uint32, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			ids[g] = make([]uint32, 100)
-			for i := range ids[g] {
-				ids[g][i] = in.Intern(fmt.Sprintf("k%d", i%25))
-			}
-		}(g)
-	}
-	wg.Wait()
-	for g := 1; g < 8; g++ {
-		for i := range ids[g] {
-			if ids[g][i] != ids[0][i] {
-				t.Fatalf("goroutine %d got id %d for key %d, goroutine 0 got %d",
-					g, ids[g][i], i, ids[0][i])
-			}
-		}
-	}
-	if got := in.Len(); got != 25+2 {
-		t.Errorf("interner holds %d strings, want 27", got)
 	}
 }
 
@@ -311,6 +274,56 @@ func (r *Relation) slowDistinct() *Relation {
 		}
 	}
 	return out
+}
+
+// Counts returns the multiset of tuple keys with multiplicities: the
+// string-keyed reference form of Bag.
+func (r *Relation) Counts() map[string]int {
+	m := make(map[string]int, len(r.Tuples))
+	for _, t := range r.Tuples {
+		m[t.Key()]++
+	}
+	return m
+}
+
+// slowFingerprint is the string-keyed canonical form of r's bag, its sorted
+// tuple keys (with distinct, of its set): two relations share it exactly
+// when they are BagEqual (SetEqual).
+func (r *Relation) slowFingerprint(distinct bool) string {
+	if distinct {
+		r = r.slowDistinct()
+	}
+	keys := make([]string, len(r.Tuples))
+	for i, t := range r.Tuples {
+		keys[i] = t.Key()
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, "\n")
+}
+
+// CountProj returns the count of the projection t[idx] without
+// materialising it, probing the buckets as IncProj does.
+func (b *Bag) CountProj(t Tuple, idx []int) int {
+	h := t.HashProj(idx)
+	if b.m == nil {
+		if i := b.smallFindProj(h, t, idx); i >= 0 {
+			return b.small[i].n
+		}
+		return 0
+	}
+	for _, e := range b.m[h] {
+		if t.keyEqualProj(idx, e.t) {
+			return e.n
+		}
+	}
+	return 0
+}
+
+// Total returns the sum of all counts.
+func (b *Bag) Total() int {
+	n := 0
+	b.ForEach(func(_ Tuple, c int) { n += c })
+	return n
 }
 
 // slowBagEqual is the string-keyed BagEqual (differential reference).

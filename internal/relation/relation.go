@@ -2,7 +2,6 @@ package relation
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -94,16 +93,6 @@ func (r *Relation) Distinct() *Relation {
 	return out
 }
 
-// Counts returns the multiset of tuple keys with multiplicities. It is the
-// string-keyed reference form; hot paths use Bag instead.
-func (r *Relation) Counts() map[string]int {
-	m := make(map[string]int, len(r.Tuples))
-	for _, t := range r.Tuples {
-		m[t.Key()]++
-	}
-	return m
-}
-
 // BagEqual reports order-insensitive multiset equality of tuples. Schemas
 // must have the same arity; column names are ignored (results are compared
 // positionally, as SQL does).
@@ -140,41 +129,6 @@ func (r *Relation) SetEqual(s *Relation) bool {
 		}
 	})
 	return !missing
-}
-
-// Fingerprint returns a canonical string identifying the relation's bag of
-// tuples (sorted tuple keys with multiplicity). Two relations have the same
-// fingerprint iff BagEqual. It is how QFE partitions candidate queries by
-// their result on D'.
-func (r *Relation) Fingerprint() string {
-	keys := make([]string, len(r.Tuples))
-	for i, t := range r.Tuples {
-		keys[i] = t.Key()
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "\n")
-}
-
-// SetFingerprint is Fingerprint under set semantics (duplicates collapsed).
-func (r *Relation) SetFingerprint() string {
-	seen := make(map[string]bool, len(r.Tuples))
-	keys := make([]string, 0, len(r.Tuples))
-	for _, t := range r.Tuples {
-		k := t.Key()
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "\n")
-}
-
-// Sorted returns a copy of the relation with tuples in canonical order.
-func (r *Relation) Sorted() *Relation {
-	c := r.Clone()
-	sort.Slice(c.Tuples, func(i, j int) bool { return c.Tuples[i].Less(c.Tuples[j]) })
-	return c
 }
 
 // String renders the relation as an aligned text table, tuples in stored

@@ -66,19 +66,6 @@ func (s Schema) Names() []string {
 	return ns
 }
 
-// Equal reports whether two schemas have identical columns in order.
-func (s Schema) Equal(t Schema) bool {
-	if len(s) != len(t) {
-		return false
-	}
-	for i := range s {
-		if s[i] != t[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns a copy of the schema.
 func (s Schema) Clone() Schema {
 	t := make(Schema, len(s))

@@ -91,24 +91,6 @@ func (t Tuple) Project(idx []int) Tuple {
 	return u
 }
 
-// Less orders tuples lexicographically by Value.Compare; used for stable
-// rendering and canonical sorting.
-func (t Tuple) Less(u Tuple) bool {
-	n := len(t)
-	if len(u) < n {
-		n = len(u)
-	}
-	for i := 0; i < n; i++ {
-		switch t[i].Compare(u[i]) {
-		case -1:
-			return true
-		case 1:
-			return false
-		}
-	}
-	return len(t) < len(u)
-}
-
 // String renders the tuple as "(v1, v2, ...)".
 func (t Tuple) String() string {
 	parts := make([]string, len(t))

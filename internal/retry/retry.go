@@ -70,12 +70,6 @@ func Permanent(err error) error {
 	return &permanentError{err: err}
 }
 
-// IsPermanent reports whether err was marked by Permanent.
-func IsPermanent(err error) bool {
-	var p *permanentError
-	return errors.As(err, &p)
-}
-
 // Do invokes fn until it succeeds, returns a Permanent error, exhausts
 // MaxAttempts or Budget, or ctx is cancelled. It returns nil on success,
 // the unwrapped cause for Permanent failures, the last transient error on

@@ -137,7 +137,8 @@ func TestPermanentStopsImmediately(t *testing.T) {
 	if !errors.Is(err, cause) {
 		t.Fatalf("Do = %v, want cause", err)
 	}
-	if IsPermanent(err) {
+	var p *permanentError
+	if errors.As(err, &p) {
 		t.Fatalf("returned error should be unwrapped, got permanent-marked %v", err)
 	}
 	if calls != 1 || len(c.slept) != 0 {

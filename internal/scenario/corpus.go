@@ -165,23 +165,3 @@ func (r *Reader) Next() (*Scenario, error) {
 	}
 	return DecodeEntry(e)
 }
-
-// ReadAll decodes a whole corpus.
-func ReadAll(r io.Reader) (Header, []*Scenario, error) {
-	cr, err := NewReader(r)
-	if err != nil {
-		return Header{}, nil, err
-	}
-	var out []*Scenario
-	for {
-		s, err := cr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return cr.Header, nil, err
-		}
-		out = append(out, s)
-	}
-	return cr.Header, out, nil
-}

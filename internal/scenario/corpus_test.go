@@ -25,9 +25,21 @@ func TestCorpusRoundTrip(t *testing.T) {
 	if err := Write(&first, Header{Seed: 5, Gen: &opts}, corpus); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	hdr, decoded, err := ReadAll(bytes.NewReader(first.Bytes()))
+	cr, err := NewReader(bytes.NewReader(first.Bytes()))
 	if err != nil {
-		t.Fatalf("ReadAll: %v", err)
+		t.Fatalf("NewReader: %v", err)
+	}
+	hdr := cr.Header
+	var decoded []*Scenario
+	for {
+		s, err := cr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("Next: %v", err)
+		}
+		decoded = append(decoded, s)
 	}
 	if hdr.Count != len(corpus) || hdr.Seed != 5 {
 		t.Fatalf("header = %+v, want count %d seed 5", hdr, len(corpus))

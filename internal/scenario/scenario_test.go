@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"sync"
 	"testing"
 
@@ -109,7 +110,7 @@ func TestFreshDB(t *testing.T) {
 		if ft == nil {
 			t.Fatalf("fresh db missing table %s", tbl.Name)
 		}
-		if !ft.Schema.Equal(tbl.Schema) {
+		if !slices.Equal(ft.Schema, tbl.Schema) {
 			t.Fatalf("fresh db table %s schema differs", tbl.Name)
 		}
 	}

@@ -74,21 +74,15 @@ func TestLoadMergesByProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var early bytes.Buffer
-	if _, err := m.Save(&early); err != nil {
-		t.Fatal(err)
-	}
+	_, early := checkpointed(t, m)
 	adv, err := m.FeedbackAt(context.Background(), "s1", st.Round.Seq, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var late bytes.Buffer
-	if _, err := m.Save(&late); err != nil {
-		t.Fatal(err)
-	}
+	_, late := checkpointed(t, m)
 
 	// Stale copy into the manager holding the advanced session: no-op.
-	if _, errs := m.Load(bytes.NewReader(early.Bytes())); len(errs) > 0 {
+	if _, errs := m.Load(bytes.NewReader(early)); len(errs) > 0 {
 		t.Fatalf("loading stale copy errored: %v", errs)
 	}
 	got, err := m.Get("s1")
@@ -101,13 +95,13 @@ func TestLoadMergesByProgress(t *testing.T) {
 
 	// Fresh manager: stale then advanced converges forward.
 	m2 := New(testOptions())
-	if _, errs := m2.Load(bytes.NewReader(early.Bytes())); len(errs) > 0 {
+	if _, errs := m2.Load(bytes.NewReader(early)); len(errs) > 0 {
 		t.Fatalf("load early: %v", errs)
 	}
 	if st2, _ := m2.Get("s1"); st2.Round == nil || st2.Round.Seq != st.Round.Seq {
 		t.Fatalf("early state wrong: %+v", st2)
 	}
-	if _, errs := m2.Load(bytes.NewReader(late.Bytes())); len(errs) > 0 {
+	if _, errs := m2.Load(bytes.NewReader(late)); len(errs) > 0 {
 		t.Fatalf("load late: %v", errs)
 	}
 	got2, err := m2.Get("s1")

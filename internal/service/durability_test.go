@@ -2,7 +2,7 @@
 // recovery at every crash point is differential against an uninterrupted
 // run, across engine worker counts; snapshot+tail recovery, torn and
 // corrupt logs, checkpoint truncation, seq-idempotent feedback, and a
-// Save/Checkpoint racing live feedback round out the matrix. Run with
+// Checkpoint racing live feedback round out the matrix. Run with
 // -race: the replay path is parallel across sessions.
 package service
 
@@ -645,10 +645,7 @@ func TestLoadEnforcesCapacity(t *testing.T) {
 		ids[i] = st.ID
 		now = now.Add(time.Minute) // distinct lastUsed: ids[0] is idlest
 	}
-	var buf bytes.Buffer
-	if _, err := m1.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
+	_, state := checkpointed(t, m1)
 
 	small := testOptions()
 	small.MaxSessions = 2
@@ -656,7 +653,7 @@ func TestLoadEnforcesCapacity(t *testing.T) {
 	// stamps would TTL-evict everything on first Get.
 	small.Clock = func() time.Time { return now }
 	m2 := New(small)
-	n, errs := m2.Load(&buf)
+	n, errs := m2.Load(bytes.NewReader(state))
 	if n != 3 {
 		t.Fatalf("loaded %d sessions, want 3", n)
 	}

@@ -9,6 +9,7 @@ import (
 	"qfe/internal/core"
 	"qfe/internal/feedback"
 	"qfe/internal/qbo"
+	"qfe/internal/testref"
 )
 
 // TestRecoverConfig13Fixture pins the state-file and WAL formats across the
@@ -90,7 +91,7 @@ func roundSignature(r *core.Round) string {
 	}
 	sig := fmt.Sprintf("seq=%d edits=%v", r.Seq, r.View.Edits)
 	for i, res := range r.View.Results {
-		sig += fmt.Sprintf(" [%v: %s]", r.View.Groups[i], res.Fingerprint())
+		sig += fmt.Sprintf(" [%v: %s]", r.View.Groups[i], testref.Fingerprint(res))
 	}
 	return sig
 }

@@ -9,8 +9,8 @@
 // concurrent requests for one session serialize. Idle sessions are evicted
 // after a TTL; a global live-session cap applies backpressure (Create
 // returns ErrCapacity) instead of letting memory grow unboundedly. Sessions
-// survive process restarts: Save serializes every resident session through
-// the internal/codec JSON snapshot format and Load restores them.
+// survive process restarts: Checkpoint serializes every resident session
+// through the internal/codec JSON snapshot format and Load restores them.
 package service
 
 import (
@@ -249,17 +249,13 @@ func newID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// Create registers a new session over (D, R, QC) using the manager's
-// default config, starts it, and returns its first status. When the live-
-// session cap is reached (after evicting expired sessions) it returns
-// ErrCapacity — the backpressure signal.
-func (m *Manager) Create(d *db.Database, r *relation.Relation, qc []*algebra.Query) (Status, error) {
-	return m.CreateWithID(context.Background(), newID(), d, r, qc)
-}
-
-// CreateWithID is Create with a caller-chosen session id — the cluster
-// router's placement primitive: the router generates the id, hashes it onto
-// the consistent-hash ring, and sends the create to the id's home worker.
+// CreateWithID registers a new session over (D, R, QC) under a
+// caller-chosen id, using the manager's default config, starts it, and
+// returns its first status. When the live-session cap is reached (after
+// evicting expired sessions) it returns ErrCapacity — the backpressure
+// signal. The caller-chosen id is the cluster router's placement
+// primitive: the router generates the id, hashes it onto the
+// consistent-hash ring, and sends the create to the id's home worker.
 // Creating an id that already exists returns the existing session's current
 // status instead of an error, which makes a retried create (whose first
 // acknowledgement was lost to a crash or dropped connection) idempotent.
@@ -786,21 +782,6 @@ func (m *Manager) collectState() (savedState, int) {
 	return state, failed
 }
 
-// Save serializes every resident, healthy session to w as JSON, so a
-// restarted process can Load them and resume mid-round. Sessions that fail
-// to snapshot are skipped (and counted in the returned error-free total).
-// Callers persisting to a file should prefer Checkpoint, which writes
-// atomically — a crash mid-Save through a truncating writer destroys the
-// previous good state.
-func (m *Manager) Save(w io.Writer) (int, error) {
-	state, _ := m.collectState()
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(state); err != nil {
-		return 0, fmt.Errorf("service: save: %w", err)
-	}
-	return len(state.Sessions), nil
-}
-
 // snapshotProgress extracts a snapshot's logical progress without the cost
 // of restoring it: the last generated round number and whether the session
 // has reached a terminal state.
@@ -835,7 +816,7 @@ func moreAdvanced(incSeq int, incDone bool, curSeq int, curDone bool) bool {
 	return incDone && !curDone
 }
 
-// Load restores sessions previously written by Save into the manager,
+// Load restores sessions previously written by Checkpoint into the manager,
 // returning how many were restored (surfaced as sessionsRestored in Stats).
 // Sessions whose snapshots no longer decode are skipped and reported in
 // errs. An existing session with the same ID is replaced only when the

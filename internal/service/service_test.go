@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -51,6 +53,29 @@ func testOptions() Options {
 	cfg := core.DefaultConfig()
 	cfg.Gen.Budget = dbgen.Budget{MaxPairs: 100000}
 	return Options{Config: cfg}
+}
+
+// Create registers and starts a session under a fresh id: CreateWithID
+// with the id the HTTP create handler would generate.
+func (m *Manager) Create(d *db.Database, r *relation.Relation, qc []*algebra.Query) (Status, error) {
+	return m.CreateWithID(context.Background(), newID(), d, r, qc)
+}
+
+// checkpointed writes m's state with Checkpoint to a file in a fresh
+// temporary directory and returns the session count and the file's bytes,
+// which Load reads back.
+func checkpointed(t *testing.T, m *Manager) (int, []byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "state.json")
+	n, err := m.Checkpoint(path)
+	if err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n, data
 }
 
 // driveToOutcome answers every round with the given oracle until done.
@@ -266,14 +291,13 @@ func TestSaveLoadResumesMidRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	n, err := m1.Save(&buf)
-	if err != nil || n != 1 {
-		t.Fatalf("save: n=%d err=%v", n, err)
+	n, state := checkpointed(t, m1)
+	if n != 1 {
+		t.Fatalf("checkpoint: n=%d, want 1", n)
 	}
 
 	m2 := New(testOptions())
-	loaded, errs := m2.Load(&buf)
+	loaded, errs := m2.Load(bytes.NewReader(state))
 	if len(errs) > 0 || loaded != 1 {
 		t.Fatalf("load: n=%d errs=%v", loaded, errs)
 	}

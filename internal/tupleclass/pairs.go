@@ -95,18 +95,6 @@ func (s *Space) ReplaceCost(p Pair, qi int) int {
 	return n
 }
 
-// PartitionSizes1 returns the block sizes of the symbolic partition of the
-// candidate queries by the single pair p — two queries share a block
-// exactly when p affects them the same way (Lemma 5.1) — in ascending case
-// order. It is the shape Algorithm 3 scores once per enumerated (STC, DTC)
-// pair; the enumeration itself calls CaseMasks with each source class's
-// match mask computed once, and Cases.Sizes.
-func (s *Space) PartitionSizes1(p Pair) []int {
-	c := s.NewCases()
-	s.CaseMasks(p, s.MatchMask(p.Src), c)
-	return c.Sizes()
-}
-
 // IndistinguishableGroups clusters queries whose match bit agrees on every
 // subset combination reachable by modifications — i.e. queries with equal
 // truth tables over the whole class space. Such queries produce identical

@@ -13,6 +13,18 @@ import (
 
 // example51Space builds the paper's Example 5.1: T(A,B,C) numeric, QC =
 // {Q1 = σ(A≤50 ∧ B>60), Q2 = σ(A>40 ∧ A≤80 ∧ B≤20)}.
+// PartitionSizes1 returns the block sizes of the symbolic partition of the
+// candidate queries by the single pair p — two queries share a block
+// exactly when p affects them the same way (Lemma 5.1) — in ascending case
+// order. It is the shape Algorithm 3 scores once per enumerated (STC, DTC)
+// pair; the enumeration itself calls CaseMasks with each source class's
+// match mask computed once, and Cases.Sizes.
+func (s *Space) PartitionSizes1(p Pair) []int {
+	c := s.NewCases()
+	s.CaseMasks(p, s.MatchMask(p.Src), c)
+	return c.Sizes()
+}
+
 func example51Space(t *testing.T) *Space {
 	t.Helper()
 	rel := relation.New("T", relation.NewSchema(
@@ -122,7 +134,7 @@ func TestClassMatchesAgreesWithPredicate(t *testing.T) {
 			t.Fatal(err)
 		}
 		for qi, q := range s.Queries {
-			direct := q.Pred.Matches(s.Joined.Schema(), tup)
+			direct := q.Pred.Compile(s.Joined.Schema())(tup)
 			if got := s.Matches(c, qi); got != direct {
 				t.Fatalf("tuple %v class %v: Matches(%s)=%v, predicate says %v",
 					tup, c, q.Name, got, direct)

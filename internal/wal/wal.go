@@ -408,13 +408,6 @@ func (l *Log) TruncateBefore(boundary uint64) error {
 	return syncDir(l.opts.Dir)
 }
 
-// Segment returns the index of the active segment.
-func (l *Log) Segment() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seg
-}
-
 // Close syncs and closes the log.
 func (l *Log) Close() error {
 	l.mu.Lock()

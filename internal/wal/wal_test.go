@@ -11,6 +11,13 @@ import (
 	"time"
 )
 
+// Segment returns the index of the active segment.
+func (l *Log) Segment() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.seg
+}
+
 func openT(t *testing.T, opts Options) *Log {
 	t.Helper()
 	l, err := Open(opts)
