@@ -140,12 +140,14 @@ func BenchmarkMicroCandidateGeneration(b *testing.B) {
 
 // BenchmarkMicroCandidateGenerationQ4 measures QBO candidate generation on
 // baseball/Q4 at qfe-server's cap of 32 candidates: the costliest first
-// round of the paper's nine instances. The grow search runs three
-// projection mappings to its node budget, and every conjunct it offers
-// fails verification; in a CPU profile it takes about an eighth of the
-// time, against a third for the projection mappings (mostly encoding the
-// join's columns), 29% for the cluster DNF and 20% for building the joins
-// (DESIGN.md §15). scripts/bench_guard.sh gates its allocations.
+// round of the paper's nine instances. Its three projection mappings have
+// equal row groups, so the predicate search runs once for all three
+// (DESIGN.md §15); its grow search runs to the node budget, and every
+// conjunct it offers fails verification. In a CPU profile (-cpu 1) the
+// cluster DNF takes 42% of the time (34% in its reject sets), the grow
+// search about a fifth, the projection mappings a quarter (mostly encoding
+// the join's columns) and building the joins 3%. scripts/bench_guard.sh
+// gates its allocations.
 func BenchmarkMicroCandidateGenerationQ4(b *testing.B) {
 	b.ReportAllocs()
 	bb := datasets.NewBaseball()

@@ -203,7 +203,7 @@ func deltaStyleFP(q *Query, r *relation.Relation) string {
 
 // applyModified materialises D' from the modification map.
 func applyModified(rel *relation.Relation, modified map[int]relation.Tuple) *relation.Relation {
-	out := rel.Clone()
+	out := relation.New(rel.Name, rel.Schema).Append(rel.Tuples...)
 	for row, nt := range modified {
 		out.Tuples[row] = nt
 	}

@@ -9,6 +9,8 @@ package db
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -29,6 +31,15 @@ type ForeignKey struct {
 	ChildColumns  []string
 	ParentTable   string
 	ParentColumns []string
+}
+
+// checkColumns reports a foreign key whose child and parent column lists
+// are empty or differ in length: the join pairs them position by position.
+func (fk ForeignKey) checkColumns() error {
+	if len(fk.ChildColumns) == 0 || len(fk.ChildColumns) != len(fk.ParentColumns) {
+		return fmt.Errorf("db: foreign key %s: child and parent must name the same number of columns, at least one", fk)
+	}
+	return nil
 }
 
 // String renders the constraint as "child(c1,c2) -> parent(p1,p2)".
@@ -103,17 +114,6 @@ func (d *Database) AddForeignKey(child string, childCols []string, parent string
 	})
 }
 
-// Clone deep-copies the database, including constraint declarations.
-func (d *Database) Clone() *Database {
-	c := New()
-	for _, t := range d.tables {
-		c.MustAddTable(t.Clone())
-	}
-	c.PrimaryKeys = append([]PrimaryKey(nil), d.PrimaryKeys...)
-	c.ForeignKeys = append([]ForeignKey(nil), d.ForeignKeys...)
-	return c
-}
-
 // Validate checks every declared constraint and returns the first violation
 // found, or nil. Paper §6.3: modified databases shown to the user must be
 // valid.
@@ -149,6 +149,9 @@ func (d *Database) validateFK(fk ForeignKey) error {
 	child, parent := d.Table(fk.ChildTable), d.Table(fk.ParentTable)
 	if child == nil || parent == nil {
 		return fmt.Errorf("db: foreign key %s: missing table", fk)
+	}
+	if err := fk.checkColumns(); err != nil {
+		return err
 	}
 	ci, err := columnIndexes(child, fk.ChildColumns)
 	if err != nil {
@@ -195,15 +198,34 @@ func (e CellEdit) String() string {
 	return fmt.Sprintf("%s[%d].%s = %s", e.Table, e.Row, e.Column, e.Value)
 }
 
-// ApplyEdits returns a deep copy of the database with the edits applied. The
-// receiver is unchanged. An out-of-range edit returns an error.
+// ApplyEdits returns the database with the edits applied; the receiver is
+// unchanged. Only what the edits touch is copied: an edited table gets a
+// fresh row slice and each edited row a fresh tuple, and every other table
+// and row is shared with the receiver. Both the result and the receiver
+// must therefore be treated as read-only. An out-of-range edit returns an
+// error.
 func (d *Database) ApplyEdits(edits []CellEdit) (*Database, error) {
 	if err := d.CheckEdits(edits); err != nil {
 		return nil, err
 	}
-	c := d.Clone()
+	c := &Database{tables: slices.Clone(d.tables), byName: maps.Clone(d.byName),
+		PrimaryKeys: slices.Clone(d.PrimaryKeys), ForeignKeys: slices.Clone(d.ForeignKeys)}
+	type rowRef struct {
+		table string
+		row   int
+	}
+	copied := map[rowRef]bool{}
 	for _, e := range edits {
 		t, ci, _ := c.editTarget(e)
+		if t == d.byName[e.Table] {
+			t = &relation.Relation{Name: t.Name, Schema: t.Schema, Tuples: slices.Clone(t.Tuples)}
+			c.tables[slices.Index(c.tables, d.byName[e.Table])] = t
+			c.byName[e.Table] = t
+		}
+		if r := (rowRef{e.Table, e.Row}); !copied[r] {
+			t.Tuples[e.Row] = t.Tuples[e.Row].Clone()
+			copied[r] = true
+		}
 		t.Tuples[e.Row][ci] = e.Value
 	}
 	return c, nil

@@ -2,11 +2,29 @@ package db
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"qfe/internal/relation"
 )
+
+// Clone deep-copies the database, including constraint declarations: the
+// copy that ApplyEdits' copy-on-edit is checked against.
+func (d *Database) Clone() *Database {
+	c := New()
+	for _, t := range d.tables {
+		r := relation.New(t.Name, slices.Clone(t.Schema))
+		for _, tup := range t.Tuples {
+			r.Tuples = append(r.Tuples, tup.Clone())
+		}
+		c.MustAddTable(r)
+	}
+	c.PrimaryKeys = slices.Clone(d.PrimaryKeys)
+	c.ForeignKeys = slices.Clone(d.ForeignKeys)
+	return c
+}
 
 // twoTableDB builds the paper's Example 5.4 shape: T1(A,B,C) with T2(A,D)
 // where T2.A references T1.A and A=1 fans out to two T2 rows.
@@ -127,6 +145,93 @@ func TestApplyEdits(t *testing.T) {
 	} {
 		if _, err := d.ApplyEdits([]CellEdit{bad}); err == nil {
 			t.Errorf("edit %v should fail", bad)
+		}
+	}
+}
+
+// TestApplyEditsCopiesOnlyEditedRows checks ApplyEdits against a deep copy
+// with the edits written into it, on random edit sets over the key
+// fixtures: every table of the result is BagEqual to the copy's, the
+// receiver is unchanged, and a table or row no edit touches is the
+// receiver's own.
+func TestApplyEditsCopiesOnlyEditedRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	applied := 0
+	for _, d := range keysFixtures(t) {
+		before := d.Clone()
+		for i := 0; i < 50; i++ {
+			data := make([]byte, 5*(1+rng.Intn(6)))
+			rng.Read(data)
+			edits := validEdits(d, data)
+			got, err := d.ApplyEdits(edits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := d.Clone()
+			edited := map[string]map[int]bool{}
+			for _, e := range edits {
+				want.Table(e.Table).Tuples[e.Row][want.Table(e.Table).Schema.IndexOf(e.Column)] = e.Value
+				if edited[e.Table] == nil {
+					edited[e.Table] = map[int]bool{}
+				}
+				edited[e.Table][e.Row] = true
+			}
+			if !slices.Equal(got.TableNames(), d.TableNames()) {
+				t.Fatalf("tables %v, receiver's %v", got.TableNames(), d.TableNames())
+			}
+			for _, tab := range d.Tables() {
+				g := got.Table(tab.Name)
+				if !g.BagEqual(want.Table(tab.Name)) {
+					t.Fatalf("edits %v: table %s %v, deep copy %v", edits, tab.Name, g.Tuples, want.Table(tab.Name).Tuples)
+				}
+				if edited[tab.Name] == nil && g != tab {
+					t.Errorf("edits %v: unedited table %s was copied", edits, tab.Name)
+				}
+				for ri := range g.Tuples {
+					if !edited[tab.Name][ri] && &g.Tuples[ri][0] != &tab.Tuples[ri][0] {
+						t.Errorf("edits %v: unedited row %s[%d] was copied", edits, tab.Name, ri)
+					}
+				}
+			}
+			for _, tab := range d.Tables() {
+				if !slices.EqualFunc(tab.Tuples, before.Table(tab.Name).Tuples, func(a, b relation.Tuple) bool { return sameCells(a, b) }) {
+					t.Fatalf("edits %v changed the receiver's table %s", edits, tab.Name)
+				}
+			}
+			applied += len(edits)
+		}
+	}
+	if applied == 0 {
+		t.Fatal("no edit applied")
+	}
+}
+
+// TestForeignKeyColumnListsMustPair pins that a foreign key whose child and
+// parent column lists are empty or differ in length is rejected by
+// Validate and by the key index, and makes Join fail instead of panicking,
+// even when no child row holds a reference.
+func TestForeignKeyColumnListsMustPair(t *testing.T) {
+	for _, fk := range []ForeignKey{
+		{ChildTable: "C", ChildColumns: []string{"x"}, ParentTable: "P", ParentColumns: []string{"a", "b"}},
+		{ChildTable: "P", ChildColumns: []string{"a", "b"}, ParentTable: "C", ParentColumns: []string{"x"}},
+		{ChildTable: "C", ParentTable: "P"},
+	} {
+		d := New()
+		p := relation.New("P", relation.NewSchema("a", relation.KindInt, "b", relation.KindInt))
+		p.Append(relation.NewTuple(1, 2))
+		d.MustAddTable(p)
+		d.MustAddTable(relation.New("C", relation.NewSchema("x", relation.KindInt)))
+		d.ForeignKeys = append(d.ForeignKeys, fk)
+		if err := d.Validate(); err == nil {
+			t.Errorf("%s: Validate accepts it", fk)
+		}
+		if NewKeys(d).Valid(nil) {
+			t.Errorf("%s: the key index accepts it", fk)
+		}
+		for _, tables := range [][]string{{"C", "P"}, {"P", "C"}} {
+			if j, err := Join(d, tables); err == nil {
+				t.Errorf("%s: Join(%v) gives %d rows, want an error", fk, tables, j.Len())
+			}
 		}
 	}
 }

@@ -212,7 +212,10 @@ func (c *Codes) Join(tables []string) (*Joined, error) {
 	for len(remaining) > 0 {
 		progressed := false
 		for ri, name := range remaining {
-			conds := joinConditions(d, j.schema, j.Tables, name)
+			conds, err := joinConditions(d, j.schema, j.Tables, name)
+			if err != nil {
+				return nil, err
+			}
 			if len(conds) == 0 {
 				continue
 			}
@@ -266,8 +269,8 @@ type joinCondition struct {
 
 // joinConditions collects the equality conditions implied by every FK edge
 // between the already-joined tables (with the given joined schema) and the
-// incoming table.
-func joinConditions(d *Database, schema relation.Schema, joined []string, incoming string) []joinCondition {
+// incoming table. An edge whose column lists cannot be paired is an error.
+func joinConditions(d *Database, schema relation.Schema, joined []string, incoming string) ([]joinCondition, error) {
 	var conds []joinCondition
 	add := func(joinedTable string, joinedCols []string, newCols []string, newTable *relation.Relation) {
 		for i := range joinedCols {
@@ -289,14 +292,20 @@ func joinConditions(d *Database, schema relation.Schema, joined []string, incomi
 	}
 	in := d.Table(incoming)
 	for _, fk := range d.ForeignKeys {
-		switch {
-		case fk.ChildTable == incoming && isJoined(fk.ParentTable):
+		child := fk.ChildTable == incoming && isJoined(fk.ParentTable)
+		if !child && !(fk.ParentTable == incoming && isJoined(fk.ChildTable)) {
+			continue
+		}
+		if err := fk.checkColumns(); err != nil {
+			return nil, err
+		}
+		if child {
 			add(fk.ParentTable, fk.ParentColumns, fk.ChildColumns, in)
-		case fk.ParentTable == incoming && isJoined(fk.ChildTable):
+		} else {
 			add(fk.ChildTable, fk.ChildColumns, fk.ParentColumns, in)
 		}
 	}
-	return conds
+	return conds, nil
 }
 
 // none marks a code or key group that does not exist.

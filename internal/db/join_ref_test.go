@@ -49,7 +49,10 @@ func refJoin(d *Database, tables []string) (*refJoined, error) {
 	for len(remaining) > 0 {
 		progressed := false
 		for ri, name := range remaining {
-			conds := joinConditions(d, j.Rel.Schema, j.Tables, name)
+			conds, err := joinConditions(d, j.Rel.Schema, j.Tables, name)
+			if err != nil {
+				return nil, err
+			}
 			if len(conds) == 0 {
 				continue
 			}

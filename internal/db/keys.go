@@ -113,7 +113,7 @@ func (k *Keys) build() {
 	}
 	for _, fk := range k.d.ForeignKeys {
 		child, parent := k.d.Table(fk.ChildTable), k.d.Table(fk.ParentTable)
-		if child == nil || parent == nil {
+		if child == nil || parent == nil || fk.checkColumns() != nil {
 			k.violations = -1
 			return
 		}

@@ -3,22 +3,21 @@ package dbgen
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"qfe/internal/db"
-	"qfe/internal/relation"
 	"qfe/internal/scenario"
 	"qfe/internal/tupleclass"
 )
 
 // concretizeByCopy is the reference for concretize's constraint check: it
-// keeps D′ as a copy of d, applies each candidate row's edits to it in
-// place, validates every key of the whole copy, and reverts the row when
-// that fails. It returns the accepted edits and pairs, and how many
-// candidate rows the key check turned down.
+// applies the accepted edits and each candidate row's edits to a copy of d
+// (ApplyEdits), validates every key of the whole copy, and turns the row
+// down when that fails. It returns the accepted edits and pairs, and how
+// many candidate rows the key check turned down.
 func concretizeByCopy(g *Generator, d *db.Database, pairs []tupleclass.Pair) ([]db.CellEdit, []tupleclass.Pair, int) {
-	work := d.Clone()
 	var (
 		edits      []db.CellEdit
 		usedPairs  []tupleclass.Pair
@@ -45,7 +44,7 @@ func concretizeByCopy(g *Generator, d *db.Database, pairs []tupleclass.Pair) ([]
 			if conflictsBase(rowEdits, usedBase) {
 				continue
 			}
-			if !applyValidByCopy(work, rowEdits) {
+			if c, err := d.ApplyEdits(append(slices.Clip(edits), rowEdits...)); err != nil || c.Validate() != nil {
 				rejected++
 				continue
 			}
@@ -59,43 +58,6 @@ func concretizeByCopy(g *Generator, d *db.Database, pairs []tupleclass.Pair) ([]
 		}
 	}
 	return edits, usedPairs, rejected
-}
-
-// applyValidByCopy applies the edits to work in place if and only if the
-// result satisfies every declared key; otherwise it restores the old values.
-func applyValidByCopy(work *db.Database, edits []db.CellEdit) bool {
-	type cell struct {
-		t   *relation.Relation
-		row int
-		col int
-		old relation.Value
-	}
-	var undo []cell
-	revert := func() {
-		for i := len(undo) - 1; i >= 0; i-- {
-			u := undo[i]
-			u.t.Tuples[u.row][u.col] = u.old
-		}
-	}
-	for _, e := range edits {
-		t := work.Table(e.Table)
-		if t == nil || e.Row < 0 || e.Row >= t.Len() {
-			revert()
-			return false
-		}
-		ci := t.Schema.IndexOf(e.Column)
-		if ci < 0 {
-			revert()
-			return false
-		}
-		undo = append(undo, cell{t, e.Row, ci, t.Tuples[e.Row][ci]})
-		t.Tuples[e.Row][ci] = e.Value
-	}
-	if work.Validate() != nil {
-		revert()
-		return false
-	}
-	return true
 }
 
 // TestConcretizeMatchesCopyAndValidate checks concretize's indexed key check

@@ -100,7 +100,7 @@ func TestMinEditIdentityAndSymmetry(t *testing.T) {
 			t.Fatalf("trial %d: MinEdit(a,a) = %d", trial, d)
 		}
 		// Identity also holds across tuple reordering (bag semantics).
-		shuffled := a.Clone()
+		shuffled := relation.New(a.Name, a.Schema).Append(a.Tuples...)
 		rng.Shuffle(len(shuffled.Tuples), func(i, j int) {
 			shuffled.Tuples[i], shuffled.Tuples[j] = shuffled.Tuples[j], shuffled.Tuples[i]
 		})

@@ -32,7 +32,7 @@ func exampleView(t *testing.T) View {
 
 	baseR := relation.New("R", relation.NewSchema("name", relation.KindString)).
 		Append(relation.NewTuple("Bob"), relation.NewTuple("Darren"))
-	r1 := baseR.Clone() // unchanged (Q1, Q3)
+	r1 := relation.New("R", baseR.Schema).Append(baseR.Tuples...) // unchanged (Q1, Q3)
 	r2 := relation.New("R", baseR.Schema).Append(relation.NewTuple("Darren"))
 
 	mk := func(name string, term algebra.Term) *algebra.Query {

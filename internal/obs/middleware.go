@@ -132,32 +132,43 @@ func Middleware(next http.Handler, opts MiddlewareOptions) http.Handler {
 
 		inflight.Inc()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		next.ServeHTTP(sw, r)
-		inflight.Dec()
-
-		elapsed := time.Since(start)
-		ri.latency.ObserveDuration(elapsed)
-		class := sw.status / 100
-		if class < 1 || class > 5 {
-			class = 5
-		}
-		ri.byClass[class].Inc()
-
-		if opts.Logger != nil {
-			attrs := []any{
-				slog.String("method", r.Method),
-				slog.String("path", r.URL.Path),
-				slog.String("route", route),
-				slog.Int("status", sw.status),
-				slog.Duration("elapsed", elapsed),
-				slog.String("request_id", reqID),
+		// The accounting is deferred so that a panicking handler still
+		// leaves the in-flight gauge and is recorded, as a 5xx; the panic
+		// then goes on to the server.
+		defer func() {
+			inflight.Dec()
+			p := recover()
+			if p != nil {
+				sw.status = http.StatusInternalServerError
 			}
-			if opts.SessionIDFor != nil {
-				if sid := opts.SessionIDFor(r); sid != "" {
-					attrs = append(attrs, slog.String("session_id", sid))
+			elapsed := time.Since(start)
+			ri.latency.ObserveDuration(elapsed)
+			class := sw.status / 100
+			if class < 1 || class > 5 {
+				class = 5
+			}
+			ri.byClass[class].Inc()
+
+			if opts.Logger != nil {
+				attrs := []any{
+					slog.String("method", r.Method),
+					slog.String("path", r.URL.Path),
+					slog.String("route", route),
+					slog.Int("status", sw.status),
+					slog.Duration("elapsed", elapsed),
+					slog.String("request_id", reqID),
 				}
+				if opts.SessionIDFor != nil {
+					if sid := opts.SessionIDFor(r); sid != "" {
+						attrs = append(attrs, slog.String("session_id", sid))
+					}
+				}
+				opts.Logger.Info("http request", attrs...)
 			}
-			opts.Logger.Info("http request", attrs...)
-		}
+			if p != nil {
+				panic(p)
+			}
+		}()
+		next.ServeHTTP(sw, r)
 	})
 }

@@ -88,3 +88,36 @@ func TestMiddlewareMetrics(t *testing.T) {
 		t.Errorf("inflight after completion = %d, want 0", got)
 	}
 }
+
+// TestMiddlewarePanicStillAccounted checks that a panicking handler leaves
+// the in-flight gauge where it was, is counted as a 5xx with its latency,
+// and that the panic reaches the caller.
+func TestMiddlewarePanicStillAccounted(t *testing.T) {
+	reg := NewRegistry()
+	h := testMiddleware(reg, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusCreated)
+		panic("handler bug")
+	}))
+	func() {
+		defer func() {
+			if p := recover(); p != "handler bug" {
+				t.Errorf("recovered %v, want the handler's panic", p)
+			}
+		}()
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/sessions", nil))
+	}()
+	if got := reg.Gauge("qfe_http_inflight", "").Value(); got != 0 {
+		t.Errorf("inflight after a panic = %d, want 0", got)
+	}
+	reqs := reg.CounterVec("qfe_http_requests_total", "", "route", "code")
+	if got := reqs.With("/sessions", "5xx").Value(); got != 1 {
+		t.Errorf("/sessions 5xx = %d, want 1", got)
+	}
+	if got := reqs.With("/sessions", "2xx").Value(); got != 0 {
+		t.Errorf("/sessions 2xx = %d, want 0", got)
+	}
+	lat := reg.HistogramVec("qfe_http_request_seconds", "", LatencyOpts, "route")
+	if got := lat.With("/sessions").Count(); got != 1 {
+		t.Errorf("latency count = %d, want 1", got)
+	}
+}

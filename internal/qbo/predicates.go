@@ -23,10 +23,17 @@ type rowClass struct {
 }
 
 // groups is one projection mapping's row groups (classifyCodes): need
-// holds R's multiplicity per group.
+// holds R's multiplicity per group, and first the index in R of each
+// group's first tuple (every group but the last holds R's tuples).
 type groups struct {
-	of   []uint32 // row → group
-	need []int
+	of    []uint32 // row → group
+	need  []int
+	first []int
+}
+
+// equal reports whether gs and o group the join's rows alike.
+func (gs groups) equal(o groups) bool {
+	return slices.Equal(gs.of, o.of) && slices.Equal(gs.need, o.need) && slices.Equal(gs.first, o.first)
 }
 
 // classifyCodes classifies the join's rows for the projection onto columns
@@ -58,9 +65,9 @@ func classifyCodes(ix *joinIndex, idx []int, r *relation.Relation) (rowClass, gr
 	if len(idx) > 0 {
 		inFirst = make([]bool, len(ix.col.Col(idx[0]).Dict))
 	}
-	var need []int
+	var need, first []int
 	t := make([]uint32, len(idx))
-	for _, rt := range r.Tuples {
+	for i, rt := range r.Tuples {
 		for p, ci := range idx {
 			c, ok := ix.codeOf(ci, rt[p])
 			if !ok {
@@ -77,6 +84,7 @@ func classifyCodes(ix *joinIndex, idx []int, r *relation.Relation) (rowClass, gr
 			id = len(need)
 			ids[string(k)] = id
 			need = append(need, 0)
+			first = append(first, i)
 		}
 		need[id]++
 	}
@@ -114,7 +122,7 @@ func classifyCodes(ix *joinIndex, idx []int, r *relation.Relation) (rowClass, gr
 			rc.optional = append(rc.optional, ri)
 		}
 	}
-	return rc, groups{of: of, need: need}
+	return rc, groups{of: of, need: need, first: first}
 }
 
 // anchors picks, from the optional rows in order, one row per needed result
@@ -132,37 +140,88 @@ func (gs groups) anchors(optional []int) []int {
 	return out
 }
 
-// generateForJoin synthesizes predicates for one (join, projection) pair,
-// given the pair's feasible row classification from projectionMappings.
-func (g *generator) generateForJoin(ix *joinIndex, tables []string, m mapping) {
-	rc := m.rows
-	// No exclusions needed: projection alone may already work.
-	if len(rc.excluded) == 0 {
-		g.emit(ix.j, tables, m.proj, algebra.True())
+// generateForJoin offers the candidates of every projection mapping of one
+// join and returns the number of predicate searches it ran. The search
+// reads a mapping only through its row classification and row groups, and
+// the classification follows from the groups, so mappings with equal groups
+// are offered the same predicates in the same order (DESIGN.md §15). The
+// search therefore runs once per distinct grouping: a later mapping whose
+// groups equal an earlier one's re-offers that search's predicates, in
+// order, with its own projection. Each offer passes the same cap and seen
+// checks as a search of its own would, and a search stops only once the
+// cap is reached, after which nothing more is added.
+func (g *generator) generateForJoin(ix *joinIndex, tables []string) int {
+	type searched struct {
+		groups groups
+		offers []algebra.Predicate
+	}
+	var runs []searched
+	for _, m := range g.projectionMappings(ix) {
+		if g.full() {
+			break
+		}
+		if k := slices.IndexFunc(runs, func(r searched) bool { return r.groups.equal(m.groups) }); k >= 0 {
+			for _, pred := range runs[k].offers {
+				g.add(tables, m.proj, clonePredicate(pred))
+			}
+			continue
+		}
+		var offers []algebra.Predicate
+		g.search(ix, m.rows, m.groups, func(pred algebra.Predicate) bool {
+			offers = append(offers, pred)
+			g.add(tables, m.proj, pred)
+			return g.full()
+		})
+		runs = append(runs, searched{m.groups, offers})
+	}
+	return len(runs)
+}
+
+// clonePredicate copies p's conjunct slices, so that a replayed query
+// shares none with the recorded one.
+func clonePredicate(p algebra.Predicate) algebra.Predicate {
+	c := slices.Clone(p)
+	for i, conj := range c {
+		c[i] = slices.Clone(conj)
+	}
+	return c
+}
+
+// search offers, in order, the predicates that select exactly R for one
+// row classification rc and its groups gs: TRUE, the grow search's
+// conjuncts, and the cluster DNF with its variants. offer returns true to
+// stop the search.
+func (g *generator) search(ix *joinIndex, rc rowClass, gs groups, offer func(algebra.Predicate) bool) {
+	// TRUE selects every row: exact iff no row is excluded and no group
+	// holds more rows than R needs.
+	if len(rc.excluded) == 0 && len(rc.optional) == 0 && offer(algebra.True()) {
+		return
 	}
 	if len(rc.required) == 0 {
 		// Every result tuple has surplus multiplicity in the join, so no
 		// row is individually forced. Anchor the covering-term machinery on
 		// a greedy system of distinct rows realising R; the exact-bag
 		// check of every candidate keeps this safe.
-		rc.required = m.groups.anchors(rc.optional)
+		rc.required = gs.anchors(rc.optional)
 		if len(rc.required) == 0 {
 			return
 		}
 	}
-	if !g.full() {
-		s := newGrowSearch(ix, g.coveringTermPools(ix, rc.required), rc, m.groups, g.r.Len())
-		s.run(func(path []int) bool {
-			if s.accepts(path) {
-				g.emitTrusted(tables, m.proj, algebra.Predicate{s.conjunct(path)})
-			}
-			return g.full()
-		})
+	s := newGrowSearch(ix, g.coveringTermPools(ix, rc.required), rc, gs, g.r.Len())
+	stop := false
+	s.run(func(path []int) bool {
+		if s.accepts(path) {
+			stop = offer(algebra.Predicate{s.conjunct(path)})
+		}
+		return stop
+	})
+	if stop {
+		return
 	}
 
 	// DNF by categorical clustering: split the required rows by the value
 	// of one categorical attribute and synthesize a conjunct per cluster.
-	g.generateClusterDNF(ix, tables, m.proj, rc)
+	g.generateClusterDNF(ix, rc, gs, offer)
 }
 
 // attrPool is one attribute's covering terms.
@@ -300,30 +359,23 @@ func categoricalCoveringTerms(ix *joinIndex, ci int, rows []int) []algebra.Term 
 // values collide and most result rows are "optional" — a residual-repair
 // loop adds clusters for the optional rows that supply the missing result
 // tuples. This produces queries like the paper's Q4 (a disjunction of
-// playerID equalities) and Q5/Q6 (an equality plus numeric bounds).
+// playerID equalities) and Q5/Q6 (an equality plus numeric bounds). Each
+// exact DNF and its variants go to offer, which returns true to stop.
 //
 // Cluster values are dictionary codes of the attribute's column; each
 // cluster's rows, refinements and conjunct are memoised per code
 // (clusterSet), so repair rounds and the variant loop reuse them.
-func (g *generator) generateClusterDNF(ix *joinIndex, tables, proj []string, rc rowClass) {
+func (g *generator) generateClusterDNF(ix *joinIndex, rc rowClass, gs groups, offer func(algebra.Predicate) bool) {
 	schema := ix.j.Schema()
 	excl := make([]bool, ix.j.Len())
 	for _, ri := range rc.excluded {
 		excl[ri] = true
 	}
-	projIdx := make([]int, len(proj))
-	for i, p := range proj {
-		projIdx[i] = schema.MustIndexOf(p)
-	}
-	projected := newCells(ix.col, projIdx)
-	need := g.r.Bag()
+	got := make([]int, len(gs.need)) // selected rows per group
 
 	for ci, col := range schema {
 		if col.Type != relation.KindString {
 			continue
-		}
-		if g.full() {
-			return
 		}
 		cd := ix.col.Col(ci)
 		// Initial cluster values: the required rows' values, in order of
@@ -347,39 +399,27 @@ func (g *generator) generateClusterDNF(ix *joinIndex, tables, proj []string, rc 
 			if !ok {
 				break
 			}
-			// Project the selected rows and compare against R. Multiplicity
-			// counting goes through the hash kernel — no projected-key
-			// strings inside the per-round row scan. Every row a cluster
-			// predicate can select carries one of the cluster values, so the
-			// scan touches only those rows, and only their projected and
+			// Count the selected rows per group against R's need. Every
+			// row a cluster predicate can select carries one of the cluster
+			// values, so the scan touches only those rows, and only their
 			// predicate cells.
-			rows := newCells(ix.col, projIdx)
+			rows := &cells{col: ix.col}
 			for _, a := range pred.Attrs() {
 				rows.add(schema.IndexOf(a))
 			}
 			match := pred.Compile(rows.schema)
-			got := relation.NewBag(need.Distinct())
+			clear(got)
 			for _, c := range values {
 				for _, ri := range cs.get(c).good {
-					if t := rows.row(ri); match(t) {
-						got.IncProj(t, rows.all, 1)
+					if match(rows.row(ri)) {
+						got[gs.of[ri]]++
 					}
 				}
 			}
 			overshoot, missing := false, false
-			got.ForEach(func(t relation.Tuple, n int) {
-				if n > need.Count(t) {
-					overshoot = true
-				}
-			})
-			missingSet := relation.NewBag(0)
-			if !overshoot {
-				need.ForEach(func(t relation.Tuple, n int) {
-					if got.Count(t) < n {
-						missingSet.Inc(t, 1)
-						missing = true
-					}
-				})
+			for gr, n := range got {
+				overshoot = overshoot || n > gs.need[gr]
+				missing = missing || n < gs.need[gr]
 			}
 			if overshoot {
 				break // repair can only add rows, never remove
@@ -387,15 +427,14 @@ func (g *generator) generateClusterDNF(ix *joinIndex, tables, proj []string, rc 
 			if !missing {
 				// got == need exactly and the cluster builder already
 				// rejected every excluded row: the query is verified.
-				g.emitTrusted(tables, proj, pred)
+				if offer(pred) {
+					return
+				}
 				// Enrich QC with variants that tighten one cluster by a
 				// covering term: they select the same rows on D (covering
 				// terms hold on every selected row) but behave differently
 				// on modified databases, giving QFE something to winnow.
 				for vi, c := range values {
-					if g.full() {
-						break
-					}
 					for k, extra := range g.clusterRefinements(cs, cs.get(c)) {
 						if k >= 3 {
 							break
@@ -405,7 +444,9 @@ func (g *generator) generateClusterDNF(ix *joinIndex, tables, proj []string, rc 
 							variant[pi] = append(algebra.Conjunct(nil), conj...)
 						}
 						variant[vi] = append(variant[vi], extra.t)
-						g.emitTrusted(tables, proj, variant)
+						if offer(variant) {
+							return
+						}
 					}
 				}
 				break
@@ -415,49 +456,51 @@ func (g *generator) generateClusterDNF(ix *joinIndex, tables, proj []string, rc 
 			// same missing tuple (projected-value collisions), prefer the
 			// value whose cluster contains the fewest excluded rows —
 			// "clean" clusters cannot cause overshoot in later rounds — and
-			// among those the smallest value key.
+			// among those the smallest value key. The missing groups are
+			// taken in the order of their result tuples' keys.
 			badCount := make([]int, len(cd.Dict))
 			for _, ri := range rc.excluded {
 				badCount[cd.Codes[ri]]++
 			}
-			bestFor := map[string]uint32{}
-			for ri := range excl {
-				if excl[ri] {
-					continue
-				}
-				// Cheap hashed membership test first; the canonical key
-				// string is built only for the (rare) rows that actually
-				// supply a missing result tuple.
-				t := projected.row(ri)
-				if missingSet.Count(t) == 0 {
+			best := make([]int, len(got)) // per group: the code chosen, or -1
+			for gr := range best {
+				best[gr] = -1
+			}
+			for ri, ex := range excl {
+				gr := gs.of[ri]
+				if ex || got[gr] >= gs.need[gr] {
 					continue
 				}
 				c := cd.Codes[ri]
 				if slices.Contains(values, c) {
 					continue
 				}
-				k := t.Key()
-				cur, ok := bestFor[k]
-				if !ok || badCount[c] < badCount[cur] ||
+				cur := best[gr]
+				if cur < 0 || badCount[c] < badCount[cur] ||
 					(badCount[c] == badCount[cur] && cd.Dict[c].Key() < cd.Dict[cur].Key()) {
-					bestFor[k] = c
+					best[gr] = int(c)
 				}
 			}
-			keys := make([]string, 0, len(bestFor))
-			for k := range bestFor {
-				keys = append(keys, k)
+			type supplier struct {
+				key  string
+				code uint32
 			}
-			sort.Strings(keys)
+			var supply []supplier
+			for gr, c := range best {
+				if c >= 0 {
+					supply = append(supply, supplier{g.r.Tuples[gs.first[gr]].Key(), uint32(c)})
+				}
+			}
+			sort.Slice(supply, func(a, b int) bool { return supply[a].key < supply[b].key })
 			added := false
-			for _, k := range keys {
-				c := bestFor[k]
-				if slices.Contains(values, c) {
+			for _, s := range supply {
+				if slices.Contains(values, s.code) {
 					continue
 				}
 				if len(values) >= maxDisjuncts {
 					break
 				}
-				values = append(values, c)
+				values = append(values, s.code)
 				added = true
 			}
 			if !added {
@@ -586,26 +629,13 @@ func (g *generator) clusterRefinements(cs *clusterSet, cl *cluster) []colTerm {
 }
 
 // cells reads a few columns of the join, one row at a time, into a scratch
-// tuple: the projection first (positions all), then the columns add
-// appends. The cluster checks test rows on it and never materialise the
+// tuple. The cluster checks test rows on it and never materialise the
 // join's rows.
 type cells struct {
 	col    *relation.Columnar
 	cols   []int // the join's columns read
-	all    []int // 0, 1, ..., len(projection)-1
 	schema relation.Schema
 	buf    relation.Tuple
-}
-
-func newCells(col *relation.Columnar, proj []int) *cells {
-	c := &cells{col: col, all: make([]int, len(proj))}
-	for i, ci := range proj {
-		c.all[i] = i
-		c.cols = append(c.cols, ci)
-		c.schema = append(c.schema, col.Schema()[ci])
-	}
-	c.buf = make(relation.Tuple, len(c.cols))
-	return c
 }
 
 // add reads column ci too, unless it is read already or missing (-1).

@@ -9,11 +9,10 @@
 // joined schema, and (c) selection predicates built from covering terms
 // (terms satisfied by every tuple that must appear in the result) combined
 // conjunctively across attributes and disjunctively across categorical
-// clusters. Every emitted query reproduces R — the TRUE predicate verified
-// by evaluation (emit), the conjunct search's candidates by counting their
-// selected rows per projected code group, and the cluster DNF and its
-// variants by construction (emitTrusted; DESIGN.md §15) — so the search's
-// bounds only control its budget, never correctness.
+// clusters. Every emitted query reproduces R — TRUE and the conjunct
+// search's candidates by counting their selected rows per projected code
+// group, and the cluster DNF and its variants by construction (DESIGN.md
+// §15) — so the search's bounds only control its budget, never correctness.
 package qbo
 
 import (
@@ -72,13 +71,7 @@ func Generate(d *db.Database, r *relation.Relation, cfg Config) ([]*algebra.Quer
 		if j.Len() < r.Len() {
 			continue // join too small to produce R under bag semantics
 		}
-		ix := newJoinIndex(j)
-		for _, m := range g.projectionMappings(ix) {
-			if g.full() {
-				break
-			}
-			g.generateForJoin(ix, tables, m)
-		}
+		g.generateForJoin(newJoinIndex(j), tables)
 	}
 	for i, q := range g.out {
 		q.Name = fmt.Sprintf("C%d", i+1)
@@ -98,31 +91,14 @@ func (g *generator) full() bool {
 	return g.cfg.MaxCandidates > 0 && len(g.out) >= g.cfg.MaxCandidates
 }
 
-// emit verifies Q(D) = R by full evaluation and appends the query if new.
-func (g *generator) emit(j *db.Joined, tables []string, proj []string, pred algebra.Predicate) {
-	if g.full() {
-		return
-	}
-	q := &algebra.Query{Tables: tables, Projection: proj, Pred: pred}
-	fp := q.Key()
-	if g.seen[fp] {
-		return
-	}
-	res, err := q.EvaluateOnColumnar(j.Columnar())
-	if err != nil || !res.BagEqual(g.r) {
-		return
-	}
-	g.seen[fp] = true
-	g.out = append(g.out, q)
-}
-
-// emitTrusted appends a query whose exactness the caller has already
-// established: a conjunct of the grow search whose selected rows match R
-// group for group (growSearch.accepts), the cluster builder's DNF, whose
-// conjuncts reject every excluded row and whose residual check is itself a
-// complete verification, and its variants, which add one covering term — a
-// term that holds on every row the variant's cluster selects.
-func (g *generator) emitTrusted(tables, proj []string, pred algebra.Predicate) {
+// add appends π_proj(σ_pred(tables)) unless the cap is reached or an equal
+// query was added before. The caller has established that the query
+// selects exactly R: TRUE and the conjuncts of the grow search match R
+// group for group (search, growSearch.accepts), the cluster DNF's conjuncts
+// reject every excluded row and its residual check counts the rest, and
+// each variant adds to one cluster's conjunct a covering term — a term that
+// holds on every row the cluster selects.
+func (g *generator) add(tables, proj []string, pred algebra.Predicate) {
 	if g.full() {
 		return
 	}

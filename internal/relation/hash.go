@@ -211,20 +211,6 @@ func (t Tuple) KeyEqual(u Tuple) bool {
 	return true
 }
 
-// keyEqualProj reports whether t.Project(idx) is KeyEqual to the already
-// materialised tuple u.
-func (t Tuple) keyEqualProj(idx []int, u Tuple) bool {
-	if len(idx) != len(u) {
-		return false
-	}
-	for k, j := range idx {
-		if !t[j].KeyEqual(u[k]) {
-			return false
-		}
-	}
-	return true
-}
-
 // HashInts folds a slice of small ints through the kernel hash. It exists
 // so sibling kernel hashes (tupleclass.Class.Hash64) share this package's
 // fold, finalizer and CollisionTestMask instead of re-implementing them.
@@ -281,16 +267,6 @@ func NewBag(hint int) *Bag {
 func (b *Bag) smallFind(h uint64, t Tuple) int {
 	for i := range b.small {
 		if b.small[i].h == h && b.small[i].t.KeyEqual(t) {
-			return i
-		}
-	}
-	return -1
-}
-
-// smallFindProj is smallFind for an unmaterialised projection t[idx].
-func (b *Bag) smallFindProj(h uint64, t Tuple, idx []int) int {
-	for i := range b.small {
-		if b.small[i].h == h && t.keyEqualProj(idx, b.small[i].t) {
 			return i
 		}
 	}
@@ -386,33 +362,6 @@ func (b *Bag) TakeOne(t Tuple) bool {
 	}
 	return false
 }
-
-// IncProj is Inc on the projection t[idx] without materialising it unless
-// the projection is new to the bag (first occurrence stores a materialised
-// copy, so later probes stay allocation-free).
-func (b *Bag) IncProj(t Tuple, idx []int, d int) int {
-	h := t.HashProj(idx)
-	if b.m == nil {
-		if i := b.smallFindProj(h, t, idx); i >= 0 {
-			b.small[i].n += d
-			return b.small[i].n
-		}
-	} else {
-		bucket := b.m[h]
-		for i := range bucket {
-			if t.keyEqualProj(idx, bucket[i].t) {
-				bucket[i].n += d
-				return bucket[i].n
-			}
-		}
-	}
-	b.insert(bagEntry{h: h, t: t.Project(idx), n: d})
-	return d
-}
-
-// Distinct returns the number of distinct tuples ever inserted (entries are
-// never removed, only counted down).
-func (b *Bag) Distinct() int { return b.distinct }
 
 // ForEach visits every entry (including non-positive counts) in
 // unspecified order. Callers needing determinism must sort or combine

@@ -301,6 +301,57 @@ func (r *Relation) slowFingerprint(distinct bool) string {
 	return strings.Join(keys, "\n")
 }
 
+// IncProj is Inc on the projection t[idx] without materialising it unless
+// the projection is new to the bag (first occurrence stores a materialised
+// copy, so later probes stay allocation-free).
+func (b *Bag) IncProj(t Tuple, idx []int, d int) int {
+	h := t.HashProj(idx)
+	if b.m == nil {
+		if i := b.smallFindProj(h, t, idx); i >= 0 {
+			b.small[i].n += d
+			return b.small[i].n
+		}
+	} else {
+		bucket := b.m[h]
+		for i := range bucket {
+			if t.keyEqualProj(idx, bucket[i].t) {
+				bucket[i].n += d
+				return bucket[i].n
+			}
+		}
+	}
+	b.insert(bagEntry{h: h, t: t.Project(idx), n: d})
+	return d
+}
+
+// smallFindProj is smallFind for an unmaterialised projection t[idx].
+func (b *Bag) smallFindProj(h uint64, t Tuple, idx []int) int {
+	for i := range b.small {
+		if b.small[i].h == h && t.keyEqualProj(idx, b.small[i].t) {
+			return i
+		}
+	}
+	return -1
+}
+
+// keyEqualProj reports whether t.Project(idx) is KeyEqual to the already
+// materialised tuple u.
+func (t Tuple) keyEqualProj(idx []int, u Tuple) bool {
+	if len(idx) != len(u) {
+		return false
+	}
+	for k, j := range idx {
+		if !t[j].KeyEqual(u[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Distinct returns the number of distinct tuples ever inserted (entries are
+// never removed, only counted down).
+func (b *Bag) Distinct() int { return b.distinct }
+
 // CountProj returns the count of the projection t[idx] without
 // materialising it, probing the buckets as IncProj does.
 func (b *Bag) CountProj(t Tuple, idx []int) int {

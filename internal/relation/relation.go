@@ -38,15 +38,6 @@ func (r *Relation) Append(ts ...Tuple) *Relation {
 	return r
 }
 
-// Clone deep-copies the relation (schema, tuples, values).
-func (r *Relation) Clone() *Relation {
-	c := &Relation{Name: r.Name, Schema: r.Schema.Clone(), Tuples: make([]Tuple, len(r.Tuples))}
-	for i, t := range r.Tuples {
-		c.Tuples[i] = t.Clone()
-	}
-	return c
-}
-
 // Project returns a new relation containing the named columns in order.
 // Duplicates are preserved (bag semantics).
 func (r *Relation) Project(names []string) (*Relation, error) {

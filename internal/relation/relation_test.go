@@ -243,6 +243,22 @@ func (t Tuple) Less(u Tuple) bool {
 	return len(t) < len(u)
 }
 
+// Clone deep-copies the relation (schema, tuples, values).
+func (r *Relation) Clone() *Relation {
+	c := &Relation{Name: r.Name, Schema: r.Schema.Clone(), Tuples: make([]Tuple, len(r.Tuples))}
+	for i, t := range r.Tuples {
+		c.Tuples[i] = t.Clone()
+	}
+	return c
+}
+
+// Clone returns a copy of the schema.
+func (s Schema) Clone() Schema {
+	t := make(Schema, len(s))
+	copy(t, s)
+	return t
+}
+
 // Sorted returns a copy of the relation with tuples in canonical order.
 func (r *Relation) Sorted() *Relation {
 	c := r.Clone()

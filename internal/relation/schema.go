@@ -66,13 +66,6 @@ func (s Schema) Names() []string {
 	return ns
 }
 
-// Clone returns a copy of the schema.
-func (s Schema) Clone() Schema {
-	t := make(Schema, len(s))
-	copy(t, s)
-	return t
-}
-
 // Concat returns s followed by t as a new schema.
 func (s Schema) Concat(t Schema) Schema {
 	u := make(Schema, 0, len(s)+len(t))
